@@ -6,7 +6,7 @@ plain breadth-first closure, and looks at its class structure.
 """
 
 from perfectcover import (
-    build_group,
+    PermGroup,
     centralizer,
     conjugacy_classes,
     derived_subgroup,
@@ -17,7 +17,7 @@ from perfectcover import (
 
 a = parse_cycles("(1 2 3 4 5)", 5)
 b = parse_cycles("(1 2 3)", 5)
-A5 = build_group(5, [a, b])
+A5 = PermGroup(5, [a, b])
 
 print("A5 from two generators")
 print("  order via stabilizer chain:", A5.order)

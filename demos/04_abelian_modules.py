@@ -9,10 +9,10 @@ and verified by direct group arithmetic.
 import random
 
 from perfectcover import (
+    GModule,
     augmentation_submodule,
     catalog,
     is_perfect_module,
-    module_from_abelian_normal,
     solve_commutator_decomposition,
 )
 from perfectcover.groups import enumerate_elements, normal_closure
@@ -22,7 +22,7 @@ G = catalog.get("E16A5")
 A = normal_closure(G, [G.generators[2], G.generators[3]])
 print(f"carrier: translation subgroup of order {A.order}")
 
-M = module_from_abelian_normal(G, A)
+M = GModule(G, A)
 print(f"module rank {M.rank}, basis orders {M.orders}")
 print("action matrix of the first linear generator:")
 for row in M.matrix_for(G.generators[0]):

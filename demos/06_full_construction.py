@@ -31,10 +31,11 @@ for j, G in enumerate(family):
     )
 
 for lvl in cert.levels:
-    t_count = len(lvl.tdata.entries) if lvl.tdata else 0
+    t_count = len(lvl.tdata.values) if lvl.tdata else 0
     print(
         f"level k={lvl.k_level}: m={lvl.aligned.m} generators, "
-        f"{len(lvl.qdata.entries)} Q witnesses, {t_count} T witnesses"
+        f"{len(lvl.qdata.values)} distinct Q generators, "
+        f"{t_count} distinct T generators"
     )
 
 with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as fh:

@@ -14,7 +14,6 @@ from .perms import Permutation, commutator, format_cycles, parse_cycles
 from .groups import (
     ENUMERATION_CAP,
     PermGroup,
-    build_group,
     centralizer,
     center,
     commutator_subgroup,
@@ -22,18 +21,16 @@ from .groups import (
     derived_subgroup,
     enumerate_elements,
     intersection,
-    is_member,
     is_normal,
     is_perfect,
     mulclose,
     normal_closure,
-    order,
     quotient_action,
 )
 from .products import DirectProduct, ProductElement
-from .homs import Homomorphism, hom_from_images
+from .homs import Homomorphism
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .words import (  # noqa: E402
     Word,
@@ -57,7 +54,6 @@ from .gmodule import (  # noqa: E402
     Submodule,
     augmentation_submodule,
     is_perfect_module,
-    module_from_abelian_normal,
     solve_commutator_decomposition,
     submodule_generated,
 )

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .groups import PermGroup, build_group
+from .groups import PermGroup
 from .perms import Permutation
 
 # Arithmetic of the field with four elements, encoded 0, 1, w, w+1 with
@@ -91,7 +91,7 @@ class CatalogEntry:
     provenance: str
 
     def group(self) -> PermGroup:
-        return build_group(self.degree, self.generators)
+        return PermGroup(self.degree, self.generators)
 
 
 def _entries() -> list[CatalogEntry]:

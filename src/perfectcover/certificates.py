@@ -1,18 +1,23 @@
 """Certificate serialization and the independent verifier.
 
-A certificate is a plain JSON document holding every witness of one
+A certificate is a plain JSON document holding the witnesses of one
 construction run: the family, per-level split data, words, lifts,
-residues, module coordinates, cover tuples, conjugators and the final
-generators.  `verify_certificate` re-checks every claim from scratch,
-using only the stored data and the library kernel; it shares no state
-with the construction code, and a fixed list of named steps makes
-failures attributable.
+residues, module coordinates, cover tuples and conjugators, plus the
+order and marked generators of each level's Gamma and, at the top, the
+final generators.  Nothing the witnesses determine is stored per level:
+Delta, Q, T and each Gamma's generator list are derived from them by the
+helpers in `products`, the same ones the construction uses.
+`verify_certificate` re-checks every claim from scratch, using only the
+stored data and the library kernel; it shares no state with the
+construction code, and a fixed list of named steps makes failures
+attributable.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import __version__
 from .errors import InputError
@@ -27,7 +32,16 @@ from .groups import (
     quotient_action,
 )
 from .perms import Permutation, commutator, format_cycles, parse_cycles
-from .products import DirectProduct, ProductElement
+from .products import (
+    DirectProduct,
+    ProductElement,
+    column,
+    cover_row_product,
+    gamma_generators,
+    pad_generators,
+    q_values,
+    t_values,
+)
 from .structure import (
     is_in_Y,
     semisimple_factors,
@@ -67,6 +81,15 @@ def _group_gens(G: PermGroup) -> list[str]:
 
 def _prodelem(pe: ProductElement) -> dict[str, str]:
     return {str(j): _perm_str(p) for j, p in sorted(pe.components.items())}
+
+
+def _top_gamma_doc(gamma_gens, order, marked) -> dict:
+    """The top-level gamma block: level 0's generators, order and marked."""
+    return {
+        "generators": [_prodelem(g) for g in gamma_gens],
+        "order": order,
+        "marked": list(marked),
+    }
 
 
 def serialize_certificate(cert) -> dict:
@@ -129,13 +152,7 @@ def serialize_certificate(cert) -> dict:
             "k_level": lvl.k_level,
             "m": aligned.m,
             "words": [str(w) for w in aligned.words],
-            "prev_marked": [_prodelem(g) for g in aligned.padded_gens],
             "factors": factors,
-            "delta": [_prodelem(g) for g in lvl.delta_gens],
-            "Q_entries": [
-                {"i": i, "l": l, "t": t, "value": _prodelem(v)}
-                for (i, l, t, v) in lvl.qdata.entries
-            ],
             "cover": (
                 {
                     "e": tdata.e,
@@ -160,25 +177,14 @@ def serialize_certificate(cert) -> dict:
                 if tdata
                 else None
             ),
-            "T_entries": (
-                [
-                    {"cp": cp, "l": l, "c": c, "t": t, "value": _prodelem(v)}
-                    for (cp, l, c, t, v) in tdata.entries
-                ]
-                if tdata
-                else []
-            ),
-            "gamma": {
-                "generators": [_prodelem(g) for g in lvl.gamma_gens],
-                "order": lvl.gamma.order,
-                "marked": list(lvl.marked_idx),
-            },
+            "gamma": {"order": lvl.gamma.order, "marked": list(lvl.marked_idx)},
         }
         data["levels"].append(level_doc)
     if cert.levels:
-        data["gamma"] = data["levels"][0]["gamma"]
+        top = cert.levels[0]
+        data["gamma"] = _top_gamma_doc(top.gamma_gens, top.gamma.order, top.marked_idx)
     else:
-        data["gamma"] = {"generators": [], "order": 1, "marked": []}
+        data["gamma"] = _top_gamma_doc([], 1, [])
     return data
 
 
@@ -192,8 +198,33 @@ def write_certificate(data: dict, path) -> None:
 
 
 def load_certificate(path) -> dict:
+    """The JSON object in a file; InputError if it holds anything else."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise InputError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        kind = type(data).__name__
+        raise InputError(f"{path}: a certificate is a JSON object, not a {kind}")
+    return data
+
+
+_TOP_FIELDS = (
+    ("d", int, "an integer"),
+    ("k", int, "an integer"),
+    ("family", list, "a list"),
+    ("levels", list, "a list"),
+    ("gamma", dict, "an object"),
+)
+
+
+def _check_shape(data: dict) -> None:
+    """Types of the top-level fields the verifier reads; InputError if wrong."""
+    for key, kind, text in _TOP_FIELDS:
+        value = data.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise InputError(f"certificate field {key!r} is missing or not {text}")
 
 
 # ----------------------------------------------------------------------
@@ -262,14 +293,6 @@ def _subgroup_from(strings, degree: int) -> PermGroup:
     return PermGroup(degree, _parse_gens(strings, degree))
 
 
-def _parse_prodelem(doc: dict, product: DirectProduct) -> ProductElement:
-    comps = {}
-    for key, text in doc.items():
-        j = int(key)
-        comps[j] = parse_cycles(text, product.factors[j].degree)
-    return ProductElement(product, comps)
-
-
 def _same_group(G: PermGroup, H: PermGroup) -> bool:
     return (
         G.degree == H.degree
@@ -279,7 +302,12 @@ def _same_group(G: PermGroup, H: PermGroup) -> bool:
 
 
 class _LevelCtx:
-    """Parsed view of one level of the certificate."""
+    """Parsed view of one level of the certificate.
+
+    The values Gamma is built from (Delta, Q, T and the generator list) are
+    derived from the witnesses on first use, so a step that needs a value
+    the witnesses cannot give reports the failure itself.
+    """
 
     def __init__(self, doc: dict, family: list[PermGroup], cap: int):
         self.doc = doc
@@ -306,32 +334,97 @@ class _LevelCtx:
             self.k_res.append(_parse_gens(fdoc["k_res"], degree))
             self.s_res.append(_parse_gens(fdoc["s_res"], degree))
         self.words = [parse_word(w, self.m) for w in doc["words"]]
-        self.prev_marked = doc["prev_marked"]
-        self.delta = [_parse_prodelem(d, self.product) for d in doc["delta"]]
-        self.gamma_gens = [
-            _parse_prodelem(d, self.product) for d in doc["gamma"]["generators"]
-        ]
         self.gamma_order = doc["gamma"]["order"]
         self.marked = doc["gamma"]["marked"]
         self.cap = cap
 
     def k_elem(self, i: int) -> ProductElement:
-        return ProductElement(
-            self.product, {j: self.k_res[j][i] for j in range(len(self.family))}
-        )
+        return column(self.product, self.k_res, i)
 
     def s_elem(self, i: int) -> ProductElement:
-        return ProductElement(
-            self.product, {j: self.s_res[j][i] for j in range(len(self.family))}
-        )
+        return column(self.product, self.s_res, i)
+
+    def basis(self, j: int) -> list[Permutation]:
+        degree = self.family[j].degree
+        return _parse_gens(self.doc["factors"][j]["module_basis"], degree)
+
+    @cached_property
+    def delta(self) -> list[ProductElement]:
+        return [column(self.product, self.lifts, i) for i in range(self.m)]
+
+    @cached_property
+    def q_elems(self) -> list[list[list[Permutation]] | None]:
+        """q_elems[j][i][l] decoded from the module coordinates; None for a
+        member without module data."""
+        out = []
+        for j, fdoc in enumerate(self.doc["factors"]):
+            if fdoc["module_basis"] is None:
+                out.append(None)
+                continue
+            basis = self.basis(j)
+
+            def decode(coords, identity=self.family[j].identity):
+                x = identity
+                for b, c in zip(basis, coords):
+                    x = x * b**c
+                return x
+
+            out.append([[decode(c) for c in row] for row in fdoc["q_coords"]])
+        return out
+
+    @cached_property
+    def q_values(self) -> list[ProductElement]:
+        return q_values(self.product, self.q_elems, self.lifts)
+
+    @cached_property
+    def cover(self):
+        """(factor_of, tuples, e, r) of the stored cover, or None."""
+        cover = self.doc["cover"]
+        if cover is None:
+            return None
+        factor_of = cover["factor_of"]
+        degrees = [self.family[j].degree for j in factor_of]
+        tuples = [_parse_gens(tup, deg) for tup, deg in zip(cover["tuples"], degrees)]
+        r = [
+            [
+                [_parse_gens(row, deg) for row in per_idx]
+                for per_idx, deg in zip(per_l, degrees)
+            ]
+            for per_l in self.doc["r"]
+        ]
+        return factor_of, tuples, cover["e"], r
+
+    @cached_property
+    def t_values(self) -> list[ProductElement]:
+        if self.cover is None:
+            return []
+        factor_of, tuples, e, r = self.cover
+        return t_values(self.product, factor_of, tuples, r, e)
+
+    @cached_property
+    def t_group(self) -> PermGroup:
+        return PermGroup(self.product.degree, [v.flat() for v in self.t_values])
+
+    @cached_property
+    def gamma_gens(self) -> list[ProductElement]:
+        return gamma_generators(self.delta, self.q_values, self.t_values)
+
+    @cached_property
+    def gamma(self) -> PermGroup:
+        return PermGroup(self.product.degree, [g.flat() for g in self.gamma_gens])
 
 
 def verify_certificate(
     data: dict, force_version: bool = False, cap: int = ENUMERATION_CAP
 ) -> VerificationReport:
-    """Re-check every claim of a certificate from its stored witnesses."""
-    if data.get("format") != CERT_FORMAT:
+    """Re-check every claim of a certificate from its stored witnesses.
+
+    Raises InputError if a top-level field the verifier reads is missing or
+    of the wrong type.
+    """
+    if not isinstance(data, dict) or data.get("format") != CERT_FORMAT:
         return VerificationReport([], False, "not a certificate document")
+    _check_shape(data)
     if data.get("version") != __version__ and not force_version:
         return VerificationReport(
             [],
@@ -357,7 +450,7 @@ def verify_certificate(
         rec.guard("family", f"member {name}", check_member)
 
     if not family:
-        gamma_doc = data.get("gamma", {})
+        gamma_doc = data["gamma"]
         if gamma_doc.get("order") != 1 or gamma_doc.get("generators"):
             rec.fail("gamma-perfect", "empty family must have a trivial group")
         return rec.report()
@@ -389,10 +482,18 @@ def verify_certificate(
         deeper = levels[idx + 1] if idx + 1 < len(levels) else None
         _verify_level(rec, ctx, deeper, d, cap)
 
-    # the top-level gamma block must be the first level's
-    top = levels[0]
-    if data["gamma"] != data["levels"][0]["gamma"]:
-        rec.fail("gamma-perfect", "top gamma block differs from level gamma")
+    # the top-level gamma block must be the first level's, with the
+    # generators derived from its witnesses
+    def check_top():
+        if levels:
+            top = levels[0]
+            expected = _top_gamma_doc(top.gamma_gens, top.gamma_order, top.marked)
+        else:
+            expected = _top_gamma_doc([], 1, [])
+        if data["gamma"] != expected:
+            raise InputError("top gamma block differs from the derived level-0 gamma")
+
+    rec.guard("gamma-perfect", "top gamma block", check_top)
     return rec.report()
 
 
@@ -458,55 +559,40 @@ def _verify_level(rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, cap) ->
 
     rec.guard("words", lab, check_words)
 
-    # the padded generator tuple must come from the deeper gamma's marked
-    # generators, and each word must reproduce its own generator
+    # the words act on the deeper gamma's marked generators, padded to d
+    def prev_gens() -> list[ProductElement]:
+        marked = [deeper.gamma_gens[i] for i in deeper.marked]
+        return pad_generators(marked, deeper.product, d)
+
+    # each word must reproduce its own generator
     def check_prev():
         if deeper is None:
-            expected = []
-        else:
-            expected = [deeper.gamma_gens[i] for i in deeper.marked]
-        if not expected:
-            expected_docs = [{}]
-        else:
-            expected_docs = [_prodelem(g) for g in expected]
-        while len(expected_docs) < d:
-            expected_docs.append(expected_docs[-1])
-        if ctx.prev_marked != expected_docs:
-            raise InputError("padded generators do not match the deeper level")
-        if deeper is not None:
-            prev_prod = deeper.product
-            flats = [
-                _parse_prodelem(doc, prev_prod).flat() for doc in ctx.prev_marked
-            ]
-            deeper_gamma = prev_prod.subgroup(deeper.gamma_gens)
-            for x in flats:
-                if x not in deeper_gamma:
-                    raise InputError("padded generator outside the deeper group")
-            for i, w in enumerate(ctx.words):
-                if evaluate_word(w, flats) != flats[i]:
-                    raise InputError(f"word {i} does not reproduce its generator")
+            if m != d:
+                raise InputError("m differs from d at the deepest level")
+            return
+        flats = [g.flat() for g in prev_gens()]
+        if len(flats) != m:
+            raise InputError("m differs from the padded generator count")
+        for i, w in enumerate(ctx.words):
+            if evaluate_word(w, flats) != flats[i]:
+                raise InputError(f"word {i} does not reproduce its generator")
 
     rec.guard("words", f"{lab} padded generators", check_prev)
 
     # ---- lifts
     def check_lifts():
+        prev = prev_gens() if deeper is not None else None
         for j, G in enumerate(ctx.family):
             qmap = quotient_action(G, ctx.W[j], cap)
-            if deeper is None:
-                for i in range(m):
-                    img = qmap.apply(ctx.lifts[j][i])
+            for i in range(m):
+                img = qmap.apply(ctx.lifts[j][i])
+                if prev is None:
                     if not img.is_identity():
                         raise InputError(
                             f"factor {j} lift {i} is not in the trivial coset"
                         )
-            else:
-                prev_prod = deeper.product
-                for i in range(m):
-                    target = prev_prod.project(
-                        _parse_prodelem(ctx.prev_marked[i], prev_prod).flat(), j
-                    )
-                    if qmap.apply(ctx.lifts[j][i]) != target:
-                        raise InputError(f"factor {j} lift {i} is in the wrong coset")
+                elif img != prev[i].component(j):
+                    raise InputError(f"factor {j} lift {i} is in the wrong coset")
 
     rec.guard("lifts", lab, check_lifts)
 
@@ -534,10 +620,7 @@ def _verify_level(rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, cap) ->
     rec.guard("generation", lab, check_generation)
 
     # ---- q decomposition
-    q_entries = ctx.doc["Q_entries"]
-
     def check_qdec():
-        q_elems: list[list[list[Permutation]] | None] = []
         for j, fdoc in enumerate(ctx.doc["factors"]):
             if fdoc["module_basis"] is None:
                 if ctx.A[j].order != 1:
@@ -547,10 +630,8 @@ def _verify_level(rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, cap) ->
                         raise InputError(
                             f"factor {j}: nontrivial residue without module data"
                         )
-                q_elems.append(None)
                 continue
-            degree = ctx.family[j].degree
-            basis = _parse_gens(fdoc["module_basis"], degree)
+            basis = ctx.basis(j)
             orders = fdoc["module_orders"]
             if len(basis) != len(orders):
                 raise InputError(f"factor {j}: basis/order length mismatch")
@@ -563,56 +644,35 @@ def _verify_level(rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, cap) ->
                 size *= o
             if size != ctx.A[j].order:
                 raise InputError(f"factor {j}: basis does not span A")
-
-            def decode(coords):
-                x = ctx.family[j].identity
-                for b, c in zip(basis, coords):
-                    x = x * b**c
-                return x
-
             rows = fdoc["q_coords"]
             if rows is None or len(rows) != m:
                 raise InputError(f"factor {j}: missing q coordinates")
-            per_i = []
             for i in range(m):
                 if len(rows[i]) != m:
                     raise InputError(f"factor {j}: q row {i} has wrong arity")
-                qs = [decode(c) for c in rows[i]]
-                per_i.append(qs)
+        for j, per_i in enumerate(ctx.q_elems):
+            if per_i is None:
+                continue
+            for i in range(m):
                 prod = ctx.family[j].identity
                 for l in range(m):
-                    prod = prod * commutator(qs[l], ctx.lifts[j][l])
+                    prod = prod * commutator(per_i[i][l], ctx.lifts[j][l])
                 if prod != ctx.k_res[j][i]:
                     raise InputError(
                         f"factor {j} row {i}: commutator decomposition fails"
                     )
-            q_elems.append(per_i)
-        # entry witnesses must match their coordinates
-        for entry in q_entries:
-            i, l, t = entry["i"], entry["l"], entry["t"]
-            value = _parse_prodelem(entry["value"], ctx.product)
-            expected = {}
-            for j in range(nfac):
-                if q_elems[j] is None:
-                    continue
-                expected[j] = commutator(q_elems[j][i][l], ctx.lifts[j][t])
-            if ProductElement(ctx.product, expected) != value:
-                raise InputError(f"Q entry ({i},{l},{t}) does not match its witness")
 
     rec.guard("q-decomposition", lab, check_qdec)
 
     # ---- Q module closure
     def check_qmodule():
-        values = [
-            _parse_prodelem(entry["value"], ctx.product) for entry in q_entries
-        ]
-        if not values:
+        if not ctx.q_values:
             for i in range(m):
                 if not ctx.k_elem(i).is_identity():
                     raise InputError("nonzero abelian residue with empty Q")
             return
         delta_flats = [g.flat() for g in ctx.delta]
-        seeds = [v.flat() for v in values]
+        seeds = [v.flat() for v in ctx.q_values]
         qgroup = normal_closure(
             PermGroup(ctx.product.degree, delta_flats + seeds), seeds
         )
@@ -630,102 +690,34 @@ def _verify_level(rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, cap) ->
     rec.guard("Q-module", lab, check_qmodule)
 
     # ---- T containment
-    cover = ctx.doc["cover"]
-    t_entries = ctx.doc["T_entries"]
-
-    def cover_data():
-        factor_of = cover["factor_of"]
-        tuples = []
-        for idx, j in enumerate(factor_of):
-            degree = ctx.family[j].degree
-            tuples.append(_parse_gens(cover["tuples"][idx], degree))
-        e = cover["e"]
-        g = len(tuples[0]) if tuples else 0
-        r_doc = ctx.doc["r"]
-        r = [
-            [
-                [_parse_gens(row, ctx.family[factor_of[idx]].degree) for row in per_idx]
-                for idx, per_idx in enumerate(per_l)
-            ]
-            for per_l in r_doc
-        ]
-        return factor_of, tuples, e, g, r
-
-    def m_elem(tuples, factor_of, cprime):
-        comps: dict[int, Permutation] = {}
-        for idx, j in enumerate(factor_of):
-            part = tuples[idx][cprime]
-            comps[j] = comps.get(j, ctx.family[j].identity) * part
-        return ProductElement(ctx.product, comps)
-
-    def r_elem(r, factor_of, l, c, t):
-        comps: dict[int, Permutation] = {}
-        for idx, j in enumerate(factor_of):
-            part = r[l][idx][t][c]
-            comps[j] = comps.get(j, ctx.family[j].identity) * part
-        return ProductElement(ctx.product, comps)
-
     def check_sT():
-        if cover is None:
-            if t_entries:
-                raise InputError("T entries present without cover data")
+        if ctx.cover is None:
             for i in range(m):
                 if not ctx.s_elem(i).is_identity():
                     raise InputError("nontrivial semisimple residue with no T")
             return
-        factor_of, tuples, e, g, r = cover_data()
-        index = {}
-        for entry in t_entries:
-            key = (entry["cp"], entry["l"], entry["c"], entry["t"])
-            if key in index:
-                raise InputError(f"duplicate T entry {key}")
-            index[key] = _parse_prodelem(entry["value"], ctx.product)
+        factor_of, tuples, e, r = ctx.cover
+        if len(r) != m:
+            raise InputError("conjugator row count differs from m")
         for l in range(m):
-            for c in range(g):
-                for t in range(e):
-                    conj = r_elem(r, factor_of, l, c, t)
-                    for cp in range(g):
-                        key = (cp, l, c, t)
-                        if key not in index:
-                            raise InputError(f"missing T entry {key}")
-                        expected = m_elem(tuples, factor_of, cp).conjugate(conj)
-                        if index[key] != expected:
-                            raise InputError(f"T entry {key} has a wrong value")
-        if len(index) != g * m * g * e:
-            raise InputError("extra T entries beyond the expected index set")
-        t_values = []
-        seen = set()
-        for entry in t_entries:
-            v = _parse_prodelem(entry["value"], ctx.product)
-            f = v.flat()
-            if f not in seen:
-                seen.add(f)
-                t_values.append(f)
-        t_group = PermGroup(ctx.product.degree, t_values)
-        for l in range(m):
-            check = ctx.product.identity_element()
-            for t in range(e):
-                for c in range(g):
-                    check = check * m_elem(tuples, factor_of, c).conjugate(
-                        r_elem(r, factor_of, l, c, t)
-                    )
-            if check != ctx.s_elem(l):
+            row = cover_row_product(ctx.product, factor_of, tuples, r, l, e)
+            if row != ctx.s_elem(l):
                 raise InputError(f"row {l}: cover product does not equal the residue")
-            if ctx.s_elem(l).flat() not in t_group:
+            if ctx.s_elem(l).flat() not in ctx.t_group:
                 raise InputError(f"row {l}: semisimple residue is not in T")
 
     rec.guard("s-in-T", lab, check_sT)
 
     # ---- T perfect and simple-factor bookkeeping
     def check_T():
-        if cover is None:
+        if ctx.cover is None:
             for j in range(nfac):
                 if ctx.S[j].order != 1 and ctx.doc["factors"][j]["simple_factors"]:
                     raise InputError("simple factors listed but no cover present")
                 if ctx.S[j].order != 1:
                     raise InputError("semisimple part present but no cover")
             return
-        factor_of, tuples, e, g, r = cover_data()
+        factor_of, tuples, e, r = ctx.cover
         for idx, j in enumerate(factor_of):
             M = _subgroup_from(
                 ctx.doc["factors"][j]["simple_factors"][
@@ -746,14 +738,7 @@ def _verify_level(rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, cap) ->
             for M, N in zip(stored, recomputed):
                 if not _same_group(M, N):
                     raise InputError(f"factor {j}: simple factor mismatch")
-        t_values = []
-        seen = set()
-        for entry in t_entries:
-            v = _parse_prodelem(entry["value"], ctx.product).flat()
-            if v not in seen:
-                seen.add(v)
-                t_values.append(v)
-        t_group = PermGroup(ctx.product.degree, t_values)
+        t_group = ctx.t_group
         if derived_subgroup(t_group).order != t_group.order:
             raise InputError("T is not perfect")
         for j in range(nfac):
@@ -765,19 +750,7 @@ def _verify_level(rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, cap) ->
 
     # ---- gamma
     def check_gamma():
-        allowed = {g.flat() for g in ctx.delta}
-        for entry in q_entries:
-            allowed.add(_parse_prodelem(entry["value"], ctx.product).flat())
-        for entry in t_entries:
-            allowed.add(_parse_prodelem(entry["value"], ctx.product).flat())
-        flats = [g.flat() for g in ctx.gamma_gens]
-        for f in flats:
-            if f not in allowed:
-                raise InputError("gamma generator outside Delta, Q and T witnesses")
-        gamma = PermGroup(ctx.product.degree, flats)
-        for f in allowed:
-            if f not in gamma:
-                raise InputError("witness element missing from gamma")
+        gamma = ctx.gamma
         if gamma.order != ctx.gamma_order:
             raise InputError(
                 f"gamma order is {gamma.order}, certificate says {ctx.gamma_order}"
@@ -785,15 +758,17 @@ def _verify_level(rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, cap) ->
         der = derived_subgroup(gamma)
         if der.order != gamma.order:
             raise InputError("gamma is not perfect")
+        delta_flats = [g.flat() for g in ctx.delta]
         for i in range(m):
-            a = ctx.delta[i].flat()
+            a = delta_flats[i]
             if a not in der:
                 raise InputError(f"Delta generator {i} escapes [gamma, gamma]")
             # equation (1) assembled over the product
-            w_val = evaluate_word(ctx.words[i], [g.flat() for g in ctx.delta])
+            w_val = evaluate_word(ctx.words[i], delta_flats)
             if ctx.k_elem(i).flat() * ctx.s_elem(i).flat() != a * w_val.inverse():
                 raise InputError(f"assembled residue identity fails at row {i}")
         marked = ctx.marked
+        flats = [g.flat() for g in ctx.gamma_gens]
         if len(set(marked)) != len(marked) or any(
             not 0 <= i < len(flats) for i in marked
         ):
@@ -805,9 +780,8 @@ def _verify_level(rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, cap) ->
 
     # ---- projections
     def check_proj():
-        gamma = PermGroup(ctx.product.degree, [g.flat() for g in ctx.gamma_gens])
         for j, G in enumerate(ctx.family):
-            if ctx.product.projection_of(gamma, j).order != G.order:
+            if ctx.product.projection_of(ctx.gamma, j).order != G.order:
                 raise InputError(f"projection onto factor {j} is not surjective")
 
     rec.guard("projections", lab, check_proj)

@@ -43,8 +43,17 @@ from .groups import (
     derived_subgroup,
     quotient_action,
 )
-from .perms import Permutation, commutator
-from .products import DirectProduct, ProductElement
+from .perms import Permutation
+from .products import (
+    DirectProduct,
+    ProductElement,
+    column,
+    cover_row_product,
+    gamma_generators,
+    pad_generators,
+    q_values,
+    t_values,
+)
 from .structure import (
     InternalDirectProduct,
     is_in_Y,
@@ -113,7 +122,7 @@ class QData:
     modules: list[GModule | None]
     q_elems: list[list[list[Permutation]] | None]
     q_coords: list[list[list[tuple[int, ...]]] | None]
-    entries: list[tuple[int, int, int, ProductElement]]
+    values: list[ProductElement]
     element_flats: frozenset
 
 
@@ -125,7 +134,6 @@ class TData:
     e: int
     e_per_factor: list[int]
     r: list[list[list[list[Permutation]]]]
-    entries: list[tuple[int, int, int, int, ProductElement]]
     values: list[ProductElement]
     full_cover: bool
 
@@ -191,15 +199,6 @@ def split_levels(family, names, k: int, cap: int = ENUMERATION_CAP) -> LevelSpli
     return LevelSplit(family, tuple(names), product, Ws, As, Ss, Bs, qmaps)
 
 
-def _pad_generators(marked, sub_product: DirectProduct, d: int) -> list[ProductElement]:
-    gens = list(marked)
-    if not gens:
-        gens.append(sub_product.identity_element())
-    while len(gens) < d:
-        gens.append(gens[-1])
-    return gens
-
-
 def recurse_and_align(
     split: LevelSplit,
     sub_gamma: PermGroup,
@@ -215,7 +214,7 @@ def recurse_and_align(
     a_{i,j} * w_i(a_{1,j},...,a_{m,j})^-1 = k_{i,j} * s_{i,j} with
     k_{i,j} in B_j and s_{i,j} in S_j.
     """
-    gens = _pad_generators(marked, sub_product, d)
+    gens = pad_generators(marked, sub_product, d)
     m = len(gens)
     flat_gens = [g.flat() for g in gens]
     words = [
@@ -305,14 +304,8 @@ def build_Q(
         q_coords.append(per_i_coords)
 
     # Assemble the product-level witnesses and the module checks.
-    delta = [
-        ProductElement(product, {j: aligned.lifts[j][i] for j in range(len(split.family))})
-        for i in range(m)
-    ]
-    k_vec = [
-        ProductElement(product, {j: aligned.k_res[j][i] for j in range(len(split.family))})
-        for i in range(m)
-    ]
+    delta = [column(product, aligned.lifts, i) for i in range(m)]
+    k_vec = [column(product, aligned.k_res, i) for i in range(m)]
     q_vec = [
         [
             ProductElement(
@@ -335,7 +328,6 @@ def build_Q(
             raise InternalError("assembled commutator decomposition failed")
 
     nontrivial = [j for j in range(len(split.family)) if modules[j] is not None]
-    entries: list[tuple[int, int, int, ProductElement]] = []
     if nontrivial:
         ambient = product.full_group()
         carrier_gens = []
@@ -356,32 +348,11 @@ def build_Q(
                 raise InternalError("abelian residue escaped the module Q")
         if not is_perfect_module(Q):
             raise InternalError("Q is not equal to [Q, Delta]")
-        seen_values = set()
-        for i in range(m):
-            for l in range(m):
-                for t in range(m):
-                    value = ProductElement(
-                        product,
-                        {
-                            j: commutator(q_elems[j][i][l], aligned.lifts[j][t])
-                            for j in nontrivial
-                        },
-                    )
-                    if value.is_identity():
-                        continue
-                    key = value.flat()
-                    if key in seen_values:
-                        continue
-                    seen_values.add(key)
-                    entries.append((i, l, t, value))
-        element_flats = frozenset(
-            prod_module.decode(v) for v in Q.elements
-        )
-        # re-express module elements as flats of the product
-        element_flats = frozenset(x for x in element_flats)
+        element_flats = frozenset(prod_module.decode(v) for v in Q.elements)
     else:
         element_flats = frozenset({product.identity_element().flat()})
-    return QData(modules, q_elems, q_coords, entries, element_flats)
+    values = q_values(product, q_elems, aligned.lifts)
+    return QData(modules, q_elems, q_coords, values, element_flats)
 
 
 def build_T(
@@ -443,49 +414,13 @@ def build_T(
         for l in range(m):
             r[l].append(decomposer.decompose(s_comp[idx][l]))
 
-    def m_elem(cprime: int) -> ProductElement:
-        comps: dict[int, Permutation] = {}
-        for idx, j in enumerate(factor_of):
-            part = tuples[idx][cprime]
-            comps[j] = comps.get(j, split.family[j].identity) * part
-        return ProductElement(product, comps)
-
-    def r_elem(l: int, c: int, t: int) -> ProductElement:
-        comps: dict[int, Permutation] = {}
-        for idx, j in enumerate(factor_of):
-            part = r[l][idx][t][c]
-            comps[j] = comps.get(j, split.family[j].identity) * part
-        return ProductElement(product, comps)
-
-    entries: list[tuple[int, int, int, int, ProductElement]] = []
-    values: list[ProductElement] = []
-    seen = set()
     for l in range(m):
-        for c in range(g):
-            for t in range(e):
-                conj = r_elem(l, c, t)
-                for cprime in range(g):
-                    value = m_elem(cprime).conjugate(conj)
-                    entries.append((cprime, l, c, t, value))
-                    key = value.flat()
-                    if key not in seen:
-                        seen.add(key)
-                        values.append(value)
-
-    for l in range(m):
-        check = product.identity_element()
-        for t in range(e):
-            for c in range(g):
-                check = check * m_elem(c).conjugate(r_elem(l, c, t))
-        s_l = ProductElement(
-            product, {j: aligned.s_res[j][l] for j in range(len(split.family))}
-        )
-        if check != s_l:
+        row = cover_row_product(product, factor_of, tuples, r, l, e)
+        if row != column(product, aligned.s_res, l):
             raise InternalError("cover decomposition does not reproduce the residue")
 
-    return TData(
-        factor_of, simple_factors, tuples, e, e_per_factor, r, entries, values, full
-    )
+    values = t_values(product, factor_of, tuples, r, e)
+    return TData(factor_of, simple_factors, tuples, e, e_per_factor, r, values, full)
 
 
 def assemble_and_verify(
@@ -499,10 +434,9 @@ def assemble_and_verify(
     """Gamma = <Delta u Q u T>; verify perfectness, the containment chain and
     all projections before returning."""
     product = split.product
-    gamma_gens: list[ProductElement] = list(delta_gens)
-    gamma_gens.extend(value for (_, _, _, value) in qdata.entries)
-    if tdata is not None:
-        gamma_gens.extend(tdata.values)
+    gamma_gens = gamma_generators(
+        delta_gens, qdata.values, tdata.values if tdata is not None else []
+    )
     gamma = product.subgroup(gamma_gens)
 
     derived = derived_subgroup(gamma)
@@ -520,19 +454,13 @@ def assemble_and_verify(
             if value.flat() not in derived:
                 raise InternalError("a T generator escaped [Gamma, Gamma]")
         for l in range(aligned.m):
-            s_l = ProductElement(
-                product, {j: aligned.s_res[j][l] for j in range(len(split.family))}
-            ).flat()
-            if s_l not in t_group:
+            if column(product, aligned.s_res, l).flat() not in t_group:
                 raise InternalError("a semisimple residue escaped T")
-    for _, _, _, value in qdata.entries:
+    for value in qdata.values:
         if value.flat() not in derived:
             raise InternalError("a Q generator escaped [Gamma, Gamma]")
     for i in range(aligned.m):
-        k_flat = ProductElement(
-            product, {j: aligned.k_res[j][i] for j in range(len(split.family))}
-        ).flat()
-        if k_flat not in qdata.element_flats:
+        if column(product, aligned.k_res, i).flat() not in qdata.element_flats:
             raise InternalError("an abelian residue escaped Q")
         if delta_gens[i].flat() not in derived:
             raise InternalError("a Delta generator escaped [Gamma, Gamma]")
@@ -561,12 +489,7 @@ def _construct_level(
         split.quotients, sub_names, d, k - 1, rng, budget, cap, levels
     )
     aligned = recurse_and_align(split, sub_gamma, sub_product, sub_marked, d, rng, cap)
-    delta_gens = [
-        ProductElement(
-            split.product, {j: aligned.lifts[j][i] for j in range(len(split.family))}
-        )
-        for i in range(aligned.m)
-    ]
+    delta_gens = [column(split.product, aligned.lifts, i) for i in range(aligned.m)]
     qdata = build_Q(split, aligned, cap)
     tdata = build_T(split, aligned, budget, rng, cap)
     gamma, gamma_gens, marked_idx = assemble_and_verify(

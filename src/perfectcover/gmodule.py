@@ -235,12 +235,6 @@ def close_submodule(module: GModule, seed_vectors, matrices) -> Submodule:
         gens.extend(new)
 
 
-def module_from_abelian_normal(
-    G: PermGroup, A: PermGroup, acting_gens=None, cap: int = ENUMERATION_CAP
-) -> GModule:
-    return GModule(G, A, acting_gens, cap)
-
-
 def augmentation_submodule(M: GModule, acting_gens=None) -> Submodule:
     """The span of all basis(g - 1), closed under the action: [A, <acting>]."""
     acting = tuple(acting_gens) if acting_gens is not None else M.acting_gens

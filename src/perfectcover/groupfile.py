@@ -12,7 +12,7 @@ import os
 
 from . import catalog
 from .errors import InputError
-from .groups import PermGroup, build_group
+from .groups import PermGroup
 from .perms import parse_cycles
 
 
@@ -43,7 +43,7 @@ def parse_group_text(text: str, source: str = "<group>") -> PermGroup:
             gens.append(parse_cycles(line, degree))
         except InputError as exc:
             raise InputError(f"{source}:{lineno}: {exc}") from None
-    return build_group(degree, gens)
+    return PermGroup(degree, gens)
 
 
 def parse_group_file(path: str) -> PermGroup:

@@ -245,28 +245,11 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self._order})"
 
 
-def build_group(degree: int, generators) -> PermGroup:
-    """Construct a group value with a complete stabilizer chain."""
-    return PermGroup(degree, generators)
-
-
-def order(G: PermGroup) -> int:
-    return G.order
-
-
-def is_member(G: PermGroup, g: Permutation) -> bool:
-    return g in G
-
-
 def enumerate_elements(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[Permutation]:
-    """All elements by BFS closure; errors if order(G) exceeds the cap."""
+    """All elements by BFS closure; errors if |G| exceeds the cap."""
     if G.order > cap:
         raise SizeLimitError(f"group order {G.order} exceeds cap {cap}")
     return mulclose(G.generators, cap=cap, degree=G.degree)
-
-
-def subgroup(degree: int, generators) -> PermGroup:
-    return PermGroup(degree, generators)
 
 
 def from_elements(degree: int, elements) -> PermGroup:

@@ -64,7 +64,3 @@ class Homomorphism:
             return self._table[g]
         except KeyError:
             raise VerificationError("element is not in the source group") from None
-
-
-def hom_from_images(source: PermGroup, target: PermGroup, images) -> Homomorphism:
-    return Homomorphism(source, target, images)

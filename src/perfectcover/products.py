@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import InputError
 from .groups import PermGroup
-from .perms import Permutation
+from .perms import Permutation, commutator
 
 
 class DirectProduct:
@@ -80,11 +80,6 @@ class DirectProduct:
         )
 
 
-def direct_product(factors) -> DirectProduct:
-    """Product context over an ordered factor list."""
-    return DirectProduct(factors)
-
-
 class ProductElement:
     """Sparse tuple over the factors of a DirectProduct."""
 
@@ -145,3 +140,106 @@ class ProductElement:
 
     def __repr__(self):
         return f"ProductElement({self.components!r})"
+
+
+# ----------------------------------------------------------------------
+# The cover's generators from its witnesses.  Construction and verification
+# both derive Delta, Q and T here, so which values exist, and in which
+# order Gamma lists them, is decided once.
+
+
+def column(product: DirectProduct, rows, i: int) -> ProductElement:
+    """The element whose factor-j component is rows[j][i], for every j."""
+    return ProductElement(product, {j: rows[j][i] for j in range(len(product.factors))})
+
+
+def pad_generators(marked, product: DirectProduct, d: int) -> list[ProductElement]:
+    """The deeper Gamma's marked generators, the last repeated up to d
+    (the identity alone when there are none)."""
+    gens = list(marked) or [product.identity_element()]
+    while len(gens) < d:
+        gens.append(gens[-1])
+    return gens
+
+
+def _factor_product(product: DirectProduct, factor_of, parts) -> ProductElement:
+    """Component j is the product, in index order, of the parts[idx] with
+    factor_of[idx] == j: simple factors of one member multiply together."""
+    comps: dict[int, Permutation] = {}
+    for j, part in zip(factor_of, parts):
+        comps[j] = comps.get(j, product.factors[j].identity) * part
+    return ProductElement(product, comps)
+
+
+def _cover_element(product: DirectProduct, factor_of, tuples, c: int) -> ProductElement:
+    """m_c: the c-th cover generator of every simple factor at once."""
+    return _factor_product(product, factor_of, [tup[c] for tup in tuples])
+
+
+def _conjugator_element(
+    product: DirectProduct, factor_of, r, l: int, c: int, t: int
+) -> ProductElement:
+    """r_{l,c,t}: the conjugator of m_c in term t of residue l's decomposition."""
+    return _factor_product(product, factor_of, [rows[t][c] for rows in r[l]])
+
+
+def cover_row_product(
+    product: DirectProduct, factor_of, tuples, r, l: int, e: int
+) -> ProductElement:
+    """The product over t < e, c < g of m_c ** r_{l,c,t}; by construction it
+    equals the semisimple residue s_l."""
+    x = product.identity_element()
+    for t in range(e):
+        for c in range(len(tuples[0])):
+            x = x * _cover_element(product, factor_of, tuples, c).conjugate(
+                _conjugator_element(product, factor_of, r, l, c, t)
+            )
+    return x
+
+
+def _distinct(values) -> list[ProductElement]:
+    seen: set[ProductElement] = set()
+    out = []
+    for v in values:
+        if v not in seen:
+            seen.add(v)
+            out.append(v)
+    return out
+
+
+def q_values(product: DirectProduct, q_elems, lifts) -> list[ProductElement]:
+    """Q's generators: the distinct nonidentity [q_{i,l}, a_t] over (i, l, t)
+    in that order; q_elems[j] is None for a member without a module."""
+    nontrivial = [j for j, q in enumerate(q_elems) if q is not None]
+    m = len(lifts[0])
+    values = (
+        ProductElement(
+            product, {j: commutator(q_elems[j][i][l], lifts[j][t]) for j in nontrivial}
+        )
+        for i in range(m)
+        for l in range(m)
+        for t in range(m)
+    )
+    return _distinct(v for v in values if not v.is_identity())
+
+
+def t_values(
+    product: DirectProduct, factor_of, tuples, r, e: int
+) -> list[ProductElement]:
+    """T's generators: the distinct m_{c'} ** r_{l,c,t} over (l, c, t, c')
+    in that order."""
+    g = len(tuples[0])
+    covers = [_cover_element(product, factor_of, tuples, c) for c in range(g)]
+    values = []
+    for l in range(len(r)):
+        for c in range(g):
+            for t in range(e):
+                conj = _conjugator_element(product, factor_of, r, l, c, t)
+                inv = conj.inverse()
+                values.extend(inv * m_c * conj for m_c in covers)
+    return _distinct(values)
+
+
+def gamma_generators(delta, q_vals, t_vals) -> list[ProductElement]:
+    """Gamma's generator list, Delta then Q then T; `marked` indexes it."""
+    return [*delta, *q_vals, *t_vals]

@@ -5,12 +5,15 @@ import json
 
 import pytest
 
+from conftest import tamper_conjugator
+
 from perfectcover.certificates import (
     dumps_certificate,
     serialize_certificate,
     verify_certificate,
 )
 from perfectcover.construction import construct
+from perfectcover.groups import PermGroup
 
 
 @pytest.fixture(scope="module")
@@ -52,11 +55,8 @@ def test_not_a_certificate():
     assert not report.valid
 
 
-def test_dropped_T_generator_rejected(a5_cert):
-    data = copy.deepcopy(a5_cert)
-    assert data["levels"][0]["T_entries"]
-    data["levels"][0]["T_entries"].pop(0)
-    report = verify_certificate(data)
+def test_tampered_T_conjugator_rejected(a5_cert):
+    report = verify_certificate(tamper_conjugator(a5_cert))
     assert not report.valid
     assert report.failed_steps()[0] == "s-in-T"
 
@@ -90,8 +90,7 @@ def test_non_commutator_word_rejected(a5_cert):
 
 def test_wrong_gamma_order_rejected(a5_cert):
     data = copy.deepcopy(a5_cert)
-    data["levels"][0]["gamma"]["order"] += 1
-    data["gamma"] = data["levels"][0]["gamma"]
+    data["gamma"]["order"] += 1
     report = verify_certificate(data)
     assert not report.valid
     assert "gamma-perfect" in report.failed_steps()
@@ -99,11 +98,33 @@ def test_wrong_gamma_order_rejected(a5_cert):
 
 def test_foreign_gamma_generator_rejected(a5_cert):
     data = copy.deepcopy(a5_cert)
-    data["levels"][0]["gamma"]["generators"].append({"0": "(1 2 3)"})
-    data["gamma"] = data["levels"][0]["gamma"]
+    data["gamma"]["generators"].append({"0": "(1 2 3)"})
     report = verify_certificate(data)
     assert not report.valid
     assert "gamma-perfect" in report.failed_steps()
+
+
+def test_level_gamma_copy_cannot_cover_foreign_generator(a5_cert):
+    data = copy.deepcopy(a5_cert)
+    data["gamma"]["generators"].append({"0": "(1 2 3)"})
+    data["levels"][0]["gamma"]["generators"] = data["gamma"]["generators"]
+    report = verify_certificate(data)
+    assert not report.valid
+    assert "gamma-perfect" in report.failed_steps()
+
+
+def test_levels_hold_witnesses_only(e16_cert):
+    for lvl in e16_cert["levels"]:
+        assert not {"T_entries", "Q_entries", "delta", "prev_marked"} & set(lvl)
+        assert set(lvl["gamma"]) == {"order", "marked"}
+    assert set(e16_cert["gamma"]) == {"generators", "order", "marked"}
+
+
+def test_k0_certificate_is_valid():
+    cert = construct((PermGroup(2, ()),), d=1, k=0, names=("T",))
+    data = serialize_certificate(cert)
+    assert data["levels"] == []
+    assert verify_certificate(data).valid
 
 
 def test_byte_identical_rerun(groups, a5_cert):

@@ -154,6 +154,25 @@ def test_cli_missing_file_exit_code(tmp_path):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"format":"perfectcover.certificate","version":"0.1.0"}',
+        '{"format":',
+        "[1,2]",
+    ],
+    ids=["fields-missing", "truncated", "not-an-object"],
+)
+def test_cli_verify_unreadable_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_cli_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])

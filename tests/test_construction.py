@@ -114,8 +114,8 @@ def test_mixed_family_q_supported_on_second_coordinate(groups):
     )
     top = cert.levels[0]
     # the SL(2,5) coordinate has B = 1, so its q data is trivial and any
-    # Q witness lives in the affine coordinate only
-    for i, l, t, value in top.qdata.entries:
+    # Q generator lives in the affine coordinate only
+    for value in top.qdata.values:
         assert set(value.components) <= {1}
 
 

@@ -11,12 +11,11 @@ from perfectcover.gmodule import (
     abelian_group_basis,
     augmentation_submodule,
     is_perfect_module,
-    module_from_abelian_normal,
     solve_commutator_decomposition,
     submodule_generated,
 )
 from perfectcover.groups import (
-    build_group,
+    PermGroup,
     enumerate_elements,
     mulclose,
     normal_closure,
@@ -60,20 +59,20 @@ def test_abelian_basis_z4(groups):
 
 def test_abelian_basis_mixed_orders():
     # cyclic of order 6 presented with two generators
-    G = build_group(5, [P("(1 2 3)", 5), P("(4 5)", 5)])
+    G = PermGroup(5, [P("(1 2 3)", 5), P("(4 5)", 5)])
     basis, orders = abelian_group_basis(G)
     assert orders == [6]
 
 
 def test_abelian_basis_trivial():
-    assert abelian_group_basis(build_group(3, [])) == ([], [])
+    assert abelian_group_basis(PermGroup(3, [])) == ([], [])
 
 
 # --------------------------------------------------------------- module
 
 
 def test_module_v4_under_a4(groups):
-    M = module_from_abelian_normal(groups["A4"], groups["V4"])
+    M = GModule(groups["A4"], groups["V4"])
     assert M.rank == 2
     assert M.orders == [2, 2]
     for x in enumerate_elements(groups["V4"]):
@@ -82,7 +81,7 @@ def test_module_v4_under_a4(groups):
 
 def test_module_trivial_self_action(groups):
     V4 = groups["V4"]
-    M = module_from_abelian_normal(V4, V4, V4.generators)
+    M = GModule(V4, V4, V4.generators)
     identity = [[1 if i == j else 0 for j in range(M.rank)] for i in range(M.rank)]
     assert all(T == identity for T in M.matrices)
 
@@ -90,7 +89,7 @@ def test_module_trivial_self_action(groups):
 def test_module_e16(groups):
     G = groups["E16A5"]
     A = translations(groups)
-    M = module_from_abelian_normal(G, A)
+    M = GModule(G, A)
     assert M.rank == 4
     assert M.orders == [2, 2, 2, 2]
     # action matrices agree with brute-force conjugation on every element
@@ -102,17 +101,17 @@ def test_module_e16(groups):
 
 def test_module_preconditions(groups):
     with pytest.raises(PreconditionError):
-        module_from_abelian_normal(groups["S3"], groups["S3"])
-    sub = build_group(3, [P("(1 2)", 3)])
+        GModule(groups["S3"], groups["S3"])
+    sub = PermGroup(3, [P("(1 2)", 3)])
     with pytest.raises(PreconditionError):
-        module_from_abelian_normal(groups["S3"], sub)
+        GModule(groups["S3"], sub)
 
 
 # ------------------------------------------------------- augmentation
 
 
 def test_augmentation_v4_under_a4(groups):
-    M = module_from_abelian_normal(groups["A4"], groups["V4"])
+    M = GModule(groups["A4"], groups["V4"])
     aug = augmentation_submodule(M)
     assert aug.size == 4
     got = {M.decode(v) for v in aug.elements}
@@ -121,14 +120,14 @@ def test_augmentation_v4_under_a4(groups):
 
 def test_augmentation_trivial_action(groups):
     V4 = groups["V4"]
-    M = module_from_abelian_normal(V4, V4, V4.generators)
+    M = GModule(V4, V4, V4.generators)
     assert augmentation_submodule(M).size == 1
 
 
 def test_augmentation_e16(groups):
     G = groups["E16A5"]
     A = translations(groups)
-    M = module_from_abelian_normal(G, A)
+    M = GModule(G, A)
     aug = augmentation_submodule(M)
     assert aug.size == 16
     assert {M.decode(v) for v in aug.elements} == brute_commutator_span(G, A)
@@ -138,7 +137,7 @@ def test_augmentation_generating_set_independent(groups):
     # Lemma-style property: the augmentation submodule does not depend on
     # which generating set of the acting group is used
     G, A = groups["A4"], groups["V4"]
-    M = module_from_abelian_normal(G, A)
+    M = GModule(G, A)
     first = augmentation_submodule(M, G.generators)
     second = augmentation_submodule(M, G.reduced_generators())
     extra = tuple(G.generators) + (G.generators[0] * G.generators[1],)
@@ -150,7 +149,7 @@ def test_augmentation_generating_set_independent(groups):
 
 
 def test_submodule_generated_orbit(groups):
-    M = module_from_abelian_normal(groups["A4"], groups["V4"])
+    M = GModule(groups["A4"], groups["V4"])
     sub = submodule_generated(M, [P("(1 2)(3 4)", 4)])
     assert sub.size == 4
     assert submodule_generated(M, []).size == 1
@@ -159,7 +158,7 @@ def test_submodule_generated_orbit(groups):
 def test_submodule_generated_irreducible(groups):
     G = groups["E16A5"]
     A = translations(groups)
-    M = module_from_abelian_normal(G, A)
+    M = GModule(G, A)
     seed = next(x for x in enumerate_elements(A) if not x.is_identity())
     assert submodule_generated(M, [seed]).size == 16
 
@@ -167,7 +166,7 @@ def test_submodule_generated_irreducible(groups):
 def test_generated_augmentation_consistency(groups):
     # closing the images m(g - 1) equals augmenting the closed module
     G, A = groups["A4"], groups["V4"]
-    M = module_from_abelian_normal(G, A)
+    M = GModule(G, A)
     gens = [b for b in M.basis]
     left = submodule_generated(M, gens, apply_augmentation=True)
     inner = submodule_generated(M, gens)
@@ -184,12 +183,12 @@ def test_generated_augmentation_consistency(groups):
 
 
 def test_perfect_module_examples(groups):
-    M = module_from_abelian_normal(groups["A4"], groups["V4"])
+    M = GModule(groups["A4"], groups["V4"])
     assert is_perfect_module(augmentation_submodule(M))
     assert is_perfect_module(submodule_generated(M, []))
 
     G = groups["E16A5"]
-    M = module_from_abelian_normal(G, translations(groups))
+    M = GModule(G, translations(groups))
     assert is_perfect_module(augmentation_submodule(M))
 
 
@@ -197,7 +196,7 @@ def test_perfect_module_examples(groups):
 
 
 def test_solve_frozen_example(groups):
-    M = module_from_abelian_normal(groups["A4"], groups["V4"])
+    M = GModule(groups["A4"], groups["V4"])
     a1, a2 = P("(1 2 3)", 4), P("(1 2)(3 4)", 4)
     target = P("(1 3)(2 4)", 4)
     qs = solve_commutator_decomposition(M, (a1, a2), target)
@@ -208,7 +207,7 @@ def test_solve_frozen_example(groups):
 
 
 def test_solve_identity_target(groups):
-    M = module_from_abelian_normal(groups["A4"], groups["V4"])
+    M = GModule(groups["A4"], groups["V4"])
     qs = solve_commutator_decomposition(
         M, groups["A4"].generators, Permutation.identity(4)
     )
@@ -218,7 +217,7 @@ def test_solve_identity_target(groups):
 def test_solve_cross_checked_against_exhaustive(groups):
     G = groups["E16A5"]
     A = translations(groups)
-    M = module_from_abelian_normal(G, A)
+    M = GModule(G, A)
     acting = G.generators[:2]
     elements = enumerate_elements(A)
     rng = random.Random(17)
@@ -239,6 +238,6 @@ def test_solve_cross_checked_against_exhaustive(groups):
 
 def test_solve_rejects_unreachable_target(groups):
     V4 = groups["V4"]
-    M = module_from_abelian_normal(V4, V4, V4.generators)
+    M = GModule(V4, V4, V4.generators)
     with pytest.raises(PreconditionError):
         solve_commutator_decomposition(M, V4.generators, P("(1 2)(3 4)", 4))

@@ -5,7 +5,6 @@ import pytest
 from perfectcover.errors import PreconditionError
 from perfectcover.groups import (
     PermGroup,
-    build_group,
     derived_subgroup,
     enumerate_elements,
     from_elements,
@@ -82,7 +81,7 @@ def oracle_star(G):
 def test_normal_subgroups_examples(groups):
     assert [N.order for N in normal_subgroups(groups["S3"])] == [1, 3, 6]
     assert [N.order for N in normal_subgroups(groups["A5"])] == [1, 60]
-    trivial = build_group(2, [])
+    trivial = PermGroup(2, [])
     assert [N.order for N in normal_subgroups(trivial)] == [1]
     assert [N.order for N in normal_subgroups(groups["A4"])] == [1, 4, 12]
 
@@ -124,7 +123,7 @@ def test_star_series_orders(groups):
 
 
 def test_star_series_trivial_group():
-    trivial = build_group(2, [])
+    trivial = PermGroup(2, [])
     series, level = star_chain(trivial)
     assert [H.order for H in series] == [1]
     assert level == 0
@@ -152,7 +151,7 @@ def test_star_is_normal_and_quotient_star_trivial(groups):
 
 def test_min_generators_examples(groups):
     assert min_generators(groups["A5"], 3) == 2
-    assert min_generators(build_group(2, []), 1) == 0
+    assert min_generators(PermGroup(2, []), 1) == 0
     assert min_generators(groups["V4"], 3) == 2
     assert min_generators(groups["Z4"], 2) == 1
     assert min_generators(groups["V4"], 1) is None
@@ -163,7 +162,7 @@ def test_is_in_Y_examples(groups):
     ok, reason = is_in_Y(groups["SL25"], 2, 1)
     assert not ok and "level" in reason
     assert is_in_Y(groups["SL25"], 2, 2)[0]
-    assert is_in_Y(build_group(2, []), 2, 0)[0]
+    assert is_in_Y(PermGroup(2, []), 2, 0)[0]
     ok, reason = is_in_Y(groups["S3"], 2, 2)
     assert not ok and "perfect" in reason
 
@@ -205,7 +204,7 @@ def test_semisimple_factors(groups):
     assert [M.order for M in semisimple_factors(groups["A5"])] == [60]
     facs = semisimple_factors(groups["A5xA5"])
     assert [M.order for M in facs] == [60, 60]
-    assert semisimple_factors(build_group(2, [])) == []
+    assert semisimple_factors(PermGroup(2, [])) == []
     with pytest.raises(PreconditionError):
         semisimple_factors(groups["V4"])
     with pytest.raises(PreconditionError):

@@ -7,7 +7,6 @@ from perfectcover.catalog import get
 from perfectcover.errors import InputError, PreconditionError
 from perfectcover.groups import (
     PermGroup,
-    build_group,
     center,
     derived_subgroup,
     enumerate_elements,
@@ -103,7 +102,7 @@ def test_commutator_built_words_land_in_derived_subgroup(spec):
 
 
 def test_word_table_is_shortest_first():
-    S3 = build_group(3, [P("(1 2)", 3), P("(1 2 3)", 3)])
+    S3 = PermGroup(3, [P("(1 2)", 3), P("(1 2 3)", 3)])
     table = word_table(S3.generators, 3)
     assert len(table) == 6
     assert len(table[Permutation.identity(3)]) == 0
