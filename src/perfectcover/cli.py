@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PreconditionError, SizeLimitError) as exc:

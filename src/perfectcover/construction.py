@@ -37,10 +37,10 @@ from .groups import (
     ENUMERATION_CAP,
     CosetMap,
     PermGroup,
-    StabilizerChain,
     commutator_subgroup,
     conjugacy_class_of,
     derived_subgroup,
+    greedy_indices,
     quotient_action,
 )
 from .perms import Permutation
@@ -68,23 +68,6 @@ DEFAULT_BUDGET = 61
 
 def _trivial_subgroup(G: PermGroup) -> PermGroup:
     return PermGroup(G.degree, ())
-
-
-def _greedy_indices(degree: int, flats, target_order: int) -> list[int]:
-    """Indices of a short generating subsequence, scanned in order."""
-    chosen: list[int] = []
-    gens: list[Permutation] = []
-    chain = StabilizerChain(degree, ())
-    for idx, g in enumerate(flats):
-        if not chain.contains(g):
-            chosen.append(idx)
-            gens.append(g)
-            chain = StabilizerChain(degree, gens)
-            if chain.order() == target_order:
-                break
-    if chain.order() != target_order:
-        raise InternalError("generator scan did not reach the full group")
-    return chosen
 
 
 @dataclass
@@ -260,7 +243,7 @@ def recurse_and_align(
         for kk in ks:
             if kk not in B:
                 raise InternalError("Gaschutz adjustment left a residue outside B")
-        if StabilizerChain(G.degree, a).order() != G.order:
+        if PermGroup(G.degree, a).order != G.order:
             raise InternalError("adjusted lifts do not generate the member")
         lifts.append(a)
         k_res.append(ks)
@@ -466,7 +449,7 @@ def assemble_and_verify(
             raise InternalError("a Delta generator escaped [Gamma, Gamma]")
 
     flats = [g.flat() for g in gamma_gens]
-    marked_idx = _greedy_indices(product.degree, flats, gamma.order)
+    marked_idx = greedy_indices(product.degree, flats, gamma.order)
     return gamma, gamma_gens, marked_idx
 
 

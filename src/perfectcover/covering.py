@@ -20,8 +20,10 @@ from .groups import (
     StabilizerChain,
     centralizer,
     conjugacy_class_of,
+    conjugation_orbit,
     derived_subgroup,
     enumerate_elements,
+    is_abelian,
 )
 from .perms import Permutation
 from .products import DirectProduct, ProductElement
@@ -32,9 +34,7 @@ _COVER_RETRIES = 64
 
 
 def is_simple_nonabelian(S: PermGroup, cap: int = ENUMERATION_CAP) -> bool:
-    gens = S.reduced_generators()
-    abelian = all(a * b == b * a for a in gens for b in gens)
-    if abelian or S.order == 1:
+    if is_abelian(S) or S.order == 1:
         return False
     return len(normal_subgroups(S, cap)) == 2
 
@@ -154,7 +154,7 @@ class _LayeredDecomposer:
         self.classes: list[list[Permutation]] = []
         self.conjugators: list[dict[Permutation, Permutation]] = []
         for m in self.gens:
-            cls_map = _class_with_conjugators(S, m)
+            cls_map = conjugation_orbit(S, m)
             self.classes.append(list(cls_map))
             self.conjugators.append(cls_map)
         self.all_elements = frozenset(enumerate_elements(S, cap))
@@ -218,28 +218,6 @@ class _LayeredDecomposer:
         if check != target:
             raise InternalError("decomposition failed verification")
         return rows
-
-
-def _class_with_conjugators(
-    S: PermGroup, m: Permutation
-) -> dict[Permutation, Permutation]:
-    """Map class element -> one conjugator r with m ** r = element."""
-    from collections import deque
-
-    if m not in S:
-        raise PreconditionError("element is not in the group")
-    gens = S.reduced_generators()
-    out = {m: S.identity}
-    queue = deque([m])
-    while queue:
-        x = queue.popleft()
-        rx = out[x]
-        for g in gens:
-            y = x.conjugate(g)
-            if y not in out:
-                out[y] = rx * g
-                queue.append(y)
-    return out
 
 
 def decompose_conjugate_product(

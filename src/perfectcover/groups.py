@@ -3,7 +3,10 @@
 The chain is built with a deterministic Schreier-Sims pass (no randomness,
 base points chosen as least moved points, orbits discovered breadth-first
 with generators in list order), so orders, membership tests and every
-derived computation are reproducible bit for bit.
+derived computation are reproducible bit for bit.  A chain also grows
+one element at a time: `StabilizerChain.extend` sifts the element and, if
+it is new, resumes Schreier-Sims at the level where the sift stopped.
+Greedy generator scans (`greedy_indices`) and normal closures run on it.
 
 The independent oracle for all of this is :func:`mulclose`, a plain
 breadth-first closure of the generating set.  It never consults the chain.
@@ -126,13 +129,26 @@ class StabilizerChain:
             self._ensure_base_covers(g)
         for i in range(len(self.levels)):
             self._recompute_orbit(i)
-        i = len(self.levels) - 1
+        self._complete(len(self.levels) - 1)
+
+    def _complete(self, i: int) -> None:
+        """Schreier-Sims on levels i down to 0; levels deeper than i are complete."""
         while i >= 0:
             extended = self._process_level(i)
             if extended is None:
                 i -= 1
             else:
                 i = extended
+
+    def _add_strong_gen(self, residue: Permutation, j: int, first: int) -> None:
+        """Append a sift residue that stopped at level j; recompute orbits first..j."""
+        self.strong_gens.append(residue)
+        if j == len(self.levels):
+            self._ensure_base_covers(residue)
+            if j == len(self.levels):
+                raise InternalError("sift residue moves no point")
+        for level in range(first, j + 1):
+            self._recompute_orbit(level)
 
     def _process_level(self, i: int):
         """Sift all Schreier generators of level i; returns new work level or None."""
@@ -148,15 +164,20 @@ class StabilizerChain:
                 residue, j = self._sift_from(schreier, i + 1)
                 if residue.is_identity():
                     continue
-                self.strong_gens.append(residue)
-                if j == len(self.levels):
-                    self._ensure_base_covers(residue)
-                    if j == len(self.levels):
-                        raise InternalError("sift residue moves no point")
-                for level in range(i + 1, j + 1):
-                    self._recompute_orbit(level)
+                self._add_strong_gen(residue, j, i + 1)
                 return j
         return None
+
+    def extend(self, g: Permutation) -> bool:
+        """Add g to the group; False (and no change) when g is already a member."""
+        if g.degree != self.degree:
+            raise InputError("degree mismatch in chain extension")
+        residue, j = self._sift_from(g, 0)
+        if residue.is_identity():
+            return False
+        self._add_strong_gen(residue, j, 0)
+        self._complete(j)
+        return True
 
     # -- queries -------------------------------------------------------
 
@@ -227,15 +248,8 @@ class PermGroup:
     def reduced_generators(self) -> tuple[Permutation, ...]:
         """A short generating subsequence of `generators`, greedily selected."""
         if self._reduced is None:
-            chosen: list[Permutation] = []
-            chain = StabilizerChain(self.degree, ())
-            for g in self.generators:
-                if not chain.contains(g):
-                    chosen.append(g)
-                    chain = StabilizerChain(self.degree, chosen)
-                    if chain.order() == self._order:
-                        break
-            self._reduced = tuple(chosen)
+            picks = greedy_indices(self.degree, self.generators, self._order)
+            self._reduced = tuple(self.generators[i] for i in picks)
         return self._reduced
 
     def elements(self, cap: int = ENUMERATION_CAP) -> list[Permutation]:
@@ -252,15 +266,28 @@ def enumerate_elements(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[Permuta
     return mulclose(G.generators, cap=cap, degree=G.degree)
 
 
+def greedy_indices(degree: int, elements, target_order: int | None = None) -> list[int]:
+    """Indices i with elements[i] outside the group the earlier picks generate.
+
+    With target_order the scan stops once the picks generate a group of
+    that order, and fails if they never do.
+    """
+    chain = StabilizerChain(degree, ())
+    chosen: list[int] = []
+    for idx, g in enumerate(elements):
+        if chain.extend(g):
+            chosen.append(idx)
+            if chain.order() == target_order:
+                break
+    if target_order is not None and chain.order() != target_order:
+        raise InternalError("generator scan did not reach the full group")
+    return chosen
+
+
 def from_elements(degree: int, elements) -> PermGroup:
     """Group generated by an element list, with a reduced generating set."""
-    chosen: list[Permutation] = []
-    chain = StabilizerChain(degree, ())
-    for g in elements:
-        if not chain.contains(g):
-            chosen.append(g)
-            chain = StabilizerChain(degree, chosen)
-    return PermGroup(degree, chosen)
+    elements = list(elements)
+    return PermGroup(degree, [elements[i] for i in greedy_indices(degree, elements)])
 
 
 def normal_closure(G: PermGroup, seeds) -> PermGroup:
@@ -277,29 +304,36 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
         h = queue.popleft()
         for g in conj_gens:
             c = h.conjugate(g)
-            if not chain.contains(c):
+            if chain.extend(c):
                 gens.append(c)
-                chain = StabilizerChain(G.degree, gens)
                 queue.append(c)
     return PermGroup(G.degree, gens)
+
+
+def _distinct_commutators(xs, ys) -> list[Permutation]:
+    """The distinct nonidentity [x, y], in first-seen order."""
+    seeds = {}
+    for x in xs:
+        for y in ys:
+            c = commutator(x, y)
+            if not c.is_identity():
+                seeds[c] = None
+    return list(seeds)
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:
     """[G, G]: normal closure of commutators of generator pairs."""
     gens = G.reduced_generators()
-    seeds = []
-    seen = set()
-    for a in gens:
-        for b in gens:
-            c = commutator(a, b)
-            if not c.is_identity() and c not in seen:
-                seen.add(c)
-                seeds.append(c)
-    return normal_closure(G, seeds)
+    return normal_closure(G, _distinct_commutators(gens, gens))
 
 
 def is_perfect(G: PermGroup) -> bool:
     return derived_subgroup(G).order == G.order
+
+
+def is_abelian(G: PermGroup) -> bool:
+    gens = G.reduced_generators()
+    return all(a * b == b * a for a in gens for b in gens)
 
 
 def commutator_subgroup(G: PermGroup, H: PermGroup, K: PermGroup) -> PermGroup:
@@ -310,15 +344,7 @@ def commutator_subgroup(G: PermGroup, H: PermGroup, K: PermGroup) -> PermGroup:
     if not (is_normal(G, H) or is_normal(G, K)):
         raise PreconditionError("neither argument is normal in the ambient group")
     joint = PermGroup(G.degree, tuple(H.generators) + tuple(K.generators))
-    seeds = []
-    seen = set()
-    for h in H.generators:
-        for k in K.generators:
-            c = commutator(h, k)
-            if not c.is_identity() and c not in seen:
-                seen.add(c)
-                seeds.append(c)
-    return normal_closure(joint, seeds)
+    return normal_closure(joint, _distinct_commutators(H.generators, K.generators))
 
 
 def is_normal(G: PermGroup, N: PermGroup) -> bool:
@@ -347,45 +373,43 @@ def center(G: PermGroup, cap: int = ENUMERATION_CAP) -> PermGroup:
     return from_elements(G.degree, central)
 
 
+def conjugation_orbit(G: PermGroup, x: Permutation) -> dict[Permutation, Permutation]:
+    """The class of x in G, each member y mapped to one r with x ** r == y.
+
+    Breadth-first over the reduced generators, so members appear in a fixed
+    discovery order; G is never enumerated.
+    """
+    if x not in G:
+        raise PreconditionError("element is not in the group")
+    gens = G.reduced_generators()
+    orbit = {x: G.identity}
+    queue = deque([x])
+    while queue:
+        y = queue.popleft()
+        r = orbit[y]
+        for g in gens:
+            z = y.conjugate(g)
+            if z not in orbit:
+                orbit[z] = r * g
+                queue.append(z)
+    return orbit
+
+
 def conjugacy_classes(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[list[Permutation]]:
     """Partition of the elements into conjugacy classes, in discovery order."""
-    gens = G.reduced_generators()
-    elements = enumerate_elements(G, cap)
-    unseen = dict.fromkeys(elements)
+    seen = set()
     classes = []
-    for x in elements:
-        if x not in unseen:
-            continue
-        del unseen[x]
-        cls = [x]
-        queue = deque([x])
-        while queue:
-            y = queue.popleft()
-            for g in gens:
-                z = y.conjugate(g)
-                if z in unseen:
-                    del unseen[z]
-                    cls.append(z)
-                    queue.append(z)
-        classes.append(cls)
+    for x in enumerate_elements(G, cap):
+        if x not in seen:
+            cls = conjugacy_class_of(G, x)
+            seen.update(cls)
+            classes.append(cls)
     return classes
 
 
 def conjugacy_class_of(G: PermGroup, x: Permutation) -> list[Permutation]:
     """The class of x in G, with no full enumeration of G."""
-    if x not in G:
-        raise PreconditionError("element is not in the group")
-    gens = G.reduced_generators()
-    cls = {x: None}
-    queue = deque([x])
-    while queue:
-        y = queue.popleft()
-        for g in gens:
-            z = y.conjugate(g)
-            if z not in cls:
-                cls[z] = None
-                queue.append(z)
-    return list(cls)
+    return list(conjugation_orbit(G, x))
 
 
 def intersection(G: PermGroup, H: PermGroup, cap: int = ENUMERATION_CAP) -> PermGroup:

@@ -22,6 +22,7 @@ from .groups import (
     enumerate_elements,
     from_elements,
     intersection,
+    is_abelian,
     is_perfect,
     normal_closure,
     quotient_action,
@@ -272,7 +273,7 @@ def semisimple_factors(S: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGro
     product_order = 1
     gens = []
     for M in minimal:
-        if _is_abelian(M):
+        if is_abelian(M):
             raise PreconditionError("minimal normal subgroup is abelian")
         if len(normal_subgroups(M, cap)) != 2:
             raise PreconditionError("minimal normal subgroup is not simple")
@@ -283,11 +284,6 @@ def semisimple_factors(S: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGro
     if PermGroup(S.degree, gens).order != S.order:
         raise PreconditionError("factors do not generate the group")
     return minimal
-
-
-def _is_abelian(G: PermGroup) -> bool:
-    gens = G.reduced_generators()
-    return all(a * b == b * a for a in gens for b in gens)
 
 
 class InternalDirectProduct:

@@ -24,6 +24,7 @@ from .groups import (
     PermGroup,
     StabilizerChain,
     conjugacy_classes,
+    conjugation_orbit,
     derived_subgroup,
     enumerate_elements,
 )
@@ -174,21 +175,10 @@ def _commutator_pool(G: PermGroup, cap: int) -> dict[Permutation, tuple[Permutat
     per class representative.
     """
     pool: dict[Permutation, tuple[Permutation, Permutation]] = {}
-    gens = G.reduced_generators()
     for cls in conjugacy_classes(G, cap):
         u = cls[0]
         u_inv = u.inverse()
-        conj = {u: G.identity}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            vx = conj[x]
-            for g in gens:
-                y = x.conjugate(g)
-                if y not in conj:
-                    conj[y] = vx * g
-                    queue.append(y)
-        for x, v in conj.items():
+        for x, v in conjugation_orbit(G, u).items():
             value = u_inv * x
             if value not in pool:
                 pool[value] = (u, v)

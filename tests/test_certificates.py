@@ -1,12 +1,14 @@
 """Serialization round trips and independent re-verification."""
 
 import copy
+import hashlib
 import json
 
 import pytest
 
 from conftest import tamper_conjugator
 
+from perfectcover import __version__
 from perfectcover.certificates import (
     dumps_certificate,
     serialize_certificate,
@@ -26,6 +28,19 @@ def a5_cert(groups):
 def e16_cert(groups):
     cert = construct((groups["E16A5"],), d=2, k=2, names=("E16A5",), seed=7, budget=2)
     return serialize_certificate(cert)
+
+
+# SHA-256 of the a5_cert bytes, per certificate format version.  Within a
+# version the same seed must give the same bytes, so a kernel refactor that
+# silently changes Gamma or its witnesses fails here.
+A5_SEED7_DIGESTS = {
+    "0.2.0": "b09d8075b2c53d19ce953e19a977898d8c6a61b53cdc2b4a1579d443c34a22cd",
+}
+
+
+def test_seed7_certificate_bytes_are_pinned(a5_cert):
+    text = dumps_certificate(a5_cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == A5_SEED7_DIGESTS[__version__]
 
 
 def test_round_trip_is_valid(a5_cert):

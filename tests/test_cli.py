@@ -173,6 +173,14 @@ def test_cli_verify_unreadable_exit_code(tmp_path, capsys, text):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_cli_verify_directory_exit_code(tmp_path, capsys):
+    assert main(["verify", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_cli_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])

@@ -1,18 +1,28 @@
 """Kernel operations, each checked against the BFS-closure oracle."""
 
+import random
+
 import pytest
 
-from perfectcover.errors import InputError, PreconditionError, SizeLimitError
+from perfectcover.errors import (
+    InputError,
+    InternalError,
+    PreconditionError,
+    SizeLimitError,
+)
 from perfectcover.groups import (
     PermGroup,
+    StabilizerChain,
     center,
     centralizer,
     commutator_subgroup,
     conjugacy_class_of,
     conjugacy_classes,
+    conjugation_orbit,
     derived_subgroup,
     enumerate_elements,
     from_elements,
+    greedy_indices,
     intersection,
     is_normal,
     mulclose,
@@ -41,11 +51,68 @@ def test_build_group_examples():
 def test_build_group_rejects_bad_degree():
     with pytest.raises(InputError):
         PermGroup(3, [P("(1 2 3 4)", 4)])
+    with pytest.raises(InputError):
+        StabilizerChain(4, ()).extend(P("(1 2 3)", 3))
+
+
+def scan_inputs(G, rng):
+    """Generators, repeats, the identity and random products of generators."""
+    gens = list(G.generators)
+    products = []
+    for _ in range(6):
+        x = G.identity
+        for _ in range(rng.randrange(1, 5)):
+            x = x * rng.choice(gens)
+        products.append(x)
+    return [G.identity] + products[:3] + gens + gens[:1] + products[3:]
+
+
+def grow_chain_checked(degree, elements):
+    """Extend a chain one element at a time, checking each step by mulclose.
+
+    Returns the chain and the indices of the elements that grew it.
+    """
+    chain = StabilizerChain(degree, ())
+    closure = {Permutation.identity(degree)}
+    picks = []
+    for idx, g in enumerate(elements):
+        outside = g not in closure
+        assert chain.extend(g) == outside
+        if outside:
+            picks.append(idx)
+            closure = set(mulclose([elements[i] for i in picks], degree=degree))
+        assert chain.order() == len(closure)
+    return chain, picks
 
 
 def test_chain_order_matches_bfs_closure(groups):
+    rng = random.Random(11)
     for name, G in groups.items():
         assert G.order == len(brute_elements(G)), name
+        chain, _ = grow_chain_checked(G.degree, G.generators)
+        assert chain.order() == G.order, name
+        chain, _ = grow_chain_checked(G.degree, scan_inputs(G, rng))
+        assert chain.order() == G.order, name
+
+
+def test_greedy_indices_picks_elements_outside_earlier_closure(groups):
+    rng = random.Random(12)
+    for name, G in groups.items():
+        for elements in (G.generators, scan_inputs(G, rng)):
+            _, picks = grow_chain_checked(G.degree, elements)
+            assert greedy_indices(G.degree, elements) == picks, name
+            # with a target order the scan stops at the pick that reaches it
+            stop = next(
+                n for n in range(len(picks) + 1)
+                if len(mulclose([elements[i] for i in picks[:n]], degree=G.degree))
+                == G.order
+            )
+            assert greedy_indices(G.degree, elements, G.order) == picks[:stop], name
+            if elements is G.generators:
+                reduced = tuple(elements[i] for i in picks[:stop])
+                assert G.reduced_generators() == reduced, name
+    with pytest.raises(InternalError):
+        greedy_indices(5, groups["A5"].generators[:1], 60)
 
 
 def test_membership_agrees_with_enumeration(groups):
@@ -163,10 +230,18 @@ def test_class_size_times_centralizer(groups):
 
 
 def test_conjugacy_class_of_matches_partition(groups):
-    G = groups["A4"]
-    classes = conjugacy_classes(G)
-    for cls in classes:
-        assert set(conjugacy_class_of(G, cls[0])) == set(cls)
+    for name in ("A4", "A5", "A6", "PSL27"):
+        G = groups[name]
+        classes = conjugacy_classes(G)
+        for cls in classes:
+            assert set(conjugacy_class_of(G, cls[0])) == set(cls), name
+            orbit = conjugation_orbit(G, cls[0])
+            assert list(orbit) == cls, name
+            for y, r in orbit.items():
+                assert r in G, name
+                assert cls[0].conjugate(r) == y, name
+    with pytest.raises(PreconditionError):
+        conjugation_orbit(groups["A5"], P("(1 2)", 5))
 
 
 def test_center_and_intersection(groups):
