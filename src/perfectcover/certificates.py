@@ -718,6 +718,16 @@ def _verify_level(rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, cap) ->
                     raise InputError("semisimple part present but no cover")
             return
         factor_of, tuples, e, r = ctx.cover
+        cover = ctx.doc["cover"]
+        e_per_factor = cover.get("e_per_factor")
+        if not isinstance(e_per_factor, list) or len(e_per_factor) != len(tuples):
+            raise InputError("e_per_factor needs one entry per cover tuple")
+        if not all(type(x) is int and x > 0 for x in e_per_factor):
+            raise InputError("e_per_factor entries must be positive integers")
+        if max(e_per_factor, default=None) != e:
+            raise InputError(f"max of e_per_factor is not e = {e}")
+        if not isinstance(cover.get("full_product"), bool):
+            raise InputError("full_product must be true or false")
         for idx, j in enumerate(factor_of):
             M = _subgroup_from(
                 ctx.doc["factors"][j]["simple_factors"][

@@ -378,6 +378,8 @@ def build_T(
         X = frozenset({M.identity})
         for c in range(g):
             X = product_set(X, conjugacy_class_of(M, tup[c]), cap)
+            if len(X) == M.order:
+                break  # X = M, and M times a nonempty class is M again
         e_per_factor.append(covering_number(M, X, cap).e)
     e = max(e_per_factor)
 

@@ -29,6 +29,19 @@ class Permutation:
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "_hash", hash(images))
 
+    @classmethod
+    def _trusted(cls, images: tuple) -> Permutation:
+        """A permutation from a tuple already known to be one; no checks.
+
+        Only for images that are a permutation by construction, such as a
+        product or an inverse; input from outside goes through the validating
+        constructor, `from_cycles` or `parse_cycles`.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        object.__setattr__(p, "_hash", hash(images))
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
@@ -62,19 +75,18 @@ class Permutation:
     def __mul__(self, other: Permutation) -> Permutation:
         if len(self.images) != len(other.images):
             raise InputError("degree mismatch in product")
-        o = other.images
-        return Permutation(tuple(o[i] for i in self.images))
+        return Permutation._trusted(tuple(map(other.images.__getitem__, self.images)))
 
     def inverse(self) -> Permutation:
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def __pow__(self, n: int) -> Permutation:
         if n < 0:
             return self.inverse() ** (-n)
-        result = Permutation.identity(self.degree)
+        result = Permutation._trusted(tuple(range(self.degree)))
         base = self
         while n:
             if n & 1:
@@ -88,7 +100,7 @@ class Permutation:
         return by.inverse() * self * by
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def order(self) -> int:
         n = 1

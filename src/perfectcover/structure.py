@@ -54,11 +54,14 @@ def normal_subgroups(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGroup
     register(trivial)
     for cls in classes:
         register(normal_closure(G, [cls[0]]))
+    # Pairs within keys[:old] were joined on the previous pass, so their
+    # joins are already in found.
+    old = 0
     while True:
         keys = list(found)
         new = []
-        for a, b in itertools.combinations(keys, 2):
-            if a <= b or b <= a:
+        for (_, a), (j, b) in itertools.combinations(enumerate(keys), 2):
+            if j < old or a <= b or b <= a:
                 continue
             join = PermGroup(
                 G.degree,
@@ -69,6 +72,7 @@ def normal_subgroups(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGroup
                 new.append(join)
         if not new:
             break
+        old = len(keys)
         for H in new:
             register(H)
     subs = sorted(found.values(), key=lambda H: (H.order, sorted(_element_key(H, cap))))

@@ -37,10 +37,23 @@ A5_SEED7_DIGESTS = {
     "0.2.0": "b09d8075b2c53d19ce953e19a977898d8c6a61b53cdc2b4a1579d443c34a22cd",
 }
 
+# The same for budget 61: the class product of build_T fills A5 before its
+# last class, which budget 2 never does.
+A5_SEED7_BUDGET61_DIGESTS = {
+    "0.2.0": "b3cad6916b936f3145f98b755fde4cdbf1748af8ab76e5a09c1e20d9db0265cf",
+}
+
 
 def test_seed7_certificate_bytes_are_pinned(a5_cert):
     text = dumps_certificate(a5_cert)
     assert hashlib.sha256(text.encode()).hexdigest() == A5_SEED7_DIGESTS[__version__]
+
+
+def test_seed7_budget61_certificate_bytes_are_pinned(groups):
+    cert = construct((groups["A5"],), d=2, k=1, names=("A5",), seed=7, budget=61)
+    text = dumps_certificate(serialize_certificate(cert))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == A5_SEED7_BUDGET61_DIGESTS[__version__]
 
 
 def test_round_trip_is_valid(a5_cert):
@@ -74,6 +87,18 @@ def test_tampered_T_conjugator_rejected(a5_cert):
     report = verify_certificate(tamper_conjugator(a5_cert))
     assert not report.valid
     assert report.failed_steps()[0] == "s-in-T"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("e_per_factor", [99]), ("e_per_factor", []), ("full_product", "nope")],
+)
+def test_inconsistent_cover_field_rejected(a5_cert, field, value):
+    data = copy.deepcopy(a5_cert)
+    data["levels"][0]["cover"][field] = value
+    report = verify_certificate(data)
+    assert not report.valid
+    assert report.failed_steps() == ["T-perfect"]
 
 
 def test_perturbed_q_coordinate_rejected(e16_cert):

@@ -51,10 +51,9 @@ def test_commutator_convention():
 
 
 def test_rejects_non_bijections():
-    with pytest.raises(InputError):
-        Permutation((0, 0, 1))
-    with pytest.raises(InputError):
-        Permutation((0, 1, 3))
+    for images in ((0, 0, 1), (0, 1, 3), [0, 0], [1, 2]):
+        with pytest.raises(InputError):
+            Permutation(images)
 
 
 def test_degree_mismatch():
@@ -103,3 +102,72 @@ def test_format_parse_roundtrip(p):
 def test_conjugation_is_automorphism(p, q):
     y = Permutation(tuple(range(1, 6)) + (0,))
     assert (p * q).conjugate(y) == p.conjugate(y) * q.conjugate(y)
+
+
+
+@st.composite
+def perm_pair(draw):
+    degree = draw(st.integers(1, 40))
+    return tuple(
+        Permutation(draw(st.permutations(range(degree)))) for _ in range(2)
+    )
+
+
+def _by_definition(degree, *factors):
+    """Validated product of the factors: each point goes through them left to right."""
+    images = []
+    for i in range(degree):
+        for f in factors:
+            i = f(i)
+        images.append(i)
+    return Permutation(images)
+
+
+def _inverse_by_definition(p):
+    return Permutation([p.images.index(i) for i in range(p.degree)])
+
+
+@given(perm_pair(), st.integers(-5, 5))
+def test_fast_path_matches_definitions(pair, n):
+    p, q = pair
+    d = p.degree
+    p_inv, q_inv = _inverse_by_definition(p), _inverse_by_definition(q)
+    cases = [
+        (p * q, _by_definition(d, p, q)),
+        (p.inverse(), p_inv),
+        (p.conjugate(q), _by_definition(d, q_inv, p, q)),
+        (p**n, _by_definition(d, *[p if n > 0 else p_inv] * abs(n))),
+        (commutator(p, q), _by_definition(d, p_inv, q_inv, p, q)),
+    ]
+    for fast, validated in cases:
+        assert fast.images == validated.images
+        assert fast == validated
+        assert hash(fast) == hash(validated)
+        assert len({fast, validated}) == 1
+        assert {validated: "v"}[fast] == "v"
+
+
+def test_products_make_no_validating_construction(monkeypatch):
+    p = P("(1 2 3 4 5)", 6)
+    q = P("(1 6)(2 3)", 6)
+    pq = P("(1 3 4 5 6)", 6)
+    validated = []
+    original = Permutation.__init__
+
+    def counting_init(self, images):
+        validated.append(images)
+        original(self, images)
+
+    monkeypatch.setattr(Permutation, "__init__", counting_init)
+    results = [
+        p * q,
+        p.inverse(),
+        p.conjugate(q),
+        commutator(p, q),
+        p.order(),
+        *(p**n for n in range(-5, 6)),
+    ]
+    assert validated == []
+    assert results[0] == pq
+    Permutation([1, 0])
+    assert len(validated) == 1
