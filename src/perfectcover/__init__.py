@@ -27,8 +27,7 @@ from .groups import (
     normal_closure,
     quotient_action,
 )
-from .products import DirectProduct, ProductElement
-from .homs import Homomorphism
+from .products import DirectProduct
 
 __version__ = "0.2.0"
 

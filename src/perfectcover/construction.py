@@ -46,7 +46,6 @@ from .groups import (
 from .perms import Permutation
 from .products import (
     DirectProduct,
-    ProductElement,
     column,
     cover_row_product,
     gamma_generators,
@@ -94,7 +93,7 @@ class AlignedLifts:
 
     m: int
     words: list[Word]
-    padded_gens: list[ProductElement]
+    padded_gens: list[Permutation]
     lifts: list[list[Permutation]]
     k_res: list[list[Permutation]]
     s_res: list[list[Permutation]]
@@ -105,8 +104,8 @@ class QData:
     modules: list[GModule | None]
     q_elems: list[list[list[Permutation]] | None]
     q_coords: list[list[list[tuple[int, ...]]] | None]
-    values: list[ProductElement]
-    element_flats: frozenset
+    values: list[Permutation]
+    elements: frozenset
 
 
 @dataclass
@@ -117,7 +116,7 @@ class TData:
     e: int
     e_per_factor: list[int]
     r: list[list[list[list[Permutation]]]]
-    values: list[ProductElement]
+    values: list[Permutation]
     full_cover: bool
 
 
@@ -126,11 +125,11 @@ class LevelData:
     k_level: int
     split: LevelSplit
     aligned: AlignedLifts
-    delta_gens: list[ProductElement]
+    delta_gens: list[Permutation]
     qdata: QData
     tdata: TData | None
     gamma: PermGroup
-    gamma_gens: list[ProductElement]
+    gamma_gens: list[Permutation]
     marked_idx: list[int]
 
 
@@ -199,10 +198,7 @@ def recurse_and_align(
     """
     gens = pad_generators(marked, sub_product, d)
     m = len(gens)
-    flat_gens = [g.flat() for g in gens]
-    words = [
-        commutator_word_for(sub_gamma, flat_gens, g.flat(), cap=cap) for g in gens
-    ]
+    words = [commutator_word_for(sub_gamma, gens, g, cap=cap) for g in gens]
 
     lifts: list[list[Permutation]] = []
     k_res: list[list[Permutation]] = []
@@ -223,7 +219,7 @@ def recurse_and_align(
                 ss.append(ss_part)
             return ks, ss
 
-        a = [qmap.lift(sub_product.project(flat_gens[i], j)) for i in range(m)]
+        a = [qmap.lift(sub_product.project(gens[i], j)) for i in range(m)]
         ks, ss = residues(a)
         # congruence correction: moves every abelian residue into B_j
         a = [ai * ki.inverse() for ai, ki in zip(a, ks)]
@@ -291,20 +287,19 @@ def build_Q(
     k_vec = [column(product, aligned.k_res, i) for i in range(m)]
     q_vec = [
         [
-            ProductElement(
-                product,
+            product.element(
                 {
                     j: q_elems[j][i][l]
                     for j in range(len(split.family))
                     if q_elems[j] is not None
-                },
+                }
             )
             for l in range(m)
         ]
         for i in range(m)
     ]
     for i in range(m):
-        check = product.identity_element()
+        check = product.identity
         for l in range(m):
             check = check * q_vec[i][l].inverse() * delta[l].inverse() * q_vec[i][l] * delta[l]
         if check != k_vec[i]:
@@ -315,27 +310,27 @@ def build_Q(
         ambient = product.full_group()
         carrier_gens = []
         for j in nontrivial:
-            carrier_gens.extend(product.embed(j, g) for g in split.A[j].generators)
+            carrier_gens.extend(product.element({j: g}) for g in split.A[j].generators)
         carrier = PermGroup(product.degree, carrier_gens)
-        prod_module = GModule(ambient, carrier, [g.flat() for g in delta], cap)
+        prod_module = GModule(ambient, carrier, delta, cap)
         mats = prod_module.matrices
         seed_vecs = []
         for i in range(m):
             for l in range(m):
-                v = prod_module.encode(q_vec[i][l].flat())
+                v = prod_module.encode(q_vec[i][l])
                 for T in mats:
                     seed_vecs.append(prod_module.augment(v, T))
         Q = close_submodule(prod_module, seed_vecs, mats)
         for i in range(m):
-            if not Q.contains(prod_module.encode(k_vec[i].flat())):
+            if not Q.contains(prod_module.encode(k_vec[i])):
                 raise InternalError("abelian residue escaped the module Q")
         if not is_perfect_module(Q):
             raise InternalError("Q is not equal to [Q, Delta]")
-        element_flats = frozenset(prod_module.decode(v) for v in Q.elements)
+        elements = frozenset(prod_module.decode(v) for v in Q.elements)
     else:
-        element_flats = frozenset({product.identity_element().flat()})
+        elements = frozenset({product.identity})
     values = q_values(product, q_elems, aligned.lifts)
-    return QData(modules, q_elems, q_coords, values, element_flats)
+    return QData(modules, q_elems, q_coords, values, elements)
 
 
 def build_T(
@@ -415,7 +410,7 @@ def assemble_and_verify(
     qdata: QData,
     tdata: TData | None,
     cap: int = ENUMERATION_CAP,
-) -> tuple[PermGroup, list[ProductElement], list[int]]:
+) -> tuple[PermGroup, list[Permutation], list[int]]:
     """Gamma = <Delta u Q u T>; verify perfectness, the containment chain and
     all projections before returning."""
     product = split.product
@@ -436,22 +431,21 @@ def assemble_and_verify(
         if derived_subgroup(t_group).order != t_group.order:
             raise InternalError("T is not perfect")
         for value in tdata.values:
-            if value.flat() not in derived:
+            if value not in derived:
                 raise InternalError("a T generator escaped [Gamma, Gamma]")
         for l in range(aligned.m):
-            if column(product, aligned.s_res, l).flat() not in t_group:
+            if column(product, aligned.s_res, l) not in t_group:
                 raise InternalError("a semisimple residue escaped T")
     for value in qdata.values:
-        if value.flat() not in derived:
+        if value not in derived:
             raise InternalError("a Q generator escaped [Gamma, Gamma]")
     for i in range(aligned.m):
-        if column(product, aligned.k_res, i).flat() not in qdata.element_flats:
+        if column(product, aligned.k_res, i) not in qdata.elements:
             raise InternalError("an abelian residue escaped Q")
-        if delta_gens[i].flat() not in derived:
+        if delta_gens[i] not in derived:
             raise InternalError("a Delta generator escaped [Gamma, Gamma]")
 
-    flats = [g.flat() for g in gamma_gens]
-    marked_idx = greedy_indices(product.degree, flats, gamma.order)
+    marked_idx = greedy_indices(product.degree, gamma_gens, gamma.order)
     return gamma, gamma_gens, marked_idx
 
 
@@ -464,7 +458,7 @@ def _construct_level(
     budget: int,
     cap: int,
     levels: list[LevelData],
-) -> tuple[PermGroup, list[ProductElement], DirectProduct]:
+) -> tuple[PermGroup, list[Permutation], DirectProduct]:
     product = DirectProduct(family)
     if k == 0:
         return product.subgroup([]), [], product

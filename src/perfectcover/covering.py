@@ -4,7 +4,7 @@ Covering numbers are computed exactly by iterating set products of normal
 subsets; element decompositions into products of conjugates of given
 generators come from layered product sets with back-pointers.  The cover
 provider builds, for a finite list of simple groups, a bounded tuple of
-product elements generating a perfect subgroup that surjects onto every
+elements of their direct product generating a perfect subgroup that surjects onto every
 factor.
 """
 
@@ -26,7 +26,7 @@ from .groups import (
     is_abelian,
 )
 from .perms import Permutation
-from .products import DirectProduct, ProductElement
+from .products import DirectProduct
 from .structure import normal_subgroups
 
 _COVER_BUDGET_MAX = 61
@@ -238,13 +238,13 @@ class SemisimpleCover:
 
     product: DirectProduct
     factors: tuple[PermGroup, ...]
-    gens: tuple[ProductElement, ...]
+    gens: tuple[Permutation, ...]
     group: PermGroup = field(repr=False)
     full_product: bool
     budget: int
 
     def factor_tuple(self, i: int) -> list[Permutation]:
-        return [g.component(i) for g in self.gens]
+        return [self.product.project(g, i) for g in self.gens]
 
 
 def sample_generating_tuple(
@@ -276,7 +276,7 @@ def cover_tuples(factors, budget: int, rng, cap: int = ENUMERATION_CAP):
             return tuples, True
         prod = DirectProduct(factors)
         gens = [
-            prod.element({i: tuples[i][c] for i in range(len(factors))}).flat()
+            prod.element({i: tuples[i][c] for i in range(len(factors))})
             for c in range(budget)
         ]
         if StabilizerChain(prod.degree, gens).order() == full_order:

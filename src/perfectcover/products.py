@@ -1,9 +1,9 @@
-"""Direct products of permutation groups on the disjoint union of their domains.
+"""Direct products on disjoint domains; elements are flat permutations.
 
-A product element is stored sparsely as a map from factor index to that
-factor's component; missing indices mean the identity.  Flattening embeds
-the tuple as a single permutation of the combined domain, which lets the
-stabilizer-chain kernel work on subgroups of products unchanged.
+Factor j acts on the block of points offsets[j] .. offsets[j] + degree - 1
+of the combined domain, so an element of the product is a single
+permutation of that domain which preserves every block, and the
+stabilizer-chain kernel works on subgroups of products unchanged.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .perms import Permutation, commutator
 
 
 class DirectProduct:
-    """Context for a finite ordered list of factor groups."""
+    """The domain layout of a finite ordered list of factor groups."""
 
     def __init__(self, factors):
         factors = tuple(factors)
@@ -27,16 +27,20 @@ class DirectProduct:
             self.offsets.append(total)
             total += f.degree
         self.degree = total
+        self.identity = Permutation._trusted(tuple(range(total)))
 
-    def embed(self, j: int, p: Permutation) -> Permutation:
-        """The factor-j element p as a permutation of the combined domain."""
-        if p.degree != self.factors[j].degree:
-            raise InputError("component degree mismatch")
+    def element(self, components: dict[int, Permutation]) -> Permutation:
+        """The element whose factor-j component is components[j]; factors
+        without a component get the identity."""
         images = list(range(self.degree))
-        off = self.offsets[j]
-        for i, im in enumerate(p.images):
-            images[off + i] = off + im
-        return Permutation(images)
+        for j, p in components.items():
+            if not 0 <= j < len(self.factors):
+                raise InputError(f"no factor with index {j}")
+            if p.degree != self.factors[j].degree:
+                raise InputError("component degree mismatch")
+            off = self.offsets[j]
+            images[off:off + p.degree] = [off + im for im in p.images]
+        return Permutation._trusted(tuple(images))
 
     def project(self, g: Permutation, j: int) -> Permutation:
         """Component of a block-preserving permutation in factor j."""
@@ -45,31 +49,17 @@ class DirectProduct:
         block = g.images[off:off + deg]
         if any(not off <= im < off + deg for im in block):
             raise InputError("permutation does not preserve the factor blocks")
-        return Permutation(tuple(im - off for im in block))
-
-    def element(self, components: dict[int, Permutation]) -> ProductElement:
-        return ProductElement(self, components)
-
-    def identity_element(self) -> ProductElement:
-        return ProductElement(self, {})
-
-    def from_flat(self, g: Permutation) -> ProductElement:
-        comps = {}
-        for j in range(len(self.factors)):
-            p = self.project(g, j)
-            if not p.is_identity():
-                comps[j] = p
-        return ProductElement(self, comps)
+        # g is a bijection mapping the block into itself, hence onto it
+        return Permutation._trusted(tuple(im - off for im in block))
 
     def subgroup(self, elements) -> PermGroup:
-        """Group generated by product elements, on the combined domain."""
-        gens = [e.flat() if isinstance(e, ProductElement) else e for e in elements]
-        return PermGroup(self.degree, gens)
+        """Group generated by elements of the product, on the combined domain."""
+        return PermGroup(self.degree, list(elements))
 
     def full_group(self) -> PermGroup:
         gens = []
         for j, f in enumerate(self.factors):
-            gens.extend(self.embed(j, g) for g in f.generators)
+            gens.extend(self.element({j: g}) for g in f.generators)
         return PermGroup(self.degree, gens)
 
     def projection_of(self, H: PermGroup, j: int) -> PermGroup:
@@ -80,115 +70,53 @@ class DirectProduct:
         )
 
 
-class ProductElement:
-    """Sparse tuple over the factors of a DirectProduct."""
-
-    __slots__ = ("product", "components")
-
-    def __init__(self, product: DirectProduct, components: dict[int, Permutation]):
-        comps = {}
-        for j, p in components.items():
-            if not 0 <= j < len(product.factors):
-                raise InputError(f"no factor with index {j}")
-            if p.degree != product.factors[j].degree:
-                raise InputError("component degree mismatch")
-            if not p.is_identity():
-                comps[j] = p
-        self.product = product
-        self.components = comps
-
-    def component(self, j: int) -> Permutation:
-        p = self.components.get(j)
-        if p is None:
-            return Permutation.identity(self.product.factors[j].degree)
-        return p
-
-    def __mul__(self, other: ProductElement) -> ProductElement:
-        comps = {}
-        for j in set(self.components) | set(other.components):
-            comps[j] = self.component(j) * other.component(j)
-        return ProductElement(self.product, comps)
-
-    def inverse(self) -> ProductElement:
-        return ProductElement(
-            self.product, {j: p.inverse() for j, p in self.components.items()}
-        )
-
-    def conjugate(self, by: ProductElement) -> ProductElement:
-        return by.inverse() * self * by
-
-    def is_identity(self) -> bool:
-        return not self.components
-
-    def flat(self) -> Permutation:
-        images = list(range(self.product.degree))
-        for j, p in self.components.items():
-            off = self.product.offsets[j]
-            for i, im in enumerate(p.images):
-                images[off + i] = off + im
-        return Permutation(images)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ProductElement)
-            and self.product is other.product
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.components.items()))
-
-    def __repr__(self):
-        return f"ProductElement({self.components!r})"
-
-
 # ----------------------------------------------------------------------
 # The cover's generators from its witnesses.  Construction and verification
 # both derive Delta, Q and T here, so which values exist, and in which
 # order Gamma lists them, is decided once.
 
 
-def column(product: DirectProduct, rows, i: int) -> ProductElement:
+def column(product: DirectProduct, rows, i: int) -> Permutation:
     """The element whose factor-j component is rows[j][i], for every j."""
-    return ProductElement(product, {j: rows[j][i] for j in range(len(product.factors))})
+    return product.element({j: rows[j][i] for j in range(len(product.factors))})
 
 
-def pad_generators(marked, product: DirectProduct, d: int) -> list[ProductElement]:
+def pad_generators(marked, product: DirectProduct, d: int) -> list[Permutation]:
     """The deeper Gamma's marked generators, the last repeated up to d
     (the identity alone when there are none)."""
-    gens = list(marked) or [product.identity_element()]
+    gens = list(marked) or [product.identity]
     while len(gens) < d:
         gens.append(gens[-1])
     return gens
 
 
-def _factor_product(product: DirectProduct, factor_of, parts) -> ProductElement:
+def _factor_product(product: DirectProduct, factor_of, parts) -> Permutation:
     """Component j is the product, in index order, of the parts[idx] with
     factor_of[idx] == j: simple factors of one member multiply together."""
     comps: dict[int, Permutation] = {}
     for j, part in zip(factor_of, parts):
         comps[j] = comps.get(j, product.factors[j].identity) * part
-    return ProductElement(product, comps)
+    return product.element(comps)
 
 
-def _cover_element(product: DirectProduct, factor_of, tuples, c: int) -> ProductElement:
+def _cover_element(product: DirectProduct, factor_of, tuples, c: int) -> Permutation:
     """m_c: the c-th cover generator of every simple factor at once."""
     return _factor_product(product, factor_of, [tup[c] for tup in tuples])
 
 
 def _conjugator_element(
     product: DirectProduct, factor_of, r, l: int, c: int, t: int
-) -> ProductElement:
+) -> Permutation:
     """r_{l,c,t}: the conjugator of m_c in term t of residue l's decomposition."""
     return _factor_product(product, factor_of, [rows[t][c] for rows in r[l]])
 
 
 def cover_row_product(
     product: DirectProduct, factor_of, tuples, r, l: int, e: int
-) -> ProductElement:
+) -> Permutation:
     """The product over t < e, c < g of m_c ** r_{l,c,t}; by construction it
     equals the semisimple residue s_l."""
-    x = product.identity_element()
+    x = product.identity
     for t in range(e):
         for c in range(len(tuples[0])):
             x = x * _cover_element(product, factor_of, tuples, c).conjugate(
@@ -197,8 +125,8 @@ def cover_row_product(
     return x
 
 
-def _distinct(values) -> list[ProductElement]:
-    seen: set[ProductElement] = set()
+def _distinct(values) -> list[Permutation]:
+    seen: set[Permutation] = set()
     out = []
     for v in values:
         if v not in seen:
@@ -207,14 +135,14 @@ def _distinct(values) -> list[ProductElement]:
     return out
 
 
-def q_values(product: DirectProduct, q_elems, lifts) -> list[ProductElement]:
+def q_values(product: DirectProduct, q_elems, lifts) -> list[Permutation]:
     """Q's generators: the distinct nonidentity [q_{i,l}, a_t] over (i, l, t)
     in that order; q_elems[j] is None for a member without a module."""
     nontrivial = [j for j, q in enumerate(q_elems) if q is not None]
     m = len(lifts[0])
     values = (
-        ProductElement(
-            product, {j: commutator(q_elems[j][i][l], lifts[j][t]) for j in nontrivial}
+        product.element(
+            {j: commutator(q_elems[j][i][l], lifts[j][t]) for j in nontrivial}
         )
         for i in range(m)
         for l in range(m)
@@ -223,9 +151,7 @@ def q_values(product: DirectProduct, q_elems, lifts) -> list[ProductElement]:
     return _distinct(v for v in values if not v.is_identity())
 
 
-def t_values(
-    product: DirectProduct, factor_of, tuples, r, e: int
-) -> list[ProductElement]:
+def t_values(product: DirectProduct, factor_of, tuples, r, e: int) -> list[Permutation]:
     """T's generators: the distinct m_{c'} ** r_{l,c,t} over (l, c, t, c')
     in that order."""
     g = len(tuples[0])
@@ -240,6 +166,6 @@ def t_values(
     return _distinct(values)
 
 
-def gamma_generators(delta, q_vals, t_vals) -> list[ProductElement]:
+def gamma_generators(delta, q_vals, t_vals) -> list[Permutation]:
     """Gamma's generator list, Delta then Q then T; `marked` indexes it."""
     return [*delta, *q_vals, *t_vals]

@@ -3,6 +3,10 @@
 import copy
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -54,6 +58,35 @@ def test_seed7_budget61_certificate_bytes_are_pinned(groups):
     text = dumps_certificate(serialize_certificate(cert))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == A5_SEED7_BUDGET61_DIGESTS[__version__]
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+from perfectcover import catalog
+from perfectcover.certificates import dumps_certificate, serialize_certificate
+from perfectcover.construction import construct
+A5 = catalog.CATALOG["A5"].group()
+cert = construct((A5,), d=2, k=1, names=("A5",), seed=7, budget=2)
+text = dumps_certificate(serialize_certificate(cert))
+print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "5"])
+def test_certificate_bytes_do_not_depend_on_hash_seed(hash_seed):
+    # Gamma's generator list is deduplicated through permutation hashing;
+    # a set iteration order that reached the certificate would show here.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+    result = subprocess.run(
+        [sys.executable, "-c", _DIGEST_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == A5_SEED7_DIGESTS[__version__]
 
 
 def test_round_trip_is_valid(a5_cert):
@@ -151,6 +184,41 @@ def test_level_gamma_copy_cannot_cover_foreign_generator(a5_cert):
     report = verify_certificate(data)
     assert not report.valid
     assert "gamma-perfect" in report.failed_steps()
+
+
+@pytest.mark.parametrize("where", ["both", "level", "top"])
+def test_bool_marked_index_rejected(a5_cert, where):
+    # True == 1 in Python, so a bool must be refused explicitly
+    data = copy.deepcopy(a5_cert)
+    assert data["gamma"]["marked"][1] == 1  # so the mutation keeps the index
+    blocks = {
+        "both": [data["levels"][0]["gamma"], data["gamma"]],
+        "level": [data["levels"][0]["gamma"]],
+        "top": [data["gamma"]],
+    }[where]
+    for block in blocks:
+        block["marked"][1] = True
+    report = verify_certificate(data)
+    assert not report.valid
+    assert report.failed_steps() == ["gamma-perfect"]
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("mutation", ["text", "empty", "swapped"])
+def test_level_factor_generators_checked(e16_cert, level, mutation):
+    data = copy.deepcopy(e16_cert)
+    factor = data["levels"][level]["factors"][0]
+    gens = factor["generators"]
+    if mutation == "text":
+        factor["generators"] = "x"
+    elif mutation == "empty":
+        factor["generators"] = []
+    else:
+        assert len(gens) >= 2 and gens[0] != gens[1]
+        gens[0], gens[1] = gens[1], gens[0]
+    report = verify_certificate(data)
+    assert not report.valid
+    assert report.failed_steps() == ["structure"]
 
 
 def test_levels_hold_witnesses_only(e16_cert):

@@ -49,7 +49,7 @@ def test_single_factor_projection_is_bijective(groups):
     proj = prod.projection_of(H, 0)
     assert proj.order == 60
     g = P("(1 2 3)", 5)
-    assert prod.project(prod.embed(0, g), 0) == g
+    assert prod.project(prod.element({0: g}), 0) == g
 
 
 def test_product_element_arithmetic(groups):
@@ -57,16 +57,19 @@ def test_product_element_arithmetic(groups):
     x = prod.element({0: P("(1 2 3)", 5), 1: P("(1 2)", 3)})
     y = prod.element({0: P("(1 4 5)", 5)})
     z = x * y
-    assert z.component(0) == P("(1 2 3)", 5) * P("(1 4 5)", 5)
-    assert z.component(1) == P("(1 2)", 3)
+    assert prod.project(z, 0) == P("(1 2 3)", 5) * P("(1 4 5)", 5)
+    assert prod.project(z, 1) == P("(1 2)", 3)
     assert (x * x.inverse()).is_identity()
-    assert prod.from_flat(x.flat()) == x
+    assert x * x.inverse() == prod.identity
+    assert prod.element({j: prod.project(x, j) for j in range(2)}) == x
+    assert prod.project(y, 1).is_identity()
 
 
 def test_identity_components_are_dropped(groups):
     prod = DirectProduct((groups["A5"], groups["S3"]))
     x = prod.element({0: Permutation.identity(5), 1: P("(1 2)", 3)})
-    assert list(x.components) == [1]
+    assert x == prod.element({1: P("(1 2)", 3)})
+    assert prod.element({0: Permutation.identity(5)}) == prod.identity
 
 
 def test_projection_rejects_block_mixing(groups):
