@@ -6,13 +6,13 @@ what lets generators of a quotient be repaired into generators of the
 full group (the lifting lemma demonstrated second).
 """
 
-from perfectcover import catalog, commutator_word_for, evaluate_word, gaschutz_lift
+from perfectcover import catalog, commutator_words, evaluate_word, gaschutz_lift
 from perfectcover.groups import PermGroup, center, derived_subgroup
 from perfectcover.perms import format_cycles, parse_cycles
 
 A5 = catalog.get("A5")
 target = parse_cycles("(1 2 3)", 5)
-w = commutator_word_for(A5, A5.generators, target)
+(w,) = commutator_words(A5, A5.generators, [target])
 print(f"target (1 2 3) as a word in the generators: {w}")
 print(f"  exponent sums: {w.exponent_sums()}  (all zero: in [F, F])")
 print(f"  evaluates back to target: {evaluate_word(w, A5.generators) == target}")

@@ -33,7 +33,7 @@ __version__ = "0.2.0"
 
 from .words import (  # noqa: E402
     Word,
-    commutator_word_for,
+    commutator_words,
     evaluate_word,
     gaschutz_lift,
     parse_word,

@@ -218,6 +218,9 @@ def load_certificate(path) -> dict:
 
 
 _TOP_FIELDS = (
+    ("seed", int, "an integer"),
+    ("budget", int, "an integer"),
+    ("cap", int, "an integer"),
     ("d", int, "an integer"),
     ("k", int, "an integer"),
     ("family", list, "a list"),
@@ -451,6 +454,8 @@ def verify_certificate(
     # family step: admissibility of every member
     for name, G in zip(names, family):
         def check_member(name=name, G=G):
+            if not isinstance(name, str):
+                raise InputError("name is not a string")
             ok, reason = is_in_Y(G, d, k, cap)
             if not ok:
                 raise InputError(reason)
@@ -480,8 +485,8 @@ def verify_certificate(
             [], False, "levels do not descend from k to 1"
         )
 
-    for ctx in levels:
-        _verify_structure(rec, ctx, cap)
+    for depth, ctx in enumerate(levels):
+        _verify_structure(rec, ctx, names, depth, cap)
 
     # bottom-up: each level needs the deeper gamma's marked generators
     for idx in range(len(levels) - 1, -1, -1):
@@ -507,12 +512,15 @@ def verify_certificate(
     return rec.report()
 
 
-def _verify_structure(rec, ctx: _LevelCtx, cap) -> None:
+def _verify_structure(rec, ctx: _LevelCtx, names, depth: int, cap) -> None:
     kl = ctx.k_level
     for j, G in enumerate(ctx.family):
         label = f"level {kl} factor {j}"
 
         def check(j=j, G=G, label=label):
+            # construct adds one "/W" to the name per level below the top
+            if ctx.doc["factors"][j]["name"] != names[j] + "/W" * depth:
+                raise InputError("factor name differs from the derived one")
             stored = _parse_gens(ctx.doc["factors"][j]["generators"], G.degree)
             if stored != list(G.generators):
                 raise InputError("stored generators differ from the derived member")

@@ -195,9 +195,6 @@ class Submodule:
     def contains(self, coords) -> bool:
         return tuple(coords) in self.elements
 
-    def element_perms(self) -> list[Permutation]:
-        return [self.module.decode(v) for v in sorted(self.elements)]
-
 
 def _additive_closure(module: GModule, gens) -> set:
     closed = {module.zero()}

@@ -395,16 +395,24 @@ def conjugation_orbit(G: PermGroup, x: Permutation) -> dict[Permutation, Permuta
     return orbit
 
 
+def conjugation_orbits(G: PermGroup, cap: int = ENUMERATION_CAP):
+    """Each class of G as its `conjugation_orbit`, in discovery order.
+
+    An element is released once its class is walked, so G is never held
+    whole while the caller consumes the orbits.
+    """
+    # reversed, so that popitem() takes the elements in enumeration order
+    remaining = dict.fromkeys(reversed(enumerate_elements(G, cap)))
+    while remaining:
+        orbit = conjugation_orbit(G, remaining.popitem()[0])
+        for y in orbit:
+            remaining.pop(y, None)
+        yield orbit
+
+
 def conjugacy_classes(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[list[Permutation]]:
     """Partition of the elements into conjugacy classes, in discovery order."""
-    seen = set()
-    classes = []
-    for x in enumerate_elements(G, cap):
-        if x not in seen:
-            cls = conjugacy_class_of(G, x)
-            seen.update(cls)
-            classes.append(cls)
-    return classes
+    return [list(orbit) for orbit in conjugation_orbits(G, cap)]
 
 
 def conjugacy_class_of(G: PermGroup, x: Permutation) -> list[Permutation]:

@@ -18,6 +18,7 @@ from .groups import (
     PermGroup,
     StabilizerChain,
     center,
+    conjugation_orbits,
     derived_subgroup,
     enumerate_elements,
     from_elements,
@@ -36,12 +37,9 @@ _EXHAUSTIVE_TUPLES = 10**6
 
 def normal_subgroups(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGroup]:
     """All normal subgroups, as join-closure of class normal closures."""
-    from .groups import conjugacy_classes
-
     cached = getattr(G, "_normal_subgroups_cache", None)
     if cached is not None:
         return cached
-    classes = conjugacy_classes(G, cap)
     found: dict[frozenset, PermGroup] = {}
 
     def register(H: PermGroup) -> frozenset:
@@ -52,8 +50,8 @@ def normal_subgroups(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGroup
 
     trivial = PermGroup(G.degree, ())
     register(trivial)
-    for cls in classes:
-        register(normal_closure(G, [cls[0]]))
+    for orbit in conjugation_orbits(G, cap):
+        register(normal_closure(G, [next(iter(orbit))]))
     # Pairs within keys[:old] were joined on the previous pass, so their
     # joins are already in found.
     old = 0

@@ -8,6 +8,7 @@ that is the membership certificate this module hands out and checks.
 
 from __future__ import annotations
 
+import random
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -23,12 +24,13 @@ from .groups import (
     ENUMERATION_CAP,
     PermGroup,
     StabilizerChain,
-    conjugacy_classes,
-    conjugation_orbit,
+    conjugation_orbits,
     derived_subgroup,
     enumerate_elements,
+    is_normal,
 )
 from .perms import Permutation
+from .structure import min_generators
 
 
 def _reduce(letters):
@@ -170,44 +172,45 @@ def word_table(
 def _commutator_pool(G: PermGroup, cap: int) -> dict[Permutation, tuple[Permutation, Permutation]]:
     """For each value [u, v] attained in G, one witness pair (u, v).
 
-    Uses that {[u, v] : v in G} = u^-1 * class(u), so iterating class orbits
-    with recorded conjugators visits every commutator value in O(|G|) work
-    per class representative.
+    Uses that {[u, v] : v in G} = u^-1 * class(u), so one walk of the
+    orbit of each class representative u, with its recorded conjugators,
+    visits every commutator value in O(|G|) work per class.
     """
     pool: dict[Permutation, tuple[Permutation, Permutation]] = {}
-    for cls in conjugacy_classes(G, cap):
-        u = cls[0]
+    for orbit in conjugation_orbits(G, cap):
+        u = next(iter(orbit))
         u_inv = u.inverse()
-        for x, v in conjugation_orbit(G, u).items():
+        for x, v in orbit.items():
             value = u_inv * x
             if value not in pool:
                 pool[value] = (u, v)
     return pool
 
 
-def commutator_word_for(
-    G: PermGroup,
-    gens,
-    target: Permutation,
-    depth_cap: int = 32,
-    cap: int = ENUMERATION_CAP,
-) -> Word:
-    """A word w with zero exponent sums and w(gens) = target.
+_MAX_WORD_LENGTH = 256
+
+
+def commutator_words(
+    G: PermGroup, gens, targets, cap: int = ENUMERATION_CAP
+) -> list[Word]:
+    """For each target, a word w with zero exponent sums and w(gens) = target.
 
     Works for perfect G: every element is then a bounded product of
     commutators of group elements, each of which turns into a commutator
-    of generator words.  The returned word is freely reduced; depth_cap
-    bounds its letter count and is doubled internally up to 256 before
-    the search gives up.
+    of generator words.  The word table and the commutator pool are built
+    once, and only if some target is not the identity.  The returned words
+    are freely reduced and at most 256 letters long.
     """
     gens = tuple(gens)
+    targets = tuple(targets)
     m = len(gens)
-    if target not in G:
-        raise PreconditionError("target is not an element of the group")
+    for target in targets:
+        if target not in G:
+            raise PreconditionError("target is not an element of the group")
     if derived_subgroup(G).order != G.order:
         raise PreconditionError("group is not perfect")
-    if target.is_identity():
-        return Word.empty(m)
+    if all(target.is_identity() for target in targets):
+        return [Word.empty(m) for _ in targets]
 
     table = word_table(gens, G.degree, cap)
     if G.order > len(table):
@@ -217,33 +220,31 @@ def commutator_word_for(
     def word_for_pair(u: Permutation, v: Permutation) -> Word:
         return table[u].commutator(table[v])
 
-    candidate: Word | None = None
-    if target in pool:
-        candidate = word_for_pair(*pool[target])
-    else:
+    def search(target: Permutation) -> Word:
+        """A pool hit, else the first k1 in pool order with k1^-1 * target
+        in the pool."""
+        if target.is_identity():
+            return Word.empty(m)
+        if target in pool:
+            return word_for_pair(*pool[target])
         for k1, pair1 in pool.items():
-            k2 = k1.inverse() * target
-            pair2 = pool.get(k2)
+            pair2 = pool.get(k1.inverse() * target)
             if pair2 is not None:
-                candidate = word_for_pair(*pair1) * word_for_pair(*pair2)
-                break
-    if candidate is None:
+                return word_for_pair(*pair1) * word_for_pair(*pair2)
         raise SearchError("target is not a product of at most two commutators")
 
-    effective_cap = depth_cap
-    while len(candidate) > effective_cap:
-        if effective_cap >= 256:
+    words = [search(target) for target in targets]
+    for target, w in zip(targets, words):
+        if len(w) > _MAX_WORD_LENGTH:
             raise SearchError(
-                f"shortest found word has {len(candidate)} letters, "
-                f"over the cap of 256"
+                f"shortest found word has {len(w)} letters, "
+                f"over the cap of {_MAX_WORD_LENGTH}"
             )
-        effective_cap *= 2
-
-    if not candidate.in_commutator_subgroup:
-        raise InternalError("constructed word has a nonzero exponent sum")
-    if evaluate_word(candidate, gens) != target:
-        raise InternalError("constructed word does not evaluate to its target")
-    return candidate
+        if not w.in_commutator_subgroup:
+            raise InternalError("constructed word has a nonzero exponent sum")
+        if evaluate_word(w, gens) != target:
+            raise InternalError("constructed word does not evaluate to its target")
+    return words
 
 
 def _candidate_tuples(n_elements, k: int, rng, exhaustive_limit: int = 10**6,
@@ -294,19 +295,13 @@ def gaschutz_lift(
     under those hypotheses a lift always exists, so an exhaustive search
     failure aborts as an internal error.
     """
-    import random as _random
-
-    from .structure import min_generators
-
     reps = list(coset_reps)
     if k is None:
         k = len(reps)
     if k != len(reps):
         raise PreconditionError("k must equal the number of coset representatives")
     if rng is None:
-        rng = _random.Random(0)
-    from .groups import is_normal
-
+        rng = random.Random(0)
     if not is_normal(G, N):
         raise PreconditionError("subgroup is not normal")
     for a in reps:

@@ -18,7 +18,9 @@ from perfectcover.certificates import (
     serialize_certificate,
     verify_certificate,
 )
+from perfectcover.cli import main
 from perfectcover.construction import construct
+from perfectcover.errors import InputError
 from perfectcover.groups import PermGroup
 
 
@@ -58,6 +60,20 @@ def test_seed7_budget61_certificate_bytes_are_pinned(groups):
     text = dumps_certificate(serialize_certificate(cert))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == A5_SEED7_BUDGET61_DIGESTS[__version__]
+
+
+# The same for e16_cert (E16A5, d=2, k=2): its level-0 words are not empty,
+# so this digest also guards the commutator word search.
+E16A5_K2_SEED7_DIGESTS = {
+    "0.2.0": "19365d1d94ff08885a03353ebed04f8afbee705756605c9e3808a26beb7342c4",
+}
+
+
+def test_e16a5_k2_certificate_bytes_are_pinned(e16_cert):
+    assert any(w != "e" for w in e16_cert["levels"][0]["words"])
+    text = dumps_certificate(e16_cert)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == E16A5_K2_SEED7_DIGESTS[__version__]
 
 
 _DIGEST_SCRIPT = """
@@ -216,6 +232,46 @@ def test_level_factor_generators_checked(e16_cert, level, mutation):
     else:
         assert len(gens) >= 2 and gens[0] != gens[1]
         gens[0], gens[1] = gens[1], gens[0]
+    report = verify_certificate(data)
+    assert not report.valid
+    assert report.failed_steps() == ["structure"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", "x"), ("budget", True), ("cap", []), ("seed", None)],
+    ids=["seed-text", "budget-bool", "cap-list", "seed-missing"],
+)
+def test_run_parameter_fields_must_be_integers(a5_cert, tmp_path, field, value):
+    data = copy.deepcopy(a5_cert)
+    if value is None:
+        del data[field]
+    else:
+        data[field] = value
+    with pytest.raises(InputError):
+        verify_certificate(data)
+    path = tmp_path / "cert.json"
+    path.write_text(dumps_certificate(data))
+    assert main(["verify", str(path)]) == 2
+
+
+def test_family_name_must_be_text(a5_cert):
+    data = copy.deepcopy(a5_cert)
+    data["family"][0]["name"] = {}
+    report = verify_certificate(data)
+    assert not report.valid
+    assert "family" in report.failed_steps()
+
+
+@pytest.mark.parametrize(
+    "level, name",
+    [(0, "E16A5/W"), (0, {}), (1, "E16A5"), (1, "E16A5/W/W"), (1, None)],
+    ids=["top-suffixed", "top-object", "deep-unsuffixed", "deep-extra", "deep-null"],
+)
+def test_level_factor_name_checked(e16_cert, level, name):
+    data = copy.deepcopy(e16_cert)
+    assert data["levels"][level]["factors"][0]["name"] == "E16A5" + "/W" * level
+    data["levels"][level]["factors"][0]["name"] = name
     report = verify_certificate(data)
     assert not report.valid
     assert report.failed_steps() == ["structure"]

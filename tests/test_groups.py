@@ -19,6 +19,7 @@ from perfectcover.groups import (
     conjugacy_class_of,
     conjugacy_classes,
     conjugation_orbit,
+    conjugation_orbits,
     derived_subgroup,
     enumerate_elements,
     from_elements,
@@ -240,6 +241,13 @@ def test_conjugacy_class_of_matches_partition(groups):
             for y, r in orbit.items():
                 assert r in G, name
                 assert cls[0].conjugate(r) == y, name
+        orbits = list(conjugation_orbits(G))
+        assert [list(o) for o in orbits] == classes, name
+        for orbit in orbits:
+            x = next(iter(orbit))
+            for y, r in orbit.items():
+                assert r in G, name
+                assert x.conjugate(r) == y, name
     with pytest.raises(PreconditionError):
         conjugation_orbit(groups["A5"], P("(1 2)", 5))
 

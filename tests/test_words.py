@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perfectcover import groups, words
 from perfectcover.catalog import get
 from perfectcover.errors import InputError, PreconditionError
 from perfectcover.groups import (
@@ -14,7 +15,7 @@ from perfectcover.groups import (
 from perfectcover.perms import Permutation, parse_cycles
 from perfectcover.words import (
     Word,
-    commutator_word_for,
+    commutator_words,
     evaluate_word,
     gaschutz_lift,
     parse_word,
@@ -112,11 +113,11 @@ def test_word_table_is_shortest_first():
 
 def test_commutator_word_examples():
     A5 = get("A5")
-    w = commutator_word_for(A5, A5.generators, A5.identity)
+    (w,) = commutator_words(A5, A5.generators, [A5.identity])
     assert len(w) == 0
 
     target = P("(1 2 3)", 5)
-    w = commutator_word_for(A5, A5.generators, target)
+    (w,) = commutator_words(A5, A5.generators, [target])
     assert w.in_commutator_subgroup
     assert len(w) <= 24
     assert evaluate_word(w, A5.generators) == target
@@ -124,8 +125,10 @@ def test_commutator_word_examples():
 
 def test_commutator_word_every_element_of_a5():
     A5 = get("A5")
-    for target in enumerate_elements(A5):
-        w = commutator_word_for(A5, A5.generators, target)
+    targets = enumerate_elements(A5)
+    found = commutator_words(A5, A5.generators, targets)
+    assert len(found) == len(targets) == 60
+    for target, w in zip(targets, found):
         assert w.in_commutator_subgroup
         assert evaluate_word(w, A5.generators) == target
 
@@ -133,13 +136,50 @@ def test_commutator_word_every_element_of_a5():
 def test_commutator_word_requires_perfect():
     Z4 = get("Z4")
     with pytest.raises(PreconditionError):
-        commutator_word_for(Z4, Z4.generators, P("(1 2 3 4)", 4))
+        commutator_words(Z4, Z4.generators, [P("(1 2 3 4)", 4)])
 
 
 def test_commutator_word_requires_membership():
     A5 = get("A5")
     with pytest.raises(PreconditionError):
-        commutator_word_for(A5, A5.generators, P("(1 2)", 5))
+        commutator_words(A5, A5.generators, [P("(1 2)", 5)])
+    with pytest.raises(PreconditionError):
+        commutator_words(A5, A5.generators, [P("(1 2 3)", 5), P("(1 2)", 5)])
+
+
+@pytest.mark.parametrize("name", ["A5", "A6", "PSL27"])
+def test_batched_words_equal_single_target_words(name):
+    G = get(name)
+    gens = G.generators
+    elements = enumerate_elements(G)
+    targets = [G.identity, *gens, *elements[1:6], elements[-1]]
+    batch = commutator_words(G, gens, targets)
+    assert len(batch) == len(targets)
+    for target, w in zip(targets, batch):
+        assert w == commutator_words(G, gens, [target])[0], name
+        assert evaluate_word(w, gens) == target, name
+
+
+def test_batched_words_build_table_and_enumerate_once(monkeypatch):
+    A5 = get("A5")
+    calls = {"word_table": 0, "enumerate_elements": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(words, "word_table", counted("word_table", words.word_table))
+    monkeypatch.setattr(
+        groups,
+        "enumerate_elements",
+        counted("enumerate_elements", groups.enumerate_elements),
+    )
+    targets = [P("(1 2 3)", 5), P("(1 2)(3 4)", 5), P("(1 2 3 4 5)", 5)]
+    result = commutator_words(A5, A5.generators, targets)
+    assert [evaluate_word(w, A5.generators) for w in result] == targets
+    assert calls == {"word_table": 1, "enumerate_elements": 1}
 
 
 # ----------------------------------------------------------- gaschutz
