@@ -4,6 +4,14 @@ Composition is fixed package-wide as left-to-right: (p * q)(i) = q(p(i)),
 i.e. the left factor acts first.  Conjugation is x ** y = y^-1 * x * y and
 the commutator is [x, y] = x^-1 * y^-1 * x * y.  Cycle notation in text is
 1-based, matching the group file format.
+
+`Permutation.images` holds the image of each point.  Up to degree 256
+(`BYTES_MAX_DEGREE`) it is a `bytes` object, so a product is one
+`bytes.translate` and an inverse one `bytes.maketrans`, both in C; above
+that it is a tuple of ints.  The form follows from the degree alone.  Both
+index, iterate and compare alike: bytes order like tuples of ints below
+256, so sorting permutations or taking a `min` gives the same result in
+either form (Seress, *Permutation Group Algorithms*, 2003, ch. 1).
 """
 
 from __future__ import annotations
@@ -12,11 +20,28 @@ import re
 
 from .errors import InputError
 
+BYTES_MAX_DEGREE = 256
+_IDENT = bytes(range(BYTES_MAX_DEGREE))
+
+
+def pack(images) -> bytes | tuple:
+    """The stored form of a sequence of point images: bytes when there are
+    at most 256 of them, else a tuple of ints."""
+    if len(images) <= BYTES_MAX_DEGREE:
+        return bytes(images)
+    return tuple(images)
+
 
 class Permutation:
-    """An immutable permutation stored as a tuple of point images."""
+    """An immutable permutation of 0..degree-1.
 
-    __slots__ = ("images", "_hash")
+    `images[i]` is the image of point i.  `images` is `bytes` when the
+    degree is at most 256 and a tuple of ints above that, whichever
+    constructor built the permutation; read it by index, iteration or
+    `tuple(p.images)`, never by its type.
+    """
+
+    __slots__ = ("images",)
 
     def __init__(self, images):
         images = tuple(images)
@@ -26,20 +51,19 @@ class Permutation:
             if not isinstance(i, int) or not 0 <= i < n or seen[i]:
                 raise InputError(f"not a permutation of 0..{n - 1}: {images!r}")
             seen[i] = True
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_hash", hash(images))
+        _set_images(self, pack(images))
 
     @classmethod
-    def _trusted(cls, images: tuple) -> Permutation:
-        """A permutation from a tuple already known to be one; no checks.
+    def _trusted(cls, images: bytes | tuple) -> Permutation:
+        """A permutation from images already known to be one, in their
+        stored form (see `pack`); no checks.
 
         Only for images that are a permutation by construction, such as a
         product or an inverse; input from outside goes through the validating
         constructor, `from_cycles` or `parse_cycles`.
         """
-        p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
-        object.__setattr__(p, "_hash", hash(images))
+        p = _new(cls)
+        _set_images(p, images)
         return p
 
     def __setattr__(self, name, value):
@@ -73,20 +97,33 @@ class Permutation:
         return self.images[point]
 
     def __mul__(self, other: Permutation) -> Permutation:
-        if len(self.images) != len(other.images):
+        a = self.images
+        b = other.images
+        n = len(a)
+        if n != len(b):
             raise InputError("degree mismatch in product")
-        return Permutation._trusted(tuple(map(other.images.__getitem__, self.images)))
+        p = _new(Permutation)
+        if n <= BYTES_MAX_DEGREE:
+            # every byte of a is below n, so only b's entries are looked up
+            _set_images(p, a.translate(b + _IDENT[n:]))
+        else:
+            _set_images(p, tuple(map(b.__getitem__, a)))
+        return p
 
     def inverse(self) -> Permutation:
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
+        a = self.images
+        n = len(a)
+        if n <= BYTES_MAX_DEGREE:
+            return Permutation._trusted(bytes.maketrans(a, _IDENT[:n])[:n])
+        inv = [0] * n
+        for i, j in enumerate(a):
             inv[j] = i
         return Permutation._trusted(tuple(inv))
 
     def __pow__(self, n: int) -> Permutation:
         if n < 0:
             return self.inverse() ** (-n)
-        result = Permutation._trusted(tuple(range(self.degree)))
+        result = Permutation._trusted(pack(range(self.degree)))
         base = self
         while n:
             if n & 1:
@@ -100,7 +137,10 @@ class Permutation:
         return by.inverse() * self * by
 
     def is_identity(self) -> bool:
-        return self.images == tuple(range(len(self.images)))
+        a = self.images
+        if len(a) <= BYTES_MAX_DEGREE:
+            return _IDENT.startswith(a)
+        return a == tuple(range(len(a)))
 
     def order(self) -> int:
         n = 1
@@ -137,10 +177,14 @@ class Permutation:
         return self.images <= other.images
 
     def __hash__(self):
-        return self._hash
+        return hash(self.images)
 
     def __repr__(self):
         return f"Permutation({format_cycles(self)!r})"
+
+
+_new = object.__new__
+_set_images = Permutation.images.__set__
 
 
 def commutator(x: Permutation, y: Permutation) -> Permutation:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import InputError
 from .groups import PermGroup
-from .perms import Permutation, commutator
+from .perms import Permutation, commutator, pack
 
 
 class DirectProduct:
@@ -27,7 +27,7 @@ class DirectProduct:
             self.offsets.append(total)
             total += f.degree
         self.degree = total
-        self.identity = Permutation._trusted(tuple(range(total)))
+        self.identity = Permutation._trusted(pack(range(total)))
 
     def element(self, components: dict[int, Permutation]) -> Permutation:
         """The element whose factor-j component is components[j]; factors
@@ -40,17 +40,17 @@ class DirectProduct:
                 raise InputError("component degree mismatch")
             off = self.offsets[j]
             images[off:off + p.degree] = [off + im for im in p.images]
-        return Permutation._trusted(tuple(images))
+        return Permutation._trusted(pack(images))
 
     def project(self, g: Permutation, j: int) -> Permutation:
         """Component of a block-preserving permutation in factor j."""
         off = self.offsets[j]
         deg = self.factors[j].degree
         block = g.images[off:off + deg]
-        if any(not off <= im < off + deg for im in block):
+        if not off <= min(block) or max(block) >= off + deg:
             raise InputError("permutation does not preserve the factor blocks")
         # g is a bijection mapping the block into itself, hence onto it
-        return Permutation._trusted(tuple(im - off for im in block))
+        return Permutation._trusted(pack([im - off for im in block]))
 
     def subgroup(self, elements) -> PermGroup:
         """Group generated by elements of the product, on the combined domain."""

@@ -77,32 +77,47 @@ def test_e16a5_k2_certificate_bytes_are_pinned(e16_cert):
 
 
 _DIGEST_SCRIPT = """
-import hashlib
+import hashlib, sys
 from perfectcover import catalog
 from perfectcover.certificates import dumps_certificate, serialize_certificate
 from perfectcover.construction import construct
-A5 = catalog.CATALOG["A5"].group()
-cert = construct((A5,), d=2, k=1, names=("A5",), seed=7, budget=2)
+name, k = sys.argv[1], int(sys.argv[2])
+G = catalog.CATALOG[name].group()
+cert = construct((G,), d=2, k=k, names=(name,), seed=7, budget=2)
 text = dumps_certificate(serialize_certificate(cert))
 print(hashlib.sha256(text.encode()).hexdigest())
 """
 
 
-@pytest.mark.parametrize("hash_seed", ["0", "5"])
-def test_certificate_bytes_do_not_depend_on_hash_seed(hash_seed):
-    # Gamma's generator list is deduplicated through permutation hashing;
-    # a set iteration order that reached the certificate would show here.
+def _digest_in_fresh_process(name: str, k: int, hash_seed: str) -> str:
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
     result = subprocess.run(
-        [sys.executable, "-c", _DIGEST_SCRIPT],
+        [sys.executable, "-c", _DIGEST_SCRIPT, name, str(k)],
         env=env,
         capture_output=True,
         text=True,
         timeout=600,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == A5_SEED7_DIGESTS[__version__]
+    return result.stdout.strip()
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "5"])
+def test_certificate_bytes_do_not_depend_on_hash_seed(hash_seed):
+    # Gamma's generator list is deduplicated through permutation hashing;
+    # a set iteration order that reached the certificate would show here.
+    # Permutations hash their bytes, and bytes hashes are salted per process.
+    digest = _digest_in_fresh_process("A5", 1, hash_seed)
+    assert digest == A5_SEED7_DIGESTS[__version__]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "5"])
+def test_k2_certificate_bytes_do_not_depend_on_hash_seed(hash_seed):
+    # The k=2 path also keys the normal-subgroup lattice by frozensets of
+    # images and runs the commutator word search, which k=1 never reaches.
+    digest = _digest_in_fresh_process("E16A5", 2, hash_seed)
+    assert digest == E16A5_K2_SEED7_DIGESTS[__version__]
 
 
 def test_round_trip_is_valid(a5_cert):

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from perfectcover.errors import InputError
 from perfectcover.perms import (
+    BYTES_MAX_DEGREE,
     Permutation,
     commutator,
     format_cycles,
@@ -62,7 +63,7 @@ def test_degree_mismatch():
 
 
 def test_cycle_parsing():
-    assert P("(1 2 3)(4 5)", 5).images == (1, 2, 0, 4, 3)
+    assert tuple(P("(1 2 3)(4 5)", 5).images) == (1, 2, 0, 4, 3)
     assert P("()", 3) == Permutation.identity(3)
     with pytest.raises(InputError):
         P("(1 2 2)", 3)
@@ -104,10 +105,9 @@ def test_conjugation_is_automorphism(p, q):
     assert (p * q).conjugate(y) == p.conjugate(y) * q.conjugate(y)
 
 
-
 @st.composite
-def perm_pair(draw):
-    degree = draw(st.integers(1, 40))
+def perm_pair(draw, degrees=st.integers(1, 40)):
+    degree = draw(degrees)
     return tuple(
         Permutation(draw(st.permutations(range(degree)))) for _ in range(2)
     )
@@ -127,8 +127,23 @@ def _inverse_by_definition(p):
     return Permutation([p.images.index(i) for i in range(p.degree)])
 
 
+def _stored_form_follows_degree(p):
+    expected = bytes if p.degree <= BYTES_MAX_DEGREE else tuple
+    return type(p.images) is expected
+
+
 @given(perm_pair(), st.integers(-5, 5))
 def test_fast_path_matches_definitions(pair, n):
+    _check_fast_path(pair, n)
+
+
+@given(perm_pair(st.integers(250, 260)), st.integers(-3, 3))
+def test_fast_path_matches_definitions_on_both_storage_forms(pair, n):
+    # degrees 250..260 straddle the switch from bytes to tuple storage
+    _check_fast_path(pair, n)
+
+
+def _check_fast_path(pair, n):
     p, q = pair
     d = p.degree
     p_inv, q_inv = _inverse_by_definition(p), _inverse_by_definition(q)
@@ -145,6 +160,32 @@ def test_fast_path_matches_definitions(pair, n):
         assert hash(fast) == hash(validated)
         assert len({fast, validated}) == 1
         assert {validated: "v"}[fast] == "v"
+        assert _stored_form_follows_degree(fast)
+    assert (p < q) == (tuple(p.images) < tuple(q.images))
+    assert (p <= q) == (tuple(p.images) <= tuple(q.images))
+    assert (p < p.inverse()) == (tuple(p.images) < tuple(p.inverse().images))
+
+
+@pytest.mark.parametrize("degree", [1, 5, 250, 255, 256, 257, 260])
+def test_every_constructor_stores_bytes_exactly_up_to_256(degree):
+    cycle = tuple(range(degree))
+    p = Permutation(list(reversed(range(degree))))
+    built = [
+        p,
+        Permutation(p.images),
+        Permutation.identity(degree),
+        Permutation.from_cycles(degree, [cycle]),
+        parse_cycles("(" + " ".join(str(a + 1) for a in cycle) + ")", degree),
+        p * p,
+        p.inverse(),
+        p**0,
+        p**3,
+        p**-2,
+        p.conjugate(p),
+        commutator(p, Permutation.from_cycles(degree, [cycle])),
+    ]
+    assert all(_stored_form_follows_degree(x) for x in built)
+    assert built[3].order() == degree
 
 
 def test_products_make_no_validating_construction(monkeypatch):

@@ -1,7 +1,7 @@
 import pytest
 
 from perfectcover.errors import InputError
-from perfectcover.groups import mulclose
+from perfectcover.groups import PermGroup, mulclose
 from perfectcover.perms import Permutation, parse_cycles
 from perfectcover.products import DirectProduct
 
@@ -85,3 +85,33 @@ def test_component_degree_checked(groups):
         prod.element({0: P("(1 2)", 3)})
     with pytest.raises(InputError):
         prod.element({2: P("(1 2)", 3)})
+
+
+@pytest.mark.parametrize("degrees", [(200, 50), (200, 56), (200, 57), (250, 10)])
+def test_element_and_project_on_both_storage_forms(degrees):
+    # a combined degree of 256 or less stores bytes, above it a tuple; each
+    # factor keeps its own form
+    factors = [
+        PermGroup(n, [Permutation.from_cycles(n, [(0, n - 1, 1)])]) for n in degrees
+    ]
+    prod = DirectProduct(factors)
+    off = degrees[0]
+    a = Permutation.from_cycles(degrees[0], [(0, 5, 7), (1, degrees[0] - 1)])
+    b = Permutation.from_cycles(degrees[1], [(2, 4), (0, 3, degrees[1] - 1)])
+    x = prod.element({0: a, 1: b})
+    assert tuple(x.images) == tuple(a.images) + tuple(off + i for i in b.images)
+    assert tuple(prod.element({1: b}).images) == tuple(range(off)) + tuple(
+        off + i for i in b.images
+    )
+    for g in (x, prod.identity, prod.element({1: b}), x * x, x.inverse()):
+        assert type(g.images) is (bytes if sum(degrees) <= 256 else tuple)
+    assert prod.project(x, 0) == a and prod.project(x, 1) == b
+    assert type(prod.project(x, 0).images) is bytes
+    assert type(prod.project(x, 1).images) is bytes
+    assert prod.project(prod.identity, 1) == Permutation.identity(degrees[1])
+    swap = prod.element({0: Permutation.from_cycles(off, [(0, off - 1)])})
+    mixed = swap * Permutation.from_cycles(prod.degree, [(off - 1, off)])
+    with pytest.raises(InputError):
+        prod.project(mixed, 0)
+    with pytest.raises(InputError):
+        prod.project(mixed, 1)
