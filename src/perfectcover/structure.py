@@ -4,6 +4,13 @@ For a finite group G, star(G) is the intersection of all normal subgroups
 whose quotient is abelian or simple; G/star(G) splits as (abelianization)
 x (largest semisimple quotient).  Iterating star yields a strictly
 descending characteristic series whose length is the level of G.
+
+Subgroups are compared through their stabilizer chains: H <= K when |H|
+divides |K| and K contains the generators of H, and equal orders with
+containment mean equality.  Element sets are enumerated only for the
+conjugacy-class walk of `normal_subgroups` and to break ties of equal
+order in its sorted result (Holt-Eick-O'Brien, Handbook of Computational
+Group Theory, ch. 4).
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from .groups import (
     conjugation_orbits,
     derived_subgroup,
     enumerate_elements,
-    from_elements,
     intersection,
     is_abelian,
     is_perfect,
@@ -36,73 +42,80 @@ _EXHAUSTIVE_TUPLES = 10**6
 
 
 def normal_subgroups(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGroup]:
-    """All normal subgroups, as join-closure of class normal closures."""
+    """All normal subgroups, as join-closure of class normal closures.
+
+    Each subgroup is held by its chain: a candidate is already known when
+    some entry has its order and contains it.  The first group found for
+    each subgroup represents it.  The list is sorted by order, and groups
+    of equal order by their sorted element images; only those ties are
+    enumerated.
+    """
     cached = getattr(G, "_normal_subgroups_cache", None)
     if cached is not None:
         return cached
-    found: dict[frozenset, PermGroup] = {}
+    found: list[PermGroup] = []
 
-    def register(H: PermGroup) -> frozenset:
-        key = frozenset(h.images for h in enumerate_elements(H, cap))
-        if key not in found:
-            found[key] = H
-        return key
+    def known(H: PermGroup) -> bool:
+        return any(F.order == H.order and F.contains_group(H) for F in found)
 
-    trivial = PermGroup(G.degree, ())
-    register(trivial)
+    def register(H: PermGroup) -> None:
+        if not known(H):
+            found.append(H)
+
+    register(PermGroup(G.degree, ()))
     for orbit in conjugation_orbits(G, cap):
         register(normal_closure(G, [next(iter(orbit))]))
-    # Pairs within keys[:old] were joined on the previous pass, so their
+    # Pairs within found[:old] were joined on the previous pass, so their
     # joins are already in found.
     old = 0
     while True:
-        keys = list(found)
         new = []
-        for (_, a), (j, b) in itertools.combinations(enumerate(keys), 2):
-            if j < old or a <= b or b <= a:
+        for (_, a), (j, b) in itertools.combinations(enumerate(found), 2):
+            if j < old or _is_subgroup(a, b) or _is_subgroup(b, a):
                 continue
-            join = PermGroup(
-                G.degree,
-                tuple(found[a].generators) + tuple(found[b].generators),
-            )
-            key = frozenset(h.images for h in enumerate_elements(join, cap))
-            if key not in found:
+            join = PermGroup(G.degree, a.generators + b.generators)
+            if not known(join):
                 new.append(join)
         if not new:
             break
-        old = len(keys)
+        old = len(found)
         for H in new:
             register(H)
-    subs = sorted(found.values(), key=lambda H: (H.order, sorted(_element_key(H, cap))))
+    by_order: dict[int, list[PermGroup]] = {}
+    for H in found:
+        by_order.setdefault(H.order, []).append(H)
+    subs = []
+    for order in sorted(by_order):
+        ties = by_order[order]
+        if len(ties) > 1:
+            ties.sort(key=lambda H: sorted(h.images for h in enumerate_elements(H, cap)))
+        subs.extend(ties)
     G._normal_subgroups_cache = subs
     return subs
 
 
-def _element_key(H: PermGroup, cap: int = ENUMERATION_CAP):
-    return [h.images for h in enumerate_elements(H, cap)]
+def _is_subgroup(H: PermGroup, K: PermGroup) -> bool:
+    """H <= K, for subgroups of one ambient group."""
+    return K.order % H.order == 0 and K.contains_group(H)
 
 
 def star_subgroup(G: PermGroup, cap: int = ENUMERATION_CAP) -> PermGroup:
     """Intersection of all normal subgroups with abelian or simple quotient.
 
     Equals derived(G) intersected with every maximal normal subgroup whose
-    quotient is nonabelian simple.
+    quotient is nonabelian simple.  star(G) <= [G, G], so a trivial derived
+    subgroup returns at once, without the normal-subgroup lattice.
     """
     D = derived_subgroup(G)
-    if G.order == 1:
+    if D.order == 1:
         return D
-    normals = normal_subgroups(G, cap)
-    sets = {id(N): frozenset(_element_key(N, cap)) for N in normals}
-    proper = [N for N in normals if N.order < G.order]
-    derived_set = frozenset(_element_key(D, cap))
+    proper = [N for N in normal_subgroups(G, cap) if N.order < G.order]
     result = D
     for N in proper:
-        n_set = sets[id(N)]
         maximal = not any(
-            M.order > N.order and M.order < G.order and n_set < sets[id(M)]
-            for M in proper
+            M.order > N.order and _is_subgroup(N, M) for M in proper
         )
-        if maximal and not derived_set <= n_set:
+        if maximal and not _is_subgroup(D, N):
             result = intersection(result, N, cap)
     return result
 
@@ -262,16 +275,12 @@ def semisimple_factors(S: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGro
     if S.order == 1:
         return []
     normals = normal_subgroups(S, cap)
-    sets = [frozenset(_element_key(N, cap)) for N in normals]
-    minimal = []
-    for i, N in enumerate(normals):
-        if N.order == 1:
-            continue
-        if any(
-            normals[j].order > 1 and sets[j] < sets[i] for j in range(len(normals))
-        ):
-            continue
-        minimal.append(N)
+    minimal = [
+        N
+        for N in normals
+        if N.order > 1
+        and not any(1 < M.order < N.order and _is_subgroup(M, N) for M in normals)
+    ]
     product_order = 1
     gens = []
     for M in minimal:

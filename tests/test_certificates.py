@@ -76,6 +76,22 @@ def test_e16a5_k2_certificate_bytes_are_pinned(e16_cert):
     assert digest == E16A5_K2_SEED7_DIGESTS[__version__]
 
 
+# The same for A5xA5 (d=2, k=1, budget 2).  Its two simple factors are
+# normal subgroups of equal order, so this digest guards the tie order of
+# structure.normal_subgroups, which reaches the certificate through
+# simple_factors.
+A5XA5_SEED7_DIGESTS = {
+    "0.2.0": "22a3e024074d4d7eab70ec92ddf624489c69bb664fc373dfe73110db2a40dd93",
+}
+
+
+def test_a5xa5_certificate_bytes_are_pinned(groups):
+    cert = construct((groups["A5xA5"],), d=2, k=1, names=("A5xA5",), seed=7, budget=2)
+    text = dumps_certificate(serialize_certificate(cert))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == A5XA5_SEED7_DIGESTS[__version__]
+
+
 _DIGEST_SCRIPT = """
 import hashlib, sys
 from perfectcover import catalog
@@ -114,8 +130,9 @@ def test_certificate_bytes_do_not_depend_on_hash_seed(hash_seed):
 
 @pytest.mark.parametrize("hash_seed", ["0", "5"])
 def test_k2_certificate_bytes_do_not_depend_on_hash_seed(hash_seed):
-    # The k=2 path also keys the normal-subgroup lattice by frozensets of
-    # images and runs the commutator word search, which k=1 never reaches.
+    # The k=2 path also builds the normal-subgroup lattice of a group with
+    # several normal subgroups and runs the commutator word search, which
+    # k=1 never reaches.
     digest = _digest_in_fresh_process("E16A5", 2, hash_seed)
     assert digest == E16A5_K2_SEED7_DIGESTS[__version__]
 

@@ -1,7 +1,10 @@
 """Structure queries, cross-checked against literal brute-force oracles."""
 
+from collections import Counter
+
 import pytest
 
+from perfectcover import catalog, groups as groups_module, structure
 from perfectcover.errors import PreconditionError
 from perfectcover.groups import (
     PermGroup,
@@ -12,7 +15,7 @@ from perfectcover.groups import (
     mulclose,
     quotient_action,
 )
-from perfectcover.perms import commutator, parse_cycles
+from perfectcover.perms import commutator, format_cycles, parse_cycles
 from perfectcover.products import DirectProduct
 from perfectcover.structure import (
     InternalDirectProduct,
@@ -56,10 +59,10 @@ def oracle_normal_subgroups(G):
     return sorted(out, key=lambda s: (len(s), sorted(p.images for p in s)))
 
 
-def oracle_star(G):
+def oracle_star(G, normals):
     """Literal definition: intersect every normal subgroup whose quotient
-    is abelian or simple."""
-    normals = [frozenset(enumerate_elements(N)) for N in normal_subgroups(G)]
+    is abelian or simple.  `normals` holds every normal subgroup of G as
+    an element set."""
     gens = list(G.generators)
     result = frozenset(enumerate_elements(G))
     for n_set in normals:
@@ -104,9 +107,85 @@ def test_star_subgroup_examples(groups):
 
 
 def test_star_subgroup_against_definition_oracle(groups):
-    for name in ("S3", "V4", "Z4", "A4", "A5", "SL25", "E16A5"):
+    # The small groups take their normal subgroups from the brute-force
+    # two-generated oracle, so this does not rest on normal_subgroups.
+    for name in ("S3", "V4", "Z4", "A4", "A5"):
         G = groups[name]
-        assert frozenset(enumerate_elements(star_subgroup(G))) == oracle_star(G), name
+        normals = oracle_normal_subgroups(G)
+        assert frozenset(enumerate_elements(star_subgroup(G))) == oracle_star(G, normals), name
+    for name in ("SL25", "E16A5"):
+        G = groups[name]
+        normals = [frozenset(enumerate_elements(N)) for N in normal_subgroups(G)]
+        assert frozenset(enumerate_elements(star_subgroup(G))) == oracle_star(G, normals), name
+
+
+def test_normal_subgroup_lattice_of_elementary_abelian_2_4(groups):
+    # star(E16A5) is the regular 2^4 on 16 points.  It is abelian, so
+    # star_subgroup never builds its lattice; check the lattice directly.
+    E = star_subgroup(groups["E16A5"])
+    assert (E.order, E.degree) == (16, 16)
+    subs = normal_subgroups(E)
+    assert len(subs) == 67
+    assert sorted(Counter(N.order for N in subs).items()) == [
+        (1, 1), (2, 15), (4, 35), (8, 15), (16, 1)
+    ]
+    keys = [(N.order, sorted(h.images for h in enumerate_elements(N))) for N in subs]
+    assert len({frozenset(k[1]) for k in keys}) == 67
+    assert keys == sorted(keys)
+
+
+def test_normal_subgroups_of_a5xa5_keep_their_order(groups):
+    # The two factors share an order; their tie order reaches the
+    # certificate through simple_factors, and so do the generators.
+    got = [
+        (N.order, [format_cycles(g) for g in N.generators])
+        for N in normal_subgroups(groups["A5xA5"])
+    ]
+    assert got == [
+        (1, []),
+        (60, ["(6 7 8 9 10)", "(6 9 10 7 8)"]),
+        (60, ["(1 2 3 4 5)", "(1 4 5 2 3)"]),
+        (
+            3600,
+            [
+                "(1 2 3 4 5)(6 7 8 9 10)",
+                "(1 4 5 2 3)(6 7 8 9 10)",
+                "(1 2 3 4 5)(6 9 10 7 8)",
+            ],
+        ),
+    ]
+
+
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_star_subgroup_skips_the_lattice_for_trivial_derived_subgroup(
+    groups, monkeypatch
+):
+    two_4 = star_subgroup(groups["E16A5"])
+    calls = {"normal_subgroups": 0}
+    monkeypatch.setattr(
+        structure,
+        "normal_subgroups",
+        _counted(calls, "normal_subgroups", structure.normal_subgroups),
+    )
+    for G in (groups["V4"], groups["Z4"], two_4):
+        assert star_subgroup(G).order == 1
+    assert calls == {"normal_subgroups": 0}
+
+
+def test_normal_subgroups_enumerate_only_for_the_class_walk(monkeypatch):
+    A5 = catalog.CATALOG["A5"].group()
+    calls = {"enumerate_elements": 0}
+    counted = _counted(calls, "enumerate_elements", groups_module.enumerate_elements)
+    monkeypatch.setattr(groups_module, "enumerate_elements", counted)
+    monkeypatch.setattr(structure, "enumerate_elements", counted)
+    assert [N.order for N in normal_subgroups(A5)] == [1, 60]
+    assert calls == {"enumerate_elements": 1}
 
 
 def test_star_series_orders(groups):
