@@ -8,6 +8,19 @@ one element at a time: `StabilizerChain.extend` sifts the element and, if
 it is new, resumes Schreier-Sims at the level where the sift stopped.
 Greedy generator scans (`greedy_indices`) and normal closures run on it.
 
+The chain, `mulclose` and the class walks work on raw images through
+`perms.kernel` and build a `Permutation` only for what they keep or return:
+a new strong generator, a returned residue, a closure element, a class
+member.  Each level stores the inverse of each transversal element when it
+computes its orbit, so a sift step is one compose.  Schreier-Sims checks
+each Schreier generator once: a level records, since its orbit was last
+recomputed, the (orbit point, strong generator) pairs it has checked, and
+it keeps the Schreier generators that sifted to the identity.  Both stay
+true because the levels below are complete whenever a level is processed
+and their group only grows (Seress, *Permutation Group Algorithms*, 2003,
+ch. 4; Holt-Eick-O'Brien, *Handbook of Computational Group Theory*, 2005,
+ch. 4).
+
 The independent oracle for all of this is :func:`mulclose`, a plain
 breadth-first closure of the generating set.  It never consults the chain.
 """
@@ -17,9 +30,10 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import InputError, InternalError, PreconditionError, SizeLimitError
-from .perms import Permutation, commutator
+from .perms import Permutation, commutator, kernel, pack
 
 ENUMERATION_CAP = 10**6
+_wrap = Permutation._trusted
 
 
 def mulclose(generators, cap: int = ENUMERATION_CAP, degree: int | None = None):
@@ -33,28 +47,40 @@ def mulclose(generators, cap: int = ENUMERATION_CAP, degree: int | None = None):
         if not gens:
             raise InputError("mulclose needs a degree when no generator moves a point")
         degree = gens[0].degree
-    identity = Permutation.identity(degree)
-    elements = {identity: None}
-    frontier = deque([identity])
-    while frontier:
-        x = frontier.popleft()
-        for g in gens:
-            y = x * g
-            if y not in elements:
+    if any(g.degree != degree for g in gens):
+        raise InputError("degree mismatch in product")
+    table, compose, _ = kernel(degree)
+    tables = [table(g.images) for g in gens]
+    elements = [pack(range(degree))]
+    seen = set(elements)
+    # appending to the list being walked makes the walk breadth-first
+    for x in elements:
+        for t in tables:
+            y = compose(x, t)
+            if y not in seen:
                 if len(elements) >= cap:
                     raise SizeLimitError(f"closure exceeded cap {cap}")
-                elements[y] = None
-                frontier.append(y)
-    return list(elements)
+                seen.add(y)
+                elements.append(y)
+    return [_wrap(x) for x in elements]
 
 
 class _Level:
-    __slots__ = ("point", "transversal", "orbit")
+    """One level of the chain, on raw images.
 
-    def __init__(self, point: int, identity: Permutation):
+    `transversal[q]` maps the base point to q and `inverse[q]` is the
+    right-operand table of its inverse.  `checked[k]` counts the level's
+    strong generators s (in list order) whose Schreier generator at
+    `orbit[k]` is known to lie in the deeper levels' group; it is reset
+    whenever the orbit is recomputed.  `sifted` holds Schreier generators
+    that sifted to the identity through the deeper levels.
+    """
+
+    __slots__ = ("point", "orbit", "transversal", "inverse", "checked", "sifted")
+
+    def __init__(self, point: int):
         self.point = point
-        self.transversal = {point: identity}
-        self.orbit = [point]
+        self.sifted = set()
 
 
 class StabilizerChain:
@@ -62,8 +88,11 @@ class StabilizerChain:
 
     def __init__(self, degree: int, generators):
         self.degree = degree
-        self.identity = Permutation.identity(degree)
+        self._table, self._compose, self._invert = kernel(degree)
+        self._ident = pack(range(degree))
+        self.identity = _wrap(self._ident)
         self.strong_gens: list[Permutation] = []
+        self._gen_tables: list[tuple] = []
         self.levels: list[_Level] = []
         seen = set()
         for g in generators:
@@ -71,62 +100,74 @@ class StabilizerChain:
                 raise InputError("generator degree mismatch")
             if not g.is_identity() and g not in seen:
                 seen.add(g)
-                self.strong_gens.append(g)
+                self._append_strong_gen(g)
         self._build()
 
     # -- construction -------------------------------------------------
 
-    def _gens_at(self, i: int) -> list[Permutation]:
+    def _append_strong_gen(self, g: Permutation) -> None:
+        self.strong_gens.append(g)
+        self._gen_tables.append((g.images, self._table(g.images)))
+
+    def _gens_at(self, i: int) -> list[tuple]:
+        """(images, table) of the strong generators fixing the first i base points."""
         base_prefix = [lev.point for lev in self.levels[:i]]
         return [
-            g
-            for g in self.strong_gens
-            if all(g.images[b] == b for b in base_prefix)
+            pair
+            for pair in self._gen_tables
+            if all(pair[0][b] == b for b in base_prefix)
         ]
 
-    def _ensure_base_covers(self, g: Permutation) -> None:
-        if g.is_identity():
+    def _ensure_base_covers(self, g) -> None:
+        """Append a level at the least point g moves if it fixes the base; g is images."""
+        if g == self._ident:
             return
         for lev in self.levels:
-            if g.images[lev.point] != lev.point:
+            if g[lev.point] != lev.point:
                 return
         for point in range(self.degree):
-            if g.images[point] != point:
-                self.levels.append(_Level(point, self.identity))
+            if g[point] != point:
+                self.levels.append(_Level(point))
                 return
 
     def _recompute_orbit(self, i: int) -> None:
         lev = self.levels[i]
         gens = self._gens_at(i)
-        lev.transversal = {lev.point: self.identity}
-        lev.orbit = [lev.point]
-        queue = deque([lev.point])
-        while queue:
-            p = queue.popleft()
-            rep = lev.transversal[p]
-            for g in gens:
-                q = g.images[p]
-                if q not in lev.transversal:
-                    lev.transversal[q] = rep * g
-                    lev.orbit.append(q)
-                    queue.append(q)
+        compose = self._compose
+        transversal = {lev.point: self._ident}
+        orbit = [lev.point]
+        # appending to the list being walked makes the walk breadth-first
+        for p in orbit:
+            rep = transversal[p]
+            for s, s_table in gens:
+                q = s[p]
+                if q not in transversal:
+                    transversal[q] = compose(rep, s_table)
+                    orbit.append(q)
+        table, invert = self._table, self._invert
+        lev.orbit = orbit
+        lev.transversal = transversal
+        lev.inverse = {q: table(invert(t)) for q, t in transversal.items()}
+        lev.checked = [0] * len(orbit)
 
-    def _sift_from(self, g: Permutation, start: int):
-        """Strip g through levels >= start; returns (residue, level reached)."""
-        for i in range(start, len(self.levels)):
-            lev = self.levels[i]
-            p = g.images[lev.point]
+    def _sift_from(self, g, start: int):
+        """Strip images g through levels >= start; returns (residue, level reached)."""
+        compose = self._compose
+        levels = self.levels
+        for i in range(start, len(levels)):
+            lev = levels[i]
+            p = g[lev.point]
             if p == lev.point:
                 continue
-            t = lev.transversal.get(p)
-            if t is None:
+            t_inv = lev.inverse.get(p)
+            if t_inv is None:
                 return g, i
-            g = g * t.inverse()
-        return g, len(self.levels)
+            g = compose(g, t_inv)
+        return g, len(levels)
 
     def _build(self) -> None:
         for g in self.strong_gens:
-            self._ensure_base_covers(g)
+            self._ensure_base_covers(g.images)
         for i in range(len(self.levels)):
             self._recompute_orbit(i)
         self._complete(len(self.levels) - 1)
@@ -140,9 +181,9 @@ class StabilizerChain:
             else:
                 i = extended
 
-    def _add_strong_gen(self, residue: Permutation, j: int, first: int) -> None:
-        """Append a sift residue that stopped at level j; recompute orbits first..j."""
-        self.strong_gens.append(residue)
+    def _add_strong_gen(self, residue, j: int, first: int) -> None:
+        """Append a sift residue (images) that stopped at level j; recompute orbits first..j."""
+        self._append_strong_gen(_wrap(residue))
         if j == len(self.levels):
             self._ensure_base_covers(residue)
             if j == len(self.levels):
@@ -151,29 +192,53 @@ class StabilizerChain:
             self._recompute_orbit(level)
 
     def _process_level(self, i: int):
-        """Sift all Schreier generators of level i; returns new work level or None."""
+        """Sift the unchecked Schreier generators of level i; returns new work level or None.
+
+        A checked pair, or a Schreier generator in `sifted`, lies in the
+        group of levels i+1 and deeper, and that group only grows; since
+        those levels are complete here, it would sift to the identity again.
+        """
         lev = self.levels[i]
         gens = self._gens_at(i)
-        for p in lev.orbit:
-            t_p = lev.transversal[p]
-            for s in gens:
-                q = s.images[p]
-                schreier = t_p * s * lev.transversal[q].inverse()
-                if schreier.is_identity():
+        n_gens = len(gens)
+        compose, ident = self._compose, self._ident
+        transversal, inverse, checked, sifted = (
+            lev.transversal, lev.inverse, lev.checked, lev.sifted
+        )
+        for k, p in enumerate(lev.orbit):
+            done = checked[k]
+            if done == n_gens:
+                continue
+            t_p = transversal[p]
+            for s, s_table in gens[done:]:
+                done += 1
+                q = s[p]
+                u = compose(t_p, s_table)
+                if u == transversal[q]:
+                    continue
+                schreier = compose(u, inverse[q])
+                if schreier in sifted:
                     continue
                 residue, j = self._sift_from(schreier, i + 1)
-                if residue.is_identity():
+                if residue == ident:
+                    sifted.add(schreier)
                     continue
+                checked[k] = done
                 self._add_strong_gen(residue, j, i + 1)
                 return j
+            checked[k] = done
         return None
 
     def extend(self, g: Permutation) -> bool:
         """Add g to the group; False (and no change) when g is already a member."""
         if g.degree != self.degree:
             raise InputError("degree mismatch in chain extension")
+        return self._extend_images(g.images)
+
+    def _extend_images(self, g) -> bool:
+        """`extend` for images of the chain's degree."""
         residue, j = self._sift_from(g, 0)
-        if residue.is_identity():
+        if residue == self._ident:
             return False
         self._add_strong_gen(residue, j, 0)
         self._complete(j)
@@ -189,24 +254,25 @@ class StabilizerChain:
 
     def sift(self, g: Permutation) -> Permutation:
         """Residue of g after stripping through the chain; identity iff member."""
-        residue, _ = self._sift_from(g, 0)
-        return residue
+        residue, _ = self._sift_from(g.images, 0)
+        return _wrap(residue)
 
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             raise InputError("degree mismatch in membership test")
-        return self.sift(g).is_identity()
+        return self._sift_from(g.images, 0)[0] == self._ident
 
     def base(self) -> list[int]:
         return [lev.point for lev in self.levels]
 
     def sample(self, rng) -> Permutation:
         """Uniform random element, drawn via the transversals."""
-        g = self.identity
+        compose, table = self._compose, self._table
+        g = self._ident
         for lev in self.levels:
             p = lev.orbit[rng.randrange(len(lev.orbit))]
-            g = lev.transversal[p] * g
-        return g
+            g = compose(lev.transversal[p], table(g))
+        return _wrap(g)
 
 
 class PermGroup:
@@ -296,18 +362,28 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
     for s in seeds:
         if s not in G:
             raise PreconditionError("seed is not an element of the ambient group")
-    conj_gens = G.reduced_generators()
+    table, compose, _ = kernel(G.degree)
+    conj = _conjugators(G)
     gens = [s for s in seeds if not s.is_identity()]
     chain = StabilizerChain(G.degree, gens)
-    queue = deque(gens)
+    queue = deque(s.images for s in gens)
     while queue:
-        h = queue.popleft()
-        for g in conj_gens:
-            c = h.conjugate(g)
-            if chain.extend(c):
-                gens.append(c)
+        h_table = table(queue.popleft())
+        for g_inv, g_table in conj:
+            c = compose(compose(g_inv, h_table), g_table)
+            if chain._extend_images(c):
+                gens.append(_wrap(c))
                 queue.append(c)
     return PermGroup(G.degree, gens)
+
+
+def _conjugators(G: PermGroup) -> list[tuple]:
+    """(images of g^-1, table of g) for each reduced generator g of G.
+
+    The images of y ** g are compose(compose(g^-1, table(y)), table(g)).
+    """
+    table, _, invert = kernel(G.degree)
+    return [(invert(g.images), table(g.images)) for g in G.reduced_generators()]
 
 
 def _distinct_commutators(xs, ys) -> list[Permutation]:
@@ -381,18 +457,20 @@ def conjugation_orbit(G: PermGroup, x: Permutation) -> dict[Permutation, Permuta
     """
     if x not in G:
         raise PreconditionError("element is not in the group")
-    gens = G.reduced_generators()
-    orbit = {x: G.identity}
-    queue = deque([x])
-    while queue:
-        y = queue.popleft()
+    table, compose, _ = kernel(G.degree)
+    conj = _conjugators(G)
+    orbit = {x.images: G.identity.images}
+    queue = [x.images]
+    # appending to the list being walked makes the walk breadth-first
+    for y in queue:
         r = orbit[y]
-        for g in gens:
-            z = y.conjugate(g)
+        y_table = table(y)
+        for g_inv, g_table in conj:
+            z = compose(compose(g_inv, y_table), g_table)
             if z not in orbit:
-                orbit[z] = r * g
+                orbit[z] = compose(r, g_table)
                 queue.append(z)
-    return orbit
+    return {_wrap(y): _wrap(r) for y, r in orbit.items()}
 
 
 def conjugation_orbits(G: PermGroup, cap: int = ENUMERATION_CAP):

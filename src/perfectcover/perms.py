@@ -12,10 +12,20 @@ that it is a tuple of ints.  The form follows from the degree alone.  Both
 index, iterate and compare alike: bytes order like tuples of ints below
 256, so sorting permutations or taking a `min` gives the same result in
 either form (Seress, *Permutation Group Algorithms*, 2003, ch. 1).
+
+Loops that run through many elements (the Schreier-Sims pass, `mulclose`,
+class walks) keep raw images and build a `Permutation` only for what they
+return.  `kernel(degree)` gives them the three steps they need, chosen from
+the degree the way `pack` chooses the stored form:
+
+- `table(b)`, the right-operand form of images b (bytes padded to 256);
+- `compose(a, table(b))`, the images of a * b;
+- `invert(a)`, the images of a^-1.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import InputError
@@ -30,6 +40,39 @@ def pack(images) -> bytes | tuple:
     if len(images) <= BYTES_MAX_DEGREE:
         return bytes(images)
     return tuple(images)
+
+
+def _pad(b: bytes) -> bytes:
+    # every byte of a left operand is below len(b), so the tail is never read
+    return b + _IDENT[len(b):]
+
+
+def _invert_bytes(a: bytes) -> bytes:
+    return bytes.maketrans(a, _IDENT[:len(a)])[:len(a)]
+
+
+def _lookup(b: tuple):
+    return b.__getitem__
+
+
+def _compose_tuple(a: tuple, table) -> tuple:
+    return tuple(map(table, a))
+
+
+def _invert_tuple(a: tuple) -> tuple:
+    inv = [0] * len(a)
+    for i, j in enumerate(a):
+        inv[j] = i
+    return tuple(inv)
+
+
+_BYTES_KERNEL = (_pad, bytes.translate, _invert_bytes)
+_TUPLE_KERNEL = (_lookup, _compose_tuple, _invert_tuple)
+
+
+def kernel(degree: int):
+    """(table, compose, invert) for raw images of this degree (module docstring)."""
+    return _BYTES_KERNEL if degree <= BYTES_MAX_DEGREE else _TUPLE_KERNEL
 
 
 class Permutation:
@@ -104,21 +147,16 @@ class Permutation:
             raise InputError("degree mismatch in product")
         p = _new(Permutation)
         if n <= BYTES_MAX_DEGREE:
-            # every byte of a is below n, so only b's entries are looked up
-            _set_images(p, a.translate(b + _IDENT[n:]))
+            _set_images(p, a.translate(_pad(b)))
         else:
-            _set_images(p, tuple(map(b.__getitem__, a)))
+            _set_images(p, _compose_tuple(a, _lookup(b)))
         return p
 
     def inverse(self) -> Permutation:
         a = self.images
-        n = len(a)
-        if n <= BYTES_MAX_DEGREE:
-            return Permutation._trusted(bytes.maketrans(a, _IDENT[:n])[:n])
-        inv = [0] * n
-        for i, j in enumerate(a):
-            inv[j] = i
-        return Permutation._trusted(tuple(inv))
+        if len(a) <= BYTES_MAX_DEGREE:
+            return Permutation._trusted(_invert_bytes(a))
+        return Permutation._trusted(_invert_tuple(a))
 
     def __pow__(self, n: int) -> Permutation:
         if n < 0:
@@ -134,7 +172,11 @@ class Permutation:
 
     def conjugate(self, by: Permutation) -> Permutation:
         """self ** by = by^-1 * self * by."""
-        return by.inverse() * self * by
+        a, b = self.images, by.images
+        if len(a) != len(b):
+            raise InputError("degree mismatch in product")
+        table, compose, invert = kernel(len(a))
+        return Permutation._trusted(compose(compose(invert(b), table(a)), table(b)))
 
     def is_identity(self) -> bool:
         a = self.images
@@ -143,12 +185,8 @@ class Permutation:
         return a == tuple(range(len(a)))
 
     def order(self) -> int:
-        n = 1
-        p = self
-        while not p.is_identity():
-            p = p * self
-            n += 1
-        return n
+        """The lcm of the cycle lengths."""
+        return math.lcm(*map(len, self.cycles()))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, 0-based, each starting at its least point."""
@@ -189,7 +227,13 @@ _set_images = Permutation.images.__set__
 
 def commutator(x: Permutation, y: Permutation) -> Permutation:
     """[x, y] = x^-1 y^-1 x y."""
-    return x.inverse() * y.inverse() * x * y
+    a, b = x.images, y.images
+    if len(a) != len(b):
+        raise InputError("degree mismatch in product")
+    table, compose, invert = kernel(len(a))
+    return Permutation._trusted(
+        compose(compose(compose(invert(a), table(invert(b))), table(a)), table(b))
+    )
 
 
 def format_cycles(p: Permutation) -> str:

@@ -16,6 +16,7 @@ Group Theory, ch. 4).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -63,8 +64,15 @@ def normal_subgroups(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGroup
             found.append(H)
 
     register(PermGroup(G.degree, ()))
+    # x and x^k with k prime to |x| have the same normal closure, so a class
+    # holding such a power of an earlier representative adds nothing.
+    covered: set[Permutation] = set()
     for orbit in conjugation_orbits(G, cap):
-        register(normal_closure(G, [next(iter(orbit))]))
+        if not covered.isdisjoint(orbit):
+            continue
+        x = next(iter(orbit))
+        covered.update(_coprime_powers(x))
+        register(normal_closure(G, [x]))
     # Pairs within found[:old] were joined on the previous pass, so their
     # joins are already in found.
     old = 0
@@ -92,6 +100,18 @@ def normal_subgroups(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGroup
         subs.extend(ties)
     G._normal_subgroups_cache = subs
     return subs
+
+
+def _coprime_powers(x: Permutation) -> list[Permutation]:
+    """x^k for 0 < k < |x| with k prime to |x|."""
+    m = x.order()
+    powers = []
+    y = x
+    for k in range(1, m):
+        if math.gcd(k, m) == 1:
+            powers.append(y)
+        y = y * x
+    return powers
 
 
 def _is_subgroup(H: PermGroup, K: PermGroup) -> bool:

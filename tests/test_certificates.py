@@ -92,6 +92,33 @@ def test_a5xa5_certificate_bytes_are_pinned(groups):
     assert digest == A5XA5_SEED7_DIGESTS[__version__]
 
 
+# The two benchmark families (bench/families/k1-cover.txt and k2-mixed.txt)
+# at seed 7.  Their Gamma has many members and, at k=1, hundreds of
+# generators, so these digests guard the chain and class-walk kernels on
+# the inputs the benchmark times.
+BENCH_FAMILY_SEED7_DIGESTS = {
+    ("A5+A6+PSL27", 1, 61): {
+        "0.2.0": "891c2642e1399a82cd57f164ecf1f2d90694ee11ab43904101555887574040c0",
+    },
+    ("SL25+E16A5", 2, 2): {
+        "0.2.0": "078eb9acbcffd7962f25ab716c2b6ced9ff8e10989ac1adca13872f3c5b56689",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "family, k, budget", list(BENCH_FAMILY_SEED7_DIGESTS), ids=["k1-cover", "k2-mixed"]
+)
+def test_benchmark_family_certificate_bytes_are_pinned(groups, family, k, budget):
+    names = tuple(family.split("+"))
+    cert = construct(
+        tuple(groups[n] for n in names), d=2, k=k, names=names, seed=7, budget=budget
+    )
+    text = dumps_certificate(serialize_certificate(cert))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == BENCH_FAMILY_SEED7_DIGESTS[family, k, budget][__version__]
+
+
 _DIGEST_SCRIPT = """
 import hashlib, sys
 from perfectcover import catalog

@@ -31,6 +31,7 @@ from perfectcover.groups import (
     quotient_action,
 )
 from perfectcover.perms import Permutation, commutator, parse_cycles
+from perfectcover.structure import normal_subgroups
 
 
 def P(text, degree):
@@ -295,3 +296,89 @@ def test_from_elements_reduces(groups):
     G = from_elements(4, elements)
     assert G.order == 12
     assert len(G.generators) <= 4
+
+
+def _embedded(p, degree):
+    """p on `degree` points, moving 0..p.degree-1 as p does and fixing the rest."""
+    return Permutation(tuple(p.images) + tuple(range(p.degree, degree)))
+
+
+def _restricted(p, n):
+    assert all(p(i) == i for i in range(n, p.degree))
+    return Permutation(tuple(p.images)[:n])
+
+
+@pytest.mark.parametrize("name", ["A5", "SL25"])
+@pytest.mark.parametrize("degree", [257, 300])
+def test_groups_above_degree_256_match_their_native_degree(groups, name, degree):
+    # Above degree 256 images are tuples, not bytes; the same loops must run.
+    G = groups[name]
+    n = G.degree
+    big = PermGroup(degree, [_embedded(g, degree) for g in G.generators])
+
+    def down(p):
+        return _restricted(p, n)
+
+    assert type(big.identity.images) is tuple
+    assert big.order == G.order
+    elements = enumerate_elements(G)
+    assert all(_embedded(x, degree) in big for x in elements)
+    outside = P("(1 2)", n)
+    assert outside not in G
+    assert _embedded(outside, degree) not in big
+    assert P(f"(1 {degree})", degree) not in big
+    assert [down(x) for x in mulclose(big.generators, degree=degree)] == elements
+    x = G.generators[0]
+    orbit = conjugation_orbit(big, _embedded(x, degree))
+    assert {down(y): down(r) for y, r in orbit.items()} == conjugation_orbit(G, x)
+    closure = normal_closure(big, [_embedded(x, degree)])
+    native = normal_closure(G, [x])
+    assert closure.order == native.order
+    assert [down(g) for g in closure.generators] == list(native.generators)
+    derived = derived_subgroup(big)
+    assert derived.order == derived_subgroup(G).order
+    assert [down(g) for g in derived.generators] == list(derived_subgroup(G).generators)
+    assert [N.order for N in normal_subgroups(big)] == [
+        N.order for N in normal_subgroups(G)
+    ]
+    rng_big, rng = random.Random(5), random.Random(5)
+    assert [down(big.sample(rng_big)) for _ in range(20)] == [
+        G.sample(rng) for _ in range(20)
+    ]
+
+
+def _count_kernel_calls(monkeypatch):
+    """Count Permutation products and inverses from here on."""
+    calls = {"__mul__": 0, "inverse": 0}
+    for name in calls:
+        original = getattr(Permutation, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(Permutation, name, counting)
+    return calls
+
+
+def test_kernel_loops_take_no_permutation_products(groups, monkeypatch):
+    # The chain, mulclose and class walks run on raw images: no Permutation
+    # product or inverse per Schreier generator, sift step, closure element
+    # or class member.
+    rng = random.Random(3)
+    A5, A6 = groups["A5"], groups["A6"]
+    redundant = []
+    for _ in range(60):
+        x = A6.identity
+        for _ in range(rng.randrange(1, 8)):
+            x = x * rng.choice(A6.generators)
+        redundant.append(x)
+    five_cycle = P("(1 2 3 4 5)", 5)
+    fresh_A5 = PermGroup(5, A5.generators)
+    calls = _count_kernel_calls(monkeypatch)
+    assert StabilizerChain(6, redundant).order() == 360
+    assert calls == {"__mul__": 0, "inverse": 0}
+    assert len(mulclose(A5.generators)) == 60
+    assert calls == {"__mul__": 0, "inverse": 0}
+    assert len(conjugation_orbit(fresh_A5, five_cycle)) == 12
+    assert calls == {"__mul__": 0, "inverse": 0}

@@ -127,6 +127,41 @@ def _inverse_by_definition(p):
     return Permutation([p.images.index(i) for i in range(p.degree)])
 
 
+def _power_by_definition(p, m):
+    """The images of p^m for m >= 0, by squaring; each product point by point."""
+    base = tuple(p.images)
+    result = tuple(range(p.degree))
+    while m:
+        if m & 1:
+            result = tuple(base[i] for i in result)
+        base = tuple(base[i] for i in base)
+        m >>= 1
+    return result
+
+
+_PRIMES = [r for r in range(2, 300) if all(r % s for s in range(2, r))]
+
+
+def _is_order_by_definition(p, k):
+    """k is the least positive exponent with p^k the identity: p^k is, and
+    p^(k/r) is not for any prime r dividing k.  An order divides degree!, so
+    its primes are at most the degree."""
+    if k < 1:
+        return False
+    identity = tuple(range(p.degree))
+    primes = [r for r in _PRIMES if k % r == 0]
+    rest = k
+    for r in primes:
+        while rest % r == 0:
+            rest //= r
+    return (
+        rest == 1
+        and all(r <= p.degree for r in primes)
+        and _power_by_definition(p, k) == identity
+        and all(_power_by_definition(p, k // r) != identity for r in primes)
+    )
+
+
 def _stored_form_follows_degree(p):
     expected = bytes if p.degree <= BYTES_MAX_DEGREE else tuple
     return type(p.images) is expected
@@ -161,6 +196,7 @@ def _check_fast_path(pair, n):
         assert len({fast, validated}) == 1
         assert {validated: "v"}[fast] == "v"
         assert _stored_form_follows_degree(fast)
+    assert _is_order_by_definition(p, p.order())
     assert (p < q) == (tuple(p.images) < tuple(q.images))
     assert (p <= q) == (tuple(p.images) <= tuple(q.images))
     assert (p < p.inverse()) == (tuple(p.images) < tuple(p.inverse().images))

@@ -310,3 +310,23 @@ def test_level_drops_by_one_in_the_quotient(groups):
         quotient = quotient_action(G, series[level - 1]).quotient
         _, qlevel = star_chain(quotient)
         assert qlevel == level - 1, name
+
+
+@pytest.mark.parametrize(
+    "name, orders, closures",
+    # A5: the two classes of 5-cycles are x and x^2; SL(2,5): also the two
+    # classes of elements of order 10
+    [("A5", [1, 60], 4), ("SL25", [1, 2, 120], 7)],
+)
+def test_normal_subgroups_take_one_closure_per_cyclic_class(
+    monkeypatch, name, orders, closures
+):
+    G = catalog.CATALOG[name].group()
+    calls = {"normal_closure": 0}
+    monkeypatch.setattr(
+        structure,
+        "normal_closure",
+        _counted(calls, "normal_closure", structure.normal_closure),
+    )
+    assert [N.order for N in normal_subgroups(G)] == orders
+    assert calls == {"normal_closure": closures}
