@@ -6,6 +6,12 @@ generators come from layered product sets with back-pointers.  The cover
 provider builds, for a finite list of simple groups, a bounded tuple of
 elements of their direct product generating a perfect subgroup that surjects onto every
 factor.
+
+Like the chain in `groups`, the product loops run on raw images through
+`perms.kernel`: set products, the power sets of a covering number and the
+decomposer's layers hold images, and each element's right-operand table is
+computed once and shared by every product it is the right operand of.  A
+`Permutation` is built only for what a function returns.
 """
 
 from __future__ import annotations
@@ -13,24 +19,24 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import InternalError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError
 from .groups import (
     ENUMERATION_CAP,
     PermGroup,
     StabilizerChain,
-    centralizer,
     conjugacy_class_of,
-    conjugation_orbit,
+    conjugation_orbit_images,
     derived_subgroup,
     enumerate_elements,
     is_abelian,
 )
-from .perms import Permutation
+from .perms import Permutation, kernel
 from .products import DirectProduct
 from .structure import normal_subgroups
 
 _COVER_BUDGET_MAX = 61
 _COVER_RETRIES = 64
+_wrap = Permutation._trusted
 
 
 def is_simple_nonabelian(S: PermGroup, cap: int = ENUMERATION_CAP) -> bool:
@@ -41,17 +47,27 @@ def is_simple_nonabelian(S: PermGroup, cap: int = ENUMERATION_CAP) -> bool:
 
 def product_set(X, Y, cap: int = ENUMERATION_CAP) -> frozenset:
     """{x * y : x in X, y in Y}."""
-    X = list(X)
-    Y = list(Y)
+    X = [x.images for x in X]
+    Y = [y.images for y in Y]
     if len(X) * len(Y) > cap * 64:
         raise PreconditionError("product set computation over the cap")
+    if not X or not Y:
+        return frozenset()
+    degree = len(X[0])
+    if any(len(a) != degree for a in X) or any(len(b) != degree for b in Y):
+        raise InputError("degree mismatch in product")
+    table, compose, _ = kernel(degree)
+    return frozenset(map(_wrap, _product_images(X, [table(b) for b in Y], compose, cap)))
+
+
+def _product_images(X, tables, compose, cap: int) -> set:
+    """The images of x * y for x in X (images) and y in Y (their tables)."""
     out = set()
-    for x in X:
-        for y in Y:
-            out.add(x * y)
-            if len(out) > cap:
-                raise PreconditionError("product set exceeded the cap")
-    return frozenset(out)
+    for a in X:
+        out.update([compose(a, t) for t in tables])
+        if len(out) > cap:
+            raise PreconditionError("product set exceeded the cap")
+    return out
 
 
 def is_normal_subset(S: PermGroup, X, cap: int = ENUMERATION_CAP) -> bool:
@@ -91,14 +107,16 @@ def covering_number(
         raise PreconditionError("subset is not closed under conjugation")
     if not Xset or Xset == {S.identity}:
         raise PreconditionError("subset must contain a nonidentity element")
-    all_elements = frozenset(enumerate_elements(S, cap))
-    power = Xset
+    table, compose, _ = kernel(S.degree)
+    x_tables = [table(x.images) for x in Xset]
+    all_elements = {g.images for g in enumerate_elements(S, cap)}
+    power = {x.images for x in Xset}
     sizes = [len(power)]
     e = 1
     while power != all_elements:
         if e > S.order:
             raise InternalError("covering iteration failed to terminate")
-        power = product_set(power, Xset, cap)
+        power = _product_images(power, x_tables, compose, cap)
         sizes.append(len(power))
         e += 1
     cert = CoveringCertificate(S, Xset, e, tuple(sizes))
@@ -144,6 +162,12 @@ class _LayeredDecomposer:
     Layer i is the set of products c_1 ... c_i with c_k in class(m_{k mod g}).
     Once a layer saturates to the whole group, later layers are not stored;
     their back-pointers are resolved on demand.
+
+    Layers, classes and the keys of `conjugators` are raw images: layer i
+    maps the images of each product to (images of its layer i-1 factor,
+    images of its class member).  An element's right-operand table, and in
+    `_back_step` its inverse's, is computed once and shared by every class
+    it belongs to.
     """
 
     def __init__(self, S: PermGroup, gens, e: int, cap: int = ENUMERATION_CAP):
@@ -151,46 +175,59 @@ class _LayeredDecomposer:
         self.gens = tuple(gens)
         self.e = e
         self.g = len(self.gens)
-        self.classes: list[list[Permutation]] = []
-        self.conjugators: list[dict[Permutation, Permutation]] = []
+        self._table, self._compose, self._invert = kernel(S.degree)
+        self._tables: dict = {}
+        self._inverse_tables: dict = {}
+        self._ident = S.identity.images
+        self.classes: list[list] = []
+        self.conjugators: list[dict] = []
         for m in self.gens:
-            cls_map = conjugation_orbit(S, m)
+            cls_map = conjugation_orbit_images(S, m)
             self.classes.append(list(cls_map))
             self.conjugators.append(cls_map)
-        self.all_elements = frozenset(enumerate_elements(S, cap))
+        self.all_elements = {x.images for x in enumerate_elements(S, cap)}
         total = e * self.g
-        self.layers: list[dict[Permutation, tuple | None]] = [
-            {S.identity: None}
-        ]
+        self.layers: list[dict] = [{self._ident: None}]
         self.saturated_at: int | None = None
+        compose = self._compose
         for i in range(1, total + 1):
             if self.saturated_at is not None:
                 break
             prev = self.layers[i - 1]
-            cls = self.classes[(i - 1) % self.g]
-            layer: dict[Permutation, tuple | None] = {}
+            cls = [(c, self._table_of(c)) for c in self.classes[(i - 1) % self.g]]
+            layer: dict = {}
             for x in prev:
-                for c in cls:
-                    y = x * c
+                for c, c_table in cls:
+                    y = compose(x, c_table)
                     if y not in layer:
                         layer[y] = (x, c)
             self.layers.append(layer)
             if len(layer) == S.order:
                 self.saturated_at = i
 
-    def _layer_contains(self, i: int, x: Permutation) -> bool:
+    def _table_of(self, c):
+        t = self._tables.get(c)
+        if t is None:
+            t = self._tables[c] = self._table(c)
+        return t
+
+    def _layer_contains(self, i: int, x) -> bool:
         if self.saturated_at is not None and i >= self.saturated_at:
             return x in self.all_elements
         return x in self.layers[i]
 
-    def _back_step(self, i: int, x: Permutation) -> tuple[Permutation, Permutation]:
-        cls = self.classes[(i - 1) % self.g]
+    def _back_step(self, i: int, x) -> tuple:
+        """(layer i-1 factor, class member) of images x in layer i."""
         if self.saturated_at is None or i < len(self.layers):
             entry = self.layers[i].get(x)
             if entry is not None:
                 return entry
-        for c in cls:
-            prev = x * c.inverse()
+        inverse_tables = self._inverse_tables
+        for c in self.classes[(i - 1) % self.g]:
+            c_inv = inverse_tables.get(c)
+            if c_inv is None:
+                c_inv = inverse_tables[c] = self._table(self._invert(c))
+            prev = self._compose(x, c_inv)
             if self._layer_contains(i - 1, prev):
                 return prev, c
         raise InternalError("back-pointer resolution failed")
@@ -198,18 +235,18 @@ class _LayeredDecomposer:
     def decompose(self, target: Permutation) -> list[list[Permutation]]:
         """Conjugators r[t][j] with target = prod_t prod_j m_j ** r[t][j]."""
         total = self.e * self.g
-        if not self._layer_contains(total, target):
+        cur = target.images
+        if not self._layer_contains(total, cur):
             raise PreconditionError(
                 f"element is not a product of {self.e} rounds of the classes"
             )
         rows = [[self.S.identity] * self.g for _ in range(self.e)]
-        cur = target
         for i in range(total, 0, -1):
             prev, used = self._back_step(i, cur)
             t, j = divmod(i - 1, self.g)
-            rows[t][j] = self.conjugators[j][used]
+            rows[t][j] = _wrap(self.conjugators[j][used])
             cur = prev
-        if not cur.is_identity():
+        if cur != self._ident:
             raise InternalError("back-walk did not reach the identity")
         check = self.S.identity
         for t in range(self.e):

@@ -12,7 +12,9 @@ The chain, `mulclose` and the class walks work on raw images through
 `perms.kernel` and build a `Permutation` only for what they keep or return:
 a new strong generator, a returned residue, a closure element, a class
 member.  Each level stores the inverse of each transversal element when it
-computes its orbit, so a sift step is one compose.  Schreier-Sims checks
+computes its orbit, so a sift step is one compose, and it keeps the strong
+generators that fix the earlier base points as they are added, so no pass
+filters them again.  Schreier-Sims checks
 each Schreier generator once: a level records, since its orbit was last
 recomputed, the (orbit point, strong generator) pairs it has checked, and
 it keeps the Schreier generators that sifted to the identity.  Both stay
@@ -68,18 +70,22 @@ def mulclose(generators, cap: int = ENUMERATION_CAP, degree: int | None = None):
 class _Level:
     """One level of the chain, on raw images.
 
-    `transversal[q]` maps the base point to q and `inverse[q]` is the
-    right-operand table of its inverse.  `checked[k]` counts the level's
-    strong generators s (in list order) whose Schreier generator at
-    `orbit[k]` is known to lie in the deeper levels' group; it is reset
-    whenever the orbit is recomputed.  `sifted` holds Schreier generators
-    that sifted to the identity through the deeper levels.
+    `gens` holds the (images, table) pairs of the strong generators that fix
+    the earlier levels' points, in strong-generator order; a new strong
+    generator joins every level up to and including the first whose point
+    it moves.  `transversal[q]` maps the base point to q and `inverse[q]`
+    is the right-operand table of its inverse.  `checked[k]` counts the
+    leading entries s of `gens` whose Schreier generator at `orbit[k]` is
+    known to lie in the deeper levels' group; it is reset whenever the
+    orbit is recomputed.  `sifted` holds Schreier generators that sifted to
+    the identity through the deeper levels.
     """
 
-    __slots__ = ("point", "orbit", "transversal", "inverse", "checked", "sifted")
+    __slots__ = ("point", "gens", "orbit", "transversal", "inverse", "checked", "sifted")
 
-    def __init__(self, point: int):
+    def __init__(self, point: int, gens: list[tuple]):
         self.point = point
+        self.gens = gens
         self.sifted = set()
 
 
@@ -106,17 +112,13 @@ class StabilizerChain:
     # -- construction -------------------------------------------------
 
     def _append_strong_gen(self, g: Permutation) -> None:
+        pair = (g.images, self._table(g.images))
         self.strong_gens.append(g)
-        self._gen_tables.append((g.images, self._table(g.images)))
-
-    def _gens_at(self, i: int) -> list[tuple]:
-        """(images, table) of the strong generators fixing the first i base points."""
-        base_prefix = [lev.point for lev in self.levels[:i]]
-        return [
-            pair
-            for pair in self._gen_tables
-            if all(pair[0][b] == b for b in base_prefix)
-        ]
+        self._gen_tables.append(pair)
+        for lev in self.levels:
+            lev.gens.append(pair)
+            if g.images[lev.point] != lev.point:
+                return
 
     def _ensure_base_covers(self, g) -> None:
         """Append a level at the least point g moves if it fixes the base; g is images."""
@@ -127,12 +129,18 @@ class StabilizerChain:
                 return
         for point in range(self.degree):
             if g[point] != point:
-                self.levels.append(_Level(point))
+                if self.levels:
+                    last = self.levels[-1]
+                    b = last.point
+                    gens = [pair for pair in last.gens if pair[0][b] == b]
+                else:
+                    gens = list(self._gen_tables)
+                self.levels.append(_Level(point, gens))
                 return
 
     def _recompute_orbit(self, i: int) -> None:
         lev = self.levels[i]
-        gens = self._gens_at(i)
+        gens = lev.gens
         compose = self._compose
         transversal = {lev.point: self._ident}
         orbit = [lev.point]
@@ -199,7 +207,7 @@ class StabilizerChain:
         those levels are complete here, it would sift to the identity again.
         """
         lev = self.levels[i]
-        gens = self._gens_at(i)
+        gens = lev.gens
         n_gens = len(gens)
         compose, ident = self._compose, self._ident
         transversal, inverse, checked, sifted = (
@@ -455,6 +463,12 @@ def conjugation_orbit(G: PermGroup, x: Permutation) -> dict[Permutation, Permuta
     Breadth-first over the reduced generators, so members appear in a fixed
     discovery order; G is never enumerated.
     """
+    return {_wrap(y): _wrap(r) for y, r in conjugation_orbit_images(G, x).items()}
+
+
+def conjugation_orbit_images(G: PermGroup, x: Permutation) -> dict:
+    """`conjugation_orbit` on raw images: the images of each member y, in
+    the same order, mapped to the images of its r."""
     if x not in G:
         raise PreconditionError("element is not in the group")
     table, compose, _ = kernel(G.degree)
@@ -470,7 +484,7 @@ def conjugation_orbit(G: PermGroup, x: Permutation) -> dict[Permutation, Permuta
             if z not in orbit:
                 orbit[z] = compose(r, g_table)
                 queue.append(z)
-    return {_wrap(y): _wrap(r) for y, r in orbit.items()}
+    return orbit
 
 
 def conjugation_orbits(G: PermGroup, cap: int = ENUMERATION_CAP):

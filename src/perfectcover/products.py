@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import InputError
 from .groups import PermGroup
-from .perms import Permutation, commutator, pack
+from .perms import Permutation, commutator, kernel, pack
 
 
 class DirectProduct:
@@ -95,7 +95,7 @@ def _factor_product(product: DirectProduct, factor_of, parts) -> Permutation:
     factor_of[idx] == j: simple factors of one member multiply together."""
     comps: dict[int, Permutation] = {}
     for j, part in zip(factor_of, parts):
-        comps[j] = comps.get(j, product.factors[j].identity) * part
+        comps[j] = comps[j] * part if j in comps else part
     return product.element(comps)
 
 
@@ -155,15 +155,19 @@ def t_values(product: DirectProduct, factor_of, tuples, r, e: int) -> list[Permu
     """T's generators: the distinct m_{c'} ** r_{l,c,t} over (l, c, t, c')
     in that order."""
     g = len(tuples[0])
-    covers = [_cover_element(product, factor_of, tuples, c) for c in range(g)]
-    values = []
+    table, compose, invert = kernel(product.degree)
+    cover_tables = [
+        table(_cover_element(product, factor_of, tuples, c).images) for c in range(g)
+    ]
+    values: dict = {}
     for l in range(len(r)):
         for c in range(g):
             for t in range(e):
-                conj = _conjugator_element(product, factor_of, r, l, c, t)
-                inv = conj.inverse()
-                values.extend(inv * m_c * conj for m_c in covers)
-    return _distinct(values)
+                conj = _conjugator_element(product, factor_of, r, l, c, t).images
+                inv, conj_table = invert(conj), table(conj)
+                for m_table in cover_tables:
+                    values[compose(compose(inv, m_table), conj_table)] = None
+    return [Permutation._trusted(v) for v in values]
 
 
 def gamma_generators(delta, q_vals, t_vals) -> list[Permutation]:

@@ -5,7 +5,7 @@ from contextlib import contextmanager
 import pytest
 
 from perfectcover import catalog
-from perfectcover.perms import format_cycles, parse_cycles
+from perfectcover.perms import Permutation, format_cycles, parse_cycles
 
 ACCEPTANCE_LINES = []
 
@@ -61,6 +61,20 @@ def tamper_conjugator(data):
     assert m.conjugate(x * r) != m.conjugate(r)
     lvl["r"][0][0][0][0] = format_cycles(x * r)
     return bad
+
+
+def count_permutation_calls(monkeypatch):
+    """Count Permutation products and inverses from here on."""
+    calls = {"__mul__": 0, "inverse": 0}
+    for name in calls:
+        original = getattr(Permutation, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(Permutation, name, counting)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -2,9 +2,12 @@ import math
 import random
 
 import pytest
+from conftest import count_permutation_calls
 
+from perfectcover.construction import construct
 from perfectcover.covering import (
     CoveringCertificate,
+    _LayeredDecomposer,
     covering_number,
     decompose_conjugate_product,
     is_simple_nonabelian,
@@ -13,8 +16,9 @@ from perfectcover.covering import (
     sample_generating_tuple,
     semisimple_cover,
 )
-from perfectcover.errors import PreconditionError
-from perfectcover.perms import parse_cycles
+from perfectcover.errors import InputError, PreconditionError
+from perfectcover.perms import Permutation, parse_cycles
+from perfectcover.products import _conjugator_element, _cover_element, t_values
 from perfectcover.groups import (
     PermGroup,
     centralizer,
@@ -208,3 +212,86 @@ def test_semisimple_cover_validation(groups):
         semisimple_cover((groups["S3"],), budget=2)
     with pytest.raises(PreconditionError):
         semisimple_cover((), budget=2)
+
+
+def _embedded(p, degree):
+    """p on `degree` points, moving 0..p.degree-1 as p does and fixing the rest."""
+    return Permutation(tuple(p.images) + tuple(range(p.degree, degree)))
+
+
+def test_covering_layer_above_degree_256_matches_degree_5(groups):
+    # Above degree 256 images are tuples; the image loops must give the
+    # same sets, covering numbers and decompositions as on 5 points.
+    A5 = groups["A5"]
+    big = PermGroup(300, [_embedded(g, 300) for g in A5.generators])
+    assert type(big.identity.images) is tuple
+    for rep in (P("(1 2)(3 4)", 5), P("(1 2 3)", 5), P("(1 2 3 4 5)", 5)):
+        X = conjugacy_class_of(A5, rep)
+        X_big = conjugacy_class_of(big, _embedded(rep, 300))
+        assert product_set(X_big, X_big) == {_embedded(y, 300) for y in product_set(X, X)}
+        cert, cert_big = covering_number(A5, X), covering_number(big, X_big)
+        assert cert_big.power_sizes == cert.power_sizes
+        assert cert_big.e == cert.e
+    gens = list(A5.generators)
+    gens_big = [_embedded(m, 300) for m in gens]
+    for target in (P("(1 2)(3 4)", 5), P("(1 5 2)", 5), A5.identity):
+        target_big = _embedded(target, 300)
+        rows = decompose_conjugate_product(big, target_big, gens_big, 2)
+        value = big.identity
+        for row in rows:
+            for m, r in zip(gens_big, row):
+                value = value * m.conjugate(r)
+        assert value == target_big
+        native = decompose_conjugate_product(A5, target, gens, 2)
+        assert rows == [[_embedded(r, 300) for r in row] for row in native]
+
+
+def test_product_set_rejects_mixed_degrees(groups):
+    x5, x6, x300 = P("(1 2 3)", 5), P("(1 2 3)", 6), _embedded(P("(1 2 3)", 5), 300)
+    for X, Y in (([x5], [x6]), ([x5], [x5, x6]), ([x5, x6], [x5]), ([x300], [x5])):
+        with pytest.raises(InputError):
+            product_set(X, Y)
+
+
+def test_covering_loops_take_no_permutation_products(groups, monkeypatch):
+    # product_set and the decomposer's layers run on raw images.
+    A6 = groups["A6"]
+    classes = _nontrivial_classes(A6)
+    gens = [c[0] for c in classes]
+    expected = {x * y for x in classes[0] for y in classes[1]}
+    calls = count_permutation_calls(monkeypatch)
+    assert product_set(classes[0], classes[1]) == expected
+    for X, Y in zip(classes, classes[1:]):
+        product_set(X, Y)
+    assert calls == {"__mul__": 0, "inverse": 0}
+    decomposer = _LayeredDecomposer(A6, gens, 2)
+    assert decomposer.saturated_at is not None
+    assert calls == {"__mul__": 0, "inverse": 0}
+
+
+def test_t_values_take_no_product_per_value(groups, monkeypatch):
+    # T's generators come from image compositions: Permutation products are
+    # allowed only in building the conjugator and cover elements themselves.
+    names = ("A5", "A6", "PSL27")
+    cert = construct(
+        tuple(groups[n] for n in names), d=2, k=1, names=names, seed=7, budget=61
+    )
+    level = cert.levels[-1]
+    product, tdata = level.split.product, level.tdata
+    args = (product, tdata.factor_of, tdata.tuples, tdata.r, tdata.e)
+    g, m = len(tdata.tuples[0]), len(tdata.r)
+    reference = {}
+    for l in range(m):
+        for c in range(g):
+            for t in range(tdata.e):
+                conj = _conjugator_element(product, tdata.factor_of, tdata.r, l, c, t)
+                for c2 in range(g):
+                    m_c = _cover_element(product, tdata.factor_of, tdata.tuples, c2)
+                    reference.setdefault(conj.inverse() * m_c * conj, None)
+    calls = count_permutation_calls(monkeypatch)
+    values = t_values(*args)
+    assert values == list(reference) == tdata.values
+    n_conjugators = m * g * tdata.e
+    assert calls["__mul__"] <= n_conjugators + g
+    assert calls["__mul__"] < len(values)
+    assert calls["inverse"] == 0

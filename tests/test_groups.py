@@ -3,7 +3,9 @@
 import random
 
 import pytest
+from conftest import count_permutation_calls
 
+from perfectcover import catalog
 from perfectcover.errors import (
     InputError,
     InternalError,
@@ -347,20 +349,6 @@ def test_groups_above_degree_256_match_their_native_degree(groups, name, degree)
     ]
 
 
-def _count_kernel_calls(monkeypatch):
-    """Count Permutation products and inverses from here on."""
-    calls = {"__mul__": 0, "inverse": 0}
-    for name in calls:
-        original = getattr(Permutation, name)
-
-        def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(Permutation, name, counting)
-    return calls
-
-
 def test_kernel_loops_take_no_permutation_products(groups, monkeypatch):
     # The chain, mulclose and class walks run on raw images: no Permutation
     # product or inverse per Schreier generator, sift step, closure element
@@ -375,10 +363,55 @@ def test_kernel_loops_take_no_permutation_products(groups, monkeypatch):
         redundant.append(x)
     five_cycle = P("(1 2 3 4 5)", 5)
     fresh_A5 = PermGroup(5, A5.generators)
-    calls = _count_kernel_calls(monkeypatch)
+    calls = count_permutation_calls(monkeypatch)
     assert StabilizerChain(6, redundant).order() == 360
     assert calls == {"__mul__": 0, "inverse": 0}
     assert len(mulclose(A5.generators)) == 60
     assert calls == {"__mul__": 0, "inverse": 0}
     assert len(conjugation_orbit(fresh_A5, five_cycle)) == 12
     assert calls == {"__mul__": 0, "inverse": 0}
+
+
+def _gens_fixing_base_prefix(chain, i):
+    """The chain's (images, table) pairs that fix its first i base points."""
+    prefix = chain.base()[:i]
+    return [p for p in chain._gen_tables if all(p[0][b] == b for b in prefix)]
+
+
+def _assert_level_gens_match_definition(chain):
+    for i, lev in enumerate(chain.levels):
+        expected = _gens_fixing_base_prefix(chain, i)
+        assert lev.gens == expected
+        # the levels share the pairs: no table is stored twice
+        assert all(a is b for a, b in zip(lev.gens, expected))
+
+
+@pytest.mark.parametrize("name", catalog.names())
+@pytest.mark.parametrize("padded", [False, True])
+def test_level_generators_are_the_strong_generators_fixing_the_base(groups, name, padded):
+    # Each level keeps its generator list as strong generators are added;
+    # it must equal the filter of all strong generators by the base prefix,
+    # for bytes images, for tuple images (degree 300) and after `extend`.
+    G = groups[name]
+    degree = 300 if padded else G.degree
+    gens = [_embedded(g, degree) for g in G.generators]
+    chain = StabilizerChain(degree, gens)
+    assert chain.order() == G.order
+    _assert_level_gens_match_definition(chain)
+    rng = random.Random(11)
+    grown = StabilizerChain(degree, gens[:1])
+    for g in gens[1:]:
+        grown.extend(g)
+        _assert_level_gens_match_definition(grown)
+    for _ in range(10):
+        x = grown.identity
+        for _ in range(rng.randrange(1, 6)):
+            x = x * rng.choice(gens)
+        grown.extend(x)
+        _assert_level_gens_match_definition(grown)
+    assert grown.order() == G.order
+    empty = StabilizerChain(degree, ())
+    for g in reversed(gens):
+        empty.extend(g)
+        _assert_level_gens_match_definition(empty)
+    assert empty.order() == G.order
