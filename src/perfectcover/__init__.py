@@ -25,11 +25,10 @@ from .groups import (
     is_perfect,
     mulclose,
     normal_closure,
-    quotient_action,
 )
 from .products import DirectProduct
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .words import (  # noqa: E402
     Word,

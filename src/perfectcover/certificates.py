@@ -1,12 +1,13 @@
 """Certificate serialization and the independent verifier.
 
 A certificate is a plain JSON document holding the witnesses of one
-construction run: the family, per-level split data, words, lifts,
-residues, module coordinates, cover tuples and conjugators, plus the
-order and marked generators of each level's Gamma and, at the top, the
-final generators.  Nothing the witnesses determine is stored per level:
-Delta, Q, T and each Gamma's generator list are derived from them by the
-helpers in `products`, the same ones the construction uses.
+construction run: the family, then per level the words, lifts, residues,
+module coordinates, cover tuples and conjugators and the marked
+generators of that level's Gamma, and at the top the final generators.
+Nothing the family and k determine is stored per level: the verifier
+derives each level's members, W, A, S, B and simple factors itself, and
+Delta, Q, T and each Gamma's generator list from the witnesses, by the
+helpers in `structure` and `products` that the construction uses.
 `verify_certificate` re-checks every claim from scratch, using only the
 stored data and the library kernel; it shares no state with the
 construction code, and a fixed list of named steps makes failures
@@ -23,13 +24,13 @@ from . import __version__
 from .errors import InputError
 from .groups import (
     ENUMERATION_CAP,
+    CosetMap,
     PermGroup,
     StabilizerChain,
     center,
     commutator_subgroup,
     derived_subgroup,
     normal_closure,
-    quotient_action,
 )
 from .perms import Permutation, commutator, format_cycles, parse_cycles
 from .products import (
@@ -41,11 +42,7 @@ from .products import (
     q_values,
     t_values,
 )
-from .structure import (
-    is_in_Y,
-    semisimple_factors,
-    star_chain,
-)
+from .structure import is_in_Y, semisimple_factors, series_term
 from .words import evaluate_word, parse_word
 
 CERT_FORMAT = "perfectcover.certificate"
@@ -114,59 +111,36 @@ def serialize_certificate(cert) -> dict:
         "levels": [],
     }
     for lvl in cert.levels:
-        split, aligned = lvl.split, lvl.aligned
+        aligned, qdata, tdata = lvl.aligned, lvl.qdata, lvl.tdata
         factors = []
-        for j, G in enumerate(split.family):
-            modules = lvl.qdata.modules[j]
+        for j in range(len(lvl.split.family)):
+            modules = qdata.modules[j]
+            coords = qdata.q_coords[j]
             factors.append(
                 {
-                    "name": split.names[j],
-                    "degree": G.degree,
-                    "generators": _group_gens(G),
-                    "W": _group_gens(split.W[j]),
-                    "A": _group_gens(split.A[j]),
-                    "S": _group_gens(split.S[j]),
-                    "B": _group_gens(split.B[j]),
                     "lifts": [_perm_str(a) for a in aligned.lifts[j]],
                     "k_res": [_perm_str(x) for x in aligned.k_res[j]],
                     "s_res": [_perm_str(x) for x in aligned.s_res[j]],
                     "module_basis": (
                         [_perm_str(b) for b in modules.basis] if modules else None
                     ),
-                    "module_orders": list(modules.orders) if modules else None,
                     "q_coords": (
-                        [
-                            [list(c) for c in per_i]
-                            for per_i in lvl.qdata.q_coords[j]
-                        ]
-                        if lvl.qdata.q_coords[j] is not None
+                        [[list(c) for c in per_i] for per_i in coords]
+                        if coords is not None
                         else None
-                    ),
-                    "simple_factors": (
-                        [
-                            _group_gens(M)
-                            for M in (lvl.tdata.simple_factors[j] if lvl.tdata else [])
-                        ]
-                        if lvl.tdata
-                        else []
                     ),
                 }
             )
-        tdata = lvl.tdata
         level_doc = {
-            "k_level": lvl.k_level,
             "m": aligned.m,
             "words": [str(w) for w in aligned.words],
             "factors": factors,
             "cover": (
                 {
                     "e": tdata.e,
-                    "e_per_factor": list(tdata.e_per_factor),
-                    "factor_of": list(tdata.factor_of),
                     "tuples": [
                         [_perm_str(x) for x in tup] for tup in tdata.tuples
                     ],
-                    "full_product": tdata.full_cover,
                 }
                 if tdata
                 else None
@@ -182,7 +156,7 @@ def serialize_certificate(cert) -> dict:
                 if tdata
                 else None
             ),
-            "gamma": {"order": lvl.gamma.order, "marked": list(lvl.marked_idx)},
+            "marked": list(lvl.marked_idx),
         }
         data["levels"].append(level_doc)
     if cert.levels:
@@ -299,53 +273,39 @@ def _parse_gens(strings, degree: int) -> list[Permutation]:
     return [parse_cycles(s, degree) for s in strings]
 
 
-def _subgroup_from(strings, degree: int) -> PermGroup:
-    return PermGroup(degree, _parse_gens(strings, degree))
-
-
-def _same_group(G: PermGroup, H: PermGroup) -> bool:
-    return (
-        G.degree == H.degree
-        and G.order == H.order
-        and all(g in H for g in G.generators)
-    )
-
-
 class _LevelCtx:
-    """Parsed view of one level of the certificate.
+    """One level of the certificate: the structure the verifier derives
+    from the family and the level number, and the stored witnesses.
 
-    The values Gamma is built from (Delta, Q, T and the generator list) are
-    derived from the witnesses on first use, so a step that needs a value
-    the witnesses cannot give reports the failure itself.
+    At level k_level each member G splits over W = G_{k_level - 1}, with
+    A = Z(W), S = [W, W] and B = [A, G]; its quotient by W is the member
+    one level deeper.  The values Gamma is built from (Delta, Q, T and the
+    generator list) are derived from the witnesses on first use, so a step
+    that needs a value the witnesses cannot give reports the failure itself.
     """
 
-    def __init__(self, doc: dict, family: list[PermGroup], cap: int):
+    def __init__(self, doc: dict, family: list[PermGroup], k_level: int, cap: int):
+        if len(doc["factors"]) != len(family):
+            raise InputError("the level needs one factor per family member")
         self.doc = doc
-        self.k_level = doc["k_level"]
+        self.k_level = k_level
         self.m = doc["m"]
         self.family = family
         self.product = DirectProduct(family)
-        self.W = []
-        self.A = []
-        self.S = []
-        self.B = []
+        self.W = [series_term(G, k_level, cap) for G in family]
+        self.A = [center(W, cap) for W in self.W]
+        self.S = [derived_subgroup(W) for W in self.W]
+        self.B = [commutator_subgroup(G, A, G) for G, A in zip(family, self.A)]
+        self.qmaps = [CosetMap(G, W, cap) for G, W in zip(family, self.W)]
         self.lifts = []
         self.k_res = []
         self.s_res = []
-        for j, fdoc in enumerate(doc["factors"]):
-            degree = family[j].degree
-            if fdoc["degree"] != degree:
-                raise InputError("factor degree mismatch with the family")
-            self.W.append(_subgroup_from(fdoc["W"], degree))
-            self.A.append(_subgroup_from(fdoc["A"], degree))
-            self.S.append(_subgroup_from(fdoc["S"], degree))
-            self.B.append(_subgroup_from(fdoc["B"], degree))
-            self.lifts.append(_parse_gens(fdoc["lifts"], degree))
-            self.k_res.append(_parse_gens(fdoc["k_res"], degree))
-            self.s_res.append(_parse_gens(fdoc["s_res"], degree))
+        for G, fdoc in zip(family, doc["factors"]):
+            self.lifts.append(_parse_gens(fdoc["lifts"], G.degree))
+            self.k_res.append(_parse_gens(fdoc["k_res"], G.degree))
+            self.s_res.append(_parse_gens(fdoc["s_res"], G.degree))
         self.words = [parse_word(w, self.m) for w in doc["words"]]
-        self.gamma_order = doc["gamma"]["order"]
-        self.marked = doc["gamma"]["marked"]
+        self.marked = doc["marked"]
         self.cap = cap
 
     def k_elem(self, i: int) -> Permutation:
@@ -383,6 +343,14 @@ class _LevelCtx:
         return out
 
     @cached_property
+    def simple_factors(self) -> list[tuple[int, PermGroup]]:
+        """(member, factor) for each simple factor of each S, members in order;
+        the cover lists one tuple per entry, in this order."""
+        return [
+            (j, M) for j, S in enumerate(self.S) for M in semisimple_factors(S, self.cap)
+        ]
+
+    @cached_property
     def q_values(self) -> list[Permutation]:
         return q_values(self.product, self.q_elems, self.lifts)
 
@@ -392,7 +360,7 @@ class _LevelCtx:
         cover = self.doc["cover"]
         if cover is None:
             return None
-        factor_of = cover["factor_of"]
+        factor_of = [j for j, _ in self.simple_factors]
         degrees = [self.family[j].degree for j in factor_of]
         tuples = [_parse_gens(tup, deg) for tup, deg in zip(cover["tuples"], degrees)]
         r = [
@@ -467,26 +435,24 @@ def verify_certificate(
             rec.fail("gamma-perfect", "empty family must have a trivial group")
         return rec.report()
 
-    # parse levels top-down, building each level's family from the one above
+    # level i is level k - i; each level's family is the quotient of the
+    # one above by its W
+    if len(data["levels"]) != k:
+        return VerificationReport(
+            [], False, f"a certificate with k = {k} needs {k} levels"
+        )
     levels: list[_LevelCtx] = []
     cur_family = family
     try:
-        for doc in data["levels"]:
-            ctx = _LevelCtx(doc, cur_family, cap)
+        for i, doc in enumerate(data["levels"]):
+            ctx = _LevelCtx(doc, cur_family, k - i, cap)
             levels.append(ctx)
-            cur_family = [
-                quotient_action(ctx.family[j], ctx.W[j], cap).quotient
-                for j in range(len(ctx.family))
-            ]
+            cur_family = [qmap.quotient for qmap in ctx.qmaps]
     except Exception as exc:  # noqa: BLE001
         return VerificationReport([], False, f"level data unreadable: {exc}")
-    if [ctx.k_level for ctx in levels] != list(range(k, 0, -1)):
-        return VerificationReport(
-            [], False, "levels do not descend from k to 1"
-        )
 
-    for depth, ctx in enumerate(levels):
-        _verify_structure(rec, ctx, names, depth, cap)
+    for ctx in levels:
+        _verify_structure(rec, ctx)
 
     # bottom-up: each level needs the deeper gamma's marked generators
     for idx in range(len(levels) - 1, -1, -1):
@@ -500,7 +466,7 @@ def verify_certificate(
         if levels:
             top = levels[0]
             expected = _top_gamma_doc(
-                top.product, top.gamma_gens, top.gamma_order, top.marked
+                top.product, top.gamma_gens, top.gamma.order, top.marked
             )
         else:
             expected = _top_gamma_doc(None, [], 1, [])
@@ -512,38 +478,14 @@ def verify_certificate(
     return rec.report()
 
 
-def _verify_structure(rec, ctx: _LevelCtx, names, depth: int, cap) -> None:
-    kl = ctx.k_level
-    for j, G in enumerate(ctx.family):
-        label = f"level {kl} factor {j}"
+def _verify_structure(rec, ctx: _LevelCtx) -> None:
+    for j in range(len(ctx.family)):
 
-        def check(j=j, G=G, label=label):
-            # construct adds one "/W" to the name per level below the top
-            if ctx.doc["factors"][j]["name"] != names[j] + "/W" * depth:
-                raise InputError("factor name differs from the derived one")
-            stored = _parse_gens(ctx.doc["factors"][j]["generators"], G.degree)
-            if stored != list(G.generators):
-                raise InputError("stored generators differ from the derived member")
-            series, level = star_chain(G, max_depth=max(kl + 1, 4), cap=cap)
-            expected_W = (
-                series[kl - 1]
-                if kl - 1 < len(series)
-                else PermGroup(G.degree, ())
-            )
-            if not _same_group(expected_W, ctx.W[j]):
-                raise InputError("W is not the expected series term")
-            if not _same_group(center(ctx.W[j], cap), ctx.A[j]):
-                raise InputError("A is not the center of W")
-            if not _same_group(derived_subgroup(ctx.W[j]), ctx.S[j]):
-                raise InputError("S is not the derived subgroup of W")
-            if not _same_group(
-                commutator_subgroup(G, ctx.A[j], G), ctx.B[j]
-            ):
-                raise InputError("B is not [A, G]")
+        def check(j=j):
             if ctx.A[j].order * ctx.S[j].order != ctx.W[j].order:
                 raise InputError("W does not split as A x S")
 
-        rec.guard("structure", label, check)
+        rec.guard("structure", f"level {ctx.k_level} factor {j}", check)
 
 
 def _verify_level(rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, cap) -> None:
@@ -587,8 +529,7 @@ def _verify_level(rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, cap) ->
     # ---- lifts
     def check_lifts():
         prev = prev_gens() if deeper is not None else None
-        for j, G in enumerate(ctx.family):
-            qmap = quotient_action(G, ctx.W[j], cap)
+        for j, qmap in enumerate(ctx.qmaps):
             for i in range(m):
                 img = qmap.apply(ctx.lifts[j][i])
                 if prev is None:
@@ -636,17 +577,11 @@ def _verify_level(rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, cap) ->
                             f"factor {j}: nontrivial residue without module data"
                         )
                 continue
-            basis = ctx.basis(j)
-            orders = fdoc["module_orders"]
-            if len(basis) != len(orders):
-                raise InputError(f"factor {j}: basis/order length mismatch")
             size = 1
-            for b, o in zip(basis, orders):
+            for b in ctx.basis(j):
                 if b not in ctx.A[j]:
                     raise InputError(f"factor {j}: basis element outside A")
-                if b.order() != o:
-                    raise InputError(f"factor {j}: basis element order mismatch")
-                size *= o
+                size *= b.order()
             if size != ctx.A[j].order:
                 raise InputError(f"factor {j}: basis does not span A")
             rows = fdoc["q_coords"]
@@ -711,46 +646,21 @@ def _verify_level(rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, cap) ->
 
     rec.guard("s-in-T", lab, check_sT)
 
-    # ---- T perfect and simple-factor bookkeeping
+    # ---- T perfect: one generating cover tuple per simple factor
     def check_T():
-        if ctx.cover is None:
-            for j in range(nfac):
-                if ctx.S[j].order != 1 and ctx.doc["factors"][j]["simple_factors"]:
-                    raise InputError("simple factors listed but no cover present")
-                if ctx.S[j].order != 1:
-                    raise InputError("semisimple part present but no cover")
+        flat = ctx.simple_factors
+        if ctx.doc["cover"] is None:
+            if flat:
+                raise InputError("semisimple part present but no cover")
             return
-        factor_of, tuples, e, r = ctx.cover
-        cover = ctx.doc["cover"]
-        e_per_factor = cover.get("e_per_factor")
-        if not isinstance(e_per_factor, list) or len(e_per_factor) != len(tuples):
-            raise InputError("e_per_factor needs one entry per cover tuple")
-        if not all(type(x) is int and x > 0 for x in e_per_factor):
-            raise InputError("e_per_factor entries must be positive integers")
-        if max(e_per_factor, default=None) != e:
-            raise InputError(f"max of e_per_factor is not e = {e}")
-        if not isinstance(cover.get("full_product"), bool):
-            raise InputError("full_product must be true or false")
-        for idx, j in enumerate(factor_of):
-            M = _subgroup_from(
-                ctx.doc["factors"][j]["simple_factors"][
-                    [x for x in range(len(factor_of)) if factor_of[x] == j].index(idx)
-                ],
-                ctx.family[j].degree,
+        if len(ctx.doc["cover"]["tuples"]) != len(flat):
+            raise InputError(
+                f"the cover needs one tuple per simple factor, {len(flat)} in all"
             )
+        _, tuples, _, _ = ctx.cover
+        for idx, (_, M) in enumerate(flat):
             if StabilizerChain(M.degree, tuples[idx]).order() != M.order:
                 raise InputError(f"cover tuple {idx} does not generate its factor")
-        for j in range(nfac):
-            stored = [
-                _subgroup_from(gens, ctx.family[j].degree)
-                for gens in ctx.doc["factors"][j]["simple_factors"]
-            ]
-            recomputed = semisimple_factors(ctx.S[j], cap)
-            if len(stored) != len(recomputed):
-                raise InputError(f"factor {j}: simple factor count mismatch")
-            for M, N in zip(stored, recomputed):
-                if not _same_group(M, N):
-                    raise InputError(f"factor {j}: simple factor mismatch")
         t_group = ctx.t_group
         if derived_subgroup(t_group).order != t_group.order:
             raise InputError("T is not perfect")
@@ -764,10 +674,6 @@ def _verify_level(rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, cap) ->
     # ---- gamma
     def check_gamma():
         gamma = ctx.gamma
-        if gamma.order != ctx.gamma_order:
-            raise InputError(
-                f"gamma order is {gamma.order}, certificate says {ctx.gamma_order}"
-            )
         der = derived_subgroup(gamma)
         if der.order != gamma.order:
             raise InputError("gamma is not perfect")

@@ -41,7 +41,6 @@ from .groups import (
     conjugacy_class_of,
     derived_subgroup,
     greedy_indices,
-    quotient_action,
 )
 from .perms import Permutation
 from .products import (
@@ -57,6 +56,7 @@ from .structure import (
     InternalDirectProduct,
     is_in_Y,
     semisimple_factors,
+    series_term,
     split_star_trivial,
     star_chain,
 )
@@ -65,16 +65,11 @@ from .words import Word, commutator_words, evaluate_word, gaschutz_lift
 DEFAULT_BUDGET = 61
 
 
-def _trivial_subgroup(G: PermGroup) -> PermGroup:
-    return PermGroup(G.degree, ())
-
-
 @dataclass
 class LevelSplit:
     """Per-factor decomposition data at one recursion level."""
 
     family: tuple[PermGroup, ...]
-    names: tuple[str, ...]
     product: DirectProduct
     W: list[PermGroup]
     A: list[PermGroup]
@@ -109,13 +104,10 @@ class QData:
 @dataclass
 class TData:
     factor_of: list[int]
-    simple_factors: list[list[PermGroup]]
     tuples: list[list[Permutation]]
     e: int
-    e_per_factor: list[int]
     r: list[list[list[list[Permutation]]]]
     values: list[Permutation]
-    full_cover: bool
 
 
 @dataclass
@@ -151,7 +143,7 @@ class ConstructionCertificate:
         return self.levels[0] if self.levels else None
 
 
-def split_levels(family, names, k: int, cap: int = ENUMERATION_CAP) -> LevelSplit:
+def split_levels(family, k: int, cap: int = ENUMERATION_CAP) -> LevelSplit:
     """W_j = (G_j)_{k-1} with its abelian/semisimple split and B_j = [A_j, G_j]."""
     if k < 1:
         raise PreconditionError("split_levels needs k >= 1")
@@ -159,13 +151,10 @@ def split_levels(family, names, k: int, cap: int = ENUMERATION_CAP) -> LevelSpli
     product = DirectProduct(family)
     Ws, As, Ss, Bs, qmaps = [], [], [], [], []
     for G in family:
-        series, level = star_chain(G, max_depth=max(k + 1, 4), cap=cap)
-        if level is None:
-            raise PreconditionError("star series did not terminate")
-        W = series[k - 1] if k - 1 < len(series) else _trivial_subgroup(G)
+        W = series_term(G, k, cap)
         A, S = split_star_trivial(W, cap)
         B = commutator_subgroup(G, A, G)
-        qmap = quotient_action(G, W, cap)
+        qmap = CosetMap(G, W, cap)
         _, qlevel = star_chain(qmap.quotient, max_depth=max(k, 4), cap=cap)
         if qlevel is None or qlevel > k - 1:
             raise PreconditionError(
@@ -176,7 +165,7 @@ def split_levels(family, names, k: int, cap: int = ENUMERATION_CAP) -> LevelSpli
         Ss.append(S)
         Bs.append(B)
         qmaps.append(qmap)
-    return LevelSplit(family, tuple(names), product, Ws, As, Ss, Bs, qmaps)
+    return LevelSplit(family, product, Ws, As, Ss, Bs, qmaps)
 
 
 def recurse_and_align(
@@ -362,7 +351,7 @@ def build_T(
         return None
 
     g = budget
-    tuples, full = cover_tuples(flat_factors, g, rng, cap)
+    tuples, _ = cover_tuples(flat_factors, g, rng, cap)
     e_per_factor = []
     for M, tup in zip(flat_factors, tuples):
         X = frozenset({M.identity})
@@ -395,7 +384,7 @@ def build_T(
             raise InternalError("cover decomposition does not reproduce the residue")
 
     values = t_values(product, factor_of, tuples, r, e)
-    return TData(factor_of, simple_factors, tuples, e, e_per_factor, r, values, full)
+    return TData(factor_of, tuples, e, r, values)
 
 
 def assemble_and_verify(
@@ -444,7 +433,6 @@ def assemble_and_verify(
 
 def _construct_level(
     family,
-    names,
     d: int,
     k: int,
     rng,
@@ -455,10 +443,9 @@ def _construct_level(
     product = DirectProduct(family)
     if k == 0:
         return product.subgroup([]), [], product
-    split = split_levels(family, names, k, cap)
-    sub_names = tuple(f"{n}/W" for n in names)
+    split = split_levels(family, k, cap)
     sub_gamma, sub_marked, sub_product = _construct_level(
-        split.quotients, sub_names, d, k - 1, rng, budget, cap, levels
+        split.quotients, d, k - 1, rng, budget, cap, levels
     )
     aligned = recurse_and_align(split, sub_gamma, sub_product, sub_marked, d, rng, cap)
     delta_gens = [column(split.product, aligned.lifts, i) for i in range(aligned.m)]
@@ -517,9 +504,7 @@ def construct(
         return cert
     rng = random.Random(seed)
     levels: list[LevelData] = []
-    gamma, _, product = _construct_level(
-        family, names, d, k, rng, budget, cap, levels
-    )
+    gamma, _, product = _construct_level(family, d, k, rng, budget, cap, levels)
     cert.levels = list(reversed(levels))
     cert.gamma = gamma
     cert.product = product

@@ -36,6 +36,7 @@ from .structure import normal_subgroups
 
 _COVER_BUDGET_MAX = 61
 _COVER_RETRIES = 64
+_GENERATING_TUPLE_RETRIES = 512
 _wrap = Permutation._trusted
 
 
@@ -284,11 +285,9 @@ class SemisimpleCover:
         return [self.product.project(g, i) for g in self.gens]
 
 
-def sample_generating_tuple(
-    M: PermGroup, size: int, rng, retries: int = 512
-) -> list[Permutation]:
+def sample_generating_tuple(M: PermGroup, size: int, rng) -> list[Permutation]:
     """A seeded random generating tuple of the given size."""
-    for _ in range(retries):
+    for _ in range(_GENERATING_TUPLE_RETRIES):
         tup = [M.sample(rng) for _ in range(size)]
         if StabilizerChain(M.degree, tup).order() == M.order:
             return tup

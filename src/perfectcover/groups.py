@@ -299,6 +299,18 @@ class PermGroup:
         self._order = self.chain.order()
         self._reduced: tuple[Permutation, ...] | None = None
 
+    @classmethod
+    def _from_chain(cls, generators, chain: StabilizerChain) -> PermGroup:
+        """The group `chain` holds, listed by `generators`, which must
+        generate it; builds no second chain."""
+        G = cls.__new__(cls)
+        G.degree = chain.degree
+        G.generators = tuple(generators)
+        G.chain = chain
+        G._order = chain.order()
+        G._reduced = None
+        return G
+
     @property
     def order(self) -> int:
         return self._order
@@ -382,7 +394,7 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
             if chain._extend_images(c):
                 gens.append(_wrap(c))
                 queue.append(c)
-    return PermGroup(G.degree, gens)
+    return PermGroup._from_chain(gens, chain)
 
 
 def _conjugators(G: PermGroup) -> list[tuple]:
@@ -584,8 +596,3 @@ class CosetMap:
         if self.trivial:
             return q
         return self.reps[q.images[0]]
-
-
-def quotient_action(G: PermGroup, N: PermGroup, cap: int = ENUMERATION_CAP) -> CosetMap:
-    """Quotient G/N realised as the permutation action on cosets of N."""
-    return CosetMap(G, N, cap)

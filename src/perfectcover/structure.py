@@ -24,6 +24,7 @@ from .errors import PreconditionError
 from .groups import (
     ENUMERATION_CAP,
     PermGroup,
+    CosetMap,
     StabilizerChain,
     center,
     conjugation_orbits,
@@ -33,7 +34,6 @@ from .groups import (
     is_abelian,
     is_perfect,
     normal_closure,
-    quotient_action,
 )
 from .gmodule import abelian_group_basis
 from .perms import Permutation
@@ -162,6 +162,15 @@ def star_chain(G: PermGroup, max_depth: int = 16, cap: int = ENUMERATION_CAP):
     return series, level
 
 
+def series_term(G: PermGroup, k: int, cap: int = ENUMERATION_CAP) -> PermGroup:
+    """W = G_{k-1} for k >= 1: the star-series term k - 1, or the trivial
+    group once the series has ended; a level-k split of G is taken over it."""
+    series, level = star_chain(G, max_depth=max(k + 1, 4), cap=cap)
+    if level is None:
+        raise PreconditionError("star series did not terminate")
+    return series[k - 1] if k - 1 < len(series) else PermGroup(G.degree, ())
+
+
 @dataclass(frozen=True)
 class StructureReport:
     series: tuple[PermGroup, ...]
@@ -193,7 +202,7 @@ def star_series(
     if perfect:
         invariants: tuple[int, ...] = ()
     else:
-        ab = quotient_action(G, derived_subgroup(G), cap).quotient
+        ab = CosetMap(G, derived_subgroup(G), cap).quotient
         _, orders = abelian_group_basis(ab, cap)
         invariants = tuple(orders)
     return StructureReport(
@@ -207,10 +216,7 @@ def star_series(
 
 
 def min_generators(
-    G: PermGroup,
-    bound: int,
-    cap: int = ENUMERATION_CAP,
-    trials: int = _MIN_GEN_TRIALS,
+    G: PermGroup, bound: int, cap: int = ENUMERATION_CAP
 ) -> int | None:
     """Least t <= bound such that some t-tuple generates G, else None.
 
@@ -237,7 +243,7 @@ def min_generators(
             continue
         found = False
         rng = random.Random(G.order * 1_000_003 + t)
-        for _ in range(trials):
+        for _ in range(_MIN_GEN_TRIALS):
             tup = [G.sample(rng) for _ in range(t)]
             if StabilizerChain(G.degree, tup).order() == G.order:
                 found = True

@@ -247,12 +247,15 @@ def commutator_words(
     return words
 
 
-def _candidate_tuples(n_elements, k: int, rng, exhaustive_limit: int = 10**6,
-                      random_trials: int = 10**5):
+_EXHAUSTIVE_LIFTS = 10**6
+_RANDOM_LIFT_TRIALS = 10**5
+
+
+def _candidate_tuples(n_elements, k: int, rng):
     """Candidate tuples over n_elements^k: seeded-shuffled exhaustive stream
     when the space is small, otherwise seeded random sampling."""
     n = len(n_elements)
-    if n**k <= exhaustive_limit:
+    if n**k <= _EXHAUSTIVE_LIFTS:
         axes = []
         for _ in range(k):
             axis = list(n_elements)
@@ -275,7 +278,7 @@ def _candidate_tuples(n_elements, k: int, rng, exhaustive_limit: int = 10**6,
 
         return stream(), True
     def sampled():
-        for _ in range(random_trials):
+        for _ in range(_RANDOM_LIFT_TRIALS):
             yield tuple(rng.choice(n_elements) for _ in range(k))
     return sampled(), False
 
@@ -284,7 +287,6 @@ def gaschutz_lift(
     G: PermGroup,
     N: PermGroup,
     coset_reps,
-    k: int | None = None,
     rng=None,
     cap: int = ENUMERATION_CAP,
 ) -> list[Permutation]:
@@ -296,10 +298,7 @@ def gaschutz_lift(
     failure aborts as an internal error.
     """
     reps = list(coset_reps)
-    if k is None:
-        k = len(reps)
-    if k != len(reps):
-        raise PreconditionError("k must equal the number of coset representatives")
+    k = len(reps)
     if rng is None:
         rng = random.Random(0)
     if not is_normal(G, N):

@@ -5,7 +5,9 @@ from contextlib import contextmanager
 import pytest
 
 from perfectcover import catalog
+from perfectcover.groups import PermGroup, derived_subgroup
 from perfectcover.perms import Permutation, format_cycles, parse_cycles
+from perfectcover.structure import series_term
 
 ACCEPTANCE_LINES = []
 
@@ -54,7 +56,17 @@ def tamper_conjugator(data):
     bad = copy.deepcopy(data)
     lvl = bad["levels"][0]
     cover = lvl["cover"]
-    degree = bad["family"][cover["factor_of"][0]]["degree"]
+    # the cover lists the simple factors of the members' semisimple parts
+    # S = [W, W] in member order, so tuple 0 is in the first member with S > 1
+    members = [
+        PermGroup(doc["degree"], [parse_cycles(s, doc["degree"]) for s in doc["generators"]])
+        for doc in bad["family"]
+    ]
+    degree = next(
+        G.degree
+        for G in members
+        if derived_subgroup(series_term(G, bad["k"])).order > 1
+    )
     m, *others = (parse_cycles(s, degree) for s in cover["tuples"][0])
     x = next(y for y in others if y * m != m * y)
     r = parse_cycles(lvl["r"][0][0][0][0], degree)

@@ -21,7 +21,8 @@ from perfectcover.certificates import (
 from perfectcover.cli import main
 from perfectcover.construction import construct
 from perfectcover.errors import InputError
-from perfectcover.groups import PermGroup
+from perfectcover.groups import CosetMap, PermGroup
+from perfectcover.perms import parse_cycles
 
 
 @pytest.fixture(scope="module")
@@ -40,13 +41,13 @@ def e16_cert(groups):
 # version the same seed must give the same bytes, so a kernel refactor that
 # silently changes Gamma or its witnesses fails here.
 A5_SEED7_DIGESTS = {
-    "0.2.0": "b09d8075b2c53d19ce953e19a977898d8c6a61b53cdc2b4a1579d443c34a22cd",
+    "0.3.0": "310abda7b194d40eb51b9b429341693b1526e6e13fb9cb9c9e9d41d15efb3dce",
 }
 
 # The same for budget 61: the class product of build_T fills A5 before its
 # last class, which budget 2 never does.
 A5_SEED7_BUDGET61_DIGESTS = {
-    "0.2.0": "b3cad6916b936f3145f98b755fde4cdbf1748af8ab76e5a09c1e20d9db0265cf",
+    "0.3.0": "a65b094f2c78528cd74a5e53eff1e5e0adfe76935e8ef0284f55ba58a9c6c8ed",
 }
 
 
@@ -65,7 +66,7 @@ def test_seed7_budget61_certificate_bytes_are_pinned(groups):
 # The same for e16_cert (E16A5, d=2, k=2): its level-0 words are not empty,
 # so this digest also guards the commutator word search.
 E16A5_K2_SEED7_DIGESTS = {
-    "0.2.0": "19365d1d94ff08885a03353ebed04f8afbee705756605c9e3808a26beb7342c4",
+    "0.3.0": "a638bb618af763b524198f062725c83a162458862f86b447cbbfd0209dd01d4f",
 }
 
 
@@ -78,10 +79,10 @@ def test_e16a5_k2_certificate_bytes_are_pinned(e16_cert):
 
 # The same for A5xA5 (d=2, k=1, budget 2).  Its two simple factors are
 # normal subgroups of equal order, so this digest guards the tie order of
-# structure.normal_subgroups, which reaches the certificate through
-# simple_factors.
+# structure.normal_subgroups, which reaches the certificate through the
+# order of the cover tuples.
 A5XA5_SEED7_DIGESTS = {
-    "0.2.0": "22a3e024074d4d7eab70ec92ddf624489c69bb664fc373dfe73110db2a40dd93",
+    "0.3.0": "013d4f6830a45b86865260bfaaf0d0c9d544f3a183190df97e82f46bfd7a7a1a",
 }
 
 
@@ -98,10 +99,10 @@ def test_a5xa5_certificate_bytes_are_pinned(groups):
 # the inputs the benchmark times.
 BENCH_FAMILY_SEED7_DIGESTS = {
     ("A5+A6+PSL27", 1, 61): {
-        "0.2.0": "891c2642e1399a82cd57f164ecf1f2d90694ee11ab43904101555887574040c0",
+        "0.3.0": "53b1fa0930cd2a0a23f75b94a37b9d2b5726a7b1ad4afeda2d59649d540b5d2e",
     },
     ("SL25+E16A5", 2, 2): {
-        "0.2.0": "078eb9acbcffd7962f25ab716c2b6ced9ff8e10989ac1adca13872f3c5b56689",
+        "0.3.0": "bc5e97568aaca3a9e5df3f886067a4c420a879a33562034b06c3ed82e5f66d95",
     },
 }
 
@@ -197,32 +198,17 @@ def test_tampered_T_conjugator_rejected(a5_cert):
     assert report.failed_steps()[0] == "s-in-T"
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [("e_per_factor", [99]), ("e_per_factor", []), ("full_product", "nope")],
-)
-def test_inconsistent_cover_field_rejected(a5_cert, field, value):
-    data = copy.deepcopy(a5_cert)
-    data["levels"][0]["cover"][field] = value
-    report = verify_certificate(data)
-    assert not report.valid
-    assert report.failed_steps() == ["T-perfect"]
-
-
 def test_perturbed_q_coordinate_rejected(e16_cert):
     data = copy.deepcopy(e16_cert)
-    perturbed = False
-    for lvl in data["levels"]:
-        for factor in lvl["factors"]:
-            coords = factor["q_coords"]
-            if coords is None:
-                continue
-            coords[0][0][0] = (coords[0][0][0] + 1) % max(factor["module_orders"][0], 2)
-            perturbed = True
-            break
-        if perturbed:
-            break
-    assert perturbed
+    # the top level's factors act on the points of the family members
+    j, factor = next(
+        (j, factor)
+        for j, factor in enumerate(data["levels"][0]["factors"])
+        if factor["q_coords"] is not None
+    )
+    basis_0 = parse_cycles(factor["module_basis"][0], data["family"][j]["degree"])
+    coords = factor["q_coords"]
+    coords[0][0][0] = (coords[0][0][0] + 1) % max(basis_0.order(), 2)
     report = verify_certificate(data)
     assert not report.valid
     assert report.failed_steps()[0] == "q-decomposition"
@@ -253,9 +239,11 @@ def test_foreign_gamma_generator_rejected(a5_cert):
 
 
 def test_level_gamma_copy_cannot_cover_foreign_generator(a5_cert):
+    # a level stores no generator list; a stray one is not read, and the top
+    # block is still compared with the generators the witnesses give
     data = copy.deepcopy(a5_cert)
     data["gamma"]["generators"].append({"0": "(1 2 3)"})
-    data["levels"][0]["gamma"]["generators"] = data["gamma"]["generators"]
+    data["levels"][0]["generators"] = data["gamma"]["generators"]
     report = verify_certificate(data)
     assert not report.valid
     assert "gamma-perfect" in report.failed_steps()
@@ -267,8 +255,8 @@ def test_bool_marked_index_rejected(a5_cert, where):
     data = copy.deepcopy(a5_cert)
     assert data["gamma"]["marked"][1] == 1  # so the mutation keeps the index
     blocks = {
-        "both": [data["levels"][0]["gamma"], data["gamma"]],
-        "level": [data["levels"][0]["gamma"]],
+        "both": [data["levels"][0], data["gamma"]],
+        "level": [data["levels"][0]],
         "top": [data["gamma"]],
     }[where]
     for block in blocks:
@@ -276,24 +264,6 @@ def test_bool_marked_index_rejected(a5_cert, where):
     report = verify_certificate(data)
     assert not report.valid
     assert report.failed_steps() == ["gamma-perfect"]
-
-
-@pytest.mark.parametrize("level", [0, 1])
-@pytest.mark.parametrize("mutation", ["text", "empty", "swapped"])
-def test_level_factor_generators_checked(e16_cert, level, mutation):
-    data = copy.deepcopy(e16_cert)
-    factor = data["levels"][level]["factors"][0]
-    gens = factor["generators"]
-    if mutation == "text":
-        factor["generators"] = "x"
-    elif mutation == "empty":
-        factor["generators"] = []
-    else:
-        assert len(gens) >= 2 and gens[0] != gens[1]
-        gens[0], gens[1] = gens[1], gens[0]
-    report = verify_certificate(data)
-    assert not report.valid
-    assert report.failed_steps() == ["structure"]
 
 
 @pytest.mark.parametrize(
@@ -322,25 +292,67 @@ def test_family_name_must_be_text(a5_cert):
     assert "family" in report.failed_steps()
 
 
-@pytest.mark.parametrize(
-    "level, name",
-    [(0, "E16A5/W"), (0, {}), (1, "E16A5"), (1, "E16A5/W/W"), (1, None)],
-    ids=["top-suffixed", "top-object", "deep-unsuffixed", "deep-extra", "deep-null"],
-)
-def test_level_factor_name_checked(e16_cert, level, name):
-    data = copy.deepcopy(e16_cert)
-    assert data["levels"][level]["factors"][0]["name"] == "E16A5" + "/W" * level
-    data["levels"][level]["factors"][0]["name"] = name
+def test_levels_hold_witnesses_only(e16_cert):
+    # level 2 has a module and no cover, level 1 a cover and no module
+    covers = [lvl["cover"] for lvl in e16_cert["levels"]]
+    assert covers[0] is None and covers[1] is not None
+    for lvl in e16_cert["levels"]:
+        assert set(lvl) == {"m", "words", "factors", "cover", "r", "marked"}
+        for factor in lvl["factors"]:
+            assert set(factor) == {"lifts", "k_res", "s_res", "module_basis", "q_coords"}
+    assert set(covers[1]) == {"e", "tuples"}
+    assert set(e16_cert["gamma"]) == {"generators", "order", "marked"}
+
+
+def test_verify_builds_one_coset_map_per_level_factor(e16_cert, monkeypatch):
+    # the quotient family and the lifts step share one map per member
+    built = []
+    original = CosetMap.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CosetMap, "__init__", counting)
+    assert verify_certificate(e16_cert).valid
+    assert len(e16_cert["levels"]) * len(e16_cert["family"]) == 2
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("change", ["extra", "missing"])
+def test_cover_needs_one_tuple_per_simple_factor(a5_cert, change):
+    data = copy.deepcopy(a5_cert)
+    tuples = data["levels"][0]["cover"]["tuples"]
+    if change == "extra":
+        tuples.append(list(tuples[0]))
+    else:
+        tuples.pop()
     report = verify_certificate(data)
     assert not report.valid
-    assert report.failed_steps() == ["structure"]
+    problems = {s.name: s.problems for s in report.steps}
+    assert any("one tuple per simple factor" in p for p in problems["T-perfect"])
+    if change == "extra":
+        assert report.failed_steps() == ["T-perfect"]
 
 
-def test_levels_hold_witnesses_only(e16_cert):
-    for lvl in e16_cert["levels"]:
-        assert not {"T_entries", "Q_entries", "delta", "prev_marked"} & set(lvl)
-        assert set(lvl["gamma"]) == {"order", "marked"}
-    assert set(e16_cert["gamma"]) == {"generators", "order", "marked"}
+# A5, d=2, k=1, budget 2, seed 7 as format 0.2.0 wrote it: levels held
+# W, A, S, B, the simple factors, factor names and generators and a gamma
+# block, and no level-level `marked`.
+FORMAT_0_2_0_CERT = pathlib.Path(__file__).parent / "data" / "a5-seed7-format-0.2.0.json"
+
+
+def test_old_format_certificate_gives_a_report(capsys):
+    text = FORMAT_0_2_0_CERT.read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b09d8075b2c53d19ce953e19a977898d8c6a61b53cdc2b4a1579d443c34a22cd"
+    )
+    data = json.loads(text)
+    refused = verify_certificate(data)
+    assert not refused.valid and "version" in refused.message
+    forced = verify_certificate(data, force_version=True)
+    assert not forced.valid
+    assert "level data unreadable" in forced.message
+    assert main(["verify", str(FORMAT_0_2_0_CERT), "--force"]) == 1
 
 
 def test_k0_certificate_is_valid():

@@ -12,7 +12,7 @@ from perfectcover.words import evaluate_word
 
 
 def test_split_levels_sl25(groups):
-    split = split_levels((groups["SL25"],), ("SL25",), k=2)
+    split = split_levels((groups["SL25"],), k=2)
     assert split.W[0].order == 2
     assert split.A[0].order == 2
     assert split.S[0].order == 1
@@ -21,14 +21,14 @@ def test_split_levels_sl25(groups):
 
 
 def test_split_levels_a5_k1(groups):
-    split = split_levels((groups["A5"],), ("A5",), k=1)
+    split = split_levels((groups["A5"],), k=1)
     assert split.W[0].order == 60
     assert split.A[0].order == 1
     assert split.S[0].order == 60
 
 
 def test_split_levels_e16_k2(groups):
-    split = split_levels((groups["E16A5"],), ("E16A5",), k=2)
+    split = split_levels((groups["E16A5"],), k=2)
     assert split.W[0].order == 16
     assert split.A[0].order == 16
     assert split.S[0].order == 1

@@ -13,6 +13,7 @@ from perfectcover.errors import (
     SizeLimitError,
 )
 from perfectcover.groups import (
+    CosetMap,
     PermGroup,
     StabilizerChain,
     center,
@@ -30,7 +31,6 @@ from perfectcover.groups import (
     is_normal,
     mulclose,
     normal_closure,
-    quotient_action,
 )
 from perfectcover.perms import Permutation, commutator, parse_cycles
 from perfectcover.structure import normal_subgroups
@@ -263,10 +263,29 @@ def test_center_and_intersection(groups):
     assert center(groups["A5"]).order == 1
 
 
+def test_normal_closure_builds_one_chain(groups, monkeypatch):
+    # the chain extended while closing is the returned group's chain
+    G = groups["A5"]
+    G.reduced_generators()  # its greedy scan builds a chain of its own
+    built = []
+    original = StabilizerChain.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        original(self, *args)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", counting)
+    N = normal_closure(G, [P("(1 2 3)", 5)])
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert N.order == 60 == PermGroup(5, N.generators).order
+    assert all(g in N for g in G.generators)
+
+
 def test_quotient_action(groups):
     SL = groups["SL25"]
     Z = center(SL)
-    qmap = quotient_action(SL, Z)
+    qmap = CosetMap(SL, Z)
     Q = qmap.quotient
     assert Q.order == 60
     for z in enumerate_elements(Z):
@@ -286,7 +305,7 @@ def test_quotient_action(groups):
 
 def test_quotient_action_trivial_normal(groups):
     A5 = groups["A5"]
-    qmap = quotient_action(A5, PermGroup(5, []))
+    qmap = CosetMap(A5, PermGroup(5, []))
     assert qmap.quotient is A5
     g = P("(1 2 3)", 5)
     assert qmap.apply(g) == g

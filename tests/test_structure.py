@@ -7,13 +7,13 @@ import pytest
 from perfectcover import catalog, groups as groups_module, structure
 from perfectcover.errors import PreconditionError
 from perfectcover.groups import (
+    CosetMap,
     PermGroup,
     derived_subgroup,
     enumerate_elements,
     from_elements,
     intersection,
     mulclose,
-    quotient_action,
 )
 from perfectcover.perms import commutator, format_cycles, parse_cycles
 from perfectcover.products import DirectProduct
@@ -224,7 +224,7 @@ def test_star_is_normal_and_quotient_star_trivial(groups):
     for name in ("SL25", "E16A5", "S3"):
         G = groups[name]
         star = star_subgroup(G)
-        quotient = quotient_action(G, star).quotient
+        quotient = CosetMap(G, star).quotient
         assert star_subgroup(quotient).order == 1
 
 
@@ -307,7 +307,7 @@ def test_level_drops_by_one_in_the_quotient(groups):
         series, level = star_chain(G)
         if level is None or level < 1:
             continue
-        quotient = quotient_action(G, series[level - 1]).quotient
+        quotient = CosetMap(G, series[level - 1]).quotient
         _, qlevel = star_chain(quotient)
         assert qlevel == level - 1, name
 
