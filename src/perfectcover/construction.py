@@ -28,7 +28,6 @@ from .covering import _LayeredDecomposer, cover_tuples, covering_number, product
 from .errors import InternalError, PreconditionError
 from .gmodule import (
     GModule,
-    augmentation_submodule,
     close_submodule,
     is_perfect_module,
     solve_commutator_decomposition,

@@ -17,7 +17,6 @@ from .errors import InternalError, PreconditionError
 from .groups import (
     ENUMERATION_CAP,
     PermGroup,
-    enumerate_elements,
     is_normal,
 )
 from .perms import Permutation, commutator

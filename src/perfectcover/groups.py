@@ -30,6 +30,7 @@ breadth-first closure of the generating set.  It never consults the chain.
 from __future__ import annotations
 
 from collections import deque
+from itertools import repeat
 
 from .errors import InputError, InternalError, PreconditionError, SizeLimitError
 from .perms import Permutation, commutator, kernel, pack
@@ -505,10 +506,17 @@ def conjugation_orbits(G: PermGroup, cap: int = ENUMERATION_CAP):
     An element is released once its class is walked, so G is never held
     whole while the caller consumes the orbits.
     """
+    for orbit in conjugation_orbits_images(G, cap):
+        yield {_wrap(y): _wrap(r) for y, r in orbit.items()}
+
+
+def conjugation_orbits_images(G: PermGroup, cap: int = ENUMERATION_CAP):
+    """`conjugation_orbits` on raw images: each class as its
+    `conjugation_orbit_images`, in the same order."""
     # reversed, so that popitem() takes the elements in enumeration order
-    remaining = dict.fromkeys(reversed(enumerate_elements(G, cap)))
+    remaining = dict.fromkeys(reversed([x.images for x in enumerate_elements(G, cap)]))
     while remaining:
-        orbit = conjugation_orbit(G, remaining.popitem()[0])
+        orbit = conjugation_orbit_images(G, _wrap(remaining.popitem()[0]))
         for y in orbit:
             remaining.pop(y, None)
         yield orbit
@@ -539,6 +547,12 @@ class CosetMap:
     Cosets are identified by the least element they contain; coset 0 is N
     itself, so quotient permutations are determined by their image of 0.
     With N trivial the map is the identity on G.
+
+    The map keeps the elements of N as raw images (`n_images`), and the
+    least element of a coset Ng is the `min` of their products with g on
+    images; bytes order like tuples of ints, so it is the same element as
+    the least `Permutation`.  `reps` lists the least elements in discovery
+    order, breadth-first from N over the generators of G.
     """
 
     def __init__(self, group: PermGroup, normal: PermGroup, cap: int = ENUMERATION_CAP):
@@ -550,36 +564,34 @@ class CosetMap:
         if self.trivial:
             self.quotient = group
             return
-        n_elements = sorted(enumerate_elements(normal, cap))
+        self.n_images = [n.images for n in enumerate_elements(normal, cap)]
         if group.order // normal.order > cap:
             raise SizeLimitError("quotient degree exceeds cap")
-
-        def canonical(g: Permutation) -> Permutation:
-            return min(n * g for n in n_elements)
-
-        self._canonical = canonical
-        reps = [canonical(group.identity)]
+        table, compose, _ = kernel(group.degree)
+        self._table, self._compose = table, compose
+        gen_tables = [table(g.images) for g in group.generators]
+        reps = [self._canonical(group.identity.images)]
         index = {reps[0]: 0}
-        queue = deque([reps[0]])
-        while queue:
-            r = queue.popleft()
-            for g in group.generators:
-                c = canonical(r * g)
-                if c not in index:
-                    index[c] = len(reps)
+        columns = [[] for _ in gen_tables]
+        # appending to the list being walked makes the walk breadth-first
+        for r in reps:
+            for column, t in zip(columns, gen_tables):
+                c = self._canonical(compose(r, t))
+                i = index.get(c)
+                if i is None:
+                    i = index[c] = len(reps)
                     reps.append(c)
-                    queue.append(c)
-        self.reps = reps
-        self.index = index
-        images = []
-        for g in group.generators:
-            images.append(
-                Permutation(tuple(index[canonical(r * g)] for r in reps))
-            )
-        self.gen_images = images
-        self.quotient = PermGroup(max(len(reps), 1), images)
+                column.append(i)
+        self._index = index
+        self.reps = [_wrap(r) for r in reps]
+        self.gen_images = [Permutation(column) for column in columns]
+        self.quotient = PermGroup(max(len(reps), 1), self.gen_images)
         if self.quotient.order * normal.order != group.order:
             raise InternalError("coset action order mismatch")
+
+    def _canonical(self, g):
+        """Images of the least element of the coset of images g."""
+        return min(map(self._compose, self.n_images, repeat(self._table(g))))
 
     def apply(self, g: Permutation) -> Permutation:
         """Image of g in the quotient group."""
@@ -587,8 +599,9 @@ class CosetMap:
             return g
         if g not in self.group:
             raise PreconditionError("element is not in the group")
+        t, compose, canonical = self._table(g.images), self._compose, self._canonical
         return Permutation(
-            tuple(self.index[self._canonical(r * g)] for r in self.reps)
+            tuple(self._index[canonical(compose(r.images, t))] for r in self.reps)
         )
 
     def lift(self, q: Permutation) -> Permutation:

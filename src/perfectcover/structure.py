@@ -237,7 +237,10 @@ def min_generators(
     elements = None
     for t in range(1, bound + 1):
         if t == 1:
-            if any(g.order() == G.order for g in enumerate_elements(G, cap)):
+            # a cyclic group is abelian
+            if is_abelian(G) and any(
+                g.order() == G.order for g in enumerate_elements(G, cap)
+            ):
                 G._min_generators_cache = (1, 0)
                 return 1
             continue

@@ -4,13 +4,19 @@ Words are stored freely reduced over an abstract alphabet x_1..x_m with
 exponents +-1 per letter.  A word lies in the commutator subgroup of the
 free group exactly when every letter index has total exponent sum zero;
 that is the membership certificate this module hands out and checks.
+
+The commutator-word search runs on raw images through `perms.kernel`.
+`word_table` is a breadth-first walk that keeps, for each element, only
+its parent and the letter that reached it; the commutator pool keys each
+commutator value by its images.  A `Word` is built only for the pool
+witnesses a returned word uses (Seress, *Permutation Group Algorithms*,
+2003, ch. 1).
 """
 
 from __future__ import annotations
 
 import random
 import re
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -24,12 +30,12 @@ from .groups import (
     ENUMERATION_CAP,
     PermGroup,
     StabilizerChain,
-    conjugation_orbits,
+    conjugation_orbits_images,
     derived_subgroup,
     enumerate_elements,
     is_normal,
 )
-from .perms import Permutation
+from .perms import Permutation, kernel, pack
 from .structure import min_generators
 
 
@@ -142,46 +148,69 @@ def evaluate_word(w: Word, perms) -> Permutation:
     return result
 
 
-def word_table(
-    gens, degree: int, cap: int = ENUMERATION_CAP
-) -> dict[Permutation, Word]:
-    """Shortest-first words for every element of the generated group."""
-    m = len(gens)
-    identity = Permutation.identity(degree)
-    table = {identity: Word.empty(m)}
-    queue = deque([identity])
+def word_table(gens, degree: int, cap: int = ENUMERATION_CAP) -> dict:
+    """Shortest-first words for every element of the generated group, as
+    parent pointers on raw images.
+
+    Maps the images of each element y to (images of x, (i, +-1)), where x
+    is the element y was first reached from and y = x * gens[i]^(+-1); the
+    identity maps to None.  `_word_of` reads a word back.
+    """
+    table, compose, invert = kernel(degree)
     moves = []
     for i, g in enumerate(gens):
+        if g.degree != degree:
+            raise InputError("degree mismatch in product")
         if g.is_identity():
             continue
-        moves.append((g, Word.generator(m, i, 1)))
-        moves.append((g.inverse(), Word.generator(m, i, -1)))
-    while queue:
-        x = queue.popleft()
-        wx = table[x]
-        for g, letter in moves:
-            y = x * g
-            if y not in table:
-                if len(table) >= cap:
+        moves.append((table(g.images), (i, 1)))
+        moves.append((table(invert(g.images)), (i, -1)))
+    identity = pack(range(degree))
+    parents = {identity: None}
+    walk = [identity]
+    # appending to the list being walked makes the walk breadth-first
+    for x in walk:
+        for t, letter in moves:
+            y = compose(x, t)
+            if y not in parents:
+                if len(parents) >= cap:
                     raise SizeLimitError(f"word table exceeded cap {cap}")
-                table[y] = wx * letter
-                queue.append(y)
-    return table
+                parents[y] = (x, letter)
+                walk.append(y)
+    return parents
 
 
-def _commutator_pool(G: PermGroup, cap: int) -> dict[Permutation, tuple[Permutation, Permutation]]:
-    """For each value [u, v] attained in G, one witness pair (u, v).
+def _word_of(table: dict, images, m: int) -> Word:
+    """The word of `word_table` for the element with these images.
+
+    A breadth-first path never cancels: a step undoing the last letter
+    lands on the parent, which is already in the table.
+    """
+    letters = []
+    step = table[images]
+    while step is not None:
+        images, letter = step
+        letters.append(letter)
+        step = table[images]
+    letters.reverse()
+    return Word.make(m, letters)
+
+
+def _commutator_pool(G: PermGroup, cap: int) -> dict:
+    """For each value [u, v] attained in G, one witness pair (u, v), all
+    as raw images, in first-seen order.
 
     Uses that {[u, v] : v in G} = u^-1 * class(u), so one walk of the
     orbit of each class representative u, with its recorded conjugators,
     visits every commutator value in O(|G|) work per class.
     """
-    pool: dict[Permutation, tuple[Permutation, Permutation]] = {}
-    for orbit in conjugation_orbits(G, cap):
+    table, compose, invert = kernel(G.degree)
+    pool: dict = {}
+    for orbit in conjugation_orbits_images(G, cap):
         u = next(iter(orbit))
-        u_inv = u.inverse()
+        u_inv = invert(u)
         for x, v in orbit.items():
-            value = u_inv * x
+            value = compose(u_inv, table(x))
             if value not in pool:
                 pool[value] = (u, v)
     return pool
@@ -198,8 +227,9 @@ def commutator_words(
     Works for perfect G: every element is then a bounded product of
     commutators of group elements, each of which turns into a commutator
     of generator words.  The word table and the commutator pool are built
-    once, and only if some target is not the identity.  The returned words
-    are freely reduced and at most 256 letters long.
+    once, and only if some target is not the identity; a word is read from
+    the table only for the (at most four) witnesses a target uses.  The
+    returned words are freely reduced and at most 256 letters long.
     """
     gens = tuple(gens)
     targets = tuple(targets)
@@ -216,19 +246,22 @@ def commutator_words(
     if G.order > len(table):
         raise PreconditionError("the given tuple does not generate the group")
     pool = _commutator_pool(G, cap)
+    to_table, compose, invert = kernel(G.degree)
 
-    def word_for_pair(u: Permutation, v: Permutation) -> Word:
-        return table[u].commutator(table[v])
+    def word_for_pair(u, v) -> Word:
+        return _word_of(table, u, m).commutator(_word_of(table, v, m))
 
     def search(target: Permutation) -> Word:
         """A pool hit, else the first k1 in pool order with k1^-1 * target
         in the pool."""
         if target.is_identity():
             return Word.empty(m)
-        if target in pool:
-            return word_for_pair(*pool[target])
+        pair = pool.get(target.images)
+        if pair is not None:
+            return word_for_pair(*pair)
+        t = to_table(target.images)
         for k1, pair1 in pool.items():
-            pair2 = pool.get(k1.inverse() * target)
+            pair2 = pool.get(compose(invert(k1), t))
             if pair2 is not None:
                 return word_for_pair(*pair1) * word_for_pair(*pair2)
         raise SearchError("target is not a product of at most two commutators")

@@ -23,6 +23,7 @@ from perfectcover.groups import (
     conjugacy_classes,
     conjugation_orbit,
     conjugation_orbits,
+    conjugation_orbits_images,
     derived_subgroup,
     enumerate_elements,
     from_elements,
@@ -255,6 +256,16 @@ def test_conjugacy_class_of_matches_partition(groups):
         conjugation_orbit(groups["A5"], P("(1 2)", 5))
 
 
+@pytest.mark.parametrize("name", ["A4", "A5", "SL25", "E16A5"])
+def test_conjugation_orbits_wrap_the_image_form(groups, name):
+    G = groups[name]
+    wrapped = [
+        [(Permutation(y), Permutation(r)) for y, r in orbit.items()]
+        for orbit in conjugation_orbits_images(G)
+    ]
+    assert wrapped == [list(orbit.items()) for orbit in conjugation_orbits(G)]
+
+
 def test_center_and_intersection(groups):
     SL = groups["SL25"]
     Z = center(SL)
@@ -301,6 +312,54 @@ def test_quotient_action(groups):
     # lift returns a representative of the right coset
     for q in enumerate_elements(Q)[:20]:
         assert qmap.apply(qmap.lift(q)) == q
+
+
+def brute_coset_map(G, N):
+    """Least coset elements, breadth-first from N over G's generators, and
+    the quotient image of g, both by literal `min(n * g for n in N)`."""
+    n_elements = enumerate_elements(N)
+
+    def least(g):
+        return min(n * g for n in n_elements)
+
+    reps = [least(G.identity)]
+    index = {reps[0]: 0}
+    for r in reps:
+        for g in G.generators:
+            c = least(r * g)
+            if c not in index:
+                index[c] = len(reps)
+                reps.append(c)
+
+    def apply(g):
+        return Permutation([index[least(r * g)] for r in reps])
+
+    return reps, apply
+
+
+def _coset_map_cases(groups):
+    E = groups["E16A5"]
+    AA = groups["A5xA5"]
+    return [
+        ("SL25/Z", groups["SL25"], center(groups["SL25"])),
+        ("E16A5/2^4", E, normal_closure(E, E.generators[2:])),
+        ("A5xA5/A5", AA, PermGroup(10, AA.generators[:2])),
+    ]
+
+
+def test_coset_map_equals_brute_least_elements(groups):
+    rng = random.Random(3)
+    for label, G, N in _coset_map_cases(groups):
+        assert N.order in (2, 16, 60), label
+        qmap = CosetMap(G, N)
+        reps, apply = brute_coset_map(G, N)
+        assert qmap.reps == reps, label
+        assert len(reps) * N.order == G.order, label
+        elements = enumerate_elements(G)
+        for g in rng.sample(elements, min(len(elements), 120)):
+            assert qmap.apply(g) == apply(g), label
+        for q in enumerate_elements(qmap.quotient):
+            assert qmap.lift(q) == reps[q(0)], label
 
 
 def test_quotient_action_trivial_normal(groups):
@@ -366,6 +425,14 @@ def test_groups_above_degree_256_match_their_native_degree(groups, name, degree)
     assert [down(big.sample(rng_big)) for _ in range(20)] == [
         G.sample(rng) for _ in range(20)
     ]
+    # tuples order like bytes, so the least coset elements are the same
+    N = center(G) if center(G).order > 1 else G
+    big_N = PermGroup(degree, [_embedded(g, degree) for g in N.generators])
+    qmap, qmap_big = CosetMap(G, N), CosetMap(big, big_N)
+    assert [down(r) for r in qmap_big.reps] == qmap.reps
+    assert [qmap_big.apply(_embedded(x, degree)) for x in elements[:20]] == [
+        qmap.apply(x) for x in elements[:20]
+    ]
 
 
 def test_kernel_loops_take_no_permutation_products(groups, monkeypatch):
@@ -382,12 +449,16 @@ def test_kernel_loops_take_no_permutation_products(groups, monkeypatch):
         redundant.append(x)
     five_cycle = P("(1 2 3 4 5)", 5)
     fresh_A5 = PermGroup(5, A5.generators)
+    SL25 = groups["SL25"]
+    Z = center(SL25)
     calls = count_permutation_calls(monkeypatch)
     assert StabilizerChain(6, redundant).order() == 360
     assert calls == {"__mul__": 0, "inverse": 0}
     assert len(mulclose(A5.generators)) == 60
     assert calls == {"__mul__": 0, "inverse": 0}
     assert len(conjugation_orbit(fresh_A5, five_cycle)) == 12
+    assert calls == {"__mul__": 0, "inverse": 0}
+    assert CosetMap(SL25, Z).quotient.order == 60
     assert calls == {"__mul__": 0, "inverse": 0}
 
 

@@ -236,6 +236,24 @@ def test_min_generators_examples(groups):
     assert min_generators(groups["V4"], 1) is None
 
 
+def test_min_generators_scans_elements_only_when_abelian(monkeypatch):
+    # Only an abelian group can be cyclic, so a nonabelian one skips the
+    # t = 1 element-order scan.
+    calls = []
+    original = structure.enumerate_elements
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].order)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "enumerate_elements", counting)
+    assert min_generators(catalog.get("A5"), 2) == 2
+    assert calls == []
+    assert min_generators(catalog.get("Z4"), 2) == 1
+    assert min_generators(catalog.get("V4"), 2) == 2
+    assert calls == [4, 4]
+
+
 def test_is_in_Y_examples(groups):
     assert is_in_Y(groups["A5"], 2, 1)[0]
     ok, reason = is_in_Y(groups["SL25"], 2, 1)

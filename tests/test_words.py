@@ -1,11 +1,13 @@
 import random
+from collections import deque
 
 import pytest
+from conftest import count_permutation_calls
 from hypothesis import given, settings, strategies as st
 
 from perfectcover import groups, words
 from perfectcover.catalog import get
-from perfectcover.errors import InputError, PreconditionError
+from perfectcover.errors import InputError, PreconditionError, SizeLimitError
 from perfectcover.groups import (
     PermGroup,
     center,
@@ -15,6 +17,7 @@ from perfectcover.groups import (
 from perfectcover.perms import Permutation, parse_cycles
 from perfectcover.words import (
     Word,
+    _word_of,
     commutator_words,
     evaluate_word,
     gaschutz_lift,
@@ -102,13 +105,116 @@ def test_commutator_built_words_land_in_derived_subgroup(spec):
 # ------------------------------------------------- commutator word search
 
 
+def reference_word_table(gens, degree):
+    """The word table as one `Word` per element: a breadth-first walk over
+    `Permutation` products, each word built from its parent's."""
+    m = len(gens)
+    identity = Permutation.identity(degree)
+    table = {identity: Word.empty(m)}
+    queue = deque([identity])
+    moves = []
+    for i, g in enumerate(gens):
+        if g.is_identity():
+            continue
+        moves.append((g, Word.generator(m, i, 1)))
+        moves.append((g.inverse(), Word.generator(m, i, -1)))
+    while queue:
+        x = queue.popleft()
+        wx = table[x]
+        for g, letter in moves:
+            y = x * g
+            if y not in table:
+                table[y] = wx * letter
+                queue.append(y)
+    return table
+
+
+def bfs_distances(gens, degree):
+    """Distance from the identity in the Cayley graph on gens and inverses."""
+    identity = Permutation.identity(degree)
+    dist = {identity: 0}
+    queue = deque([identity])
+    steps = [*gens, *(g.inverse() for g in gens)]
+    while queue:
+        x = queue.popleft()
+        for g in steps:
+            y = x * g
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
 def test_word_table_is_shortest_first():
-    S3 = PermGroup(3, [P("(1 2)", 3), P("(1 2 3)", 3)])
-    table = word_table(S3.generators, 3)
-    assert len(table) == 6
-    assert len(table[Permutation.identity(3)]) == 0
-    for elem, w in table.items():
-        assert evaluate_word(w, S3.generators) == elem
+    for name in ("S3", "A5"):
+        G = get(name)
+        table = word_table(G.generators, G.degree)
+        dist = bfs_distances(G.generators, G.degree)
+        assert len(table) == len(dist) == G.order, name
+        assert table[G.identity.images] is None, name
+        for images in table:
+            elem = Permutation(images)
+            w = _word_of(table, images, len(G.generators))
+            assert evaluate_word(w, G.generators) == elem, name
+            assert len(w) == dist[elem], name
+
+
+@pytest.mark.parametrize("name", ["A5", "A6", "PSL27", "SL25"])
+def test_word_of_equals_reference_table(name):
+    G = get(name)
+    m = len(G.generators)
+    table = word_table(G.generators, G.degree)
+    reference = reference_word_table(G.generators, G.degree)
+    assert [Permutation(images) for images in table] == list(reference)
+    for elem, w in reference.items():
+        assert _word_of(table, elem.images, m) == w, name
+
+
+def reference_commutator_pool(G):
+    """For each u^-1 * x, x in the class of a class representative u, the
+    first (u, v) with x = u ** v, on `Permutation` products."""
+    pool = {}
+    for orbit in groups.conjugation_orbits(G):
+        u = next(iter(orbit))
+        u_inv = u.inverse()
+        for x, v in orbit.items():
+            value = u_inv * x
+            if value not in pool:
+                pool[value] = (u, v)
+    return pool
+
+
+@pytest.mark.parametrize("name", ["A5", "A6", "PSL27", "SL25"])
+def test_commutator_pool_equals_reference(name):
+    G = get(name)
+    pool = words._commutator_pool(G, groups.ENUMERATION_CAP)
+    wrapped = [
+        (Permutation(value), (Permutation(u), Permutation(v)))
+        for value, (u, v) in pool.items()
+    ]
+    assert wrapped == list(reference_commutator_pool(G).items())
+
+
+def test_word_search_takes_no_permutation_products(monkeypatch):
+    # The word table and the commutator pool run on raw images.
+    A5 = get("A5")
+    A5.reduced_generators()
+    calls = count_permutation_calls(monkeypatch)
+    assert len(word_table(A5.generators, 5)) == 60
+    assert words._commutator_pool(A5, groups.ENUMERATION_CAP)
+    assert calls == {"__mul__": 0, "inverse": 0}
+
+
+def test_word_table_cap_and_identity_generators():
+    A5 = get("A5")
+    with pytest.raises(SizeLimitError):
+        word_table(A5.generators, 5, cap=59)
+    gens = (Permutation.identity(5), *A5.generators)
+    table = word_table(gens, 5)
+    assert len(table) == 60
+    assert all(step is None or step[1][0] != 0 for step in table.values())
+    with pytest.raises(InputError):
+        word_table((P("(1 2 3)", 4),), 5)
 
 
 def test_commutator_word_examples():
@@ -162,7 +268,7 @@ def test_batched_words_equal_single_target_words(name):
 
 def test_batched_words_build_table_and_enumerate_once(monkeypatch):
     A5 = get("A5")
-    calls = {"word_table": 0, "enumerate_elements": 0}
+    calls = {"word_table": 0, "enumerate_elements": 0, "_word_of": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -171,6 +277,7 @@ def test_batched_words_build_table_and_enumerate_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(words, "word_table", counted("word_table", words.word_table))
+    monkeypatch.setattr(words, "_word_of", counted("_word_of", words._word_of))
     monkeypatch.setattr(
         groups,
         "enumerate_elements",
@@ -179,7 +286,10 @@ def test_batched_words_build_table_and_enumerate_once(monkeypatch):
     targets = [P("(1 2 3)", 5), P("(1 2)(3 4)", 5), P("(1 2 3 4 5)", 5)]
     result = commutator_words(A5, A5.generators, targets)
     assert [evaluate_word(w, A5.generators) for w in result] == targets
-    assert calls == {"word_table": 1, "enumerate_elements": 1}
+    assert calls["word_table"] == 1
+    assert calls["enumerate_elements"] == 1
+    # words are read back only for the pool witnesses used, at most 4 a target
+    assert 0 < calls["_word_of"] <= 4 * len(targets)
 
 
 # ----------------------------------------------------------- gaschutz
