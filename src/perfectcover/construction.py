@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .covering import _LayeredDecomposer, cover_tuples, covering_number, product_set
+from .covering import _ClassTable, _LayeredDecomposer, cover_tuples
 from .errors import InternalError, PreconditionError
 from .gmodule import (
     GModule,
@@ -37,7 +37,6 @@ from .groups import (
     CosetMap,
     PermGroup,
     commutator_subgroup,
-    conjugacy_class_of,
     derived_subgroup,
     greedy_indices,
 )
@@ -351,14 +350,12 @@ def build_T(
 
     g = budget
     tuples, _ = cover_tuples(flat_factors, g, rng, cap)
+    # X = class(m_1) ... class(m_g) and its powers are unions of classes
+    class_tables = [_ClassTable(M, cap) for M in flat_factors]
     e_per_factor = []
-    for M, tup in zip(flat_factors, tuples):
-        X = frozenset({M.identity})
-        for c in range(g):
-            X = product_set(X, conjugacy_class_of(M, tup[c]), cap)
-            if len(X) == M.order:
-                break  # X = M, and M times a nonempty class is M again
-        e_per_factor.append(covering_number(M, X, cap).e)
+    for classes, tup in zip(class_tables, tuples):
+        X = classes.layers(map(classes.number, tup))[-1]
+        e_per_factor.append(len(classes.power_sizes(X)))
     e = max(e_per_factor)
 
     # components of each semisimple residue in each simple factor
@@ -372,10 +369,10 @@ def build_T(
         s_comp.append(comps)
 
     r: list[list[list[list[Permutation]]]] = [[] for _ in range(m)]
-    for idx, M in enumerate(flat_factors):
-        decomposer = _LayeredDecomposer(M, tuples[idx], e, cap)
+    for classes, tup, comps in zip(class_tables, tuples, s_comp):
+        decomposer = _LayeredDecomposer(classes, tup, e)
         for l in range(m):
-            r[l].append(decomposer.decompose(s_comp[idx][l]))
+            r[l].append(decomposer.decompose(comps[l]))
 
     for l in range(m):
         row = cover_row_product(product, factor_of, tuples, r, l, e)

@@ -1,17 +1,18 @@
 """Conjugacy-class product arithmetic in small simple groups.
 
-Covering numbers are computed exactly by iterating set products of normal
-subsets; element decompositions into products of conjugates of given
-generators come from layered product sets with back-pointers.  The cover
-provider builds, for a finite list of simple groups, a bounded tuple of
-elements of their direct product generating a perfect subgroup that surjects onto every
-factor.
+Normal subsets are unions of conjugacy classes, so covering numbers and
+the layers of a cover decomposition are computed on class numbers from one
+class walk per group (`_ClassTable`): class k lies in P * Q iff z_k q^-1
+lies in P for some q in Q, z_k the representative of k (Arad-Herzog,
+*Products of Conjugacy Classes in Groups*, LNM 1112, 1985).  Decompositions
+into products of conjugates of given generators follow back-pointers
+through those layers.  The cover provider builds, for a finite list of
+simple groups, a bounded tuple of elements of their direct product
+generating a perfect subgroup that surjects onto every factor.
 
-Like the chain in `groups`, the product loops run on raw images through
-`perms.kernel`: set products, the power sets of a covering number and the
-decomposer's layers hold images, and each element's right-operand table is
-computed once and shared by every product it is the right operand of.  A
-`Permutation` is built only for what a function returns.
+Element loops run on raw images through `perms.kernel`, and a
+`Permutation` is built only for what a function returns.  `product_set`
+multiplies element sets, for callers and tests that need the elements.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .groups import (
     StabilizerChain,
     conjugacy_class_of,
     conjugation_orbit_images,
+    conjugation_orbits_images,
     derived_subgroup,
-    enumerate_elements,
     is_abelian,
 )
 from .perms import Permutation, kernel
@@ -47,7 +48,7 @@ def is_simple_nonabelian(S: PermGroup, cap: int = ENUMERATION_CAP) -> bool:
 
 
 def product_set(X, Y, cap: int = ENUMERATION_CAP) -> frozenset:
-    """{x * y : x in X, y in Y}."""
+    """{x * y : x in X, y in Y}, element by element."""
     X = [x.images for x in X]
     Y = [y.images for y in Y]
     if len(X) * len(Y) > cap * 64:
@@ -58,22 +59,87 @@ def product_set(X, Y, cap: int = ENUMERATION_CAP) -> frozenset:
     if any(len(a) != degree for a in X) or any(len(b) != degree for b in Y):
         raise InputError("degree mismatch in product")
     table, compose, _ = kernel(degree)
-    return frozenset(map(_wrap, _product_images(X, [table(b) for b in Y], compose, cap)))
-
-
-def _product_images(X, tables, compose, cap: int) -> set:
-    """The images of x * y for x in X (images) and y in Y (their tables)."""
+    tables = [table(b) for b in Y]
     out = set()
     for a in X:
         out.update([compose(a, t) for t in tables])
         if len(out) > cap:
             raise PreconditionError("product set exceeded the cap")
-    return out
+    return frozenset(map(_wrap, out))
 
 
-def is_normal_subset(S: PermGroup, X, cap: int = ENUMERATION_CAP) -> bool:
-    Xset = frozenset(X)
-    return all(x.conjugate(g) in Xset for x in Xset for g in S.reduced_generators())
+class _ClassTable:
+    """The conjugacy classes of a group, from one class walk.
+
+    `index` maps the images of each element to the number of its class and
+    `members[k]` lists the images of class k in walk order; its first
+    member z_k represents the class.  A normal subset is a union of
+    classes, held as the frozenset of their numbers.
+    """
+
+    def __init__(self, S: PermGroup, cap: int = ENUMERATION_CAP):
+        self.group = S
+        self.index: dict = {}
+        self.members: list[list] = []
+        for k, orbit in enumerate(conjugation_orbits_images(S, cap)):
+            self.index.update(dict.fromkeys(orbit, k))
+            self.members.append(list(orbit))
+        self._table, self._compose, self._invert = kernel(S.degree)
+        self._inverse_tables: dict[int, list] = {}
+
+    def number(self, x: Permutation) -> int:
+        try:
+            return self.index[x.images]
+        except KeyError:
+            raise PreconditionError("element is not in the group") from None
+
+    def classes_of(self, X) -> frozenset:
+        return frozenset(map(self.number, X))
+
+    def size(self, K) -> int:
+        return sum(len(self.members[k]) for k in K)
+
+    def product(self, P, Q) -> frozenset:
+        """The classes of P * Q: class k is in it iff z_k q^-1 is in P for
+        some q in Q, so the cost is #classes x |Q| products at most."""
+        tables = []
+        for q in Q:
+            t = self._inverse_tables.get(q)
+            if t is None:
+                t = self._inverse_tables[q] = [
+                    self._table(self._invert(c)) for c in self.members[q]
+                ]
+            tables.extend(t)
+        index, compose = self.index, self._compose
+        return frozenset(
+            k
+            for k, cls in enumerate(self.members)
+            if any(index[compose(cls[0], t)] in P for t in tables)
+        )
+
+    def layers(self, ks) -> list[frozenset]:
+        """The classes of class(k_1) ... class(k_i) for i = 0, 1, ... along
+        the class numbers ks, up to the first that is the whole group."""
+        layers = [frozenset({self.index[self.group.identity.images]})]
+        for k in ks:
+            if len(layers[-1]) == len(self.members):
+                break
+            layers.append(self.product(layers[-1], {k}))
+        return layers
+
+    def power_sizes(self, K) -> tuple[int, ...]:
+        """|X|, |X^2|, ... up to the first power of X, the union of the
+        classes K, that is the whole group."""
+        power = K
+        sizes = [self.size(K)]
+        while len(power) < len(self.members):
+            if len(sizes) > self.group.order:
+                raise InternalError("covering iteration failed to terminate")
+            power = self.product(power, K)
+            sizes.append(self.size(power))
+        if sizes[-1] != self.group.order:
+            raise InternalError("the classes do not partition the group")
+        return tuple(sizes)
 
 
 @dataclass(frozen=True)
@@ -98,29 +164,22 @@ class CoveringCertificate:
 def covering_number(
     S: PermGroup, X, cap: int = ENUMERATION_CAP
 ) -> CoveringCertificate:
-    """Least e with X^e = S, for a nontrivial normal subset X of simple S."""
+    """Least e with X^e = S, for a nontrivial normal subset X of simple S.
+
+    X and its powers are unions of classes, so the powers are taken on
+    class numbers and their sizes are sums of class sizes.
+    """
     Xset = frozenset(X)
     if not is_simple_nonabelian(S, cap):
         raise PreconditionError("group is not simple nonabelian")
-    if not all(x in S for x in Xset):
-        raise PreconditionError("subset is not contained in the group")
-    if not is_normal_subset(S, Xset, cap):
+    classes = _ClassTable(S, cap)
+    K = classes.classes_of(Xset)
+    if classes.size(K) != len(Xset):
         raise PreconditionError("subset is not closed under conjugation")
     if not Xset or Xset == {S.identity}:
         raise PreconditionError("subset must contain a nonidentity element")
-    table, compose, _ = kernel(S.degree)
-    x_tables = [table(x.images) for x in Xset]
-    all_elements = {g.images for g in enumerate_elements(S, cap)}
-    power = {x.images for x in Xset}
-    sizes = [len(power)]
-    e = 1
-    while power != all_elements:
-        if e > S.order:
-            raise InternalError("covering iteration failed to terminate")
-        power = _product_images(power, x_tables, compose, cap)
-        sizes.append(len(power))
-        e += 1
-    cert = CoveringCertificate(S, Xset, e, tuple(sizes))
+    sizes = classes.power_sizes(K)
+    cert = CoveringCertificate(S, Xset, len(sizes), sizes)
     cert.check()
     return cert
 
@@ -158,95 +217,88 @@ def pick_small_centralizer_gen(
 
 
 class _LayeredDecomposer:
-    """Product-set layers of the classes of m_1..m_g, with back-pointers.
+    """Back-pointers through the products of the classes of m_1..m_g.
 
-    Layer i is the set of products c_1 ... c_i with c_k in class(m_{k mod g}).
-    Once a layer saturates to the whole group, later layers are not stored;
-    their back-pointers are resolved on demand.
-
-    Layers, classes and the keys of `conjugators` are raw images: layer i
-    maps the images of each product to (images of its layer i-1 factor,
-    images of its class member).  An element's right-operand table, and in
-    `_back_step` its inverse's, is computed once and shared by every class
-    it belongs to.
+    Layer i is class(m_1) ... class(m_i), indices mod g; `layers[i]` holds
+    its class numbers up to the first layer that is the whole group
+    (`saturated_at`).  Layer i is ordered by the new products x * c, for x
+    in layer i-1 in its order and c in m_i's `conjugation_orbit` order.  A
+    back step from y takes the first x of layer i-1 with x^-1 y in
+    class(m_i), and that orbit's conjugator for x^-1 y.  The orders are
+    generated only as far as back steps read them, and an orbit is walked
+    on first use.  Past saturation every x qualifies, so the step takes m_i
+    itself with the identity conjugator, the first member of its orbit.
     """
 
-    def __init__(self, S: PermGroup, gens, e: int, cap: int = ENUMERATION_CAP):
-        self.S = S
+    def __init__(self, classes: _ClassTable, gens, e: int):
+        self.classes = classes
+        self.S = classes.group
         self.gens = tuple(gens)
         self.e = e
         self.g = len(self.gens)
-        self._table, self._compose, self._invert = kernel(S.degree)
-        self._tables: dict = {}
-        self._inverse_tables: dict = {}
-        self._ident = S.identity.images
-        self.classes: list[list] = []
-        self.conjugators: list[dict] = []
-        for m in self.gens:
-            cls_map = conjugation_orbit_images(S, m)
-            self.classes.append(list(cls_map))
-            self.conjugators.append(cls_map)
-        self.all_elements = {x.images for x in enumerate_elements(S, cap)}
-        total = e * self.g
-        self.layers: list[dict] = [{self._ident: None}]
-        self.saturated_at: int | None = None
-        compose = self._compose
-        for i in range(1, total + 1):
-            if self.saturated_at is not None:
-                break
-            prev = self.layers[i - 1]
-            cls = [(c, self._table_of(c)) for c in self.classes[(i - 1) % self.g]]
-            layer: dict = {}
-            for x in prev:
-                for c, c_table in cls:
-                    y = compose(x, c_table)
-                    if y not in layer:
-                        layer[y] = (x, c)
-            self.layers.append(layer)
-            if len(layer) == S.order:
-                self.saturated_at = i
+        self._table, self._compose, self._invert = kernel(self.S.degree)
+        self._ident = self.S.identity.images
+        self._class_of = [classes.number(m) for m in self.gens]
+        self.layers = classes.layers(self._class_of[i % self.g] for i in range(e * self.g))
+        full = len(self.layers[-1]) == len(classes.members)
+        self.saturated_at = len(self.layers) - 1 if full else None
+        self._orbits: dict[int, tuple[dict, list]] = {}
+        # each layer's generated prefix, as a list and a set, and how many
+        # elements of the layer below it has multiplied out
+        self._orders = [[self._ident]] + [[] for _ in self.layers[1:]]
+        self._seen = [set(order) for order in self._orders]
+        self._taken = [0] * len(self.layers)
 
-    def _table_of(self, c):
-        t = self._tables.get(c)
-        if t is None:
-            t = self._tables[c] = self._table(c)
-        return t
+    def _orbit(self, j: int) -> tuple[dict, list]:
+        """m_j's `conjugation_orbit_images` and its members' tables."""
+        if j not in self._orbits:
+            orbit = conjugation_orbit_images(self.S, self.gens[j])
+            self._orbits[j] = orbit, list(map(self._table, orbit))
+        return self._orbits[j]
 
-    def _layer_contains(self, i: int, x) -> bool:
-        if self.saturated_at is not None and i >= self.saturated_at:
-            return x in self.all_elements
-        return x in self.layers[i]
+    def _element(self, i: int, n: int):
+        """The n-th element of layer i in its order, or None past its end."""
+        order, seen = self._orders[i], self._seen[i]
+        while len(order) <= n:
+            x = self._element(i - 1, self._taken[i])
+            if x is None:
+                return None
+            self._taken[i] += 1
+            for t in self._orbit((i - 1) % self.g)[1]:
+                y = self._compose(x, t)
+                if y not in seen:
+                    seen.add(y)
+                    order.append(y)
+        return order[n]
 
-    def _back_step(self, i: int, x) -> tuple:
-        """(layer i-1 factor, class member) of images x in layer i."""
-        if self.saturated_at is None or i < len(self.layers):
-            entry = self.layers[i].get(x)
-            if entry is not None:
-                return entry
-        inverse_tables = self._inverse_tables
-        for c in self.classes[(i - 1) % self.g]:
-            c_inv = inverse_tables.get(c)
-            if c_inv is None:
-                c_inv = inverse_tables[c] = self._table(self._invert(c))
-            prev = self._compose(x, c_inv)
-            if self._layer_contains(i - 1, prev):
-                return prev, c
+    def _back_step(self, i: int, y) -> tuple:
+        """(layer i-1 factor, conjugator) of images y in layer i."""
+        j = (i - 1) % self.g
+        if self.saturated_at is not None and i > self.saturated_at:
+            m_inverse = self._invert(self.gens[j].images)
+            return self._compose(y, self._table(m_inverse)), self._ident
+        y_table = self._table(y)
+        index, want = self.classes.index, self._class_of[j]
+        n = 0
+        while (x := self._element(i - 1, n)) is not None:
+            c = self._compose(self._invert(x), y_table)
+            if index[c] == want:
+                return x, self._orbit(j)[0][c]
+            n += 1
         raise InternalError("back-pointer resolution failed")
 
     def decompose(self, target: Permutation) -> list[list[Permutation]]:
         """Conjugators r[t][j] with target = prod_t prod_j m_j ** r[t][j]."""
-        total = self.e * self.g
         cur = target.images
-        if not self._layer_contains(total, cur):
+        if self.classes.index.get(cur) not in self.layers[-1]:
             raise PreconditionError(
                 f"element is not a product of {self.e} rounds of the classes"
             )
         rows = [[self.S.identity] * self.g for _ in range(self.e)]
-        for i in range(total, 0, -1):
-            prev, used = self._back_step(i, cur)
+        for i in range(self.e * self.g, 0, -1):
+            cur, r = self._back_step(i, cur)
             t, j = divmod(i - 1, self.g)
-            rows[t][j] = _wrap(self.conjugators[j][used])
-            cur = prev
+            rows[t][j] = _wrap(r)
         if cur != self._ident:
             raise InternalError("back-walk did not reach the identity")
         check = self.S.identity
@@ -266,7 +318,7 @@ def decompose_conjugate_product(
     cap: int = ENUMERATION_CAP,
 ) -> list[list[Permutation]]:
     """Conjugators r[t][j] with target = prod_{t<=e} prod_j m_j ** r[t][j]."""
-    return _LayeredDecomposer(S, gens, e, cap).decompose(target)
+    return _LayeredDecomposer(_ClassTable(S, cap), gens, e).decompose(target)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .groups import (
     CosetMap,
     StabilizerChain,
     center,
-    conjugation_orbits,
+    conjugation_orbits_images,
     derived_subgroup,
     enumerate_elements,
     intersection,
@@ -66,12 +66,12 @@ def normal_subgroups(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGroup
     register(PermGroup(G.degree, ()))
     # x and x^k with k prime to |x| have the same normal closure, so a class
     # holding such a power of an earlier representative adds nothing.
-    covered: set[Permutation] = set()
-    for orbit in conjugation_orbits(G, cap):
+    covered: set = set()
+    for orbit in conjugation_orbits_images(G, cap):
         if not covered.isdisjoint(orbit):
             continue
-        x = next(iter(orbit))
-        covered.update(_coprime_powers(x))
+        x = Permutation._trusted(next(iter(orbit)))
+        covered.update(y.images for y in _coprime_powers(x))
         register(normal_closure(G, [x]))
     # Pairs within found[:old] were joined on the previous pass, so their
     # joins are already in found.

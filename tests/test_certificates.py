@@ -21,6 +21,7 @@ from perfectcover.certificates import (
 from perfectcover.cli import main
 from perfectcover.construction import construct
 from perfectcover.errors import InputError
+from perfectcover.groupfile import parse_family_file
 from perfectcover.groups import CosetMap, PermGroup
 from perfectcover.perms import parse_cycles
 
@@ -118,6 +119,23 @@ def test_benchmark_family_certificate_bytes_are_pinned(groups, family, k, budget
     text = dumps_certificate(serialize_certificate(cert))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == BENCH_FAMILY_SEED7_DIGESTS[family, k, budget][__version__]
+
+
+# tests/data/k1-A8.txt at seed 7, budget 61: A8 has 14 classes and order
+# 20160, so the covering layer sees classes of up to 2880 members and the
+# decomposer saturates on the whole group.
+A8_FAMILY_SEED7_DIGESTS = {
+    "0.3.0": "ac326168f7bec636c5a1834183c39838824140d9449a6a82e294ea009d739eb6",
+}
+
+
+def test_a8_family_constructs_and_verifies():
+    family = pathlib.Path(__file__).parent / "data" / "k1-A8.txt"
+    names, members, d, k = parse_family_file(str(family))
+    cert = construct(members, d=d, k=k, names=names, seed=7, budget=61)
+    text = dumps_certificate(serialize_certificate(cert))
+    assert hashlib.sha256(text.encode()).hexdigest() == A8_FAMILY_SEED7_DIGESTS[__version__]
+    assert verify_certificate(json.loads(text)).valid
 
 
 _DIGEST_SCRIPT = """

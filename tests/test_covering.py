@@ -4,9 +4,11 @@ import random
 import pytest
 from conftest import count_permutation_calls
 
+from perfectcover import covering, groups as groups_module
 from perfectcover.construction import construct
 from perfectcover.covering import (
     CoveringCertificate,
+    _ClassTable,
     _LayeredDecomposer,
     covering_number,
     decompose_conjugate_product,
@@ -17,12 +19,14 @@ from perfectcover.covering import (
     semisimple_cover,
 )
 from perfectcover.errors import InputError, PreconditionError
-from perfectcover.perms import Permutation, parse_cycles
+from perfectcover.perms import Permutation, kernel, parse_cycles
 from perfectcover.products import _conjugator_element, _cover_element, t_values
 from perfectcover.groups import (
     PermGroup,
     centralizer,
     conjugacy_class_of,
+    conjugacy_classes,
+    conjugation_orbit_images,
     derived_subgroup,
     enumerate_elements,
 )
@@ -96,8 +100,6 @@ def test_covering_counting_bound(groups):
 
 
 def _nontrivial_classes(S):
-    from perfectcover.groups import conjugacy_classes
-
     return [c for c in conjugacy_classes(S) if not c[0].is_identity()]
 
 
@@ -264,7 +266,9 @@ def test_covering_loops_take_no_permutation_products(groups, monkeypatch):
     for X, Y in zip(classes, classes[1:]):
         product_set(X, Y)
     assert calls == {"__mul__": 0, "inverse": 0}
-    decomposer = _LayeredDecomposer(A6, gens, 2)
+    table = _ClassTable(A6)
+    assert table.power_sizes(table.classes_of(classes[0])) == (72, 360)
+    decomposer = _LayeredDecomposer(table, gens, 2)
     assert decomposer.saturated_at is not None
     assert calls == {"__mul__": 0, "inverse": 0}
 
@@ -295,3 +299,148 @@ def test_t_values_take_no_product_per_value(groups, monkeypatch):
     assert calls["__mul__"] <= n_conjugators + g
     assert calls["__mul__"] < len(values)
     assert calls["inverse"] == 0
+
+
+class _ElementLayerDecomposer:
+    """The element-level decomposer the class-level one replaced, kept as
+    its reference: it stores every layer below saturation as a dict from
+    each product to its first (layer i-1 factor, class member)."""
+
+    def __init__(self, S, gens, e):
+        self.S, self.gens, self.e, self.g = S, tuple(gens), e, len(gens)
+        self._table, self._compose, self._invert = kernel(S.degree)
+        self._ident = S.identity.images
+        self.conjugators = [conjugation_orbit_images(S, m) for m in self.gens]
+        self.all_elements = {x.images for x in enumerate_elements(S)}
+        self.layers = [{self._ident: None}]
+        self.saturated_at = None
+        for i in range(1, e * self.g + 1):
+            cls = [(c, self._table(c)) for c in self.conjugators[(i - 1) % self.g]]
+            layer = {}
+            for x in self.layers[i - 1]:
+                for c, c_table in cls:
+                    layer.setdefault(self._compose(x, c_table), (x, c))
+            self.layers.append(layer)
+            if len(layer) == S.order:
+                self.saturated_at = i
+                break
+
+    def _layer_contains(self, i, x):
+        if self.saturated_at is not None and i >= self.saturated_at:
+            return x in self.all_elements
+        return x in self.layers[i]
+
+    def _back_step(self, i, x):
+        if self.saturated_at is None or i < len(self.layers):
+            entry = self.layers[i].get(x)
+            if entry is not None:
+                return entry
+        for c in self.conjugators[(i - 1) % self.g]:
+            prev = self._compose(x, self._table(self._invert(c)))
+            if self._layer_contains(i - 1, prev):
+                return prev, c
+        raise AssertionError("back-pointer resolution failed")
+
+    def decompose(self, target):
+        total = self.e * self.g
+        cur = target.images
+        if not self._layer_contains(total, cur):
+            raise PreconditionError("not a product of the classes")
+        rows = [[self.S.identity] * self.g for _ in range(self.e)]
+        for i in range(total, 0, -1):
+            prev, used = self._back_step(i, cur)
+            t, j = divmod(i - 1, self.g)
+            rows[t][j] = Permutation._trusted(self.conjugators[j][used])
+            cur = prev
+        return rows
+
+
+@pytest.mark.parametrize("name", ["A5", "A6", "PSL27"])
+def test_decompose_equals_element_layer_reference(groups, name):
+    # The lazy insertion orders must pick the same back-pointers, and so
+    # the same conjugators, as the stored element layers.
+    S = groups[name]
+    rng = random.Random(1729)
+    elements = enumerate_elements(S)
+    targets = elements if name == "A5" else rng.sample(elements, 24)
+    for size in (2, 3, 61):
+        gens = sample_generating_tuple(S, size, rng)
+        table = _ClassTable(S)
+        for e in (1, 2, 3):
+            reference = _ElementLayerDecomposer(S, gens, e)
+            decomposer = _LayeredDecomposer(table, gens, e)
+            assert decomposer.saturated_at == reference.saturated_at
+            reachable = 0
+            for target in targets:
+                try:
+                    expected = reference.decompose(target)
+                except PreconditionError:
+                    with pytest.raises(PreconditionError):
+                        decomposer.decompose(target)
+                    continue
+                assert decomposer.decompose(target) == expected
+                reachable += 1
+            assert reachable > 0
+
+
+def _element_power_sizes(S, X):
+    power, sizes = frozenset(X), [len(X)]
+    while len(power) < S.order:
+        power = product_set(power, X)
+        sizes.append(len(power))
+    return tuple(sizes)
+
+
+@pytest.mark.parametrize("name", ["A5", "A6", "PSL27"])
+def test_covering_number_equals_element_powers(groups, name):
+    S = groups[name]
+    classes = _nontrivial_classes(S)
+    subsets = classes + [a + b for i, a in enumerate(classes) for b in classes[i + 1:]]
+    for X in subsets:
+        cert = covering_number(S, X)
+        sizes = _element_power_sizes(S, X)
+        assert cert.power_sizes == sizes
+        assert cert.e == len(sizes)
+        assert cert.normal_set == frozenset(X)
+
+
+def test_k1_cover_walks_each_factor_once(groups, monkeypatch):
+    # seed 7 of bench/families/k1-cover.txt: 3 simple factors, 61 cover
+    # generators each.  The decomposers walk a generator's orbit only for
+    # the positions they read below saturation (183 walks when every
+    # generator's class was stored), and each factor is enumerated once,
+    # inside the class walk of its class table.
+    orbit_walks = []
+    class_walks = []
+    enumerated = []
+    walk_orbit = covering.conjugation_orbit_images
+    walk_classes = covering.conjugation_orbits_images
+    enumerate_group = groups_module.enumerate_elements
+    inside = []
+
+    def counting_orbit(S, x):
+        orbit_walks.append(S.order)
+        return walk_orbit(S, x)
+
+    def counting_classes(S, cap):
+        class_walks.append(S.order)
+        inside.append(S)
+        try:
+            yield from walk_classes(S, cap)
+        finally:
+            inside.pop()
+
+    def counting_enumerate(G, cap):
+        if inside:
+            enumerated.append(G.order)
+        return enumerate_group(G, cap)
+
+    monkeypatch.setattr(covering, "conjugation_orbit_images", counting_orbit)
+    monkeypatch.setattr(covering, "conjugation_orbits_images", counting_classes)
+    monkeypatch.setattr(groups_module, "enumerate_elements", counting_enumerate)
+    names = ("A5", "A6", "PSL27")
+    construct(tuple(groups[n] for n in names), d=2, k=1, names=names, seed=7, budget=61)
+    assert len(orbit_walks) <= 9
+    assert sorted(class_walks) == [60, 168, 360]
+    assert sorted(enumerated) == [60, 168, 360]
+    assert not hasattr(covering, "enumerate_elements")
