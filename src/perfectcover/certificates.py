@@ -3,7 +3,8 @@
 A certificate is a plain JSON document holding the witnesses of one
 construction run: the family, then per level the words, lifts, residues,
 module coordinates, cover tuples and conjugators and the marked
-generators of that level's Gamma, and at the top the final generators.
+generators of that level's Gamma, and at the top Gamma's marked
+generators.
 Nothing the family and k determine is stored per level: the verifier
 derives each level's members, W, A, S, B and simple factors itself, and
 Delta, Q, T and each Gamma's generator list from the witnesses, by the
@@ -86,11 +87,12 @@ def _prodelem(product: DirectProduct, g: Permutation) -> dict[str, str]:
 
 
 def _top_gamma_doc(product, gamma_gens, order, marked) -> dict:
-    """The top-level gamma block: level 0's generators, order and marked."""
+    """The top-level gamma block: level 0's marked generators in marked
+    order, Gamma's order, and `marked` indexing the stored list."""
     return {
-        "generators": [_prodelem(product, g) for g in gamma_gens],
+        "generators": [_prodelem(product, gamma_gens[i]) for i in marked],
         "order": order,
-        "marked": list(marked),
+        "marked": list(range(len(marked))),
     }
 
 
@@ -430,9 +432,9 @@ def verify_certificate(
         rec.guard("family", f"member {name}", check_member)
 
     if not family:
-        gamma_doc = data["gamma"]
-        if gamma_doc.get("order") != 1 or gamma_doc.get("generators"):
-            rec.fail("gamma-perfect", "empty family must have a trivial group")
+        if data["levels"]:
+            rec.fail("gamma-perfect", "an empty family has no levels")
+        _verify_top(rec, data, [])
         return rec.report()
 
     # level i is level k - i; each level's family is the quotient of the
@@ -460,8 +462,14 @@ def verify_certificate(
         deeper = levels[idx + 1] if idx + 1 < len(levels) else None
         _verify_level(rec, ctx, deeper, d, cap)
 
-    # the top-level gamma block must be the first level's, with the
-    # generators derived from its witnesses
+    _verify_top(rec, data, levels)
+    return rec.report()
+
+
+def _verify_top(rec, data: dict, levels: list[_LevelCtx]) -> None:
+    """The top-level gamma block must be level 0's marked generators, derived
+    from its witnesses, with its order; the trivial group without levels."""
+
     def check_top():
         if levels:
             top = levels[0]
@@ -475,7 +483,6 @@ def verify_certificate(
             raise InputError("top gamma block differs from the derived level-0 gamma")
 
     rec.guard("gamma-perfect", "top gamma block", check_top)
-    return rec.report()
 
 
 def _verify_structure(rec, ctx: _LevelCtx) -> None:

@@ -327,12 +327,24 @@ def semisimple_factors(S: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGro
 
 
 class InternalDirectProduct:
-    """Component lookup for an internal direct product decomposition."""
+    """Component lookup for an internal direct product decomposition.
+
+    With one nontrivial factor F (A = 1 in W = A x S, or S simple) the
+    components of x are x in F's place and identities elsewhere, read off a
+    membership test in F's chain; otherwise every product of factor elements
+    is enumerated into a table.
+    """
 
     def __init__(self, whole: PermGroup, factors, cap: int = ENUMERATION_CAP):
         self.whole = whole
         self.factors = list(factors)
         self._components: dict[Permutation, tuple[Permutation, ...]] = {}
+        nontrivial = [i for i, F in enumerate(self.factors) if F.order != 1]
+        self._only = nontrivial[0] if len(nontrivial) == 1 else None
+        if self._only is not None:
+            if self.factors[self._only].order != whole.order:
+                raise PreconditionError("factors do not fill the group")
+            return
         element_lists = [enumerate_elements(F, cap) for F in self.factors]
         for combo in itertools.product(*element_lists):
             x = whole.identity
@@ -345,6 +357,14 @@ class InternalDirectProduct:
             raise PreconditionError("factors do not fill the group")
 
     def components(self, x: Permutation) -> tuple[Permutation, ...]:
+        if self._only is not None:
+            F = self.factors[self._only]
+            if x.degree != F.degree or x not in F:
+                raise PreconditionError("element is not in the group")
+            return tuple(
+                x if i == self._only else G.identity
+                for i, G in enumerate(self.factors)
+            )
         try:
             return self._components[x]
         except KeyError:

@@ -43,12 +43,14 @@ def e16_cert(groups):
 # silently changes Gamma or its witnesses fails here.
 A5_SEED7_DIGESTS = {
     "0.3.0": "310abda7b194d40eb51b9b429341693b1526e6e13fb9cb9c9e9d41d15efb3dce",
+    "0.4.0": "b4d097c44b789cc68b54855b46d3a8c9ed4bc4207d1ae2341d41e9098dd30dfb",
 }
 
 # The same for budget 61: the class product of build_T fills A5 before its
 # last class, which budget 2 never does.
 A5_SEED7_BUDGET61_DIGESTS = {
     "0.3.0": "a65b094f2c78528cd74a5e53eff1e5e0adfe76935e8ef0284f55ba58a9c6c8ed",
+    "0.4.0": "d56d79643727a4d7516583a2536feb821d9fc904d236655b837b01a627708585",
 }
 
 
@@ -68,6 +70,7 @@ def test_seed7_budget61_certificate_bytes_are_pinned(groups):
 # so this digest also guards the commutator word search.
 E16A5_K2_SEED7_DIGESTS = {
     "0.3.0": "a638bb618af763b524198f062725c83a162458862f86b447cbbfd0209dd01d4f",
+    "0.4.0": "5b23274d1515f319af8e27e95521e89811d4739c6c79555f21a99aa29d803940",
 }
 
 
@@ -84,6 +87,7 @@ def test_e16a5_k2_certificate_bytes_are_pinned(e16_cert):
 # order of the cover tuples.
 A5XA5_SEED7_DIGESTS = {
     "0.3.0": "013d4f6830a45b86865260bfaaf0d0c9d544f3a183190df97e82f46bfd7a7a1a",
+    "0.4.0": "01931f9a6b6141f3a3a9ac9ec8037d5e094b8eb2f73f22b9b602115ef643ac10",
 }
 
 
@@ -101,9 +105,11 @@ def test_a5xa5_certificate_bytes_are_pinned(groups):
 BENCH_FAMILY_SEED7_DIGESTS = {
     ("A5+A6+PSL27", 1, 61): {
         "0.3.0": "53b1fa0930cd2a0a23f75b94a37b9d2b5726a7b1ad4afeda2d59649d540b5d2e",
+        "0.4.0": "5185e188810aff32e55237427592a7c0ecfbd5e9cabed49ea83c1d974d22087d",
     },
     ("SL25+E16A5", 2, 2): {
         "0.3.0": "bc5e97568aaca3a9e5df3f886067a4c420a879a33562034b06c3ed82e5f66d95",
+        "0.4.0": "7f0ce09443fbcd65c0c1969fa3699c29005538042598ef066c4594489d6b34e5",
     },
 }
 
@@ -126,6 +132,7 @@ def test_benchmark_family_certificate_bytes_are_pinned(groups, family, k, budget
 # decomposer saturates on the whole group.
 A8_FAMILY_SEED7_DIGESTS = {
     "0.3.0": "ac326168f7bec636c5a1834183c39838824140d9449a6a82e294ea009d739eb6",
+    "0.4.0": "75e16caa11508baeea2030e8026576df5ecb13e4139e61af8a23f464cdaa29cb",
 }
 
 
@@ -371,6 +378,114 @@ def test_old_format_certificate_gives_a_report(capsys):
     assert not forced.valid
     assert "level data unreadable" in forced.message
     assert main(["verify", str(FORMAT_0_2_0_CERT), "--force"]) == 1
+
+
+# The same certificate as format 0.3.0 wrote it: its top gamma block held
+# all 12 derived generators of Gamma, of which [0, 1] were marked.
+FORMAT_0_3_0_CERT = pathlib.Path(__file__).parent / "data" / "a5-seed7-format-0.3.0.json"
+
+
+def _format_0_3_0_data() -> dict:
+    text = FORMAT_0_3_0_CERT.read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == A5_SEED7_DIGESTS["0.3.0"]
+    return json.loads(text)
+
+
+def test_format_0_3_0_certificate_is_refused(capsys):
+    data = _format_0_3_0_data()
+    refused = verify_certificate(data)
+    assert not refused.valid and "version" in refused.message
+    assert main(["verify", str(FORMAT_0_3_0_CERT)]) == 1
+    forced = verify_certificate(data, force_version=True)
+    assert forced.failed_steps() == ["gamma-perfect"]
+    assert main(["verify", str(FORMAT_0_3_0_CERT), "--force"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_top_gamma_block_holds_the_marked_generators(a5_cert):
+    # Gamma and every witness are those of format 0.3.0; the top block keeps
+    # only the generators 0.3.0 marked, in marked order
+    old = _format_0_3_0_data()
+    old_gamma = old.pop("gamma")
+    new = copy.deepcopy(a5_cert)
+    new_gamma = new.pop("gamma")
+    del old["version"], new["version"]
+    assert new == old
+    assert new_gamma == {
+        "generators": [old_gamma["generators"][i] for i in old_gamma["marked"]],
+        "order": old_gamma["order"],
+        "marked": list(range(len(old_gamma["marked"]))),
+    }
+
+
+def _append_unmarked(gamma):
+    # a derived generator that 0.3.0 stored and did not mark
+    old_gamma = _format_0_3_0_data()["gamma"]
+    unmarked = [i for i in range(len(old_gamma["generators"])) if i not in old_gamma["marked"]]
+    gamma["generators"].append(old_gamma["generators"][unmarked[0]])
+
+
+def _swap(gamma):
+    gens = gamma["generators"]
+    assert gens[0] != gens[1]
+    gens[0], gens[1] = gens[1], gens[0]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _append_unmarked,
+        _swap,
+        lambda gamma: gamma["generators"].pop(),
+        lambda gamma: gamma.update(marked=[1, 0]),
+        lambda gamma: gamma.update(order=gamma["order"] - 1),
+    ],
+    ids=["unmarked-appended", "swapped", "dropped", "marked-changed", "order-off-by-one"],
+)
+def test_mutated_top_gamma_block_rejected(a5_cert, tmp_path, capsys, mutate):
+    data = copy.deepcopy(a5_cert)
+    mutate(data["gamma"])
+    report = verify_certificate(data)
+    assert report.failed_steps() == ["gamma-perfect"]
+    path = tmp_path / "cert.json"
+    path.write_text(dumps_certificate(data))
+    assert main(["verify", str(path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_empty_family_certificate_is_valid():
+    data = serialize_certificate(construct((), d=2, k=1, names=()))
+    assert data["levels"] == []
+    assert data["gamma"] == {"generators": [], "order": 1, "marked": []}
+    assert verify_certificate(data).valid
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("order", True),
+        ("marked", None),
+        ("marked", "junk"),
+        ("marked", [0]),
+        ("generators", {}),
+        ("levels", [{"junk": 1}, 5]),
+    ],
+    ids=["order-true", "marked-missing", "marked-junk", "marked-index",
+         "generators-object", "levels-junk"],
+)
+def test_empty_family_certificate_mutations_rejected(tmp_path, capsys, field, value):
+    data = serialize_certificate(construct((), d=2, k=1, names=()))
+    block = data if field == "levels" else data["gamma"]
+    if value is None:
+        del block[field]
+    else:
+        block[field] = value
+    report = verify_certificate(data)
+    assert report.failed_steps() == ["gamma-perfect"]
+    path = tmp_path / "cert.json"
+    path.write_text(dumps_certificate(data))
+    assert main(["verify", str(path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_k0_certificate_is_valid():

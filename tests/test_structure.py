@@ -317,6 +317,31 @@ def test_internal_direct_product_components(groups):
     assert c0 in facs[0] and c1 in facs[1]
 
 
+def test_internal_direct_product_with_one_nontrivial_factor(groups, monkeypatch):
+    # W = A x S with A = 1: components come from a membership test, and no
+    # factor is enumerated
+    A5 = groups["A5"]
+    trivial = PermGroup(5, ())
+    elements = enumerate_elements(A5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a factor was enumerated")
+
+    monkeypatch.setattr(structure, "enumerate_elements", refuse)
+    dec = InternalDirectProduct(A5, [trivial, A5])
+    for x in elements:
+        assert dec.components(x) == (A5.identity, x)
+    assert InternalDirectProduct(A5, [A5]).components(elements[1]) == (elements[1],)
+    with pytest.raises(PreconditionError, match="element is not in the group"):
+        dec.components(P("(1 2)", 5))
+    with pytest.raises(PreconditionError, match="element is not in the group"):
+        dec.components(P("(1 2 3)", 6))
+    whole = groups["A5xA5"]
+    first = semisimple_factors(whole)[0]
+    with pytest.raises(PreconditionError, match="factors do not fill the group"):
+        InternalDirectProduct(whole, [PermGroup(10, ()), first])
+
+
 def test_level_drops_by_one_in_the_quotient(groups):
     # quotient by the last nontrivial series term has level exactly one less;
     # this is the property the construction recursion relies on
