@@ -460,7 +460,7 @@ def verify_certificate(
     for idx in range(len(levels) - 1, -1, -1):
         ctx = levels[idx]
         deeper = levels[idx + 1] if idx + 1 < len(levels) else None
-        _verify_level(rec, ctx, deeper, d, cap)
+        _verify_level(rec, ctx, deeper, d, data["budget"], cap)
 
     _verify_top(rec, data, levels)
     return rec.report()
@@ -495,7 +495,9 @@ def _verify_structure(rec, ctx: _LevelCtx) -> None:
         rec.guard("structure", f"level {ctx.k_level} factor {j}", check)
 
 
-def _verify_level(rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, cap) -> None:
+def _verify_level(
+    rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, budget: int, cap
+) -> None:
     kl = ctx.k_level
     lab = f"level {kl}"
     m = ctx.m
@@ -653,7 +655,8 @@ def _verify_level(rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, cap) ->
 
     rec.guard("s-in-T", lab, check_sT)
 
-    # ---- T perfect: one generating cover tuple per simple factor
+    # ---- T perfect: one generating cover tuple of `budget` elements per
+    # simple factor
     def check_T():
         flat = ctx.simple_factors
         if ctx.doc["cover"] is None:
@@ -666,6 +669,11 @@ def _verify_level(rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, cap) ->
             )
         _, tuples, _, _ = ctx.cover
         for idx, (_, M) in enumerate(flat):
+            if len(tuples[idx]) != budget:
+                raise InputError(
+                    f"cover tuple {idx} holds {len(tuples[idx])} elements, "
+                    f"not the budget {budget}"
+                )
             if StabilizerChain(M.degree, tuples[idx]).order() != M.order:
                 raise InputError(f"cover tuple {idx} does not generate its factor")
         t_group = ctx.t_group

@@ -38,7 +38,6 @@ from .groups import (
     PermGroup,
     commutator_subgroup,
     derived_subgroup,
-    greedy_indices,
 )
 from .perms import Permutation
 from .products import (
@@ -392,7 +391,8 @@ def assemble_and_verify(
     cap: int = ENUMERATION_CAP,
 ) -> tuple[PermGroup, list[Permutation], list[int]]:
     """Gamma = <Delta u Q u T>; verify perfectness, the containment chain and
-    all projections before returning."""
+    all projections before returning.  The marked indices are the
+    generators that extended Gamma's chain."""
     product = split.product
     gamma_gens = gamma_generators(
         delta_gens, qdata.values, tdata.values if tdata is not None else []
@@ -423,8 +423,7 @@ def assemble_and_verify(
         if delta_gens[i] not in derived:
             raise InternalError("a Delta generator escaped [Gamma, Gamma]")
 
-    marked_idx = greedy_indices(product.degree, gamma_gens, gamma.order)
-    return gamma, gamma_gens, marked_idx
+    return gamma, gamma_gens, list(gamma.chain.picks)
 
 
 def _construct_level(

@@ -1,17 +1,20 @@
 """Permutation groups backed by a deterministic stabilizer chain.
 
-The chain is built with a deterministic Schreier-Sims pass (no randomness,
-base points chosen as least moved points, orbits discovered breadth-first
-with generators in list order), so orders, membership tests and every
-derived computation are reproducible bit for bit.  A chain also grows
-one element at a time: `StabilizerChain.extend` sifts the element and, if
-it is new, resumes Schreier-Sims at the level where the sift stopped.
-Greedy generator scans (`greedy_indices`) and normal closures run on it.
+A chain is built greedily: each generator in list order is sifted through
+the chain so far, and only a non-identity residue extends it, resuming
+Schreier-Sims at the level where the sift stopped (`StabilizerChain.extend`
+is the same step).  The indices of the generators that extended it are its
+`picks`; they generate the group, each lies outside the group of the
+earlier ones, and `PermGroup.reduced_generators` returns them without
+building another chain.  A redundant generator costs one sift.  There is
+no randomness: base points are least moved points and orbits are
+discovered breadth-first with strong generators in order, so orders,
+membership tests and every derived computation are reproducible bit for
+bit.  Normal closures extend one chain and keep its picks.
 
 The chain, `mulclose` and the class walks work on raw images through
-`perms.kernel` and build a `Permutation` only for what they keep or return:
-a new strong generator, a returned residue, a closure element, a class
-member.  Each level stores the inverse of each transversal element when it
+`perms.kernel` and build a `Permutation` only for what they return: a
+residue, a closure element, a class member.  Each level stores the inverse of each transversal element when it
 computes its orbit, so a sift step is one compose, and it keeps the strong
 generators that fix the earlier base points as they are added, so no pass
 filters them again.  Schreier-Sims checks
@@ -91,53 +94,49 @@ class _Level:
 
 
 class StabilizerChain:
-    """Base, basic orbits and transversals for a permutation group."""
+    """Base, basic orbits and transversals for a permutation group.
+
+    `picks` lists the indices of the generators that extended the chain
+    while it was built, in order.
+    """
 
     def __init__(self, degree: int, generators):
         self.degree = degree
         self._table, self._compose, self._invert = kernel(degree)
         self._ident = pack(range(degree))
         self.identity = _wrap(self._ident)
-        self.strong_gens: list[Permutation] = []
         self._gen_tables: list[tuple] = []
         self.levels: list[_Level] = []
-        seen = set()
-        for g in generators:
+        self.picks: list[int] = []
+        for i, g in enumerate(generators):
             if g.degree != degree:
                 raise InputError("generator degree mismatch")
-            if not g.is_identity() and g not in seen:
-                seen.add(g)
-                self._append_strong_gen(g)
-        self._build()
+            if self._extend_images(g.images):
+                self.picks.append(i)
 
     # -- construction -------------------------------------------------
 
-    def _append_strong_gen(self, g: Permutation) -> None:
-        pair = (g.images, self._table(g.images))
-        self.strong_gens.append(g)
+    def _append_strong_gen(self, g) -> None:
+        """Record images g as a strong generator at every level it joins."""
+        pair = (g, self._table(g))
         self._gen_tables.append(pair)
         for lev in self.levels:
             lev.gens.append(pair)
-            if g.images[lev.point] != lev.point:
-                return
-
-    def _ensure_base_covers(self, g) -> None:
-        """Append a level at the least point g moves if it fixes the base; g is images."""
-        if g == self._ident:
-            return
-        for lev in self.levels:
             if g[lev.point] != lev.point:
                 return
-        for point in range(self.degree):
-            if g[point] != point:
-                if self.levels:
-                    last = self.levels[-1]
-                    b = last.point
-                    gens = [pair for pair in last.gens if pair[0][b] == b]
-                else:
-                    gens = list(self._gen_tables)
-                self.levels.append(_Level(point, gens))
-                return
+
+    def _append_level(self, g) -> None:
+        """A new last level at the least point that images g, which fix the base, move."""
+        point = next((p for p in range(self.degree) if g[p] != p), None)
+        if point is None:
+            raise InternalError("sift residue moves no point")
+        if self.levels:
+            last = self.levels[-1]
+            b = last.point
+            gens = [pair for pair in last.gens if pair[0][b] == b]
+        else:
+            gens = list(self._gen_tables)
+        self.levels.append(_Level(point, gens))
 
     def _recompute_orbit(self, i: int) -> None:
         lev = self.levels[i]
@@ -174,13 +173,6 @@ class StabilizerChain:
             g = compose(g, t_inv)
         return g, len(levels)
 
-    def _build(self) -> None:
-        for g in self.strong_gens:
-            self._ensure_base_covers(g.images)
-        for i in range(len(self.levels)):
-            self._recompute_orbit(i)
-        self._complete(len(self.levels) - 1)
-
     def _complete(self, i: int) -> None:
         """Schreier-Sims on levels i down to 0; levels deeper than i are complete."""
         while i >= 0:
@@ -192,11 +184,9 @@ class StabilizerChain:
 
     def _add_strong_gen(self, residue, j: int, first: int) -> None:
         """Append a sift residue (images) that stopped at level j; recompute orbits first..j."""
-        self._append_strong_gen(_wrap(residue))
+        self._append_strong_gen(residue)
         if j == len(self.levels):
-            self._ensure_base_covers(residue)
-            if j == len(self.levels):
-                raise InternalError("sift residue moves no point")
+            self._append_level(residue)
         for level in range(first, j + 1):
             self._recompute_orbit(level)
 
@@ -298,18 +288,19 @@ class PermGroup:
         self.generators = generators
         self.chain = StabilizerChain(degree, generators)
         self._order = self.chain.order()
-        self._reduced: tuple[Permutation, ...] | None = None
+        self._reduced = tuple(generators[i] for i in self.chain.picks)
 
     @classmethod
-    def _from_chain(cls, generators, chain: StabilizerChain) -> PermGroup:
+    def _from_chain(cls, generators, chain: StabilizerChain, picks) -> PermGroup:
         """The group `chain` holds, listed by `generators`, which must
-        generate it; builds no second chain."""
+        generate it; `picks` index the generators that extended the chain.
+        Builds no second chain."""
         G = cls.__new__(cls)
         G.degree = chain.degree
         G.generators = tuple(generators)
         G.chain = chain
         G._order = chain.order()
-        G._reduced = None
+        G._reduced = tuple(G.generators[i] for i in picks)
         return G
 
     @property
@@ -333,10 +324,9 @@ class PermGroup:
         return self.chain.sample(rng)
 
     def reduced_generators(self) -> tuple[Permutation, ...]:
-        """A short generating subsequence of `generators`, greedily selected."""
-        if self._reduced is None:
-            picks = greedy_indices(self.degree, self.generators, self._order)
-            self._reduced = tuple(self.generators[i] for i in picks)
+        """The generators that extended the chain as it was built, in order:
+        each lies outside the group of the earlier ones, and together they
+        generate the group."""
         return self._reduced
 
     def elements(self, cap: int = ENUMERATION_CAP) -> list[Permutation]:
@@ -353,28 +343,13 @@ def enumerate_elements(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[Permuta
     return mulclose(G.generators, cap=cap, degree=G.degree)
 
 
-def greedy_indices(degree: int, elements, target_order: int | None = None) -> list[int]:
-    """Indices i with elements[i] outside the group the earlier picks generate.
-
-    With target_order the scan stops once the picks generate a group of
-    that order, and fails if they never do.
-    """
-    chain = StabilizerChain(degree, ())
-    chosen: list[int] = []
-    for idx, g in enumerate(elements):
-        if chain.extend(g):
-            chosen.append(idx)
-            if chain.order() == target_order:
-                break
-    if target_order is not None and chain.order() != target_order:
-        raise InternalError("generator scan did not reach the full group")
-    return chosen
-
-
 def from_elements(degree: int, elements) -> PermGroup:
-    """Group generated by an element list, with a reduced generating set."""
+    """Group generated by an element list, generated by the elements that
+    extended its chain."""
     elements = list(elements)
-    return PermGroup(degree, [elements[i] for i in greedy_indices(degree, elements)])
+    chain = StabilizerChain(degree, elements)
+    picked = [elements[i] for i in chain.picks]
+    return PermGroup._from_chain(picked, chain, range(len(picked)))
 
 
 def normal_closure(G: PermGroup, seeds) -> PermGroup:
@@ -387,15 +362,17 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
     conj = _conjugators(G)
     gens = [s for s in seeds if not s.is_identity()]
     chain = StabilizerChain(G.degree, gens)
+    picks = list(chain.picks)
     queue = deque(s.images for s in gens)
     while queue:
         h_table = table(queue.popleft())
         for g_inv, g_table in conj:
             c = compose(compose(g_inv, h_table), g_table)
             if chain._extend_images(c):
+                picks.append(len(gens))
                 gens.append(_wrap(c))
                 queue.append(c)
-    return PermGroup._from_chain(gens, chain)
+    return PermGroup._from_chain(gens, chain, picks)
 
 
 def _conjugators(G: PermGroup) -> list[tuple]:

@@ -63,10 +63,11 @@ class DirectProduct:
         return PermGroup(self.degree, gens)
 
     def projection_of(self, H: PermGroup, j: int) -> PermGroup:
-        """Image of a subgroup of the product in factor j."""
+        """Image of a subgroup of the product in factor j, generated by the
+        projections of H's reduced generators, which generate H."""
         return PermGroup(
             self.factors[j].degree,
-            [self.project(g, j) for g in H.generators],
+            [self.project(g, j) for g in H.reduced_generators()],
         )
 
 

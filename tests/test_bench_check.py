@@ -12,6 +12,7 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 pytest.importorskip("sympy.combinatorics")
 
@@ -20,6 +21,7 @@ from perfectcover.certificates import (  # noqa: E402
     serialize_certificate,
     verify_certificate,
 )
+from perfectcover import catalog  # noqa: E402
 from perfectcover.construction import construct  # noqa: E402
 from perfectcover.groupfile import parse_family_file  # noqa: E402
 
@@ -51,3 +53,33 @@ def test_bench_checker_finds_no_problem(workload):
     report = verify_certificate(data)
     steps = [[s.name, s.ok] for s in report.steps]
     assert check.check_certificate(data, orders, steps) == []
+
+
+# Catalog members, each with its star-series level and the order known from
+# mathematics; the checker compares the certificate's members with these.
+LEVELS = {"A5": 1, "A6": 1, "PSL27": 1, "A5xA5": 1, "SL25": 2, "E16A5": 2}
+ORDERS = {"A5": 60, "A6": 360, "PSL27": 168, "A5xA5": 3600, "SL25": 120, "E16A5": 960}
+
+
+# Members are distinct: the checker compares the family's names with the
+# keys of its expected orders, so a repeated member cannot be expressed.
+@settings(max_examples=8, deadline=None)
+@given(
+    names=st.lists(st.sampled_from(sorted(LEVELS)), min_size=1, max_size=2, unique=True),
+    budget=st.sampled_from([2, 3, 61]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_bench_checker_agrees_on_drawn_families(names, budget, seed):
+    # The sympy checker shares no code with the package; it and the package
+    # verifier must both accept every certificate the construction writes.
+    k = max(LEVELS[n] for n in names)
+    # A5xA5 beside a level-2 member takes 3.7 s at budget 2 and 39 s at 61
+    assume(not (k == 2 and "A5xA5" in names))
+    check = _load_check()
+    members = tuple(catalog.get(n) for n in names)
+    cert = construct(members, d=2, k=k, names=tuple(names), seed=seed, budget=budget)
+    data = json.loads(dumps_certificate(serialize_certificate(cert)))
+    report = verify_certificate(data)
+    assert report.valid, report.lines()
+    steps = [[s.name, s.ok] for s in report.steps]
+    assert check.check_certificate(data, {n: ORDERS[n] for n in names}, steps) == []

@@ -145,6 +145,23 @@ def test_a8_family_constructs_and_verifies():
     assert verify_certificate(json.loads(text)).valid
 
 
+# tests/data/k1-M11.txt at seed 7, budget 61: the Mathieu group M11 of
+# order 7920, a simple group that is not alternating.
+M11_FAMILY_SEED7_DIGESTS = {
+    "0.4.0": "bf537cb25a1169e473ed51c634e1d9cf30c53a128dd48d5c43014f7d6114ad3a",
+}
+
+
+def test_m11_family_constructs_and_verifies():
+    family = pathlib.Path(__file__).parent / "data" / "k1-M11.txt"
+    names, members, d, k = parse_family_file(str(family))
+    assert [G.order for G in members] == [7920]
+    cert = construct(members, d=d, k=k, names=names, seed=7, budget=61)
+    text = dumps_certificate(serialize_certificate(cert))
+    assert hashlib.sha256(text.encode()).hexdigest() == M11_FAMILY_SEED7_DIGESTS[__version__]
+    assert verify_certificate(json.loads(text)).valid
+
+
 _DIGEST_SCRIPT = """
 import hashlib, sys
 from perfectcover import catalog
@@ -358,6 +375,23 @@ def test_cover_needs_one_tuple_per_simple_factor(a5_cert, change):
     assert any("one tuple per simple factor" in p for p in problems["T-perfect"])
     if change == "extra":
         assert report.failed_steps() == ["T-perfect"]
+
+
+@pytest.mark.parametrize("budget", [3, 1, 61, -1, 1000])
+def test_budget_must_match_the_cover_tuples(a5_cert, tmp_path, capsys, budget):
+    # every cover tuple holds exactly `budget` elements; a certificate
+    # whose budget says otherwise is invalid at T-perfect
+    data = copy.deepcopy(a5_cert)
+    assert all(len(t) == data["budget"] == 2 for t in data["levels"][0]["cover"]["tuples"])
+    data["budget"] = budget
+    report = verify_certificate(data)
+    assert report.failed_steps() == ["T-perfect"]
+    problems = {s.name: s.problems for s in report.steps}
+    assert any(f"not the budget {budget}" in p for p in problems["T-perfect"])
+    path = tmp_path / "cert.json"
+    path.write_text(dumps_certificate(data))
+    assert main(["verify", str(path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # A5, d=2, k=1, budget 2, seed 7 as format 0.2.0 wrote it: levels held

@@ -8,7 +8,6 @@ from conftest import count_permutation_calls
 from perfectcover import catalog
 from perfectcover.errors import (
     InputError,
-    InternalError,
     PreconditionError,
     SizeLimitError,
 )
@@ -27,13 +26,13 @@ from perfectcover.groups import (
     derived_subgroup,
     enumerate_elements,
     from_elements,
-    greedy_indices,
     intersection,
     is_normal,
     mulclose,
     normal_closure,
 )
 from perfectcover.perms import Permutation, commutator, parse_cycles
+from perfectcover.products import DirectProduct
 from perfectcover.structure import normal_subgroups
 
 
@@ -100,24 +99,21 @@ def test_chain_order_matches_bfs_closure(groups):
         assert chain.order() == G.order, name
 
 
-def test_greedy_indices_picks_elements_outside_earlier_closure(groups):
+def test_chain_picks_are_elements_outside_earlier_closure(groups):
     rng = random.Random(12)
     for name, G in groups.items():
         for elements in (G.generators, scan_inputs(G, rng)):
             _, picks = grow_chain_checked(G.degree, elements)
-            assert greedy_indices(G.degree, elements) == picks, name
-            # with a target order the scan stops at the pick that reaches it
-            stop = next(
-                n for n in range(len(picks) + 1)
-                if len(mulclose([elements[i] for i in picks[:n]], degree=G.degree))
-                == G.order
-            )
-            assert greedy_indices(G.degree, elements, G.order) == picks[:stop], name
+            assert StabilizerChain(G.degree, elements).picks == picks, name
+            # the picks alone generate the group the elements generate
+            chosen = [elements[i] for i in picks]
+            assert len(mulclose(chosen, degree=G.degree)) == G.order, name
+            reduced = PermGroup(G.degree, elements).reduced_generators()
+            assert reduced == tuple(chosen), name
             if elements is G.generators:
-                reduced = tuple(elements[i] for i in picks[:stop])
                 assert G.reduced_generators() == reduced, name
-    with pytest.raises(InternalError):
-        greedy_indices(5, groups["A5"].generators[:1], 60)
+    # picks of a list that generates a proper subgroup stop short of it
+    assert StabilizerChain(5, groups["A5"].generators[:1]).picks == [0]
 
 
 def test_membership_agrees_with_enumeration(groups):
@@ -274,23 +270,85 @@ def test_center_and_intersection(groups):
     assert center(groups["A5"]).order == 1
 
 
-def test_normal_closure_builds_one_chain(groups, monkeypatch):
-    # the chain extended while closing is the returned group's chain
-    G = groups["A5"]
-    G.reduced_generators()  # its greedy scan builds a chain of its own
+def count_chain_builds(monkeypatch):
+    """Record the generator list of every chain built from here on."""
     built = []
     original = StabilizerChain.__init__
 
-    def counting(self, *args):
-        built.append(1)
-        original(self, *args)
+    def counting(self, degree, generators):
+        generators = list(generators)
+        built.append(generators)
+        original(self, degree, generators)
 
     monkeypatch.setattr(StabilizerChain, "__init__", counting)
+    return built
+
+
+def test_normal_closure_builds_one_chain(groups, monkeypatch):
+    # the chain extended while closing is the returned group's chain
+    G = groups["A5"]
+    built = count_chain_builds(monkeypatch)
     N = normal_closure(G, [P("(1 2 3)", 5)])
     assert len(built) == 1
     monkeypatch.undo()
     assert N.order == 60 == PermGroup(5, N.generators).order
     assert all(g in N for g in G.generators)
+    # the picks recorded while closing are those of a fresh chain
+    assert N.reduced_generators() == PermGroup(5, N.generators).reduced_generators()
+
+
+def _random_products(gens, count, rng):
+    products = []
+    for _ in range(count):
+        x = Permutation.identity(gens[0].degree)
+        for _ in range(rng.randrange(1, 8)):
+            x = x * rng.choice(gens)
+        products.append(x)
+    return products
+
+
+@pytest.mark.parametrize("name", ["A5", "PSL27", "SL25", "E16A5", "A5xA5"])
+def test_chain_from_long_redundant_list_agrees_with_mulclose(groups, name):
+    # The generators, then a few hundred products of them: each product
+    # sifts to the identity, so only the generators extend the chain.
+    G = groups[name]
+    rng = random.Random(17)
+    gens = list(G.generators)
+    chain = StabilizerChain(G.degree, gens + _random_products(gens, 300, rng))
+    elements = set(mulclose(gens, degree=G.degree))
+    assert chain.order() == len(elements) == G.order
+    assert chain.picks == StabilizerChain(G.degree, gens).picks
+    assert all(chain.contains(x) for x in elements)
+    points = list(range(G.degree))
+    for _ in range(200):
+        rng.shuffle(points)
+        x = Permutation(points)
+        assert chain.contains(x) == (x in elements)
+
+
+def test_reduced_generators_builds_no_chain(groups, monkeypatch):
+    A6 = groups["A6"]
+    G = PermGroup(6, A6.generators * 3)
+    built = count_chain_builds(monkeypatch)
+    reduced = G.reduced_generators()
+    assert built == []
+    monkeypatch.undo()
+    assert reduced == A6.reduced_generators()
+    assert PermGroup(6, reduced).order == 360
+
+
+def test_projection_builds_its_chain_from_reduced_generators(groups, monkeypatch):
+    A5, PSL = groups["A5"], groups["PSL27"]
+    prod = DirectProduct((A5, PSL))
+    pairs = [prod.element({0: A5.generators[i], 1: PSL.generators[i]}) for i in range(2)]
+    H = prod.subgroup(pairs + _random_products(pairs, 40, random.Random(3)))
+    reduced = H.reduced_generators()
+    assert len(reduced) < len(H.generators)
+    built = count_chain_builds(monkeypatch)
+    proj = prod.projection_of(H, 1)
+    assert built == [[prod.project(g, 1) for g in reduced]]
+    monkeypatch.undo()
+    assert proj.order == 168
 
 
 def test_quotient_action(groups):

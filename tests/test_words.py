@@ -198,7 +198,6 @@ def test_commutator_pool_equals_reference(name):
 def test_word_search_takes_no_permutation_products(monkeypatch):
     # The word table and the commutator pool run on raw images.
     A5 = get("A5")
-    A5.reduced_generators()
     calls = count_permutation_calls(monkeypatch)
     assert len(word_table(A5.generators, 5)) == 60
     assert words._commutator_pool(A5, groups.ENUMERATION_CAP)
