@@ -33,6 +33,7 @@ breadth-first closure of the generating set.  It never consults the chain.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from itertools import repeat
 
 from .errors import InputError, InternalError, PreconditionError, SizeLimitError
@@ -275,7 +276,11 @@ class StabilizerChain:
 
 
 class PermGroup:
-    """A finite permutation group with its stabilizer chain."""
+    """A finite permutation group with its stabilizer chain.
+
+    `facts` caches what the structure queries compute from the group, keyed
+    by the query: each is determined by the generators, which never change.
+    """
 
     def __init__(self, degree: int, generators):
         if degree < 1:
@@ -302,6 +307,10 @@ class PermGroup:
         G._order = chain.order()
         G._reduced = tuple(G.generators[i] for i in picks)
         return G
+
+    @cached_property
+    def facts(self) -> dict:
+        return {}
 
     @property
     def order(self) -> int:
@@ -396,9 +405,13 @@ def _distinct_commutators(xs, ys) -> list[Permutation]:
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:
-    """[G, G]: normal closure of commutators of generator pairs."""
-    gens = G.reduced_generators()
-    return normal_closure(G, _distinct_commutators(gens, gens))
+    """[G, G]: normal closure of commutators of generator pairs, computed
+    once per group."""
+    D = G.facts.get("derived")
+    if D is None:
+        gens = G.reduced_generators()
+        D = G.facts["derived"] = normal_closure(G, _distinct_commutators(gens, gens))
+    return D
 
 
 def is_perfect(G: PermGroup) -> bool:
@@ -523,7 +536,8 @@ class CosetMap:
 
     Cosets are identified by the least element they contain; coset 0 is N
     itself, so quotient permutations are determined by their image of 0.
-    With N trivial the map is the identity on G.
+    With N trivial the map is the identity on G; with N = G there is one
+    coset, led by the identity, and nothing is enumerated.
 
     The map keeps the elements of N as raw images (`n_images`), and the
     least element of a coset Ng is the `min` of their products with g on
@@ -538,8 +552,15 @@ class CosetMap:
         self.group = group
         self.normal = normal
         self.trivial = normal.order == 1
+        self.full = not self.trivial and normal.order == group.order
         if self.trivial:
             self.quotient = group
+            return
+        if self.full:
+            # N = G: one coset, whose least element is the identity
+            self.reps = [group.identity]
+            self.gen_images = [Permutation((0,)) for _ in group.generators]
+            self.quotient = PermGroup(1, self.gen_images)
             return
         self.n_images = [n.images for n in enumerate_elements(normal, cap)]
         if group.order // normal.order > cap:
@@ -576,6 +597,8 @@ class CosetMap:
             return g
         if g not in self.group:
             raise PreconditionError("element is not in the group")
+        if self.full:
+            return Permutation((0,))
         t, compose, canonical = self._table(g.images), self._compose, self._canonical
         return Permutation(
             tuple(self._index[canonical(compose(r.images, t))] for r in self.reps)

@@ -11,6 +11,14 @@ containment mean equality.  Element sets are enumerated only for the
 conjugacy-class walk of `normal_subgroups` and to break ties of equal
 order in its sorted result (Holt-Eick-O'Brien, Handbook of Computational
 Group Theory, ch. 4).
+
+The walk keeps only class sizes and candidate representatives, and the
+closures follow it.  Once a closure equal to G is found, a class x^G is
+skipped when no proper divisor of |G| is 1 + |x^G| + (a sum of sizes of
+other nontrivial classes).  This is exact: a normal subgroup is a union
+of classes containing {1}, so a proper ncl(x) would have such an order
+by Lagrange; hence ncl(x) = G, which is already listed.  Every structure
+fact is computed once per group and kept in `PermGroup.facts`.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ def normal_subgroups(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGroup
     of equal order by their sorted element images; only those ties are
     enumerated.
     """
-    cached = getattr(G, "_normal_subgroups_cache", None)
+    cached = G.facts.get("normal_subgroups")
     if cached is not None:
         return cached
     found: list[PermGroup] = []
@@ -65,14 +73,28 @@ def normal_subgroups(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGroup
 
     register(PermGroup(G.degree, ()))
     # x and x^k with k prime to |x| have the same normal closure, so a class
-    # holding such a power of an earlier representative adds nothing.
+    # holding such a power of an earlier representative adds nothing.  The
+    # walk keeps each class's size and each candidate's representative.
     covered: set = set()
+    sizes: list[int] = []
+    candidates: list[tuple[int, Permutation]] = []
     for orbit in conjugation_orbits_images(G, cap):
-        if not covered.isdisjoint(orbit):
+        if covered.isdisjoint(orbit):
+            x = Permutation._trusted(next(iter(orbit)))
+            covered.update(y.images for y in _coprime_powers(x))
+            candidates.append((len(sizes), x))
+        sizes.append(len(orbit))
+    # Once G is found, a class whose closure cannot be proper adds nothing;
+    # sizes[0] is the identity's class, which the walk meets first.
+    n = G.order
+    divisors = [d for d in range(1, n // 2 + 1) if n % d == 0]
+    full = False
+    for i, x in candidates:
+        if full and not _may_be_proper(divisors, sizes[i], sizes[1:i] + sizes[i + 1 :]):
             continue
-        x = Permutation._trusted(next(iter(orbit)))
-        covered.update(y.images for y in _coprime_powers(x))
-        register(normal_closure(G, [x]))
+        N = normal_closure(G, [x])
+        register(N)
+        full = full or N.order == n
     # Pairs within found[:old] were joined on the previous pass, so their
     # joins are already in found.
     old = 0
@@ -98,8 +120,26 @@ def normal_subgroups(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGroup
         if len(ties) > 1:
             ties.sort(key=lambda H: sorted(h.images for h in enumerate_elements(H, cap)))
         subs.extend(ties)
-    G._normal_subgroups_cache = subs
+    G.facts["normal_subgroups"] = subs
     return subs
+
+
+def _may_be_proper(divisors: list[int], size: int, others: list[int]) -> bool:
+    """Can 1 + size + (a sum of some of `others`) be one of `divisors`?
+
+    Subset sums are bits of an int, kept below the largest divisor.
+    """
+    base = 1 + size
+    targets = sum(1 << (d - base) for d in divisors if d >= base)
+    if not targets:
+        return False
+    limit = (1 << (divisors[-1] - base + 1)) - 1
+    sums = 1
+    for c in others:
+        if sums & targets:
+            return True
+        sums |= (sums << c) & limit
+    return sums & targets != 0
 
 
 def _coprime_powers(x: Permutation) -> list[Permutation]:
@@ -142,7 +182,7 @@ def star_subgroup(G: PermGroup, cap: int = ENUMERATION_CAP) -> PermGroup:
 
 def star_chain(G: PermGroup, max_depth: int = 16, cap: int = ENUMERATION_CAP):
     """The series G = G_0 > G_1 > ... and its level (None if depth runs out)."""
-    cached = getattr(G, "_star_chain_cache", None)
+    cached = G.facts.get("star_chain")
     if cached is not None and (cached[1] is not None or cached[2] >= max_depth):
         return cached[0], cached[1]
     series = [G]
@@ -158,7 +198,7 @@ def star_chain(G: PermGroup, max_depth: int = 16, cap: int = ENUMERATION_CAP):
         if nxt.order == cur.order:
             break
         series.append(nxt)
-    G._star_chain_cache = (series, level, max_depth)
+    G.facts["star_chain"] = (series, level, max_depth)
     return series, level
 
 
@@ -227,12 +267,12 @@ def min_generators(
         raise PreconditionError("bound must be nonnegative")
     if G.order == 1:
         return 0
-    known = getattr(G, "_min_generators_cache", None)
+    known = G.facts.get("min_generators")
     if known is not None:
         value, none_bound = known
-        if value is not None and value <= bound:
-            return value
-        if value is None and bound <= none_bound:
+        if value is not None:
+            return value if value <= bound else None
+        if bound <= none_bound:
             return None
     elements = None
     for t in range(1, bound + 1):
@@ -241,7 +281,7 @@ def min_generators(
             if is_abelian(G) and any(
                 g.order() == G.order for g in enumerate_elements(G, cap)
             ):
-                G._min_generators_cache = (1, 0)
+                G.facts["min_generators"] = (1, 0)
                 return 1
             continue
         found = False
@@ -259,9 +299,9 @@ def min_generators(
                     found = True
                     break
         if found:
-            G._min_generators_cache = (t, 0)
+            G.facts["min_generators"] = (t, 0)
             return t
-    G._min_generators_cache = (None, bound)
+    G.facts["min_generators"] = (None, bound)
     return None
 
 
@@ -315,7 +355,8 @@ def semisimple_factors(S: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGro
     for M in minimal:
         if is_abelian(M):
             raise PreconditionError("minimal normal subgroup is abelian")
-        if len(normal_subgroups(M, cap)) != 2:
+        # M = S (S simple) has S's normal subgroups
+        if len(normals if M.order == S.order else normal_subgroups(M, cap)) != 2:
             raise PreconditionError("minimal normal subgroup is not simple")
         product_order *= M.order
         gens.extend(M.generators)

@@ -162,6 +162,22 @@ def test_m11_family_constructs_and_verifies():
     assert verify_certificate(json.loads(text)).valid
 
 
+# tests/data/k1-A5xA5.txt at seed 7, budget 2: one member with two simple
+# factors of equal order, whose tie order reaches the certificate.
+A5XA5_FAMILY_SEED7_DIGESTS = {
+    "0.4.0": "01931f9a6b6141f3a3a9ac9ec8037d5e094b8eb2f73f22b9b602115ef643ac10",
+}
+
+
+def test_a5xa5_family_constructs_and_verifies():
+    family = pathlib.Path(__file__).parent / "data" / "k1-A5xA5.txt"
+    names, members, d, k = parse_family_file(str(family))
+    cert = construct(members, d=d, k=k, names=names, seed=7, budget=2)
+    text = dumps_certificate(serialize_certificate(cert))
+    assert hashlib.sha256(text.encode()).hexdigest() == A5XA5_FAMILY_SEED7_DIGESTS[__version__]
+    assert verify_certificate(json.loads(text)).valid
+
+
 _DIGEST_SCRIPT = """
 import hashlib, sys
 from perfectcover import catalog

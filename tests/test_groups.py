@@ -5,7 +5,7 @@ import random
 import pytest
 from conftest import count_permutation_calls
 
-from perfectcover import catalog
+from perfectcover import catalog, groups as groups_module
 from perfectcover.errors import (
     InputError,
     PreconditionError,
@@ -427,6 +427,52 @@ def test_quotient_action_trivial_normal(groups):
     g = P("(1 2 3)", 5)
     assert qmap.apply(g) == g
     assert qmap.lift(g) == g
+
+
+def test_coset_map_onto_the_whole_group_enumerates_nothing(groups, monkeypatch):
+    # N = G: one coset, led by the identity, as in the general path
+    cases = [groups[name] for name in ("A5", "SL25", "E16A5", "A5xA5")]
+    expected = []
+    for G in cases:
+        reps, apply = brute_coset_map(G, G)
+        sample = random.Random(2).sample(enumerate_elements(G), 20)
+        expected.append((reps, [apply(g) for g in G.generators], sample, apply))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group was enumerated")
+
+    monkeypatch.setattr(groups_module, "enumerate_elements", refuse)
+    monkeypatch.setattr(groups_module, "mulclose", refuse)
+    for G, (reps, gen_images, sample, apply) in zip(cases, expected):
+        qmap = CosetMap(G, PermGroup(G.degree, G.reduced_generators()))
+        assert qmap.reps == reps == [G.identity]
+        assert qmap.gen_images == gen_images
+        assert qmap.quotient.degree == 1 and qmap.quotient.order == 1
+        assert list(qmap.quotient.generators) == gen_images
+        for g in sample:
+            assert qmap.apply(g) == apply(g)
+            assert qmap.lift(qmap.apply(g)) == G.identity
+    with pytest.raises(PreconditionError, match="element is not in the group"):
+        CosetMap(cases[0], cases[0]).apply(P("(1 2)", 5))
+
+
+def test_derived_subgroup_is_computed_once_per_group(monkeypatch):
+    G = catalog.CATALOG["SL25"].group()
+    calls = []
+    original = groups_module.normal_closure
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(groups_module, "normal_closure", counting)
+    D = derived_subgroup(G)
+    assert derived_subgroup(G) is D
+    assert D.order == 120
+    assert calls == [G]
+    # another group object with the same generators computes its own
+    assert derived_subgroup(PermGroup(G.degree, G.generators)) is not D
+    assert len(calls) == 2
 
 
 def test_from_elements_reduces(groups):

@@ -1,11 +1,13 @@
 """Structure queries, cross-checked against literal brute-force oracles."""
 
+import pathlib
 from collections import Counter
 
 import pytest
 
 from perfectcover import catalog, groups as groups_module, structure
 from perfectcover.errors import PreconditionError
+from perfectcover.groupfile import parse_group_file
 from perfectcover.groups import (
     CosetMap,
     PermGroup,
@@ -357,9 +359,12 @@ def test_level_drops_by_one_in_the_quotient(groups):
 
 @pytest.mark.parametrize(
     "name, orders, closures",
-    # A5: the two classes of 5-cycles are x and x^2; SL(2,5): also the two
-    # classes of elements of order 10
-    [("A5", [1, 60], 4), ("SL25", [1, 2, 120], 7)],
+    # At most one closure per cyclic class (A5: the two classes of 5-cycles
+    # are x and x^2; SL(2,5): also the two classes of elements of order 10),
+    # and once G is found only the classes the class equation leaves open:
+    # the identity and G in A5, and also the centre {1, -1} in SL(2,5).
+    [("A5", [1, 60], 2), ("SL25", [1, 2, 120], 3)],
+    ids=["A5", "SL25"],
 )
 def test_normal_subgroups_take_one_closure_per_cyclic_class(
     monkeypatch, name, orders, closures
@@ -373,3 +378,77 @@ def test_normal_subgroups_take_one_closure_per_cyclic_class(
     )
     assert [N.order for N in normal_subgroups(G)] == orders
     assert calls == {"normal_closure": closures}
+
+
+def test_min_generators_keeps_a_known_minimum(monkeypatch):
+    A5 = catalog.CATALOG["A5"].group()
+    assert min_generators(A5, 3) == 2
+    assert A5.facts["min_generators"] == (2, 0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search ran again")
+
+    monkeypatch.setattr(structure, "StabilizerChain", refuse)
+    monkeypatch.setattr(structure, "is_abelian", refuse)
+    assert min_generators(A5, 1) is None
+    assert A5.facts["min_generators"] == (2, 0)
+    assert min_generators(A5, 2) == 2
+
+
+_LATTICE_GROUPS = ["A5", "A6", "PSL27", "SL25", "E16A5", "A5xA5", "A8.grp", "M11.grp"]
+
+
+def _fresh(name):
+    if name.endswith(".grp"):
+        return parse_group_file(str(pathlib.Path(__file__).parent / "data" / name))
+    return catalog.CATALOG[name].group()
+
+
+@pytest.mark.parametrize("name", _LATTICE_GROUPS)
+def test_class_equation_skip_keeps_the_lattice(monkeypatch, name):
+    # the reference computes the closure of every candidate class
+    calls = {"normal_closure": 0}
+    monkeypatch.setattr(
+        structure,
+        "normal_closure",
+        _counted(calls, "normal_closure", structure.normal_closure),
+    )
+    got = normal_subgroups(_fresh(name))
+    skipping = calls["normal_closure"]
+    monkeypatch.setattr(structure, "_may_be_proper", lambda *args: True)
+    reference = normal_subgroups(_fresh(name))
+    assert skipping <= calls["normal_closure"] - skipping
+    assert [N.order for N in got] == [N.order for N in reference]
+    assert [N.generators for N in got] == [N.generators for N in reference]
+    for N, R in zip(got, reference):
+        assert set(enumerate_elements(N)) == set(enumerate_elements(R))
+
+
+def test_may_be_proper_reads_the_class_equation():
+    # A5: classes 1, 15, 20, 12, 12; 1 + 15 + 12 + 12 = 40 does not divide 60
+    divisors = [1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30]
+    assert not structure._may_be_proper(divisors, 15, [20, 12, 12])
+    assert not structure._may_be_proper(divisors, 12, [15, 20, 12])
+    # SL(2,5): the centre {1, -1} has order 2
+    assert structure._may_be_proper([d for d in range(1, 61) if 120 % d == 0], 1, [30, 20])
+    # 1 + 4 + 2 + 5 = 12 is reached only through two other classes
+    assert structure._may_be_proper([1, 2, 3, 4, 6, 8, 12], 4, [2, 5, 9])
+    assert not structure._may_be_proper([1, 2, 3, 4, 6, 8, 12], 4, [2, 9])
+    assert not structure._may_be_proper([], 0, [])
+
+
+def test_semisimple_factors_walk_a_simple_group_once(monkeypatch):
+    walks = []
+    original = structure.conjugation_orbits_images
+
+    def counting(G, *args):
+        walks.append(G.order)
+        return original(G, *args)
+
+    monkeypatch.setattr(structure, "conjugation_orbits_images", counting)
+    A5 = catalog.CATALOG["A5"].group()
+    assert [M.order for M in semisimple_factors(A5)] == [60]
+    assert walks == [60]
+    # |M| < |S|: each factor's own lattice decides its simplicity
+    assert [M.order for M in semisimple_factors(catalog.CATALOG["A5xA5"].group())] == [60, 60]
+    assert walks == [60, 3600, 60, 60]
