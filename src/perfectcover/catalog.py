@@ -7,8 +7,6 @@ stabilizer chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
 from .groups import PermGroup
 from .perms import Permutation
@@ -82,13 +80,22 @@ def _cycle(degree: int, *cycles) -> Permutation:
     return Permutation.from_cycles(degree, [tuple(a - 1 for a in c) for c in cycles])
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
-    name: str
-    degree: int
-    generators: tuple[Permutation, ...]
-    order: int
-    provenance: str
+    __slots__ = ("name", "degree", "generators", "order", "provenance")
+
+    def __init__(
+        self,
+        name: str,
+        degree: int,
+        generators: tuple[Permutation, ...],
+        order: int,
+        provenance: str,
+    ):
+        self.name = name
+        self.degree = degree
+        self.generators = generators
+        self.order = order
+        self.provenance = provenance
 
     def group(self) -> PermGroup:
         return PermGroup(self.degree, self.generators)

@@ -18,7 +18,6 @@ attributable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import __version__
@@ -217,18 +216,22 @@ def _check_shape(data: dict) -> None:
 # verification
 
 
-@dataclass
 class StepResult:
-    name: str
-    ok: bool
-    problems: list[str] = field(default_factory=list)
+    __slots__ = ("name", "ok", "problems")
+
+    def __init__(self, name: str, ok: bool, problems: list[str] | None = None):
+        self.name = name
+        self.ok = ok
+        self.problems = [] if problems is None else problems
 
 
-@dataclass
 class VerificationReport:
-    steps: list[StepResult]
-    valid: bool
-    message: str = ""
+    __slots__ = ("steps", "valid", "message")
+
+    def __init__(self, steps: list[StepResult], valid: bool, message: str = ""):
+        self.steps = steps
+        self.valid = valid
+        self.message = message
 
     def failed_steps(self) -> list[str]:
         return [s.name for s in self.steps if not s.ok]
@@ -515,10 +518,11 @@ def _verify_level(
 
     rec.guard("words", lab, check_words)
 
-    # the words act on the deeper gamma's marked generators, padded to d
+    # the words act on the deeper gamma's marked generators, padded to d;
+    # the checks read the first m, so padding stops there whatever d says
     def prev_gens() -> list[Permutation]:
         marked = [deeper.gamma_gens[i] for i in deeper.marked]
-        return pad_generators(marked, deeper.product, d)
+        return pad_generators(marked, deeper.product, min(d, m))[:m]
 
     # each word must reproduce its own generator
     def check_prev():
@@ -526,9 +530,11 @@ def _verify_level(
             if m != d:
                 raise InputError("m differs from d at the deepest level")
             return
-        gens = prev_gens()
-        if len(gens) != m:
+        if max(len(deeper.marked) or 1, d) != m:
             raise InputError("m differs from the padded generator count")
+        if len(ctx.words) != m:
+            return  # the word count check reports it
+        gens = prev_gens()
         for i, w in enumerate(ctx.words):
             if evaluate_word(w, gens) != gens[i]:
                 raise InputError(f"word {i} does not reproduce its generator")
@@ -537,6 +543,9 @@ def _verify_level(
 
     # ---- lifts
     def check_lifts():
+        for j, lifts in enumerate(ctx.lifts):
+            if len(lifts) != m:
+                raise InputError(f"factor {j} has {len(lifts)} lifts, not m = {m}")
         prev = prev_gens() if deeper is not None else None
         for j, qmap in enumerate(ctx.qmaps):
             for i in range(m):

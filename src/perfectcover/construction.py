@@ -22,7 +22,6 @@ retains all witnesses so a certificate can be verified from scratch.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .covering import _ClassTable, _LayeredDecomposer, cover_tuples
 from .errors import InternalError, PreconditionError
@@ -62,78 +61,148 @@ from .words import Word, commutator_words, evaluate_word, gaschutz_lift
 DEFAULT_BUDGET = 61
 
 
-@dataclass
 class LevelSplit:
     """Per-factor decomposition data at one recursion level."""
 
-    family: tuple[PermGroup, ...]
-    product: DirectProduct
-    W: list[PermGroup]
-    A: list[PermGroup]
-    S: list[PermGroup]
-    B: list[PermGroup]
-    qmaps: list[CosetMap]
+    __slots__ = ("family", "product", "W", "A", "S", "B", "qmaps")
+
+    def __init__(
+        self,
+        family: tuple[PermGroup, ...],
+        product: DirectProduct,
+        W: list[PermGroup],
+        A: list[PermGroup],
+        S: list[PermGroup],
+        B: list[PermGroup],
+        qmaps: list[CosetMap],
+    ):
+        self.family = family
+        self.product = product
+        self.W = W
+        self.A = A
+        self.S = S
+        self.B = B
+        self.qmaps = qmaps
 
     @property
     def quotients(self) -> list[PermGroup]:
         return [qm.quotient for qm in self.qmaps]
 
 
-@dataclass
 class AlignedLifts:
     """Words and per-factor lifts satisfying the alignment identity."""
 
-    m: int
-    words: list[Word]
-    lifts: list[list[Permutation]]
-    k_res: list[list[Permutation]]
-    s_res: list[list[Permutation]]
+    __slots__ = ("m", "words", "lifts", "k_res", "s_res")
+
+    def __init__(
+        self,
+        m: int,
+        words: list[Word],
+        lifts: list[list[Permutation]],
+        k_res: list[list[Permutation]],
+        s_res: list[list[Permutation]],
+    ):
+        self.m = m
+        self.words = words
+        self.lifts = lifts
+        self.k_res = k_res
+        self.s_res = s_res
 
 
-@dataclass
 class QData:
-    modules: list[GModule | None]
-    q_elems: list[list[list[Permutation]] | None]
-    q_coords: list[list[list[tuple[int, ...]]] | None]
-    values: list[Permutation]
+    __slots__ = ("modules", "q_elems", "q_coords", "values")
+
+    def __init__(
+        self,
+        modules: list[GModule | None],
+        q_elems: list[list[list[Permutation]] | None],
+        q_coords: list[list[list[tuple[int, ...]]] | None],
+        values: list[Permutation],
+    ):
+        self.modules = modules
+        self.q_elems = q_elems
+        self.q_coords = q_coords
+        self.values = values
 
 
-@dataclass
 class TData:
-    factor_of: list[int]
-    tuples: list[list[Permutation]]
-    e: int
-    r: list[list[list[list[Permutation]]]]
-    values: list[Permutation]
+    __slots__ = ("factor_of", "tuples", "e", "r", "values")
+
+    def __init__(
+        self,
+        factor_of: list[int],
+        tuples: list[list[Permutation]],
+        e: int,
+        r: list[list[list[list[Permutation]]]],
+        values: list[Permutation],
+    ):
+        self.factor_of = factor_of
+        self.tuples = tuples
+        self.e = e
+        self.r = r
+        self.values = values
 
 
-@dataclass
 class LevelData:
-    k_level: int
-    split: LevelSplit
-    aligned: AlignedLifts
-    delta_gens: list[Permutation]
-    qdata: QData
-    tdata: TData | None
-    gamma: PermGroup
-    gamma_gens: list[Permutation]
-    marked_idx: list[int]
+    __slots__ = (
+        "k_level", "split", "aligned", "delta_gens", "qdata", "tdata",
+        "gamma", "gamma_gens", "marked_idx",
+    )
+
+    def __init__(
+        self,
+        k_level: int,
+        split: LevelSplit,
+        aligned: AlignedLifts,
+        delta_gens: list[Permutation],
+        qdata: QData,
+        tdata: TData | None,
+        gamma: PermGroup,
+        gamma_gens: list[Permutation],
+        marked_idx: list[int],
+    ):
+        self.k_level = k_level
+        self.split = split
+        self.aligned = aligned
+        self.delta_gens = delta_gens
+        self.qdata = qdata
+        self.tdata = tdata
+        self.gamma = gamma
+        self.gamma_gens = gamma_gens
+        self.marked_idx = marked_idx
 
 
-@dataclass
 class ConstructionCertificate:
     """Full witness data for one run of the construction."""
 
-    family: tuple[PermGroup, ...]
-    names: tuple[str, ...]
-    d: int
-    k: int
-    seed: int
-    budget: int
-    cap: int
-    levels: list[LevelData] = field(default_factory=list)
-    gamma: PermGroup | None = None
-    product: DirectProduct | None = None
+    __slots__ = (
+        "family", "names", "d", "k", "seed", "budget", "cap",
+        "levels", "gamma", "product",
+    )
+
+    def __init__(
+        self,
+        family: tuple[PermGroup, ...],
+        names: tuple[str, ...],
+        d: int,
+        k: int,
+        seed: int,
+        budget: int,
+        cap: int,
+        levels: list[LevelData] | None = None,
+        gamma: PermGroup | None = None,
+        product: DirectProduct | None = None,
+    ):
+        self.family = family
+        self.names = names
+        self.d = d
+        self.k = k
+        self.seed = seed
+        self.budget = budget
+        self.cap = cap
+        self.levels = [] if levels is None else levels
+        self.gamma = gamma
+        self.product = product
 
     @property
     def top(self) -> LevelData | None:

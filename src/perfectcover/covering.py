@@ -18,7 +18,6 @@ multiplies element sets, for callers and tests that need the elements.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .errors import InputError, InternalError, PreconditionError
 from .groups import (
@@ -142,14 +141,18 @@ class _ClassTable:
         return tuple(sizes)
 
 
-@dataclass(frozen=True)
 class CoveringCertificate:
     """Least e with X^e = S, plus the size trail that witnesses minimality."""
 
-    group: PermGroup
-    normal_set: frozenset
-    e: int
-    power_sizes: tuple[int, ...]
+    __slots__ = ("group", "normal_set", "e", "power_sizes")
+
+    def __init__(
+        self, group: PermGroup, normal_set: frozenset, e: int, power_sizes: tuple[int, ...]
+    ):
+        self.group = group
+        self.normal_set = normal_set
+        self.e = e
+        self.power_sizes = power_sizes
 
     def check(self) -> None:
         if self.power_sizes[-1] != self.group.order:
@@ -321,17 +324,27 @@ def decompose_conjugate_product(
     return _LayeredDecomposer(_ClassTable(S, cap), gens, e).decompose(target)
 
 
-@dataclass(frozen=True)
 class SemisimpleCover:
     """A bounded generating tuple of a perfect subdirect subgroup of a
     product of simple groups."""
 
-    product: DirectProduct
-    factors: tuple[PermGroup, ...]
-    gens: tuple[Permutation, ...]
-    group: PermGroup = field(repr=False)
-    full_product: bool
-    budget: int
+    __slots__ = ("product", "factors", "gens", "group", "full_product", "budget")
+
+    def __init__(
+        self,
+        product: DirectProduct,
+        factors: tuple[PermGroup, ...],
+        gens: tuple[Permutation, ...],
+        group: PermGroup,
+        full_product: bool,
+        budget: int,
+    ):
+        self.product = product
+        self.factors = factors
+        self.gens = gens
+        self.group = group
+        self.full_product = full_product
+        self.budget = budget
 
     def factor_tuple(self, i: int) -> list[Permutation]:
         return [self.product.project(g, i) for g in self.gens]

@@ -11,7 +11,6 @@ plain linear algebra over the basis orders.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import InternalError, PreconditionError
 from .groups import (
@@ -179,13 +178,17 @@ def _coordinate_space(orders):
             yield (c,) + rest
 
 
-@dataclass(frozen=True)
 class Submodule:
     """A subgroup of the carrier closed under the declared action."""
 
-    module: GModule
-    generators: tuple[tuple[int, ...], ...]
-    elements: frozenset
+    __slots__ = ("module", "generators", "elements")
+
+    def __init__(
+        self, module: GModule, generators: tuple[tuple[int, ...], ...], elements: frozenset
+    ):
+        self.module = module
+        self.generators = generators
+        self.elements = elements
 
     @property
     def size(self) -> int:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .groups import (
@@ -211,14 +210,27 @@ def series_term(G: PermGroup, k: int, cap: int = ENUMERATION_CAP) -> PermGroup:
     return series[k - 1] if k - 1 < len(series) else PermGroup(G.degree, ())
 
 
-@dataclass(frozen=True)
 class StructureReport:
-    series: tuple[PermGroup, ...]
-    level: int | None
-    perfect: bool
-    min_generators: int | None
-    mg_bound: int
-    abelianization_invariants: tuple[int, ...]
+    __slots__ = (
+        "series", "level", "perfect", "min_generators", "mg_bound",
+        "abelianization_invariants",
+    )
+
+    def __init__(
+        self,
+        series: tuple[PermGroup, ...],
+        level: int | None,
+        perfect: bool,
+        min_generators: int | None,
+        mg_bound: int,
+        abelianization_invariants: tuple[int, ...],
+    ):
+        self.series = series
+        self.level = level
+        self.perfect = perfect
+        self.min_generators = min_generators
+        self.mg_bound = mg_bound
+        self.abelianization_invariants = abelianization_invariants
 
     @property
     def level_text(self) -> str:

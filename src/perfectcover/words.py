@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 
 from .errors import (
     InputError,
@@ -51,17 +50,31 @@ def _reduce(letters):
     return tuple(stack)
 
 
-@dataclass(frozen=True)
 class Word:
-    """A freely reduced word over x_1..x_{size}; letters are (0-based index, +-1)."""
+    """A freely reduced word over x_1..x_{size}; letters are (0-based index, +-1).
 
-    size: int
-    letters: tuple[tuple[int, int], ...]
+    A value: words with the same size and letters are equal and hash alike.
+    """
 
-    def __post_init__(self):
-        for idx, _ in self.letters:
-            if not 0 <= idx < self.size:
-                raise InputError(f"letter index {idx} out of range for size {self.size}")
+    __slots__ = ("size", "letters")
+
+    def __init__(self, size: int, letters: tuple[tuple[int, int], ...]):
+        for idx, _ in letters:
+            if not 0 <= idx < size:
+                raise InputError(f"letter index {idx} out of range for size {size}")
+        self.size = size
+        self.letters = letters
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.size == other.size and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.letters))
+
+    def __repr__(self) -> str:
+        return f"Word(size={self.size!r}, letters={self.letters!r})"
 
     @classmethod
     def make(cls, size: int, letters) -> Word:

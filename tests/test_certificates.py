@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -270,6 +271,35 @@ def test_perturbed_q_coordinate_rejected(e16_cert):
     report = verify_certificate(data)
     assert not report.valid
     assert report.failed_steps()[0] == "q-decomposition"
+
+
+@pytest.mark.parametrize("forge_m", [False, True], ids=["d", "d-and-m"])
+def test_huge_d_is_rejected_without_padding_to_d(e16_cert, forge_m):
+    # The padded generator list has length max(marked, d); it is compared
+    # with m before it is built, and a forged m equal to d is refused by the
+    # word and lift counts, so no list of length 10**9 is ever made.
+    data = copy.deepcopy(e16_cert)
+    data["d"] = 10**9
+    if forge_m:
+        for lvl in data["levels"]:
+            lvl["m"] = 10**9
+    t0 = time.perf_counter()
+    report = verify_certificate(data)
+    assert time.perf_counter() - t0 < 1.0
+    assert not report.valid
+    assert report.failed_steps()[0] == "words"
+    if forge_m:
+        assert "lifts" in report.failed_steps()
+
+
+def test_lift_count_must_equal_m(e16_cert):
+    data = copy.deepcopy(e16_cert)
+    data["levels"][0]["factors"][0]["lifts"].append(
+        data["levels"][0]["factors"][0]["lifts"][0]
+    )
+    report = verify_certificate(data)
+    assert not report.valid
+    assert "lifts" in report.failed_steps()
 
 
 def test_non_commutator_word_rejected(a5_cert):

@@ -74,3 +74,46 @@ def test_solve_left_unsolvable():
     assert solve_left([[2]], [1]) is None
     assert solve_left([[2, 0]], [1, 1]) is None
     assert solve_left([[0]], [0]) == [0]
+
+
+def cofactor_determinant(A) -> int:
+    """Laplace expansion along the first row: no elimination, no division."""
+    if not A:
+        return 1
+    total = 0
+    for j, a in enumerate(A[0]):
+        if a:
+            minor = [row[:j] + row[j + 1:] for row in A[1:]]
+            total += (-1) ** j * a * cofactor_determinant(minor)
+    return total
+
+
+def test_determinant_matches_cofactor_expansion():
+    rng = random.Random(11)
+    cases = []
+    for n in range(7):
+        for _ in range(30):
+            cases.append([[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)])
+        # sparse entries make zero pivots, and so row swaps, common
+        for _ in range(30):
+            cases.append(
+                [[rng.choice((0, 0, 0, 1, -2, 3)) for _ in range(n)] for _ in range(n)]
+            )
+        if n >= 2:
+            # singular: the last row is a combination of two others
+            A = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n - 1)]
+            a, b = rng.randrange(-3, 4), rng.randrange(-3, 4)
+            A.append([a * x + b * y for x, y in zip(A[0], A[-1])])
+            cases.append(A)
+    for A in cases:
+        assert determinant(A) == cofactor_determinant(A), A
+    assert any(A and A[0][0] == 0 and determinant(A) for A in cases)
+    assert sum(1 for A in cases if A and not determinant(A)) >= 20
+
+
+def test_determinant_with_a_pivot_swap():
+    # a zero in the leading entry forces a swap, which flips the sign
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([[0, 2, 1], [3, 0, 0], [0, 0, 5]]) == -30
+    assert determinant([[0, 0], [0, 7]]) == 0
+    assert determinant([]) == 1
