@@ -10,14 +10,18 @@ derives each level's members, W, A, S, B and simple factors itself, and
 Delta, Q, T and each Gamma's generator list from the witnesses, by the
 helpers in `structure` and `products` that the construction uses.
 `verify_certificate` re-checks every claim from scratch, using only the
-stored data and the library kernel; it shares no state with the
-construction code, and a fixed list of named steps makes failures
-attributable.
+stored data and the library kernel, and a fixed list of named steps makes
+failures attributable.  It shares no state with the construction code;
+it shares the claim checks of `products` (`check_Q`, `check_s_in_T`,
+`check_T`, `check_gamma_perfect` and `check_projections`), which the
+construction asserts on its own values and the verifier runs on the
+values it derives from the witnesses.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from functools import cached_property
 
 from . import __version__
@@ -30,13 +34,16 @@ from .groups import (
     center,
     commutator_subgroup,
     derived_subgroup,
-    normal_closure,
 )
 from .perms import Permutation, commutator, format_cycles, parse_cycles
 from .products import (
     DirectProduct,
+    check_gamma_perfect,
+    check_projections,
+    check_Q,
+    check_s_in_T,
+    check_T,
     column,
-    cover_row_product,
     gamma_generators,
     pad_generators,
     q_values,
@@ -589,18 +596,20 @@ def _verify_level(
             if fdoc["module_basis"] is None:
                 if ctx.A[j].order != 1:
                     raise InputError(f"factor {j}: missing module data")
+                if fdoc["q_coords"] is not None:
+                    raise InputError(f"factor {j}: q coordinates without a module basis")
                 for i in range(m):
                     if not ctx.k_res[j][i].is_identity():
                         raise InputError(
                             f"factor {j}: nontrivial residue without module data"
                         )
                 continue
-            size = 1
+            orders = []
             for b in ctx.basis(j):
                 if b not in ctx.A[j]:
                     raise InputError(f"factor {j}: basis element outside A")
-                size *= b.order()
-            if size != ctx.A[j].order:
+                orders.append(b.order())
+            if math.prod(orders) != ctx.A[j].order:
                 raise InputError(f"factor {j}: basis does not span A")
             rows = fdoc["q_coords"]
             if rows is None or len(rows) != m:
@@ -608,6 +617,21 @@ def _verify_level(
             for i in range(m):
                 if len(rows[i]) != m:
                     raise InputError(f"factor {j}: q row {i} has wrong arity")
+                # one reduced coordinate per basis element, so that each q
+                # has exactly one encoding; True must not stand in for 1
+                for l, coords in enumerate(rows[i]):
+                    if not (
+                        isinstance(coords, list)
+                        and len(coords) == len(orders)
+                        and all(
+                            type(c) is int and 0 <= c < n
+                            for c, n in zip(coords, orders)
+                        )
+                    ):
+                        raise InputError(
+                            f"factor {j}: q coordinates ({i}, {l}) do not "
+                            "match the module basis"
+                        )
         for j, per_i in enumerate(ctx.q_elems):
             if per_i is None:
                 continue
@@ -624,49 +648,22 @@ def _verify_level(
 
     # ---- Q module closure
     def check_qmodule():
-        if not ctx.q_values:
-            for i in range(m):
-                if not ctx.k_elem(i).is_identity():
-                    raise InputError("nonzero abelian residue with empty Q")
-            return
-        qgroup = normal_closure(
-            ctx.product.subgroup(ctx.delta + ctx.q_values), ctx.q_values
-        )
-        delta_group = ctx.product.subgroup(ctx.delta)
-        joint = ctx.product.subgroup([*ctx.delta, *qgroup.generators])
-        comm = commutator_subgroup(joint, qgroup, delta_group)
-        if comm.order != qgroup.order or not all(
-            g in qgroup for g in comm.generators
-        ):
-            raise InputError("Q is not equal to [Q, Delta]")
-        for i in range(m):
-            if ctx.k_elem(i) not in qgroup:
-                raise InputError(f"abelian residue {i} is not in Q")
+        check_Q(ctx.product, ctx.delta, ctx.q_values, [ctx.k_elem(i) for i in range(m)])
 
     rec.guard("Q-module", lab, check_qmodule)
 
     # ---- T containment
     def check_sT():
-        if ctx.cover is None:
-            for i in range(m):
-                if not ctx.s_elem(i).is_identity():
-                    raise InputError("nontrivial semisimple residue with no T")
-            return
-        factor_of, tuples, e, r = ctx.cover
-        if len(r) != m:
+        if ctx.cover is not None and len(ctx.cover[3]) != m:  # the rows of r
             raise InputError("conjugator row count differs from m")
-        for l in range(m):
-            row = cover_row_product(ctx.product, factor_of, tuples, r, l, e)
-            if row != ctx.s_elem(l):
-                raise InputError(f"row {l}: cover product does not equal the residue")
-            if ctx.s_elem(l) not in ctx.t_group:
-                raise InputError(f"row {l}: semisimple residue is not in T")
+        s_elems = [ctx.s_elem(l) for l in range(m)]
+        check_s_in_T(ctx.product, ctx.cover, s_elems, ctx.t_group)
 
     rec.guard("s-in-T", lab, check_sT)
 
     # ---- T perfect: one generating cover tuple of `budget` elements per
     # simple factor
-    def check_T():
+    def check_cover():
         flat = ctx.simple_factors
         if ctx.doc["cover"] is None:
             if flat:
@@ -685,29 +682,18 @@ def _verify_level(
                 )
             if StabilizerChain(M.degree, tuples[idx]).order() != M.order:
                 raise InputError(f"cover tuple {idx} does not generate its factor")
-        t_group = ctx.t_group
-        if derived_subgroup(t_group).order != t_group.order:
-            raise InputError("T is not perfect")
-        for j in range(nfac):
-            proj = ctx.product.projection_of(t_group, j)
-            if proj.order != ctx.S[j].order:
-                raise InputError(f"T does not project onto the semisimple part {j}")
+        check_T(ctx.product, ctx.t_group, ctx.S)
 
-    rec.guard("T-perfect", lab, check_T)
+    rec.guard("T-perfect", lab, check_cover)
 
     # ---- gamma
     def check_gamma():
         gamma = ctx.gamma
-        der = derived_subgroup(gamma)
-        if der.order != gamma.order:
-            raise InputError("gamma is not perfect")
+        check_gamma_perfect(gamma)
         for i in range(m):
-            a = ctx.delta[i]
-            if a not in der:
-                raise InputError(f"Delta generator {i} escapes [gamma, gamma]")
             # equation (1) assembled over the product
             w_val = evaluate_word(ctx.words[i], ctx.delta)
-            if ctx.k_elem(i) * ctx.s_elem(i) != a * w_val.inverse():
+            if ctx.k_elem(i) * ctx.s_elem(i) != ctx.delta[i] * w_val.inverse():
                 raise InputError(f"assembled residue identity fails at row {i}")
         marked = ctx.marked
         gens = ctx.gamma_gens
@@ -725,8 +711,6 @@ def _verify_level(
 
     # ---- projections
     def check_proj():
-        for j, G in enumerate(ctx.family):
-            if ctx.product.projection_of(ctx.gamma, j).order != G.order:
-                raise InputError(f"projection onto factor {j} is not surjective")
+        check_projections(ctx.product, ctx.gamma, ctx.family)
 
     rec.guard("projections", lab, check_proj)

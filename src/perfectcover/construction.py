@@ -24,25 +24,18 @@ from __future__ import annotations
 import random
 
 from .covering import _ClassTable, _LayeredDecomposer, cover_tuples
-from .errors import InternalError, PreconditionError
-from .gmodule import (
-    GModule,
-    close_submodule,
-    is_perfect_module,
-    solve_commutator_decomposition,
-)
-from .groups import (
-    ENUMERATION_CAP,
-    CosetMap,
-    PermGroup,
-    commutator_subgroup,
-    derived_subgroup,
-)
+from .errors import InternalError, PreconditionError, VerificationError
+from .gmodule import GModule, solve_commutator_decomposition
+from .groups import ENUMERATION_CAP, CosetMap, PermGroup, commutator_subgroup
 from .perms import Permutation
 from .products import (
     DirectProduct,
+    check_gamma_perfect,
+    check_projections,
+    check_Q,
+    check_s_in_T,
+    check_T,
     column,
-    cover_row_product,
     gamma_generators,
     pad_generators,
     q_values,
@@ -292,8 +285,6 @@ def recurse_and_align(
         for kk in ks:
             if kk not in B:
                 raise InternalError("Gaschutz adjustment left a residue outside B")
-        if PermGroup(G.degree, a).order != G.order:
-            raise InternalError("adjusted lifts do not generate the member")
         lifts.append(a)
         k_res.append(ks)
         s_res.append(ss)
@@ -303,15 +294,14 @@ def recurse_and_align(
 def build_Q(
     split: LevelSplit, aligned: AlignedLifts, cap: int = ENUMERATION_CAP
 ) -> QData:
-    """Solve the abelian residues as commutator combinations and close the
-    resulting module under the diagonal action; asserts Q = [Q, Delta]."""
+    """Solve each abelian residue k_i as a product of commutators [q_il, a_l]
+    in its member's module; Q is generated by the [q_il, a_t]."""
     m = aligned.m
-    product = split.product
     modules: list[GModule | None] = []
     q_elems: list[list[list[Permutation]] | None] = []
     q_coords: list[list[list[tuple[int, ...]]] | None] = []
     for j, G in enumerate(split.family):
-        A, B = split.A[j], split.B[j]
+        A = split.A[j]
         if A.order == 1:
             for i in range(m):
                 if not aligned.k_res[j][i].is_identity():
@@ -335,51 +325,7 @@ def build_Q(
         q_elems.append(per_i_elems)
         q_coords.append(per_i_coords)
 
-    # Assemble the product-level witnesses and the module checks.
-    delta = [column(product, aligned.lifts, i) for i in range(m)]
-    k_vec = [column(product, aligned.k_res, i) for i in range(m)]
-    q_vec = [
-        [
-            product.element(
-                {
-                    j: q_elems[j][i][l]
-                    for j in range(len(split.family))
-                    if q_elems[j] is not None
-                }
-            )
-            for l in range(m)
-        ]
-        for i in range(m)
-    ]
-    for i in range(m):
-        check = product.identity
-        for l in range(m):
-            check = check * q_vec[i][l].inverse() * delta[l].inverse() * q_vec[i][l] * delta[l]
-        if check != k_vec[i]:
-            raise InternalError("assembled commutator decomposition failed")
-
-    nontrivial = [j for j in range(len(split.family)) if modules[j] is not None]
-    if nontrivial:
-        ambient = product.full_group()
-        carrier_gens = []
-        for j in nontrivial:
-            carrier_gens.extend(product.element({j: g}) for g in split.A[j].generators)
-        carrier = PermGroup(product.degree, carrier_gens)
-        prod_module = GModule(ambient, carrier, delta, cap)
-        mats = prod_module.matrices
-        seed_vecs = []
-        for i in range(m):
-            for l in range(m):
-                v = prod_module.encode(q_vec[i][l])
-                for T in mats:
-                    seed_vecs.append(prod_module.augment(v, T))
-        Q = close_submodule(prod_module, seed_vecs, mats)
-        for i in range(m):
-            if not Q.contains(prod_module.encode(k_vec[i])):
-                raise InternalError("abelian residue escaped the module Q")
-        if not is_perfect_module(Q):
-            raise InternalError("Q is not equal to [Q, Delta]")
-    values = q_values(product, q_elems, aligned.lifts)
+    values = q_values(split.product, q_elems, aligned.lifts)
     return QData(modules, q_elems, q_coords, values)
 
 
@@ -392,7 +338,7 @@ def build_T(
 ) -> TData | None:
     """Cover the simple factors of the semisimple parts and decompose every
     semisimple residue as a bounded product of conjugates of cover
-    generators; asserts the containments and that T is perfect."""
+    generators."""
     m = aligned.m
     product = split.product
     factor_of: list[int] = []
@@ -410,10 +356,6 @@ def build_T(
             factor_of.append(j)
             flat_factors.append(M)
     if not flat_factors:
-        for j in range(len(split.family)):
-            for i in range(m):
-                if not aligned.s_res[j][i].is_identity():
-                    raise InternalError("semisimple residue with no simple factors")
         return None
 
     g = budget
@@ -442,11 +384,6 @@ def build_T(
         for l in range(m):
             r[l].append(decomposer.decompose(comps[l]))
 
-    for l in range(m):
-        row = cover_row_product(product, factor_of, tuples, r, l, e)
-        if row != column(product, aligned.s_res, l):
-            raise InternalError("cover decomposition does not reproduce the residue")
-
     values = t_values(product, factor_of, tuples, r, e)
     return TData(factor_of, tuples, e, r, values)
 
@@ -457,41 +394,26 @@ def assemble_and_verify(
     delta_gens,
     qdata: QData,
     tdata: TData | None,
-    cap: int = ENUMERATION_CAP,
 ) -> tuple[PermGroup, list[Permutation], list[int]]:
-    """Gamma = <Delta u Q u T>; verify perfectness, the containment chain and
-    all projections before returning.  The marked indices are the
-    generators that extended Gamma's chain."""
+    """Gamma = <Delta u Q u T>; assert the claims that make it a perfect
+    subdirect cover, by the checks the verifier runs, before returning.
+    The marked indices are the generators that extended Gamma's chain."""
     product = split.product
-    gamma_gens = gamma_generators(
-        delta_gens, qdata.values, tdata.values if tdata is not None else []
-    )
+    t_vals = tdata.values if tdata is not None else []
+    gamma_gens = gamma_generators(delta_gens, qdata.values, t_vals)
     gamma = product.subgroup(gamma_gens)
-
-    derived = derived_subgroup(gamma)
-    if derived.order != gamma.order:
-        raise InternalError("Gamma is not perfect")
-    for j, G in enumerate(split.family):
-        if product.projection_of(gamma, j).order != G.order:
-            raise InternalError("a projection of Gamma is not surjective")
-    # containment chain mirroring the perfectness argument
-    if tdata is not None:
-        t_group = product.subgroup(tdata.values)
-        if derived_subgroup(t_group).order != t_group.order:
-            raise InternalError("T is not perfect")
-        for value in tdata.values:
-            if value not in derived:
-                raise InternalError("a T generator escaped [Gamma, Gamma]")
-        for l in range(aligned.m):
-            if column(product, aligned.s_res, l) not in t_group:
-                raise InternalError("a semisimple residue escaped T")
-    for value in qdata.values:
-        if value not in derived:
-            raise InternalError("a Q generator escaped [Gamma, Gamma]")
-    for i in range(aligned.m):
-        if delta_gens[i] not in derived:
-            raise InternalError("a Delta generator escaped [Gamma, Gamma]")
-
+    t_group = product.subgroup(t_vals)
+    cover = None if tdata is None else (tdata.factor_of, tdata.tuples, tdata.e, tdata.r)
+    k_elems = [column(product, aligned.k_res, i) for i in range(aligned.m)]
+    s_elems = [column(product, aligned.s_res, i) for i in range(aligned.m)]
+    try:
+        check_Q(product, delta_gens, qdata.values, k_elems)
+        check_s_in_T(product, cover, s_elems, t_group)
+        check_T(product, t_group, split.S)
+        check_gamma_perfect(gamma)
+        check_projections(product, gamma, split.family)
+    except VerificationError as exc:
+        raise InternalError(str(exc)) from exc
     return gamma, gamma_gens, list(gamma.chain.picks)
 
 
@@ -516,7 +438,7 @@ def _construct_level(
     qdata = build_Q(split, aligned, cap)
     tdata = build_T(split, aligned, budget, rng, cap)
     gamma, gamma_gens, marked_idx = assemble_and_verify(
-        split, aligned, delta_gens, qdata, tdata, cap
+        split, aligned, delta_gens, qdata, tdata
     )
     levels.append(
         LevelData(

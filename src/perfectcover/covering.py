@@ -346,9 +346,6 @@ class SemisimpleCover:
         self.full_product = full_product
         self.budget = budget
 
-    def factor_tuple(self, i: int) -> list[Permutation]:
-        return [self.product.project(g, i) for g in self.gens]
-
 
 def sample_generating_tuple(M: PermGroup, size: int, rng) -> list[Permutation]:
     """A seeded random generating tuple of the given size."""

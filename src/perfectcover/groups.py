@@ -326,9 +326,6 @@ class PermGroup:
     def contains_group(self, other: PermGroup) -> bool:
         return all(g in self for g in other.generators)
 
-    def is_trivial(self) -> bool:
-        return self._order == 1
-
     def sample(self, rng) -> Permutation:
         return self.chain.sample(rng)
 

@@ -8,8 +8,8 @@ stabilizer-chain kernel works on subgroups of products unchanged.
 
 from __future__ import annotations
 
-from .errors import InputError
-from .groups import PermGroup
+from .errors import InputError, VerificationError
+from .groups import PermGroup, commutator_subgroup, derived_subgroup, normal_closure
 from .perms import Permutation, commutator, kernel, pack
 
 
@@ -174,3 +174,63 @@ def t_values(product: DirectProduct, factor_of, tuples, r, e: int) -> list[Permu
 def gamma_generators(delta, q_vals, t_vals) -> list[Permutation]:
     """Gamma's generator list, Delta then Q then T; `marked` indexes it."""
     return [*delta, *q_vals, *t_vals]
+
+
+# ----------------------------------------------------------------------
+# The claims that make Gamma = <Delta, Q, T> a perfect subdirect cover.
+# Construction asserts them and verification re-checks them, both with
+# these functions; each raises VerificationError naming what fails.
+
+
+def check_Q(product: DirectProduct, delta, q_vals, k_elems) -> None:
+    """Q = [Q, Delta], where Q is the normal closure of its generators in
+    <Delta, Q>, and Q holds every abelian residue k_i."""
+    if not q_vals:
+        if not all(k.is_identity() for k in k_elems):
+            raise VerificationError("nonzero abelian residue with empty Q")
+        return
+    joint = product.subgroup([*delta, *q_vals])
+    qgroup = normal_closure(joint, q_vals)
+    # Q is normal in <Delta, Q>, so [Q, Delta] <= Q and orders decide
+    if commutator_subgroup(joint, qgroup, product.subgroup(delta)).order != qgroup.order:
+        raise VerificationError("Q is not equal to [Q, Delta]")
+    for i, k in enumerate(k_elems):
+        if k not in qgroup:
+            raise VerificationError(f"abelian residue {i} is not in Q")
+
+
+def check_s_in_T(product: DirectProduct, cover, s_elems, t_group: PermGroup) -> None:
+    """Each semisimple residue s_l is its cover-row product and lies in T.
+    `cover` is (factor_of, tuples, e, r), or None when there is no cover,
+    and then every residue must be trivial."""
+    if cover is None:
+        if not all(s.is_identity() for s in s_elems):
+            raise VerificationError("nontrivial semisimple residue with no T")
+        return
+    factor_of, tuples, e, r = cover
+    for l, s in enumerate(s_elems):
+        if cover_row_product(product, factor_of, tuples, r, l, e) != s:
+            raise VerificationError(f"row {l}: cover product does not equal the residue")
+        if s not in t_group:
+            raise VerificationError(f"row {l}: semisimple residue is not in T")
+
+
+def check_T(product: DirectProduct, t_group: PermGroup, S) -> None:
+    """T is perfect and projects onto each member's semisimple part S[j]."""
+    if derived_subgroup(t_group).order != t_group.order:
+        raise VerificationError("T is not perfect")
+    for j, S_j in enumerate(S):
+        if product.projection_of(t_group, j).order != S_j.order:
+            raise VerificationError(f"T does not project onto the semisimple part {j}")
+
+
+def check_gamma_perfect(gamma: PermGroup) -> None:
+    if derived_subgroup(gamma).order != gamma.order:
+        raise VerificationError("gamma is not perfect")
+
+
+def check_projections(product: DirectProduct, gamma: PermGroup, family) -> None:
+    """Gamma maps onto every member."""
+    for j, G in enumerate(family):
+        if product.projection_of(gamma, j).order != G.order:
+            raise VerificationError(f"projection onto factor {j} is not surjective")

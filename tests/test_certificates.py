@@ -273,6 +273,42 @@ def test_perturbed_q_coordinate_rejected(e16_cert):
     assert report.failed_steps()[0] == "q-decomposition"
 
 
+@pytest.fixture(scope="module")
+def mixed_cert(groups):
+    cert = construct(
+        (groups["SL25"], groups["E16A5"]),
+        d=2, k=2, names=("SL25", "E16A5"), seed=7, budget=2,
+    )
+    return serialize_certificate(cert)
+
+
+@pytest.mark.parametrize(
+    "coords", [[0, 0], [], [False], [2]], ids=["long", "empty", "bool", "unreduced"]
+)
+def test_q_coordinates_must_match_the_module_basis(mixed_cert, coords):
+    # SL25's top-level module has one basis element, of order 2, and stores
+    # q = 1 as [0]; each edit decodes to the same q but is not its encoding
+    data = copy.deepcopy(mixed_cert)
+    factor = data["levels"][0]["factors"][0]
+    (basis,) = factor["module_basis"]
+    assert parse_cycles(basis, data["family"][0]["degree"]).order() == 2
+    assert factor["q_coords"][0][0] == [0]
+    factor["q_coords"][0][0] = coords
+    report = verify_certificate(data)
+    assert not report.valid
+    assert report.failed_steps()[0] == "q-decomposition"
+
+
+def test_q_coordinates_need_a_module_basis(mixed_cert):
+    data = copy.deepcopy(mixed_cert)
+    factor = data["levels"][1]["factors"][0]
+    assert factor["module_basis"] is None and factor["q_coords"] is None
+    factor["q_coords"] = [[[5]]]
+    report = verify_certificate(data)
+    assert not report.valid
+    assert report.failed_steps()[0] == "q-decomposition"
+
+
 @pytest.mark.parametrize("forge_m", [False, True], ids=["d", "d-and-m"])
 def test_huge_d_is_rejected_without_padding_to_d(e16_cert, forge_m):
     # The padded generator list has length max(marked, d); it is compared

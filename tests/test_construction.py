@@ -2,11 +2,12 @@
 
 import pytest
 
+from perfectcover import construction
 from perfectcover.construction import (
     construct,
     split_levels,
 )
-from perfectcover.errors import PreconditionError
+from perfectcover.errors import InternalError, PreconditionError
 from perfectcover.groups import derived_subgroup
 from perfectcover.words import evaluate_word
 
@@ -136,3 +137,14 @@ def test_construct_deterministic_with_seed(groups):
     assert dumps_certificate(serialize_certificate(one)) == dumps_certificate(
         serialize_certificate(two)
     )
+
+
+def test_assemble_asserts_Q_by_the_shared_check(groups, monkeypatch):
+    # with no Q generators, E16A5's nonzero abelian residues are not in Q
+    monkeypatch.setattr(construction, "q_values", lambda *args: [])
+    with pytest.raises(InternalError, match="nonzero abelian residue with empty Q") as info:
+        construct(
+            (groups["SL25"], groups["E16A5"]),
+            d=2, k=2, names=("SL25", "E16A5"), seed=7, budget=2,
+        )
+    assert info.traceback[-1].name == "assemble_and_verify"

@@ -1,9 +1,16 @@
 import pytest
 
-from perfectcover.errors import InputError
+from perfectcover.errors import InputError, VerificationError
 from perfectcover.groups import PermGroup, mulclose
 from perfectcover.perms import Permutation, parse_cycles
-from perfectcover.products import DirectProduct
+from perfectcover.products import (
+    DirectProduct,
+    check_gamma_perfect,
+    check_projections,
+    check_Q,
+    check_s_in_T,
+    check_T,
+)
 
 
 def P(text, degree):
@@ -115,3 +122,63 @@ def test_element_and_project_on_both_storage_forms(degrees):
         prod.project(mixed, 0)
     with pytest.raises(InputError):
         prod.project(mixed, 1)
+
+
+# ----------------------------------------------------------------------
+# The claim checks that construction and verification share
+
+
+def test_Q_check_rejects_a_module_Delta_does_not_move(groups):
+    # Q = V4 under a trivial Delta: [Q, Delta] = 1 != Q
+    V4 = groups["V4"]
+    prod = DirectProduct((V4,))
+    q_vals = [prod.element({0: g}) for g in V4.generators]
+    with pytest.raises(VerificationError, match=r"Q is not equal to \[Q, Delta\]"):
+        check_Q(prod, [prod.identity], q_vals, q_vals)
+
+
+def test_Q_check_needs_every_abelian_residue(groups):
+    prod = DirectProduct((groups["A5"],))
+    k = prod.element({0: P("(1 2 3)", 5)})
+    with pytest.raises(VerificationError, match="nonzero abelian residue with empty Q"):
+        check_Q(prod, [prod.identity], [], [k])
+
+
+def test_s_in_T_check_needs_a_cover_for_a_nontrivial_residue(groups):
+    prod = DirectProduct((groups["A5"],))
+    s = prod.element({0: P("(1 2 3)", 5)})
+    with pytest.raises(VerificationError, match="nontrivial semisimple residue with no T"):
+        check_s_in_T(prod, None, [s], prod.subgroup([]))
+
+
+def test_T_check_rejects_an_abelian_T(groups):
+    prod = DirectProduct((groups["A5"],))
+    T = prod.subgroup([prod.element({0: P("(1 2 3 4 5)", 5)})])
+    with pytest.raises(VerificationError, match="T is not perfect"):
+        check_T(prod, T, [groups["A5"]])
+
+
+def test_T_check_rejects_a_T_that_misses_a_factor(groups):
+    A5 = groups["A5"]
+    prod = DirectProduct((A5, A5))
+    T = prod.subgroup([prod.element({0: g}) for g in A5.generators])
+    check_T(prod, T, [A5, PermGroup(5, [])])
+    with pytest.raises(VerificationError, match="semisimple part 1"):
+        check_T(prod, T, [A5, A5])
+
+
+def test_projection_check_rejects_a_missed_factor(groups):
+    A5 = groups["A5"]
+    prod = DirectProduct((A5, A5))
+    gamma = prod.subgroup([prod.element({0: g}) for g in A5.generators])
+    check_gamma_perfect(gamma)
+    with pytest.raises(VerificationError, match="projection onto factor 1"):
+        check_projections(prod, gamma, [A5, A5])
+
+
+def test_gamma_check_rejects_a_non_perfect_gamma(groups):
+    prod = DirectProduct((groups["S3"],))
+    gamma = prod.full_group()
+    check_projections(prod, gamma, [groups["S3"]])
+    with pytest.raises(VerificationError, match="gamma is not perfect"):
+        check_gamma_perfect(gamma)
