@@ -28,7 +28,7 @@ from .groups import (
 )
 from .products import DirectProduct
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .words import (  # noqa: E402
     Word,

@@ -505,6 +505,33 @@ def _verify_structure(rec, ctx: _LevelCtx) -> None:
         rec.guard("structure", f"level {ctx.k_level} factor {j}", check)
 
 
+def _check_r_shape(doc: dict, m: int, n_factors: int) -> None:
+    """`r` is null exactly when `cover` is; otherwise r[l][idx][t][c] holds
+    m rows l, one block per simple factor idx, e rows t and one conjugator
+    per element c of cover tuple idx, so no stored conjugator goes unread."""
+    cover, r = doc["cover"], doc["r"]
+    if cover is None:
+        if r is not None:
+            raise InputError("conjugators r without a cover")
+        return
+    tuples, e = cover["tuples"], cover["e"]
+    if type(e) is not int or e < 1:
+        raise InputError("the covering exponent e is not a positive integer")
+    if not isinstance(r, list) or len(r) != m:
+        raise InputError("conjugator row count differs from m")
+    for l, per_l in enumerate(r):
+        if not isinstance(per_l, list) or len(per_l) != n_factors:
+            raise InputError(f"conjugator row {l} needs one block per simple factor")
+        for idx, (rows, tup) in enumerate(zip(per_l, tuples)):
+            if not isinstance(rows, list) or len(rows) != e or any(
+                not isinstance(row, list) or len(row) != len(tup) for row in rows
+            ):
+                raise InputError(
+                    f"conjugators ({l}, {idx}) need e = {e} rows, each as long "
+                    f"as cover tuple {idx}"
+                )
+
+
 def _verify_level(
     rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, budget: int, cap
 ) -> None:
@@ -570,6 +597,8 @@ def _verify_level(
     # ---- equation (1)
     def check_eq1():
         for j in range(nfac):
+            if len(ctx.k_res[j]) != m or len(ctx.s_res[j]) != m:
+                raise InputError(f"factor {j} needs m = {m} k_res and s_res entries")
             for i in range(m):
                 lhs = ctx.lifts[j][i] * evaluate_word(ctx.words[i], ctx.lifts[j]).inverse()
                 rhs = ctx.k_res[j][i] * ctx.s_res[j][i]
@@ -654,8 +683,7 @@ def _verify_level(
 
     # ---- T containment
     def check_sT():
-        if ctx.cover is not None and len(ctx.cover[3]) != m:  # the rows of r
-            raise InputError("conjugator row count differs from m")
+        _check_r_shape(ctx.doc, m, len(ctx.simple_factors))
         s_elems = [ctx.s_elem(l) for l in range(m)]
         check_s_in_T(ctx.product, ctx.cover, s_elems, ctx.t_group)
 

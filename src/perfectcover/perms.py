@@ -122,14 +122,19 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, degree: int, cycles) -> Permutation:
-        """Build from 0-based cycles, e.g. [(0, 1, 2)]."""
+        """Build from disjoint 0-based cycles, e.g. [(0, 1, 2)]."""
         images = list(range(degree))
+        moved: set[int] = set()
         for cycle in cycles:
             for a in cycle:
                 if not 0 <= a < degree:
                     raise InputError(f"point {a} out of range for degree {degree}")
             if len(set(cycle)) != len(cycle):
                 raise InputError(f"repeated point in cycle {cycle!r}")
+            # a later cycle would silently overwrite an earlier one's images
+            if not moved.isdisjoint(cycle):
+                raise InputError(f"cycle {cycle!r} shares a point with an earlier cycle")
+            moved.update(cycle)
             for a, b in zip(cycle, cycle[1:]):
                 images[a] = b
             if cycle:

@@ -7,10 +7,9 @@ that is the membership certificate this module hands out and checks.
 
 The commutator-word search runs on raw images through `perms.kernel`.
 `word_table` is a breadth-first walk that keeps, for each element, only
-its parent and the letter that reached it; the commutator pool keys each
-commutator value by its images.  A `Word` is built only for the pool
-witnesses a returned word uses (Seress, *Permutation Group Algorithms*,
-2003, ch. 1).
+its parent and the letter that reached it.  The search walks classes in
+that order until every target is answered, and builds a `Word` only for
+the witnesses used (Seress, *Permutation Group Algorithms*, 2003, ch. 1).
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .groups import (
     ENUMERATION_CAP,
     PermGroup,
     StabilizerChain,
-    conjugation_orbits_images,
+    conjugation_orbit_images,
     derived_subgroup,
     enumerate_elements,
     is_normal,
@@ -167,7 +166,8 @@ def word_table(gens, degree: int, cap: int = ENUMERATION_CAP) -> dict:
 
     Maps the images of each element y to (images of x, (i, +-1)), where x
     is the element y was first reached from and y = x * gens[i]^(+-1); the
-    identity maps to None.  `_word_of` reads a word back.
+    identity maps to None.  `_word_of` reads a word back; `commutator_words`
+    leads its classes with table elements in this order.
     """
     table, compose, invert = kernel(degree)
     moves = []
@@ -209,26 +209,6 @@ def _word_of(table: dict, images, m: int) -> Word:
     return Word.make(m, letters)
 
 
-def _commutator_pool(G: PermGroup, cap: int) -> dict:
-    """For each value [u, v] attained in G, one witness pair (u, v), all
-    as raw images, in first-seen order.
-
-    Uses that {[u, v] : v in G} = u^-1 * class(u), so one walk of the
-    orbit of each class representative u, with its recorded conjugators,
-    visits every commutator value in O(|G|) work per class.
-    """
-    table, compose, invert = kernel(G.degree)
-    pool: dict = {}
-    for orbit in conjugation_orbits_images(G, cap):
-        u = next(iter(orbit))
-        u_inv = invert(u)
-        for x, v in orbit.items():
-            value = compose(u_inv, table(x))
-            if value not in pool:
-                pool[value] = (u, v)
-    return pool
-
-
 _MAX_WORD_LENGTH = 256
 
 
@@ -239,10 +219,11 @@ def commutator_words(
 
     Works for perfect G: every element is then a bounded product of
     commutators of group elements, each of which turns into a commutator
-    of generator words.  The word table and the commutator pool are built
-    once, and only if some target is not the identity; a word is read from
-    the table only for the (at most four) witnesses a target uses.  The
-    returned words are freely reduced and at most 256 letters long.
+    of generator words.  As {[u, v] : v in G} = u^-1 * class(u), a pool of
+    commutator values grows class by class, each led by the first unwalked
+    `word_table` element, until each target is a new value k, k * k2 or
+    k1 * k with k1, k2 pooled; the first such k in walk order answers it,
+    whatever the other targets.  Words are at most 256 letters long.
     """
     gens = tuple(gens)
     targets = tuple(targets)
@@ -258,29 +239,42 @@ def commutator_words(
     table = word_table(gens, G.degree, cap)
     if G.order > len(table):
         raise PreconditionError("the given tuple does not generate the group")
-    pool = _commutator_pool(G, cap)
     to_table, compose, invert = kernel(G.degree)
-
-    def word_for_pair(u, v) -> Word:
-        return _word_of(table, u, m).commutator(_word_of(table, v, m))
-
-    def search(target: Permutation) -> Word:
-        """A pool hit, else the first k1 in pool order with k1^-1 * target
-        in the pool."""
-        if target.is_identity():
-            return Word.empty(m)
-        pair = pool.get(target.images)
-        if pair is not None:
-            return word_for_pair(*pair)
-        t = to_table(target.images)
-        for k1, pair1 in pool.items():
-            pair2 = pool.get(compose(invert(k1), t))
-            if pair2 is not None:
-                return word_for_pair(*pair1) * word_for_pair(*pair2)
+    pending = {i: t.images for i, t in enumerate(targets) if not t.is_identity()}
+    tables = {i: to_table(t) for i, t in pending.items()}
+    answers = {}  # target index -> the witness pairs of its pool values
+    pool = {}  # commutator value [u, v] -> its first witness pair (u, v)
+    walked = set()
+    for u in (y for y in table if y not in walked):
+        if not pending:
+            break
+        orbit = conjugation_orbit_images(G, Permutation._trusted(u))
+        walked.update(orbit)
+        u_inv = invert(u)
+        for x, v in orbit.items():
+            k = compose(u_inv, to_table(x))
+            if k in pool:
+                continue
+            pool[k] = pair = (u, v)
+            k_inv = invert(k)
+            for i, t in list(pending.items()):
+                if t == k:
+                    answers[i] = (pair,)
+                elif (rest := compose(k_inv, tables[i])) in pool:
+                    answers[i] = (pair, pool[rest])
+                elif (rest := compose(t, to_table(k_inv))) in pool:
+                    answers[i] = (pool[rest], pair)
+                else:
+                    continue
+                del pending[i]
+    if pending:
         raise SearchError("target is not a product of at most two commutators")
 
-    words = [search(target) for target in targets]
-    for target, w in zip(targets, words):
+    words = []
+    for i, target in enumerate(targets):
+        w = Word.empty(m)
+        for u, v in answers.get(i, ()):
+            w = w * _word_of(table, u, m).commutator(_word_of(table, v, m))
         if len(w) > _MAX_WORD_LENGTH:
             raise SearchError(
                 f"shortest found word has {len(w)} letters, "
@@ -290,6 +284,7 @@ def commutator_words(
             raise InternalError("constructed word has a nonzero exponent sum")
         if evaluate_word(w, gens) != target:
             raise InternalError("constructed word does not evaluate to its target")
+        words.append(w)
     return words
 
 

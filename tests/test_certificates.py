@@ -39,12 +39,27 @@ def e16_cert(groups):
     return serialize_certificate(cert)
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _assert_pinned(text: str, digests: dict, k: int) -> None:
+    """The bytes have this version's pinned digest.  Format 0.5.0 changed
+    only the commutator word search, which at k=1 gets the trivial group,
+    so a k=1 certificate is its 0.4.0 bytes with the version string changed."""
+    assert _sha256(text) == digests[__version__]
+    if k == 1:
+        old = text.replace(f'"version": "{__version__}"', '"version": "0.4.0"')
+        assert old != text and _sha256(old) == digests["0.4.0"]
+
+
 # SHA-256 of the a5_cert bytes, per certificate format version.  Within a
 # version the same seed must give the same bytes, so a kernel refactor that
 # silently changes Gamma or its witnesses fails here.
 A5_SEED7_DIGESTS = {
     "0.3.0": "310abda7b194d40eb51b9b429341693b1526e6e13fb9cb9c9e9d41d15efb3dce",
     "0.4.0": "b4d097c44b789cc68b54855b46d3a8c9ed4bc4207d1ae2341d41e9098dd30dfb",
+    "0.5.0": "94239e9242f7a65401b5ef23967434b86e6933bf740dd638f28b8a32b0ec6a85",
 }
 
 # The same for budget 61: the class product of build_T fills A5 before its
@@ -52,19 +67,18 @@ A5_SEED7_DIGESTS = {
 A5_SEED7_BUDGET61_DIGESTS = {
     "0.3.0": "a65b094f2c78528cd74a5e53eff1e5e0adfe76935e8ef0284f55ba58a9c6c8ed",
     "0.4.0": "d56d79643727a4d7516583a2536feb821d9fc904d236655b837b01a627708585",
+    "0.5.0": "0d87127ce99b8dd8aefa63ec91e9810776b0556a09038b49f7b14ab0b311fcfa",
 }
 
 
 def test_seed7_certificate_bytes_are_pinned(a5_cert):
-    text = dumps_certificate(a5_cert)
-    assert hashlib.sha256(text.encode()).hexdigest() == A5_SEED7_DIGESTS[__version__]
+    _assert_pinned(dumps_certificate(a5_cert), A5_SEED7_DIGESTS, k=1)
 
 
 def test_seed7_budget61_certificate_bytes_are_pinned(groups):
     cert = construct((groups["A5"],), d=2, k=1, names=("A5",), seed=7, budget=61)
     text = dumps_certificate(serialize_certificate(cert))
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == A5_SEED7_BUDGET61_DIGESTS[__version__]
+    _assert_pinned(text, A5_SEED7_BUDGET61_DIGESTS, k=1)
 
 
 # The same for e16_cert (E16A5, d=2, k=2): its level-0 words are not empty,
@@ -72,6 +86,7 @@ def test_seed7_budget61_certificate_bytes_are_pinned(groups):
 E16A5_K2_SEED7_DIGESTS = {
     "0.3.0": "a638bb618af763b524198f062725c83a162458862f86b447cbbfd0209dd01d4f",
     "0.4.0": "5b23274d1515f319af8e27e95521e89811d4739c6c79555f21a99aa29d803940",
+    "0.5.0": "e78e1ea7145cfa3c3ad524b0b95896e64fad47d6ff437c92861b15bc1ca42cec",
 }
 
 
@@ -89,14 +104,13 @@ def test_e16a5_k2_certificate_bytes_are_pinned(e16_cert):
 A5XA5_SEED7_DIGESTS = {
     "0.3.0": "013d4f6830a45b86865260bfaaf0d0c9d544f3a183190df97e82f46bfd7a7a1a",
     "0.4.0": "01931f9a6b6141f3a3a9ac9ec8037d5e094b8eb2f73f22b9b602115ef643ac10",
+    "0.5.0": "b593f1054888e0f856fedd0969b09bf04d1c6c8bc417b57d09c20c3a88bc2eff",
 }
 
 
 def test_a5xa5_certificate_bytes_are_pinned(groups):
     cert = construct((groups["A5xA5"],), d=2, k=1, names=("A5xA5",), seed=7, budget=2)
-    text = dumps_certificate(serialize_certificate(cert))
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == A5XA5_SEED7_DIGESTS[__version__]
+    _assert_pinned(dumps_certificate(serialize_certificate(cert)), A5XA5_SEED7_DIGESTS, k=1)
 
 
 # The two benchmark families (bench/families/k1-cover.txt and k2-mixed.txt)
@@ -107,10 +121,12 @@ BENCH_FAMILY_SEED7_DIGESTS = {
     ("A5+A6+PSL27", 1, 61): {
         "0.3.0": "53b1fa0930cd2a0a23f75b94a37b9d2b5726a7b1ad4afeda2d59649d540b5d2e",
         "0.4.0": "5185e188810aff32e55237427592a7c0ecfbd5e9cabed49ea83c1d974d22087d",
+        "0.5.0": "83d1d740ff74eb6d7c80fcc9dac98cb8c8e855b2bb59690ff029f14ff30080c0",
     },
     ("SL25+E16A5", 2, 2): {
         "0.3.0": "bc5e97568aaca3a9e5df3f886067a4c420a879a33562034b06c3ed82e5f66d95",
         "0.4.0": "7f0ce09443fbcd65c0c1969fa3699c29005538042598ef066c4594489d6b34e5",
+        "0.5.0": "9e326be870c7db9e2595b031c5288dfb007d53d76dcf1e94f4efdbc76722f02b",
     },
 }
 
@@ -124,8 +140,7 @@ def test_benchmark_family_certificate_bytes_are_pinned(groups, family, k, budget
         tuple(groups[n] for n in names), d=2, k=k, names=names, seed=7, budget=budget
     )
     text = dumps_certificate(serialize_certificate(cert))
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == BENCH_FAMILY_SEED7_DIGESTS[family, k, budget][__version__]
+    _assert_pinned(text, BENCH_FAMILY_SEED7_DIGESTS[family, k, budget], k)
 
 
 # tests/data/k1-A8.txt at seed 7, budget 61: A8 has 14 classes and order
@@ -134,6 +149,7 @@ def test_benchmark_family_certificate_bytes_are_pinned(groups, family, k, budget
 A8_FAMILY_SEED7_DIGESTS = {
     "0.3.0": "ac326168f7bec636c5a1834183c39838824140d9449a6a82e294ea009d739eb6",
     "0.4.0": "75e16caa11508baeea2030e8026576df5ecb13e4139e61af8a23f464cdaa29cb",
+    "0.5.0": "01ff7859035d2dc90b720fcf14bf067a10ad925770b87f55d4f37a90407e4b24",
 }
 
 
@@ -142,7 +158,7 @@ def test_a8_family_constructs_and_verifies():
     names, members, d, k = parse_family_file(str(family))
     cert = construct(members, d=d, k=k, names=names, seed=7, budget=61)
     text = dumps_certificate(serialize_certificate(cert))
-    assert hashlib.sha256(text.encode()).hexdigest() == A8_FAMILY_SEED7_DIGESTS[__version__]
+    _assert_pinned(text, A8_FAMILY_SEED7_DIGESTS, k=1)
     assert verify_certificate(json.loads(text)).valid
 
 
@@ -150,6 +166,7 @@ def test_a8_family_constructs_and_verifies():
 # order 7920, a simple group that is not alternating.
 M11_FAMILY_SEED7_DIGESTS = {
     "0.4.0": "bf537cb25a1169e473ed51c634e1d9cf30c53a128dd48d5c43014f7d6114ad3a",
+    "0.5.0": "a8bc733324151eb619ed6972ed500f6604f64a91d8011ebb3e81e8803cacc842",
 }
 
 
@@ -159,7 +176,7 @@ def test_m11_family_constructs_and_verifies():
     assert [G.order for G in members] == [7920]
     cert = construct(members, d=d, k=k, names=names, seed=7, budget=61)
     text = dumps_certificate(serialize_certificate(cert))
-    assert hashlib.sha256(text.encode()).hexdigest() == M11_FAMILY_SEED7_DIGESTS[__version__]
+    _assert_pinned(text, M11_FAMILY_SEED7_DIGESTS, k=1)
     assert verify_certificate(json.loads(text)).valid
 
 
@@ -167,6 +184,7 @@ def test_m11_family_constructs_and_verifies():
 # factors of equal order, whose tie order reaches the certificate.
 A5XA5_FAMILY_SEED7_DIGESTS = {
     "0.4.0": "01931f9a6b6141f3a3a9ac9ec8037d5e094b8eb2f73f22b9b602115ef643ac10",
+    "0.5.0": "b593f1054888e0f856fedd0969b09bf04d1c6c8bc417b57d09c20c3a88bc2eff",
 }
 
 
@@ -175,7 +193,24 @@ def test_a5xa5_family_constructs_and_verifies():
     names, members, d, k = parse_family_file(str(family))
     cert = construct(members, d=d, k=k, names=names, seed=7, budget=2)
     text = dumps_certificate(serialize_certificate(cert))
-    assert hashlib.sha256(text.encode()).hexdigest() == A5XA5_FAMILY_SEED7_DIGESTS[__version__]
+    _assert_pinned(text, A5XA5_FAMILY_SEED7_DIGESTS, k=1)
+    assert verify_certificate(json.loads(text)).valid
+
+
+# tests/data/k2-A5xA5-SL25.txt at seed 7, budget 2: the level-1 Gamma has
+# order 216,000, so this digest guards the commutator word search on a
+# large group, where it stops after a few of Gamma's classes.
+A5XA5_SL25_K2_SEED7_DIGESTS = {
+    "0.5.0": "4511970e698a103a29770eb262adf7f74a44ca6c37540e2070b9b9febd9f1cfd",
+}
+
+
+def test_a5xa5_beside_sl25_family_constructs_and_verifies():
+    family = pathlib.Path(__file__).parent / "data" / "k2-A5xA5-SL25.txt"
+    names, members, d, k = parse_family_file(str(family))
+    cert = construct(members, d=d, k=k, names=names, seed=7, budget=2)
+    text = dumps_certificate(serialize_certificate(cert))
+    _assert_pinned(text, A5XA5_SL25_K2_SEED7_DIGESTS, k=2)
     assert verify_certificate(json.loads(text)).valid
 
 
@@ -304,6 +339,70 @@ def test_q_coordinates_need_a_module_basis(mixed_cert):
     factor = data["levels"][1]["factors"][0]
     assert factor["module_basis"] is None and factor["q_coords"] is None
     factor["q_coords"] = [[[5]]]
+    report = verify_certificate(data)
+    assert not report.valid
+    assert report.failed_steps()[0] == "q-decomposition"
+
+
+def _double_k_res(factor):
+    factor["k_res"] = factor["k_res"] * 2
+
+
+def _extra_s_res(factor):
+    factor["s_res"].append(factor["s_res"][0])
+
+
+@pytest.mark.parametrize(
+    "mutate", [_double_k_res, _extra_s_res], ids=["k_res-doubled", "s_res-extra"]
+)
+def test_residue_counts_must_equal_m(mixed_cert, mutate):
+    # the checks read residues 0..m-1 only, so extra entries went unread
+    data = copy.deepcopy(mixed_cert)
+    mutate(data["levels"][0]["factors"][0])
+    report = verify_certificate(data)
+    assert not report.valid
+    assert report.failed_steps() == ["equation1"]
+
+
+@pytest.mark.parametrize("r", [True, [[["x"]]]], ids=["true", "junk"])
+def test_conjugators_need_a_cover(mixed_cert, r):
+    data = copy.deepcopy(mixed_cert)
+    level = data["levels"][0]
+    assert level["cover"] is None and level["r"] is None
+    level["r"] = r
+    report = verify_certificate(data)
+    assert not report.valid
+    assert report.failed_steps() == ["s-in-T"]
+
+
+def test_conjugator_rows_match_the_cover(mixed_cert):
+    # r[l][idx][t] holds one conjugator per element of cover tuple idx
+    data = copy.deepcopy(mixed_cert)
+    level = data["levels"][1]
+    row = level["r"][0][0][0]
+    assert len(row) == len(level["cover"]["tuples"][0])
+    row.append(row[0])
+    report = verify_certificate(data)
+    assert not report.valid
+    assert report.failed_steps() == ["s-in-T"]
+
+
+def test_covering_exponent_must_be_an_integer(groups):
+    # at budget 61 the A5 cover has e = 1, which true used to stand in for
+    cert = construct((groups["A5"],), d=2, k=1, names=("A5",), seed=7, budget=61)
+    data = serialize_certificate(cert)
+    assert data["levels"][0]["cover"]["e"] == 1
+    data["levels"][0]["cover"]["e"] = True
+    report = verify_certificate(data)
+    assert not report.valid
+    assert report.failed_steps() == ["s-in-T"]
+
+
+def test_module_basis_text_with_a_point_in_two_cycles_rejected(mixed_cert):
+    # "(1 4)(2 3)...(1 4)(2 3)..." used to read as its second half
+    data = copy.deepcopy(mixed_cert)
+    basis = data["levels"][0]["factors"][0]["module_basis"]
+    basis[0] = basis[0] * 2
     report = verify_certificate(data)
     assert not report.valid
     assert report.failed_steps()[0] == "q-decomposition"
@@ -515,6 +614,25 @@ def test_format_0_3_0_certificate_is_refused(capsys):
     forced = verify_certificate(data, force_version=True)
     assert forced.failed_steps() == ["gamma-perfect"]
     assert main(["verify", str(FORMAT_0_3_0_CERT), "--force"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# E16A5, d=2, k=2, budget 2, seed 7 as format 0.4.0 wrote it.  Format
+# 0.5.0 kept the layout and changed the commutator word search, so the old
+# certificate is refused on its version alone and is valid when forced.
+FORMAT_0_4_0_CERT = pathlib.Path(__file__).parent / "data" / "e16a5-k2-seed7-format-0.4.0.json"
+
+
+def test_format_0_4_0_certificate_is_valid_only_when_forced(e16_cert, capsys):
+    text = FORMAT_0_4_0_CERT.read_text()
+    assert _sha256(text) == E16A5_K2_SEED7_DIGESTS["0.4.0"]
+    data = json.loads(text)
+    assert data["levels"][0]["words"] != e16_cert["levels"][0]["words"]
+    refused = verify_certificate(data)
+    assert not refused.valid and "version" in refused.message
+    assert main(["verify", str(FORMAT_0_4_0_CERT)]) == 1
+    assert verify_certificate(data, force_version=True).valid
+    assert main(["verify", str(FORMAT_0_4_0_CERT), "--force"]) == 0
     assert "Traceback" not in capsys.readouterr().err
 
 

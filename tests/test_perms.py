@@ -75,6 +75,19 @@ def test_cycle_parsing():
         P("", 3)
 
 
+@pytest.mark.parametrize("text", ["(1 2)(1 2 3)", "(1 2)(2 3)", "(1)(1 2)", "(3 1)(2)(1 2)"])
+def test_point_in_two_cycles_rejected(text):
+    # each cycle wrote its own images, so "(1 2)(1 2 3)" read as (1 2 3)
+    with pytest.raises(InputError, match="earlier cycle"):
+        P(text, 3)
+
+
+def test_from_cycles_rejects_a_shared_point():
+    with pytest.raises(InputError, match="earlier cycle"):
+        Permutation.from_cycles(3, [(0, 1), (1, 2)])
+    assert Permutation.from_cycles(4, [(0, 1), (), (2, 3)]) == P("(1 2)(3 4)", 4)
+
+
 def test_format_cycles():
     assert format_cycles(Permutation.identity(4)) == "()"
     assert format_cycles(P("(1 2 3)(4 5)", 6)) == "(1 2 3)(4 5)"

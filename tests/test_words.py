@@ -5,9 +5,9 @@ import pytest
 from conftest import count_permutation_calls
 from hypothesis import given, settings, strategies as st
 
-from perfectcover import groups, words
+from perfectcover import construction, groups, words
 from perfectcover.catalog import get
-from perfectcover.errors import InputError, PreconditionError, SizeLimitError
+from perfectcover.errors import InputError, PreconditionError, SearchError, SizeLimitError
 from perfectcover.groups import (
     PermGroup,
     center,
@@ -172,7 +172,8 @@ def test_word_of_equals_reference_table(name):
 
 def reference_commutator_pool(G):
     """For each u^-1 * x, x in the class of a class representative u, the
-    first (u, v) with x = u ** v, on `Permutation` products."""
+    first (u, v) with x = u ** v, on `Permutation` products; the classes are
+    led in `enumerate_elements` order."""
     pool = {}
     for orbit in groups.conjugation_orbits(G):
         u = next(iter(orbit))
@@ -184,24 +185,128 @@ def reference_commutator_pool(G):
     return pool
 
 
+class _FullPoolSearch:
+    """The commutator word search the early-stopping one replaced, kept as
+    its reference: it pools every commutator value of G before answering
+    any target, with a pool hit, else with the first k1 in pool order
+    whose k1^-1 * target is pooled."""
+
+    def __init__(self, G, gens):
+        self.m = len(gens)
+        self.words = reference_word_table(gens, G.degree)
+        self.pool = reference_commutator_pool(G)
+
+    def _value_word(self, k):
+        u, v = self.pool[k]
+        return self.words[u].commutator(self.words[v])
+
+    def word(self, target):
+        """The parent's word for target; SearchError where it raised one."""
+        if target.is_identity():
+            return Word.empty(self.m)
+        if target in self.pool:
+            w = self._value_word(target)
+        else:
+            k1 = next((k for k in self.pool if k.inverse() * target in self.pool), None)
+            if k1 is None:
+                raise SearchError("target is not a product of at most two commutators")
+            w = self._value_word(k1) * self._value_word(k1.inverse() * target)
+        if len(w) > 256:
+            raise SearchError("word over the cap")
+        return w
+
+
+def _reference_fails(reference, target):
+    try:
+        reference.word(target)
+    except SearchError:
+        return True
+    return False
+
+
+def _assert_search_matches_reference(G, gens, targets):
+    """commutator_words raises SearchError for exactly the targets the
+    full-pool search does, and otherwise returns zero-sum words of at most
+    256 letters that evaluate to their targets."""
+    reference = _FullPoolSearch(G, gens)
+    failing = [t for t in targets if _reference_fails(reference, t)]
+    for target in failing:
+        with pytest.raises(SearchError):
+            commutator_words(G, gens, [target])
+    answered = [t for t in targets if t not in failing]
+    for target, w in zip(answered, commutator_words(G, gens, answered)):
+        assert w.in_commutator_subgroup
+        assert len(w) <= 256
+        assert evaluate_word(w, gens) == target
+
+
 @pytest.mark.parametrize("name", ["A5", "A6", "PSL27", "SL25"])
-def test_commutator_pool_equals_reference(name):
+def test_commutator_words_fail_exactly_where_the_full_pool_search_fails(name):
     G = get(name)
-    pool = words._commutator_pool(G, groups.ENUMERATION_CAP)
-    wrapped = [
-        (Permutation(value), (Permutation(u), Permutation(v)))
-        for value, (u, v) in pool.items()
-    ]
-    assert wrapped == list(reference_commutator_pool(G).items())
+    _assert_search_matches_reference(G, G.generators, enumerate_elements(G))
+
+
+@pytest.fixture(scope="module")
+def mixed_level1_search():
+    """(Gamma, gens) of the commutator word search on the level-1 Gamma of
+    order 3600 in the seed-7 construct of SL25 beside E16A5 (k=2)."""
+    calls = []
+
+    def record(G, gens, targets, cap=groups.ENUMERATION_CAP):
+        calls.append((G, tuple(gens)))
+        return commutator_words(G, gens, targets, cap=cap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construction, "commutator_words", record)
+        construction.construct(
+            (get("SL25"), get("E16A5")), d=2, k=2, names=("SL25", "E16A5"), seed=7, budget=2
+        )
+    (gamma, gens), = [(G, gens) for G, gens in calls if G.order == 3600]
+    return gamma, gens
+
+
+def test_commutator_words_on_a_level_gamma_match_the_full_pool_search(mixed_level1_search):
+    gamma, gens = mixed_level1_search
+    _assert_search_matches_reference(gamma, gens, gens)
+
+
+def test_search_stops_before_walking_every_class(mixed_level1_search, monkeypatch):
+    gamma, gens = mixed_level1_search
+    walks = []
+
+    def counted(G, x):
+        walks.append(x)
+        return groups.conjugation_orbit_images(G, x)
+
+    monkeypatch.setattr(words, "conjugation_orbit_images", counted)
+    commutator_words(gamma, gens, gens)
+    n_classes = sum(1 for _ in groups.conjugation_orbits_images(gamma))
+    assert 0 < len(walks) < n_classes
+
+
+def test_search_error_once_the_classes_run_out(monkeypatch):
+    # with each class cut down to its leader the only commutator value is 1,
+    # so the walk covers the whole table and finds no nontrivial target
+    A5 = get("A5")
+    monkeypatch.setattr(
+        words, "conjugation_orbit_images", lambda G, x: {x.images: G.identity.images}
+    )
+    with pytest.raises(SearchError):
+        commutator_words(A5, A5.generators, [P("(1 2 3)", 5)])
+    assert commutator_words(A5, A5.generators, [A5.identity]) == [Word.empty(2)]
 
 
 def test_word_search_takes_no_permutation_products(monkeypatch):
-    # The word table and the commutator pool run on raw images.
+    # The word table, the class walks and the pool run on raw images; the
+    # only products are those of the final evaluation of each word.
     A5 = get("A5")
+    targets = [P("(1 2 3)", 5), P("(1 2)(3 4)", 5), P("(1 2 3 4 5)", 5)]
+    commutator_words(A5, A5.generators, targets)  # caches A5's derived subgroup
     calls = count_permutation_calls(monkeypatch)
     assert len(word_table(A5.generators, 5)) == 60
-    assert words._commutator_pool(A5, groups.ENUMERATION_CAP)
-    assert calls == {"__mul__": 0, "inverse": 0}
+    found = commutator_words(A5, A5.generators, targets)
+    assert calls["__mul__"] == sum(len(w) for w in found)
+    assert calls["inverse"] <= len(A5.generators) * len(targets)
 
 
 def test_word_table_cap_and_identity_generators():
@@ -277,17 +382,16 @@ def test_batched_words_build_table_and_enumerate_once(monkeypatch):
 
     monkeypatch.setattr(words, "word_table", counted("word_table", words.word_table))
     monkeypatch.setattr(words, "_word_of", counted("_word_of", words._word_of))
-    monkeypatch.setattr(
-        groups,
-        "enumerate_elements",
-        counted("enumerate_elements", groups.enumerate_elements),
-    )
+    counted_enumerate = counted("enumerate_elements", groups.enumerate_elements)
+    monkeypatch.setattr(groups, "enumerate_elements", counted_enumerate)
+    monkeypatch.setattr(words, "enumerate_elements", counted_enumerate)
     targets = [P("(1 2 3)", 5), P("(1 2)(3 4)", 5), P("(1 2 3 4 5)", 5)]
     result = commutator_words(A5, A5.generators, targets)
     assert [evaluate_word(w, A5.generators) for w in result] == targets
     assert calls["word_table"] == 1
-    assert calls["enumerate_elements"] == 1
-    # words are read back only for the pool witnesses used, at most 4 a target
+    # the classes are led by word table elements, so G is not enumerated
+    assert calls["enumerate_elements"] == 0
+    # words are read back only for the witnesses used, at most 4 a target
     assert 0 < calls["_word_of"] <= 4 * len(targets)
 
 
