@@ -5,15 +5,15 @@ from two generators, cross-checks the stabilizer-chain order against a
 plain breadth-first closure, and looks at its class structure.
 """
 
-from perfectcover import (
+from perfectcover.groups import (
     PermGroup,
     centralizer,
     conjugacy_classes,
     derived_subgroup,
     enumerate_elements,
     mulclose,
-    parse_cycles,
 )
+from perfectcover.perms import parse_cycles
 
 a = parse_cycles("(1 2 3 4 5)", 5)
 b = parse_cycles("(1 2 3)", 5)

@@ -6,7 +6,8 @@ appears.  The number of steps is the level; perfect groups of level at
 most k are exactly the inputs the construction accepts.
 """
 
-from perfectcover import catalog, split_star_trivial, star_series
+from perfectcover import catalog
+from perfectcover.structure import split_star_trivial, star_series
 
 for name in ("A5", "SL25", "E16A5", "S3", "A5xA5"):
     G = catalog.get(name)

@@ -6,9 +6,10 @@ what lets generators of a quotient be repaired into generators of the
 full group (the lifting lemma demonstrated second).
 """
 
-from perfectcover import catalog, commutator_words, evaluate_word, gaschutz_lift
+from perfectcover import catalog
 from perfectcover.groups import PermGroup, center, derived_subgroup
 from perfectcover.perms import format_cycles, parse_cycles
+from perfectcover.words import commutator_words, evaluate_word, gaschutz_lift
 
 A5 = catalog.get("A5")
 target = parse_cycles("(1 2 3)", 5)

@@ -8,10 +8,10 @@ and verified by direct group arithmetic.
 
 import random
 
-from perfectcover import (
+from perfectcover import catalog
+from perfectcover.gmodule import (
     GModule,
     augmentation_submodule,
-    catalog,
     is_perfect_module,
     solve_commutator_decomposition,
 )

@@ -7,8 +7,8 @@ conjugates of a generating tuple, which is how semisimple residues get
 absorbed in the main construction.
 """
 
-from perfectcover import (
-    catalog,
+from perfectcover import catalog
+from perfectcover.covering import (
     covering_number,
     decompose_conjugate_product,
     pick_small_centralizer_gen,

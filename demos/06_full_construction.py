@@ -7,14 +7,14 @@ certificate, and re-verifies it from scratch with the independent checker.
 
 import tempfile
 
-from perfectcover import (
-    catalog,
-    construct,
+from perfectcover import catalog
+from perfectcover.certificates import (
     load_certificate,
     serialize_certificate,
     verify_certificate,
     write_certificate,
 )
+from perfectcover.construction import construct
 from perfectcover.groups import derived_subgroup
 
 family = (catalog.get("SL25"), catalog.get("E16A5"))

@@ -5,6 +5,9 @@ certificate), verify (re-check a certificate), cover (covering numbers of
 a conjugacy class), catalog (list built-ins).  Exit codes: 0 success or
 valid, 1 invalid certificate or failed precondition, 2 usage or parse
 error.
+
+Each handler imports the layers it calls, so that a process compiles only
+those: `verify` loads the verifier and not the builder, `catalog` neither.
 """
 
 from __future__ import annotations
@@ -12,20 +15,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, catalog
-from .certificates import (
-    dumps_certificate,
-    load_certificate,
-    serialize_certificate,
-    verify_certificate,
-)
-from .construction import DEFAULT_BUDGET, construct
-from .covering import covering_number, decompose_conjugate_product
+from . import __version__
 from .errors import InputError, PreconditionError, SizeLimitError
-from .groups import ENUMERATION_CAP, conjugacy_class_of
-from .groupfile import parse_family_file, resolve_group
-from .perms import format_cycles, parse_cycles
-from .structure import star_series
+from .groups import DEFAULT_BUDGET, ENUMERATION_CAP
 
 
 def _add_common(parser):
@@ -74,6 +66,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze(args) -> int:
+    from .groupfile import resolve_group
+    from .structure import star_series
+
     G = resolve_group(args.group)
     report = star_series(G, cap=args.cap)
     for i, term in enumerate(report.series):
@@ -89,6 +84,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .certificates import dumps_certificate, serialize_certificate
+    from .construction import construct
+    from .groupfile import parse_family_file
+
     names, groups, d, k = parse_family_file(args.family)
     cert = construct(
         groups, d, k, names=names, seed=args.seed, budget=args.budget, cap=args.cap
@@ -103,6 +102,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .certificates import load_certificate, verify_certificate
+
     data = load_certificate(args.certificate)
     report = verify_certificate(data, force_version=args.force, cap=args.cap)
     if report.message:
@@ -113,6 +114,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    from .covering import covering_number, decompose_conjugate_product
+    from .groupfile import resolve_group
+    from .groups import conjugacy_class_of
+    from .perms import format_cycles, parse_cycles
+
     S = resolve_group(args.group)
     if args.class_rep is None:
         rep = next(
@@ -139,6 +145,8 @@ def cmd_cover(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog
+
     for name in catalog.names():
         entry = catalog.CATALOG[name]
         print(

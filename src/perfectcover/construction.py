@@ -26,7 +26,13 @@ import random
 from .covering import _ClassTable, _LayeredDecomposer, cover_tuples
 from .errors import InternalError, PreconditionError, VerificationError
 from .gmodule import GModule, solve_commutator_decomposition
-from .groups import ENUMERATION_CAP, CosetMap, PermGroup, commutator_subgroup
+from .groups import (
+    DEFAULT_BUDGET,
+    ENUMERATION_CAP,
+    CosetMap,
+    PermGroup,
+    commutator_subgroup,
+)
 from .perms import Permutation
 from .products import (
     DirectProduct,
@@ -50,8 +56,6 @@ from .structure import (
     star_chain,
 )
 from .words import Word, commutator_words, evaluate_word, gaschutz_lift
-
-DEFAULT_BUDGET = 61
 
 
 class LevelSplit:

@@ -283,10 +283,6 @@ def solve_commutator_decomposition(
         return [M.carrier.identity for _ in acting]
     mats = [M.matrix_for(g) for g in acting]
     t = M.encode(target)
-    if not augmentation_submodule(M, acting).contains(t):
-        raise PreconditionError(
-            "target is outside the augmentation submodule of the acting tuple"
-        )
     s = M.rank
     rows = []
     for T in mats:
@@ -294,9 +290,14 @@ def solve_commutator_decomposition(
             rows.append([T[i][j] - (1 if i == j else 0) for j in range(s)])
     for j, d in enumerate(M.orders):
         rows.append([d if jj == j else 0 for jj in range(s)])
+    # The rows v(T_l - 1) with the order rows span [A, <acting>] over Z,
+    # since a(gh - 1) = a(g - 1)h + a(h - 1); so no solution means the
+    # target lies outside it.
     x = solve_left(rows, list(t))
     if x is None:
-        raise InternalError("linear solve failed although membership holds")
+        raise PreconditionError(
+            "target is outside the augmentation submodule of the acting tuple"
+        )
     result = []
     for l in range(len(acting)):
         coords = M.reduce(x[l * s:(l + 1) * s])

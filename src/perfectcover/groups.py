@@ -40,6 +40,9 @@ from .errors import InputError, InternalError, PreconditionError, SizeLimitError
 from .perms import Permutation, commutator, kernel, pack
 
 ENUMERATION_CAP = 10**6
+# The construction's cover generator budget.  It sits beside the cap so that
+# the CLI parser can read both defaults without loading the builder.
+DEFAULT_BUDGET = 61
 _wrap = Permutation._trusted
 
 

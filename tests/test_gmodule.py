@@ -241,3 +241,17 @@ def test_solve_rejects_unreachable_target(groups):
     M = GModule(V4, V4, V4.generators)
     with pytest.raises(PreconditionError):
         solve_commutator_decomposition(M, V4.generators, P("(1 2)(3 4)", 4))
+
+
+def test_solve_rejects_target_outside_a_nontrivial_augmentation(groups):
+    # D8 = <(1 2), V4> acting by (1 2) on V4: [V4, <(1 2)>] = {1, (1 2)(3 4)}.
+    V4 = groups["V4"]
+    swap = P("(1 2)", 4)
+    D8 = PermGroup(4, [swap, *V4.generators])
+    assert D8.order == 8
+    M = GModule(D8, V4)
+    with pytest.raises(PreconditionError):
+        solve_commutator_decomposition(M, (swap,), P("(1 3)(2 4)", 4))
+    target = P("(1 2)(3 4)", 4)
+    (q,) = solve_commutator_decomposition(M, (swap,), target)
+    assert commutator(q, swap) == target
