@@ -5,6 +5,7 @@ which need two extension steps over their semisimple tops, writes the
 certificate, and re-verifies it from scratch with the independent checker.
 """
 
+import os
 import tempfile
 
 from perfectcover import catalog
@@ -38,11 +39,11 @@ for lvl in cert.levels:
         f"{t_count} distinct T generators"
     )
 
-with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as fh:
-    path = fh.name
-write_certificate(serialize_certificate(cert), path)
-report = verify_certificate(load_certificate(path))
-print(f"certificate at {path}")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "certificate.json")
+    write_certificate(serialize_certificate(cert), path)
+    print(f"certificate of {os.path.getsize(path)} bytes written and read back")
+    report = verify_certificate(load_certificate(path))
 print("independent verification:", "valid" if report.valid else "INVALID")
 for line in report.lines():
     print(" ", line)

@@ -633,12 +633,18 @@ def _verify_level(
                             f"factor {j}: nontrivial residue without module data"
                         )
                 continue
+            A, basis = ctx.A[j], ctx.basis(j)
             orders = []
-            for b in ctx.basis(j):
-                if b not in ctx.A[j]:
+            for b in basis:
+                if b not in A:
                     raise InputError(f"factor {j}: basis element outside A")
                 orders.append(b.order())
-            if math.prod(orders) != ctx.A[j].order:
+            # elements that generate A, with orders multiplying to |A|, are
+            # independent: each element of A has one coordinate vector
+            if (
+                math.prod(orders) != A.order
+                or StabilizerChain(A.degree, basis).order() != A.order
+            ):
                 raise InputError(f"factor {j}: basis does not span A")
             rows = fdoc["q_coords"]
             if rows is None or len(rows) != m:

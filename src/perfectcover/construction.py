@@ -295,9 +295,7 @@ def recurse_and_align(
     return AlignedLifts(m, words, lifts, k_res, s_res)
 
 
-def build_Q(
-    split: LevelSplit, aligned: AlignedLifts, cap: int = ENUMERATION_CAP
-) -> QData:
+def build_Q(split: LevelSplit, aligned: AlignedLifts) -> QData:
     """Solve each abelian residue k_i as a product of commutators [q_il, a_l]
     in its member's module; Q is generated by the [q_il, a_t]."""
     m = aligned.m
@@ -314,7 +312,7 @@ def build_Q(
             q_elems.append(None)
             q_coords.append(None)
             continue
-        M = GModule(G, A, aligned.lifts[j], cap)
+        M = GModule(G, A, aligned.lifts[j])
         per_i_elems = []
         per_i_coords = []
         for i in range(m):
@@ -439,7 +437,7 @@ def _construct_level(
     )
     aligned = recurse_and_align(split, sub_gamma, sub_product, sub_marked, d, rng, cap)
     delta_gens = [column(split.product, aligned.lifts, i) for i in range(aligned.m)]
-    qdata = build_Q(split, aligned, cap)
+    qdata = build_Q(split, aligned)
     tdata = build_T(split, aligned, budget, rng, cap)
     gamma, gamma_gens, marked_idx = assemble_and_verify(
         split, aligned, delta_gens, qdata, tdata

@@ -6,93 +6,93 @@ of its relation lattice, elements become coordinate vectors, and each
 acting element of G becomes an integer matrix.  Under this identification
 a(g - 1) is the commutator [a, g], so all commutator bookkeeping here is
 plain linear algebra over the basis orders.
+
+Nothing here visits the elements of A.  Its reduced generators g_1 .. g_r
+form a polycyclic sequence: g_i has a relative order e_i over the prefix
+subgroup <g_1 .. g_(i-1)>, and each element of A has one exponent vector w
+with 0 <= w_i < e_i, found by sifting it down the prefix chains.  The r
+power relations g_i^e_i = g_1^w_1 ... g_(i-1)^w_(i-1) span the relation
+lattice, whose Smith form maps exponent vectors to basis coordinates.  A
+submodule is a lattice too: its generators with the order rows, so that
+membership, size and equality are integer linear algebra (Holt-Eick-
+O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 8 and 9).
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 
 from .errors import InternalError, PreconditionError
-from .groups import (
-    ENUMERATION_CAP,
-    PermGroup,
-    is_normal,
-)
+from .groups import PermGroup, StabilizerChain, is_normal
 from .perms import Permutation, commutator
-from .snf import diagonal_of, smith_normal_form, solve_left
+from .snf import diagonal_of, identity_matrix, smith_normal_form, solve_left
 
 
-def abelian_group_basis(A: PermGroup, cap: int = ENUMERATION_CAP):
-    """Independent generators with orders d_1 | d_2 | ... for abelian A.
+class _PolycyclicSequence:
+    """The reduced generators of abelian A with their prefix chains."""
 
-    Derived from the Smith normal form of the relation lattice of a
-    generating set, with relations harvested from the non-tree edges of a
-    breadth-first scan plus the generator orders.
-    """
-    gens = [g for g in A.reduced_generators() if not g.is_identity()]
-    if not gens:
-        return [], []
-    r = len(gens)
-    zero = (0,) * r
-    vectors = {A.identity: zero}
-    relations = []
-    queue = deque([A.identity])
-    while queue:
-        x = queue.popleft()
-        vx = vectors[x]
-        for i, g in enumerate(gens):
-            y = x * g
-            step = tuple(v + (1 if j == i else 0) for j, v in enumerate(vx))
-            vy = vectors.get(y)
-            if vy is None:
-                vectors[y] = step
-                queue.append(y)
+    def __init__(self, A: PermGroup):
+        self.gens = A.reduced_generators()
+        self.inverses = [g.inverse() for g in self.gens]
+        self.prefixes = [StabilizerChain(A.degree, self.gens[:i]) for i in range(len(self.gens))]
+        sizes = [chain.order() for chain in self.prefixes] + [A.order]
+        self.relative = [sizes[i + 1] // sizes[i] for i in range(len(self.gens))]
+
+    def exponents(self, x: Permutation) -> list[int]:
+        """The w with x = g_1^w_1 ... g_r^w_r and 0 <= w_i < e_i, for x in
+        A: g_r, then g_(r-1), ... is peeled off until x is in the prefix."""
+        w = [0] * len(self.gens)
+        for i in reversed(range(len(w))):
+            for c in range(self.relative[i]):
+                if self.prefixes[i].contains(x):
+                    w[i] = c
+                    break
+                x = x * self.inverses[i]
             else:
-                rel = tuple(a - b for a, b in zip(step, vy))
-                if any(rel):
-                    relations.append(list(rel))
-    if len(vectors) != A.order:
-        raise InternalError("abelian scan missed elements; is the group abelian?")
-    for i, g in enumerate(gens):
-        relations.append([g.order() if j == i else 0 for j in range(r)])
-    # Columns of the relation matrix span the kernel of Z^r -> A.
+                raise InternalError("sift left the prefix subgroups; is the group abelian?")
+        return w
+
+
+def _smith_basis(A: PermGroup):
+    """(sequence, coordinate rows, basis, orders) for abelian A.
+
+    The columns of the relation matrix span the kernel of Z^r -> A; with
+    U * columns * V = D, row i of U maps an exponent vector to the
+    coordinate of basis[i], whose order is the diagonal entry d_i.
+    """
+    seq = _PolycyclicSequence(A)
+    r = len(seq.gens)
+    relations = []
+    for i, (g, e) in enumerate(zip(seq.gens, seq.relative)):
+        rel = [-c for c in seq.exponents(g**e)]
+        rel[i] = e
+        relations.append(rel)
     columns = [[rel[i] for rel in relations] for i in range(r)]
-    D, _, Uinv, _, _ = smith_normal_form(columns)
-    orders = diagonal_of(D)
-    basis = []
-    basis_orders = []
-    for i in range(r):
-        d = orders[i] if i < len(orders) else 0
-        if d == 0:
-            raise InternalError("relation lattice is not full rank")
+    D, U, Uinv, _, _ = smith_normal_form(columns)
+    coordinates, basis, orders = [], [], []
+    for i, d in enumerate(diagonal_of(D)):
         if d == 1:
             continue
         b = A.identity
         for k in range(r):
-            b = b * gens[k] ** Uinv[k][i]
+            b = b * seq.gens[k] ** Uinv[k][i]
+        coordinates.append(U[i])
         basis.append(b)
-        basis_orders.append(d)
-    check = 1
-    for d in basis_orders:
-        check *= d
-    if check != A.order:
-        raise InternalError("basis orders do not multiply to the group order")
-    for b, d in zip(basis, basis_orders):
-        if b.order() != d:
-            raise InternalError("basis element order mismatch")
-    return basis, basis_orders
+        orders.append(d)
+    return seq, coordinates, basis, orders
+
+
+def abelian_group_basis(A: PermGroup):
+    """Independent generators with orders d_1 | d_2 | ... for abelian A,
+    from the Smith form of the r power relations of its reduced generators."""
+    _, _, basis, orders = _smith_basis(A)
+    return basis, orders
 
 
 class GModule:
     """An abelian normal subgroup of `ambient` with conjugation as the action."""
 
-    def __init__(
-        self,
-        ambient: PermGroup,
-        carrier: PermGroup,
-        acting_gens=None,
-        cap: int = ENUMERATION_CAP,
-    ):
+    def __init__(self, ambient: PermGroup, carrier: PermGroup, acting_gens=None):
         gens = carrier.reduced_generators()
         for a in gens:
             for b in gens:
@@ -106,23 +106,18 @@ class GModule:
         for g in self.acting_gens:
             if g not in ambient:
                 raise PreconditionError("acting element outside the ambient group")
-        self.basis, self.orders = abelian_group_basis(carrier, cap)
+        self._sequence, self._coordinates, self.basis, self.orders = _smith_basis(carrier)
         self.rank = len(self.basis)
-        self._encode: dict[Permutation, tuple[int, ...]] = {}
-        for coords in _coordinate_space(self.orders):
-            element = self.decode(coords)
-            if element in self._encode:
-                raise InternalError("coordinate map is not injective")
-            self._encode[element] = coords
-        if len(self._encode) != carrier.order:
-            raise InternalError("coordinate map is not surjective")
         self.matrices = [self.matrix_for(g) for g in self.acting_gens]
 
     def encode(self, x: Permutation) -> tuple[int, ...]:
-        try:
-            return self._encode[x]
-        except KeyError:
-            raise PreconditionError("element is not in the carrier") from None
+        if x not in self.carrier:
+            raise PreconditionError("element is not in the carrier")
+        w = self._sequence.exponents(x)
+        return tuple(
+            sum(u * c for u, c in zip(row, w)) % d
+            for row, d in zip(self._coordinates, self.orders)
+        )
 
     def decode(self, coords) -> Permutation:
         x = self.carrier.identity
@@ -132,18 +127,7 @@ class GModule:
 
     def matrix_for(self, g: Permutation) -> list[list[int]]:
         """Row i is the coordinate vector of basis[i] conjugated by g."""
-        rows = []
-        for b, d in zip(self.basis, self.orders):
-            image = b.conjugate(g)
-            coords = self.encode(image)
-            if image.order() != d:
-                raise InternalError("action does not preserve basis orders")
-            rows.append(list(coords))
-        matrix = rows
-        images = {self.apply_matrix(v, matrix) for v in _coordinate_space(self.orders)}
-        if len(images) != self.carrier.order:
-            raise InternalError("action matrix is not invertible modulo the orders")
-        return matrix
+        return [list(self.encode(b.conjugate(g))) for b in self.basis]
 
     def reduce(self, coords) -> tuple[int, ...]:
         return tuple(c % d for c, d in zip(coords, self.orders))
@@ -168,82 +152,87 @@ class GModule:
         return self.add(self.apply_matrix(v, matrix), self.neg(v))
 
 
-def _coordinate_space(orders):
-    if not orders:
-        yield ()
-        return
-    head, *tail = orders
-    for rest in _coordinate_space(tail):
-        for c in range(head):
-            yield (c,) + rest
+def _order_rows(M: GModule) -> list[list[int]]:
+    """The rows d_i e_i, which span the coordinate vectors of the identity."""
+    return [[d * e for e in row] for d, row in zip(M.orders, identity_matrix(M.rank))]
 
 
 class Submodule:
-    """A subgroup of the carrier closed under the declared action."""
+    """A subgroup of the carrier closed under the declared action: the
+    lattice spanned by its generators and the order rows."""
 
-    __slots__ = ("module", "generators", "elements")
+    __slots__ = ("module", "generators")
 
-    def __init__(
-        self, module: GModule, generators: tuple[tuple[int, ...], ...], elements: frozenset
-    ):
+    def __init__(self, module: GModule, generators: tuple[tuple[int, ...], ...]):
         self.module = module
         self.generators = generators
-        self.elements = elements
+
+    @property
+    def rows(self) -> list[list[int]]:
+        return [list(v) for v in self.generators] + _order_rows(self.module)
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        """|A| over the lattice's index in Z^rank, its Smith diagonal's product."""
+        D = smith_normal_form(self.rows)[0]
+        return math.prod(self.module.orders) // math.prod(diagonal_of(D))
 
     def contains(self, coords) -> bool:
-        return tuple(coords) in self.elements
+        return solve_left(self.rows, list(coords)) is not None
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Submodule)
+            and self.module is other.module
+            and all(other.contains(v) for v in self.generators)
+            and all(self.contains(v) for v in other.generators)
+        )
 
 
-def _additive_closure(module: GModule, gens) -> set:
-    closed = {module.zero()}
-    queue = deque([module.zero()])
-    while queue:
-        v = queue.popleft()
-        for g in gens:
-            w = module.add(v, g)
-            if w not in closed:
-                closed.add(w)
-                queue.append(w)
-    return closed
+def _acting_matrices(M: GModule, acting_gens) -> list[list[list[int]]]:
+    acting = M.acting_gens if acting_gens is None else tuple(acting_gens)
+    if acting == M.acting_gens:
+        return M.matrices
+    return [M.matrix_for(g) for g in acting]
+
+
+def _augmentation_rows(vectors, matrices) -> list[list[int]]:
+    """The rows v(T - 1) over Z, for each T and then each v.  When the v
+    span a submodule V over Z, these rows with the order rows span
+    [V, <acting>], since a(gh - 1) = (ag)(h - 1) + a(g - 1)."""
+    return [
+        [sum(c * t[j] for c, t in zip(v, T)) - v[j] for j in range(len(v))]
+        for T in matrices
+        for v in vectors
+    ]
 
 
 def close_submodule(module: GModule, seed_vectors, matrices) -> Submodule:
-    """Smallest action-closed subgroup containing the seeds."""
+    """Smallest action-closed subgroup containing the seeds.
+
+    A seed or an image row * T outside the lattice so far joins its
+    generators, until the image of every generator is contained.
+    """
     gens = []
-    seen = set()
-    for v in seed_vectors:
-        v = module.reduce(v)
-        if any(v) and v not in seen:
-            seen.add(v)
+    rows = _order_rows(module)
+
+    def join(v):
+        if solve_left(rows, list(v)) is None:
             gens.append(v)
-    while True:
-        elements = _additive_closure(module, gens)
-        new = []
-        for g in gens:
-            for T in matrices:
-                img = module.apply_matrix(g, T)
-                if img not in elements and img not in seen:
-                    seen.add(img)
-                    new.append(img)
-        if not new:
-            return Submodule(module, tuple(gens), frozenset(elements))
-        gens.extend(new)
+            rows.append(list(v))
+
+    for v in seed_vectors:
+        join(module.reduce(v))
+    for v in gens:  # walks the generators that join on the way too
+        for T in matrices:
+            join(module.apply_matrix(v, T))
+    return Submodule(module, tuple(gens))
 
 
 def augmentation_submodule(M: GModule, acting_gens=None) -> Submodule:
     """The span of all basis(g - 1), closed under the action: [A, <acting>]."""
-    acting = tuple(acting_gens) if acting_gens is not None else M.acting_gens
-    mats = [M.matrix_for(g) for g in acting]
-    seeds = []
-    for i in range(M.rank):
-        e = tuple(1 if j == i else 0 for j in range(M.rank))
-        for T in mats:
-            seeds.append(M.augment(e, T))
-    return close_submodule(M, seeds, mats)
+    mats = _acting_matrices(M, acting_gens)
+    return close_submodule(M, _augmentation_rows(identity_matrix(M.rank), mats), mats)
 
 
 def submodule_generated(
@@ -251,21 +240,17 @@ def submodule_generated(
 ) -> Submodule:
     """Action closure of the given carrier elements, optionally of their
     images under every g - 1 first."""
-    acting = tuple(acting_gens) if acting_gens is not None else M.acting_gens
-    mats = [M.matrix_for(g) for g in acting]
+    mats = _acting_matrices(M, acting_gens)
     vecs = [M.encode(x) for x in elements]
     if apply_augmentation:
-        vecs = [M.augment(v, T) for v in vecs for T in mats]
+        vecs = _augmentation_rows(vecs, mats)
     return close_submodule(M, vecs, mats)
 
 
 def is_perfect_module(V: Submodule, acting_gens=None) -> bool:
     """True iff V equals its own augmentation submodule."""
-    M = V.module
-    acting = tuple(acting_gens) if acting_gens is not None else M.acting_gens
-    mats = [M.matrix_for(g) for g in acting]
-    seeds = [M.augment(v, T) for v in V.generators for T in mats]
-    return close_submodule(M, seeds, mats).elements == V.elements
+    mats = _acting_matrices(V.module, acting_gens)
+    return close_submodule(V.module, _augmentation_rows(V.generators, mats), mats) == V
 
 
 def solve_commutator_decomposition(
@@ -277,31 +262,16 @@ def solve_commutator_decomposition(
     the basis orders; the result is verified by direct group arithmetic.
     """
     acting = tuple(acting_gens)
-    if M.rank == 0:
-        if not target.is_identity():
-            raise PreconditionError("nontrivial target in a trivial module")
-        return [M.carrier.identity for _ in acting]
-    mats = [M.matrix_for(g) for g in acting]
-    t = M.encode(target)
-    s = M.rank
-    rows = []
-    for T in mats:
-        for i in range(s):
-            rows.append([T[i][j] - (1 if i == j else 0) for j in range(s)])
-    for j, d in enumerate(M.orders):
-        rows.append([d if jj == j else 0 for jj in range(s)])
-    # The rows v(T_l - 1) with the order rows span [A, <acting>] over Z,
-    # since a(gh - 1) = a(g - 1)h + a(h - 1); so no solution means the
-    # target lies outside it.
-    x = solve_left(rows, list(t))
+    mats = _acting_matrices(M, acting)
+    rows = _augmentation_rows(identity_matrix(M.rank), mats) + _order_rows(M)
+    # No solution means the target lies outside [A, <acting>].
+    x = solve_left(rows, list(M.encode(target)))
     if x is None:
         raise PreconditionError(
             "target is outside the augmentation submodule of the acting tuple"
         )
-    result = []
-    for l in range(len(acting)):
-        coords = M.reduce(x[l * s:(l + 1) * s])
-        result.append(M.decode(coords))
+    s = M.rank
+    result = [M.decode(M.reduce(x[l * s:(l + 1) * s])) for l in range(len(acting))]
     check = M.carrier.identity
     for q, a in zip(result, acting):
         check = check * commutator(q, a)

@@ -255,7 +255,7 @@ def star_series(
         invariants: tuple[int, ...] = ()
     else:
         ab = CosetMap(G, derived_subgroup(G), cap).quotient
-        _, orders = abelian_group_basis(ab, cap)
+        _, orders = abelian_group_basis(ab)
         invariants = tuple(orders)
     return StructureReport(
         series=tuple(series),

@@ -44,13 +44,16 @@ def _sha256(text: str) -> str:
 
 
 def _assert_pinned(text: str, digests: dict, k: int) -> None:
-    """The bytes have this version's pinned digest.  Format 0.5.0 changed
-    only the commutator word search, which at k=1 gets the trivial group,
-    so a k=1 certificate is its 0.4.0 bytes with the version string changed."""
+    """The bytes have this version's pinned digest.  Format 0.6.0 changed
+    only how the module basis is derived, and on every pinned family the
+    new derivation gives the 0.5.0 basis, so each certificate is its 0.5.0
+    bytes with the version string changed.  Format 0.5.0 changed only the
+    commutator word search, which at k=1 gets the trivial group, so a k=1
+    certificate is its 0.4.0 bytes in the same way."""
     assert _sha256(text) == digests[__version__]
-    if k == 1:
-        old = text.replace(f'"version": "{__version__}"', '"version": "0.4.0"')
-        assert old != text and _sha256(old) == digests["0.4.0"]
+    for version in ("0.5.0", "0.4.0") if k == 1 else ("0.5.0",):
+        old = text.replace(f'"version": "{__version__}"', f'"version": "{version}"')
+        assert old != text and _sha256(old) == digests[version]
 
 
 # SHA-256 of the a5_cert bytes, per certificate format version.  Within a
@@ -60,6 +63,7 @@ A5_SEED7_DIGESTS = {
     "0.3.0": "310abda7b194d40eb51b9b429341693b1526e6e13fb9cb9c9e9d41d15efb3dce",
     "0.4.0": "b4d097c44b789cc68b54855b46d3a8c9ed4bc4207d1ae2341d41e9098dd30dfb",
     "0.5.0": "94239e9242f7a65401b5ef23967434b86e6933bf740dd638f28b8a32b0ec6a85",
+    "0.6.0": "71f6426fc33415169cbe30e24baab806954896f93088c9b7fc21bf51e632cd05",
 }
 
 # The same for budget 61: the class product of build_T fills A5 before its
@@ -68,6 +72,7 @@ A5_SEED7_BUDGET61_DIGESTS = {
     "0.3.0": "a65b094f2c78528cd74a5e53eff1e5e0adfe76935e8ef0284f55ba58a9c6c8ed",
     "0.4.0": "d56d79643727a4d7516583a2536feb821d9fc904d236655b837b01a627708585",
     "0.5.0": "0d87127ce99b8dd8aefa63ec91e9810776b0556a09038b49f7b14ab0b311fcfa",
+    "0.6.0": "c892320039e14d1f5e04e1f28736a23b24361bfe573832fb098a05474e710d05",
 }
 
 
@@ -87,14 +92,13 @@ E16A5_K2_SEED7_DIGESTS = {
     "0.3.0": "a638bb618af763b524198f062725c83a162458862f86b447cbbfd0209dd01d4f",
     "0.4.0": "5b23274d1515f319af8e27e95521e89811d4739c6c79555f21a99aa29d803940",
     "0.5.0": "e78e1ea7145cfa3c3ad524b0b95896e64fad47d6ff437c92861b15bc1ca42cec",
+    "0.6.0": "20e29097cf4b083c9d894db2c70569cf29701427f17e5178a3d51cd7882f63e5",
 }
 
 
 def test_e16a5_k2_certificate_bytes_are_pinned(e16_cert):
     assert any(w != "e" for w in e16_cert["levels"][0]["words"])
-    text = dumps_certificate(e16_cert)
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == E16A5_K2_SEED7_DIGESTS[__version__]
+    _assert_pinned(dumps_certificate(e16_cert), E16A5_K2_SEED7_DIGESTS, k=2)
 
 
 # The same for A5xA5 (d=2, k=1, budget 2).  Its two simple factors are
@@ -105,6 +109,7 @@ A5XA5_SEED7_DIGESTS = {
     "0.3.0": "013d4f6830a45b86865260bfaaf0d0c9d544f3a183190df97e82f46bfd7a7a1a",
     "0.4.0": "01931f9a6b6141f3a3a9ac9ec8037d5e094b8eb2f73f22b9b602115ef643ac10",
     "0.5.0": "b593f1054888e0f856fedd0969b09bf04d1c6c8bc417b57d09c20c3a88bc2eff",
+    "0.6.0": "251ecebb85f65ee860de54a25689d002c93831bb29e0d1e87c6cbf09387add48",
 }
 
 
@@ -122,11 +127,13 @@ BENCH_FAMILY_SEED7_DIGESTS = {
         "0.3.0": "53b1fa0930cd2a0a23f75b94a37b9d2b5726a7b1ad4afeda2d59649d540b5d2e",
         "0.4.0": "5185e188810aff32e55237427592a7c0ecfbd5e9cabed49ea83c1d974d22087d",
         "0.5.0": "83d1d740ff74eb6d7c80fcc9dac98cb8c8e855b2bb59690ff029f14ff30080c0",
+        "0.6.0": "d8aeeed499c3ad06084f348a619e4dcd178a2a04728b349b7ca9d67a026a5804",
     },
     ("SL25+E16A5", 2, 2): {
         "0.3.0": "bc5e97568aaca3a9e5df3f886067a4c420a879a33562034b06c3ed82e5f66d95",
         "0.4.0": "7f0ce09443fbcd65c0c1969fa3699c29005538042598ef066c4594489d6b34e5",
         "0.5.0": "9e326be870c7db9e2595b031c5288dfb007d53d76dcf1e94f4efdbc76722f02b",
+        "0.6.0": "3c629631f39b6f1bcb5050260601fd1cbd60549b812fdcff152ab69d57ab4edc",
     },
 }
 
@@ -150,6 +157,7 @@ A8_FAMILY_SEED7_DIGESTS = {
     "0.3.0": "ac326168f7bec636c5a1834183c39838824140d9449a6a82e294ea009d739eb6",
     "0.4.0": "75e16caa11508baeea2030e8026576df5ecb13e4139e61af8a23f464cdaa29cb",
     "0.5.0": "01ff7859035d2dc90b720fcf14bf067a10ad925770b87f55d4f37a90407e4b24",
+    "0.6.0": "561ac49da19240408d1ea60168b0c9caa080c843056826429ce3c68416ef0637",
 }
 
 
@@ -167,6 +175,7 @@ def test_a8_family_constructs_and_verifies():
 M11_FAMILY_SEED7_DIGESTS = {
     "0.4.0": "bf537cb25a1169e473ed51c634e1d9cf30c53a128dd48d5c43014f7d6114ad3a",
     "0.5.0": "a8bc733324151eb619ed6972ed500f6604f64a91d8011ebb3e81e8803cacc842",
+    "0.6.0": "ba73ecbf53f1e0a1892d8d3ab152defc7260d44c686b8cf4b805b5b5c152e153",
 }
 
 
@@ -185,6 +194,7 @@ def test_m11_family_constructs_and_verifies():
 A5XA5_FAMILY_SEED7_DIGESTS = {
     "0.4.0": "01931f9a6b6141f3a3a9ac9ec8037d5e094b8eb2f73f22b9b602115ef643ac10",
     "0.5.0": "b593f1054888e0f856fedd0969b09bf04d1c6c8bc417b57d09c20c3a88bc2eff",
+    "0.6.0": "251ecebb85f65ee860de54a25689d002c93831bb29e0d1e87c6cbf09387add48",
 }
 
 
@@ -202,6 +212,7 @@ def test_a5xa5_family_constructs_and_verifies():
 # large group, where it stops after a few of Gamma's classes.
 A5XA5_SL25_K2_SEED7_DIGESTS = {
     "0.5.0": "4511970e698a103a29770eb262adf7f74a44ca6c37540e2070b9b9febd9f1cfd",
+    "0.6.0": "5bd659bbb88b913740ddc4f09120f2017f815d7908e940f5904f1d8a67e22ca0",
 }
 
 
@@ -211,6 +222,25 @@ def test_a5xa5_beside_sl25_family_constructs_and_verifies():
     cert = construct(members, d=d, k=k, names=names, seed=7, budget=2)
     text = dumps_certificate(serialize_certificate(cert))
     _assert_pinned(text, A5XA5_SL25_K2_SEED7_DIGESTS, k=2)
+    assert verify_certificate(json.loads(text)).valid
+
+
+# tests/data/k2-W2A5.txt at seed 7, budget 2: W2A5 = 2^4:A5 is a second
+# affine group of order 960, whose module A5 splits into two orbits of
+# nonzero vectors (10 + 5), where E16A5's has one orbit of 15.
+W2A5_K2_SEED7_DIGESTS = {
+    "0.5.0": "52c1b05c37f30cf4e4e993afb89f90802450fe6519217932b5cb78c5c6416679",
+    "0.6.0": "eb74ac4e8a5906b97b3166d889b15152a1f2ffee3383f29929ebdb8c6f15bb96",
+}
+
+
+def test_w2a5_family_constructs_and_verifies():
+    family = pathlib.Path(__file__).parent / "data" / "k2-W2A5.txt"
+    names, members, d, k = parse_family_file(str(family))
+    assert [G.order for G in members] == [960]
+    cert = construct(members, d=d, k=k, names=names, seed=7, budget=2)
+    text = dumps_certificate(serialize_certificate(cert))
+    _assert_pinned(text, W2A5_K2_SEED7_DIGESTS, k=2)
     assert verify_certificate(json.loads(text)).valid
 
 
@@ -306,6 +336,21 @@ def test_perturbed_q_coordinate_rejected(e16_cert):
     report = verify_certificate(data)
     assert not report.valid
     assert report.failed_steps()[0] == "q-decomposition"
+
+
+def test_module_basis_must_generate_A(e16_cert):
+    # Four copies of one basis element of order 2 lie in A = 2^4 and their
+    # orders multiply to |A|, but they generate a group of order 2.
+    data = copy.deepcopy(e16_cert)
+    factor = next(
+        f for lvl in data["levels"] for f in lvl["factors"] if f["module_basis"]
+    )
+    assert len(factor["module_basis"]) == 4
+    factor["module_basis"] = [factor["module_basis"][2]] * 4
+    report = verify_certificate(data)
+    assert not report.valid
+    assert report.failed_steps()[0] == "q-decomposition"
+    assert any("basis does not span A" in line for line in report.lines())
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion in a fresh interpreter."""
+"""Every demo script runs to completion in a fresh interpreter and leaves
+nothing in the temp directory."""
 
 import os
 import pathlib
@@ -12,8 +13,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
-def test_demo_runs(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def test_demo_runs(script, tmp_path):
+    # a demo may use the temp directory, but must leave nothing behind
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     result = subprocess.run(
         [sys.executable, str(script)],
         cwd=ROOT,
@@ -23,3 +25,4 @@ def test_demo_runs(script):
         timeout=600,
     )
     assert result.returncode == 0, result.stderr
+    assert list(tmp_path.iterdir()) == []

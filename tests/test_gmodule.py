@@ -1,9 +1,12 @@
 """Module arithmetic on abelian normal subgroups, against brute-force spans."""
 
 import itertools
+import pathlib
 import random
 
 import pytest
+
+from conftest import count_permutation_calls
 
 from perfectcover.errors import PreconditionError
 from perfectcover.gmodule import (
@@ -14,6 +17,7 @@ from perfectcover.gmodule import (
     solve_commutator_decomposition,
     submodule_generated,
 )
+from perfectcover.groupfile import parse_group_file
 from perfectcover.groups import (
     PermGroup,
     enumerate_elements,
@@ -21,6 +25,8 @@ from perfectcover.groups import (
     normal_closure,
 )
 from perfectcover.perms import Permutation, commutator, parse_cycles
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def P(text, degree):
@@ -41,6 +47,13 @@ def brute_commutator_span(G, A):
         for g in enumerate_elements(G)
     }
     return set(mulclose(list(comms), degree=G.degree))
+
+
+def assert_equals_oracle(M, sub, oracle):
+    """The lattice submodule is exactly the oracle's element set: equal
+    size, and every oracle element is contained."""
+    assert sub.size == len(oracle)
+    assert all(sub.contains(M.encode(x)) for x in oracle)
 
 
 # --------------------------------------------------------------- basis
@@ -66,6 +79,53 @@ def test_abelian_basis_mixed_orders():
 
 def test_abelian_basis_trivial():
     assert abelian_group_basis(PermGroup(3, [])) == ([], [])
+
+
+def cycles_on_blocks(*lengths):
+    """One cycle per length, on consecutive blocks of points."""
+    degree = sum(lengths)
+    gens, start = [], 0
+    for n in lengths:
+        images = list(range(degree))
+        for i in range(n):
+            images[start + i] = start + (i + 1) % n
+        gens.append(Permutation(images))
+        start += n
+    return degree, gens
+
+
+def assert_round_trip(A):
+    M = GModule(A, A)
+    for x in enumerate_elements(A):
+        assert M.decode(M.encode(x)) == x
+
+
+def test_abelian_invariants_z4_z6_z10():
+    degree, gens = cycles_on_blocks(4, 6, 10)
+    A = PermGroup(degree, gens)
+    basis, orders = abelian_group_basis(A)
+    assert orders == [2, 2, 60]
+    assert [b.order() for b in basis] == orders
+    assert_round_trip(A)
+
+
+def test_abelian_invariants_z12_z18_redundant_generator():
+    degree, (a, c) = cycles_on_blocks(12, 18)
+    A = PermGroup(degree, [a * c, a, c])
+    assert len(A.reduced_generators()) == 2
+    basis, orders = abelian_group_basis(A)
+    assert orders == [6, 36]
+    assert [b.order() for b in basis] == orders
+    assert_round_trip(A)
+
+
+def test_encode_rejects_an_element_outside_the_carrier(groups):
+    M = GModule(groups["A4"], groups["V4"])
+    with pytest.raises(PreconditionError):
+        M.encode(P("(1 2 3)", 4))
+    trivial = PermGroup(4, [])
+    with pytest.raises(PreconditionError):
+        GModule(trivial, trivial).encode(P("(1 2)(3 4)", 4))
 
 
 # --------------------------------------------------------------- module
@@ -114,8 +174,7 @@ def test_augmentation_v4_under_a4(groups):
     M = GModule(groups["A4"], groups["V4"])
     aug = augmentation_submodule(M)
     assert aug.size == 4
-    got = {M.decode(v) for v in aug.elements}
-    assert got == brute_commutator_span(groups["A4"], groups["V4"])
+    assert_equals_oracle(M, aug, brute_commutator_span(groups["A4"], groups["V4"]))
 
 
 def test_augmentation_trivial_action(groups):
@@ -130,7 +189,7 @@ def test_augmentation_e16(groups):
     M = GModule(G, A)
     aug = augmentation_submodule(M)
     assert aug.size == 16
-    assert {M.decode(v) for v in aug.elements} == brute_commutator_span(G, A)
+    assert_equals_oracle(M, aug, brute_commutator_span(G, A))
 
 
 def test_augmentation_generating_set_independent(groups):
@@ -142,7 +201,7 @@ def test_augmentation_generating_set_independent(groups):
     second = augmentation_submodule(M, G.reduced_generators())
     extra = tuple(G.generators) + (G.generators[0] * G.generators[1],)
     third = augmentation_submodule(M, extra)
-    assert first.elements == second.elements == third.elements
+    assert first == second == third
 
 
 # --------------------------------------------------- submodule generation
@@ -163,6 +222,20 @@ def test_submodule_generated_irreducible(groups):
     assert submodule_generated(M, [seed]).size == 16
 
 
+def test_submodule_lattice_in_a_cyclic_module():
+    # Z12 acting on itself: every subgroup is a submodule; the one
+    # generated by 4 has order 3 and holds 0, 4 and 8 only
+    degree, (g,) = cycles_on_blocks(12)
+    A = PermGroup(degree, [g])
+    M = GModule(A, A)
+    sub = submodule_generated(M, [g**4])
+    assert sub.size == 3
+    members = {x for x in enumerate_elements(A) if sub.contains(M.encode(x))}
+    assert members == {g**0, g**4, g**8}
+    assert sub == submodule_generated(M, [g**8])
+    assert sub != submodule_generated(M, [g**6])
+
+
 def test_generated_augmentation_consistency(groups):
     # closing the images m(g - 1) equals augmenting the closed module
     G, A = groups["A4"], groups["V4"]
@@ -176,7 +249,7 @@ def test_generated_augmentation_consistency(groups):
     from perfectcover.gmodule import close_submodule
 
     right = close_submodule(M, right_seeds, M.matrices)
-    assert left.elements == right.elements
+    assert left == right
 
 
 # ---------------------------------------------------------- perfection
@@ -255,3 +328,25 @@ def test_solve_rejects_target_outside_a_nontrivial_augmentation(groups):
     target = P("(1 2)(3 4)", 4)
     (q,) = solve_commutator_decomposition(M, (swap,), target)
     assert commutator(q, swap) == target
+
+
+# ------------------------------------------------------------ no enumeration
+
+
+def test_module_and_solve_never_enumerate_the_carrier(monkeypatch):
+    # W7A5's translation module has 7^4 = 2401 elements; building its
+    # module and solving one commutator equation must take fewer products
+    # than there are elements.
+    G = parse_group_file(str(DATA / "W7A5.grp"))
+    A = normal_closure(G, [G.generators[2]])
+    assert A.order == 7**4
+    target = G.generators[2] * G.generators[2].conjugate(G.generators[0])
+    calls = count_permutation_calls(monkeypatch)
+    M = GModule(G, A)
+    qs = solve_commutator_decomposition(M, G.generators, target)
+    assert calls["__mul__"] + calls["inverse"] < A.order
+    assert M.orders == [7, 7, 7, 7]
+    check = G.identity
+    for q, a in zip(qs, G.generators):
+        check = check * commutator(q, a)
+    assert check == target

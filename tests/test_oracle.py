@@ -1,9 +1,10 @@
 """The permutation kernel against sympy.combinatorics, which shares no code
 with it: group orders, membership, derived subgroups, centers and normal
-closures on every catalog group and on subgroups generated by products of
-catalog generators.  sympy is a test-only dependency; without it this module
-is skipped."""
+closures on every catalog group, on subgroups generated by products of
+catalog generators, and on the group files W2A5 and W7A5.  sympy is a
+test-only dependency; without it this module is skipped."""
 
+import pathlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 sympy_comb = pytest.importorskip("sympy.combinatorics")
 
 from perfectcover.catalog import CATALOG  # noqa: E402
+from perfectcover.groupfile import parse_group_file  # noqa: E402
 from perfectcover.groups import (  # noqa: E402
     PermGroup,
     center,
@@ -21,6 +23,9 @@ from perfectcover.perms import Permutation  # noqa: E402
 
 SymPerm = sympy_comb.Permutation
 SymGroup = sympy_comb.PermutationGroup
+DATA = pathlib.Path(__file__).parent / "data"
+# C_p^4 : A5 for p = 2 and 7, each with a module of p^4 elements
+GROUP_FILES = ("W2A5", "W7A5")
 
 
 def _sym(p: Permutation):
@@ -63,6 +68,7 @@ def _groups():
         out.extend(
             (f"{name}-sub{i}", H) for i, H in enumerate(_product_subgroups(rng, G))
         )
+    out.extend((name, parse_group_file(str(DATA / f"{name}.grp"))) for name in GROUP_FILES)
     return out
 
 
