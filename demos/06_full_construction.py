@@ -32,11 +32,10 @@ for j, G in enumerate(family):
     )
 
 for lvl in cert.levels:
-    t_count = len(lvl.tdata.values) if lvl.tdata else 0
     print(
-        f"level k={lvl.k_level}: m={lvl.aligned.m} generators, "
-        f"{len(lvl.qdata.values)} distinct Q generators, "
-        f"{t_count} distinct T generators"
+        f"level k={lvl.k}: m={lvl.m} generators, "
+        f"{len(lvl.q_values)} distinct Q generators, "
+        f"{len(lvl.t_values)} distinct T generators"
     )
 
 with tempfile.TemporaryDirectory() as tmp:

@@ -5,51 +5,40 @@ construction run: the family, then per level the words, lifts, residues,
 module coordinates, cover tuples and conjugators and the marked
 generators of that level's Gamma, and at the top Gamma's marked
 generators.
-Nothing the family and k determine is stored per level: the verifier
-derives each level's members, W, A, S, B and simple factors itself, and
-Delta, Q, T and each Gamma's generator list from the witnesses, by the
-helpers in `structure` and `products` that the construction uses.
-`verify_certificate` re-checks every claim from scratch, using only the
-stored data and the library kernel, and a fixed list of named steps makes
-failures attributable.  It shares no state with the construction code;
-it shares the claim checks of `products` (`check_Q`, `check_s_in_T`,
-`check_T`, `check_gamma_perfect` and `check_projections`), which the
-construction asserts on its own values and the verifier runs on the
-values it derives from the witnesses.
+Nothing the family and k determine is stored per level.  The verifier
+reads each level into a `products.Level`, the record the construction
+builds: the Level derives the split (W, A, S, B and the simple factors)
+from the family and the level number, with the construction's checks, and
+Delta, Q, T and Gamma from the witnesses.  `serialize_certificate` writes
+a Level's witnesses, and `verify_certificate` parses them back from the
+JSON document, so it trusts nothing of the construction run.  It re-checks
+every claim from scratch, using only the stored data and the library
+kernel, and a fixed list of named steps makes failures attributable.  The
+claim checks of `products` (`check_Q`, `check_s_in_T`, `check_T`,
+`check_gamma_perfect` and `check_projections`) are the construction's
+too, which asserts them on its own levels.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
 
 from . import __version__
 from .errors import InputError
-from .groups import (
-    ENUMERATION_CAP,
-    CosetMap,
-    PermGroup,
-    StabilizerChain,
-    center,
-    commutator_subgroup,
-    derived_subgroup,
-)
+from .groups import ENUMERATION_CAP, PermGroup, StabilizerChain
 from .perms import Permutation, commutator, format_cycles, parse_cycles
 from .products import (
     DirectProduct,
+    Level,
     check_gamma_perfect,
     check_projections,
     check_Q,
     check_s_in_T,
     check_T,
-    column,
-    gamma_generators,
     pad_generators,
-    q_values,
-    t_values,
 )
-from .structure import is_in_Y, semisimple_factors, series_term
+from .structure import is_in_Y
 from .words import evaluate_word, parse_word
 
 CERT_FORMAT = "perfectcover.certificate"
@@ -119,18 +108,16 @@ def serialize_certificate(cert) -> dict:
         "levels": [],
     }
     for lvl in cert.levels:
-        aligned, qdata, tdata = lvl.aligned, lvl.qdata, lvl.tdata
         factors = []
-        for j in range(len(lvl.split.family)):
-            modules = qdata.modules[j]
-            coords = qdata.q_coords[j]
+        for j in range(len(lvl.family)):
+            basis, coords = lvl.basis[j], lvl.q_coords[j]
             factors.append(
                 {
-                    "lifts": [_perm_str(a) for a in aligned.lifts[j]],
-                    "k_res": [_perm_str(x) for x in aligned.k_res[j]],
-                    "s_res": [_perm_str(x) for x in aligned.s_res[j]],
+                    "lifts": [_perm_str(a) for a in lvl.lifts[j]],
+                    "k_res": [_perm_str(x) for x in lvl.k_res[j]],
+                    "s_res": [_perm_str(x) for x in lvl.s_res[j]],
                     "module_basis": (
-                        [_perm_str(b) for b in modules.basis] if modules else None
+                        [_perm_str(b) for b in basis] if basis is not None else None
                     ),
                     "q_coords": (
                         [[list(c) for c in per_i] for per_i in coords]
@@ -139,18 +126,16 @@ def serialize_certificate(cert) -> dict:
                     ),
                 }
             )
+        cover = lvl.cover
+        if cover is not None:
+            _, tuples, e, r = cover
         level_doc = {
-            "m": aligned.m,
-            "words": [str(w) for w in aligned.words],
+            "m": lvl.m,
+            "words": [str(w) for w in lvl.words],
             "factors": factors,
             "cover": (
-                {
-                    "e": tdata.e,
-                    "tuples": [
-                        [_perm_str(x) for x in tup] for tup in tdata.tuples
-                    ],
-                }
-                if tdata
+                {"e": e, "tuples": [[_perm_str(x) for x in tup] for tup in tuples]}
+                if cover is not None
                 else None
             ),
             "r": (
@@ -159,18 +144,18 @@ def serialize_certificate(cert) -> dict:
                         [[_perm_str(x) for x in row] for row in per_idx]
                         for per_idx in per_l
                     ]
-                    for per_l in tdata.r
+                    for per_l in r
                 ]
-                if tdata
+                if cover is not None
                 else None
             ),
-            "marked": list(lvl.marked_idx),
+            "marked": list(lvl.marked),
         }
         data["levels"].append(level_doc)
     if cert.levels:
         top = cert.levels[0]
         data["gamma"] = _top_gamma_doc(
-            top.split.product, top.gamma_gens, top.gamma.order, top.marked_idx
+            top.product, top.gamma_gens, top.gamma.order, top.marked
         )
     else:
         data["gamma"] = _top_gamma_doc(None, [], 1, [])
@@ -285,123 +270,47 @@ def _parse_gens(strings, degree: int) -> list[Permutation]:
     return [parse_cycles(s, degree) for s in strings]
 
 
-class _LevelCtx:
-    """One level of the certificate: the structure the verifier derives
-    from the family and the level number, and the stored witnesses.
+def _read_level(doc: dict, level: Level) -> None:
+    """Set a level's witnesses from its document, all but the module data
+    and the cover: the q-decomposition and s-in-T steps read those, so that
+    a malformed one fails the step that checks it, and a later step that
+    needs it fails on its absence."""
+    if len(doc["factors"]) != len(level.family):
+        raise InputError("the level needs one factor per family member")
+    degrees = [G.degree for G in level.family]
+    level.m = doc["m"]
+    level.lifts = [_parse_gens(f["lifts"], n) for f, n in zip(doc["factors"], degrees)]
+    level.k_res = [_parse_gens(f["k_res"], n) for f, n in zip(doc["factors"], degrees)]
+    level.s_res = [_parse_gens(f["s_res"], n) for f, n in zip(doc["factors"], degrees)]
+    level.words = [parse_word(w, level.m) for w in doc["words"]]
+    level.marked = doc["marked"]
 
-    At level k_level each member G splits over W = G_{k_level - 1}, with
-    A = Z(W), S = [W, W] and B = [A, G]; its quotient by W is the member
-    one level deeper.  The values Gamma is built from (Delta, Q, T and the
-    generator list) are derived from the witnesses on first use, so a step
-    that needs a value the witnesses cannot give reports the failure itself.
-    """
 
-    def __init__(self, doc: dict, family: list[PermGroup], k_level: int, cap: int):
-        if len(doc["factors"]) != len(family):
-            raise InputError("the level needs one factor per family member")
-        self.doc = doc
-        self.k_level = k_level
-        self.m = doc["m"]
-        self.family = family
-        self.product = DirectProduct(family)
-        self.W = [series_term(G, k_level, cap) for G in family]
-        self.A = [center(W, cap) for W in self.W]
-        self.S = [derived_subgroup(W) for W in self.W]
-        self.B = [commutator_subgroup(G, A, G) for G, A in zip(family, self.A)]
-        self.qmaps = [CosetMap(G, W, cap) for G, W in zip(family, self.W)]
-        self.lifts = []
-        self.k_res = []
-        self.s_res = []
-        for G, fdoc in zip(family, doc["factors"]):
-            self.lifts.append(_parse_gens(fdoc["lifts"], G.degree))
-            self.k_res.append(_parse_gens(fdoc["k_res"], G.degree))
-            self.s_res.append(_parse_gens(fdoc["s_res"], G.degree))
-        self.words = [parse_word(w, self.m) for w in doc["words"]]
-        self.marked = doc["marked"]
-        self.cap = cap
+def _read_module(doc: dict, level: Level) -> None:
+    """Set each member's module basis and q coordinates, None without a
+    module."""
+    level.basis = [
+        None if f["module_basis"] is None else _parse_gens(f["module_basis"], G.degree)
+        for f, G in zip(doc["factors"], level.family)
+    ]
+    level.q_coords = [f["q_coords"] for f in doc["factors"]]
 
-    def k_elem(self, i: int) -> Permutation:
-        return column(self.product, self.k_res, i)
 
-    def s_elem(self, i: int) -> Permutation:
-        return column(self.product, self.s_res, i)
-
-    def basis(self, j: int) -> list[Permutation]:
-        degree = self.family[j].degree
-        return _parse_gens(self.doc["factors"][j]["module_basis"], degree)
-
-    @cached_property
-    def delta(self) -> list[Permutation]:
-        return [column(self.product, self.lifts, i) for i in range(self.m)]
-
-    @cached_property
-    def q_elems(self) -> list[list[list[Permutation]] | None]:
-        """q_elems[j][i][l] decoded from the module coordinates; None for a
-        member without module data."""
-        out = []
-        for j, fdoc in enumerate(self.doc["factors"]):
-            if fdoc["module_basis"] is None:
-                out.append(None)
-                continue
-            basis = self.basis(j)
-
-            def decode(coords, identity=self.family[j].identity):
-                x = identity
-                for b, c in zip(basis, coords):
-                    x = x * b**c
-                return x
-
-            out.append([[decode(c) for c in row] for row in fdoc["q_coords"]])
-        return out
-
-    @cached_property
-    def simple_factors(self) -> list[tuple[int, PermGroup]]:
-        """(member, factor) for each simple factor of each S, members in order;
-        the cover lists one tuple per entry, in this order."""
-        return [
-            (j, M) for j, S in enumerate(self.S) for M in semisimple_factors(S, self.cap)
-        ]
-
-    @cached_property
-    def q_values(self) -> list[Permutation]:
-        return q_values(self.product, self.q_elems, self.lifts)
-
-    @cached_property
-    def cover(self):
-        """(factor_of, tuples, e, r) of the stored cover, or None."""
-        cover = self.doc["cover"]
-        if cover is None:
-            return None
-        factor_of = [j for j, _ in self.simple_factors]
-        degrees = [self.family[j].degree for j in factor_of]
-        tuples = [_parse_gens(tup, deg) for tup, deg in zip(cover["tuples"], degrees)]
-        r = [
-            [
-                [_parse_gens(row, deg) for row in per_idx]
-                for per_idx, deg in zip(per_l, degrees)
-            ]
-            for per_l in self.doc["r"]
-        ]
-        return factor_of, tuples, cover["e"], r
-
-    @cached_property
-    def t_values(self) -> list[Permutation]:
-        if self.cover is None:
-            return []
-        factor_of, tuples, e, r = self.cover
-        return t_values(self.product, factor_of, tuples, r, e)
-
-    @cached_property
-    def t_group(self) -> PermGroup:
-        return self.product.subgroup(self.t_values)
-
-    @cached_property
-    def gamma_gens(self) -> list[Permutation]:
-        return gamma_generators(self.delta, self.q_values, self.t_values)
-
-    @cached_property
-    def gamma(self) -> PermGroup:
-        return self.product.subgroup(self.gamma_gens)
+def _read_cover(doc: dict, level: Level) -> None:
+    """Set the cover (factor_of, tuples, e, r), None if the document has
+    none; cover tuple idx belongs to the level's simple factor idx."""
+    cover = doc["cover"]
+    if cover is None:
+        level.cover = None
+        return
+    factor_of = [j for j, _ in level.simple_factors]
+    degrees = [level.family[j].degree for j in factor_of]
+    tuples = [_parse_gens(tup, n) for tup, n in zip(cover["tuples"], degrees)]
+    r = [
+        [[_parse_gens(row, n) for row in per_idx] for per_idx, n in zip(per_l, degrees)]
+        for per_l in doc["r"]
+    ]
+    level.cover = factor_of, tuples, cover["e"], r
 
 
 def verify_certificate(
@@ -453,30 +362,33 @@ def verify_certificate(
         return VerificationReport(
             [], False, f"a certificate with k = {k} needs {k} levels"
         )
-    levels: list[_LevelCtx] = []
+    levels: list[Level] = []
     cur_family = family
-    try:
-        for i, doc in enumerate(data["levels"]):
-            ctx = _LevelCtx(doc, cur_family, k - i, cap)
-            levels.append(ctx)
-            cur_family = [qmap.quotient for qmap in ctx.qmaps]
-    except Exception as exc:  # noqa: BLE001
-        return VerificationReport([], False, f"level data unreadable: {exc}")
-
-    for ctx in levels:
-        _verify_structure(rec, ctx)
+    for i, doc in enumerate(data["levels"]):
+        try:
+            level = Level(cur_family, k - i, cap)
+        except Exception as exc:  # noqa: BLE001
+            # without the split there is no deeper family to check against
+            rec.fail("structure", f"level {k - i}: {type(exc).__name__}: {exc}")
+            message = f"level {k - i} does not split; later steps not run"
+            return VerificationReport(rec.report().steps, False, message)
+        try:
+            _read_level(doc, level)
+        except Exception as exc:  # noqa: BLE001
+            return VerificationReport([], False, f"level data unreadable: {exc}")
+        levels.append(level)
+        cur_family = level.quotients
 
     # bottom-up: each level needs the deeper gamma's marked generators
     for idx in range(len(levels) - 1, -1, -1):
-        ctx = levels[idx]
         deeper = levels[idx + 1] if idx + 1 < len(levels) else None
-        _verify_level(rec, ctx, deeper, d, data["budget"], cap)
+        _verify_level(rec, levels[idx], data["levels"][idx], deeper, d, data["budget"])
 
     _verify_top(rec, data, levels)
     return rec.report()
 
 
-def _verify_top(rec, data: dict, levels: list[_LevelCtx]) -> None:
+def _verify_top(rec, data: dict, levels: list[Level]) -> None:
     """The top-level gamma block must be level 0's marked generators, derived
     from its witnesses, with its order; the trivial group without levels."""
 
@@ -493,16 +405,6 @@ def _verify_top(rec, data: dict, levels: list[_LevelCtx]) -> None:
             raise InputError("top gamma block differs from the derived level-0 gamma")
 
     rec.guard("gamma-perfect", "top gamma block", check_top)
-
-
-def _verify_structure(rec, ctx: _LevelCtx) -> None:
-    for j in range(len(ctx.family)):
-
-        def check(j=j):
-            if ctx.A[j].order * ctx.S[j].order != ctx.W[j].order:
-                raise InputError("W does not split as A x S")
-
-        rec.guard("structure", f"level {ctx.k_level} factor {j}", check)
 
 
 def _check_r_shape(doc: dict, m: int, n_factors: int) -> None:
@@ -533,18 +435,16 @@ def _check_r_shape(doc: dict, m: int, n_factors: int) -> None:
 
 
 def _verify_level(
-    rec, ctx: _LevelCtx, deeper: _LevelCtx | None, d: int, budget: int, cap
+    rec, level: Level, doc: dict, deeper: Level | None, d: int, budget: int
 ) -> None:
-    kl = ctx.k_level
-    lab = f"level {kl}"
-    m = ctx.m
-    nfac = len(ctx.family)
+    lab = f"level {level.k}"
+    m = level.m
 
     # ---- words
     def check_words():
-        if len(ctx.words) != m:
+        if len(level.words) != m:
             raise InputError("word count differs from m")
-        for i, w in enumerate(ctx.words):
+        for i, w in enumerate(level.words):
             if not w.in_commutator_subgroup:
                 raise InputError(
                     f"word {i} has nonzero exponent sums: {w}"
@@ -566,10 +466,10 @@ def _verify_level(
             return
         if max(len(deeper.marked) or 1, d) != m:
             raise InputError("m differs from the padded generator count")
-        if len(ctx.words) != m:
+        if len(level.words) != m:
             return  # the word count check reports it
         gens = prev_gens()
-        for i, w in enumerate(ctx.words):
+        for i, w in enumerate(level.words):
             if evaluate_word(w, gens) != gens[i]:
                 raise InputError(f"word {i} does not reproduce its generator")
 
@@ -577,13 +477,13 @@ def _verify_level(
 
     # ---- lifts
     def check_lifts():
-        for j, lifts in enumerate(ctx.lifts):
+        for j, lifts in enumerate(level.lifts):
             if len(lifts) != m:
                 raise InputError(f"factor {j} has {len(lifts)} lifts, not m = {m}")
         prev = prev_gens() if deeper is not None else None
-        for j, qmap in enumerate(ctx.qmaps):
+        for j, qmap in enumerate(level.qmaps):
             for i in range(m):
-                img = qmap.apply(ctx.lifts[j][i])
+                img = qmap.apply(level.lifts[j][i])
                 if prev is None:
                     if not img.is_identity():
                         raise InputError(
@@ -596,44 +496,46 @@ def _verify_level(
 
     # ---- equation (1)
     def check_eq1():
-        for j in range(nfac):
-            if len(ctx.k_res[j]) != m or len(ctx.s_res[j]) != m:
+        for j in range(len(level.family)):
+            if len(level.k_res[j]) != m or len(level.s_res[j]) != m:
                 raise InputError(f"factor {j} needs m = {m} k_res and s_res entries")
             for i in range(m):
-                lhs = ctx.lifts[j][i] * evaluate_word(ctx.words[i], ctx.lifts[j]).inverse()
-                rhs = ctx.k_res[j][i] * ctx.s_res[j][i]
+                lifts = level.lifts[j]
+                lhs = lifts[i] * evaluate_word(level.words[i], lifts).inverse()
+                rhs = level.k_res[j][i] * level.s_res[j][i]
                 if lhs != rhs:
                     raise InputError(f"factor {j} row {i}: residue identity fails")
-                if ctx.k_res[j][i] not in ctx.B[j]:
+                if level.k_res[j][i] not in level.B[j]:
                     raise InputError(f"factor {j} row {i}: abelian residue outside B")
-                if ctx.s_res[j][i] not in ctx.S[j]:
+                if level.s_res[j][i] not in level.S[j]:
                     raise InputError(f"factor {j} row {i}: residue outside S")
 
     rec.guard("equation1", lab, check_eq1)
 
     # ---- generation
     def check_generation():
-        for j, G in enumerate(ctx.family):
-            if StabilizerChain(G.degree, ctx.lifts[j]).order() != G.order:
+        for j, G in enumerate(level.family):
+            if StabilizerChain(G.degree, level.lifts[j]).order() != G.order:
                 raise InputError(f"factor {j}: lifts do not generate the member")
 
     rec.guard("generation", lab, check_generation)
 
     # ---- q decomposition
     def check_qdec():
-        for j, fdoc in enumerate(ctx.doc["factors"]):
-            if fdoc["module_basis"] is None:
-                if ctx.A[j].order != 1:
+        _read_module(doc, level)
+        for j, (basis, rows) in enumerate(zip(level.basis, level.q_coords)):
+            A = level.A[j]
+            if basis is None:
+                if A.order != 1:
                     raise InputError(f"factor {j}: missing module data")
-                if fdoc["q_coords"] is not None:
+                if rows is not None:
                     raise InputError(f"factor {j}: q coordinates without a module basis")
                 for i in range(m):
-                    if not ctx.k_res[j][i].is_identity():
+                    if not level.k_res[j][i].is_identity():
                         raise InputError(
                             f"factor {j}: nontrivial residue without module data"
                         )
                 continue
-            A, basis = ctx.A[j], ctx.basis(j)
             orders = []
             for b in basis:
                 if b not in A:
@@ -646,7 +548,6 @@ def _verify_level(
                 or StabilizerChain(A.degree, basis).order() != A.order
             ):
                 raise InputError(f"factor {j}: basis does not span A")
-            rows = fdoc["q_coords"]
             if rows is None or len(rows) != m:
                 raise InputError(f"factor {j}: missing q coordinates")
             for i in range(m):
@@ -667,14 +568,14 @@ def _verify_level(
                             f"factor {j}: q coordinates ({i}, {l}) do not "
                             "match the module basis"
                         )
-        for j, per_i in enumerate(ctx.q_elems):
+        for j, per_i in enumerate(level.q_elems):
             if per_i is None:
                 continue
             for i in range(m):
-                prod = ctx.family[j].identity
+                prod = level.family[j].identity
                 for l in range(m):
-                    prod = prod * commutator(per_i[i][l], ctx.lifts[j][l])
-                if prod != ctx.k_res[j][i]:
+                    prod = prod * commutator(per_i[i][l], level.lifts[j][l])
+                if prod != level.k_res[j][i]:
                     raise InputError(
                         f"factor {j} row {i}: commutator decomposition fails"
                     )
@@ -683,31 +584,33 @@ def _verify_level(
 
     # ---- Q module closure
     def check_qmodule():
-        check_Q(ctx.product, ctx.delta, ctx.q_values, [ctx.k_elem(i) for i in range(m)])
+        check_Q(level.product, level.delta, level.q_values, level.k_elems)
 
     rec.guard("Q-module", lab, check_qmodule)
 
-    # ---- T containment
+    # ---- T containment; the cover is read even if `r` has the wrong
+    # shape, since the T-perfect step checks the cover tuples
+    rec.guard("s-in-T", lab, lambda: _check_r_shape(doc, m, len(level.simple_factors)))
+
     def check_sT():
-        _check_r_shape(ctx.doc, m, len(ctx.simple_factors))
-        s_elems = [ctx.s_elem(l) for l in range(m)]
-        check_s_in_T(ctx.product, ctx.cover, s_elems, ctx.t_group)
+        _read_cover(doc, level)
+        check_s_in_T(level.product, level.cover, level.s_elems, level.t_group)
 
     rec.guard("s-in-T", lab, check_sT)
 
     # ---- T perfect: one generating cover tuple of `budget` elements per
     # simple factor
     def check_cover():
-        flat = ctx.simple_factors
-        if ctx.doc["cover"] is None:
+        flat = level.simple_factors
+        if doc["cover"] is None:
             if flat:
                 raise InputError("semisimple part present but no cover")
             return
-        if len(ctx.doc["cover"]["tuples"]) != len(flat):
+        if len(doc["cover"]["tuples"]) != len(flat):
             raise InputError(
                 f"the cover needs one tuple per simple factor, {len(flat)} in all"
             )
-        _, tuples, _, _ = ctx.cover
+        _, tuples, _, _ = level.cover
         for idx, (_, M) in enumerate(flat):
             if len(tuples[idx]) != budget:
                 raise InputError(
@@ -716,21 +619,21 @@ def _verify_level(
                 )
             if StabilizerChain(M.degree, tuples[idx]).order() != M.order:
                 raise InputError(f"cover tuple {idx} does not generate its factor")
-        check_T(ctx.product, ctx.t_group, ctx.S)
+        check_T(level.product, level.t_group, level.S)
 
     rec.guard("T-perfect", lab, check_cover)
 
     # ---- gamma
     def check_gamma():
-        gamma = ctx.gamma
+        gamma = level.gamma
         check_gamma_perfect(gamma)
         for i in range(m):
             # equation (1) assembled over the product
-            w_val = evaluate_word(ctx.words[i], ctx.delta)
-            if ctx.k_elem(i) * ctx.s_elem(i) != ctx.delta[i] * w_val.inverse():
+            w_val = evaluate_word(level.words[i], level.delta)
+            if level.k_elems[i] * level.s_elems[i] != level.delta[i] * w_val.inverse():
                 raise InputError(f"assembled residue identity fails at row {i}")
-        marked = ctx.marked
-        gens = ctx.gamma_gens
+        marked = level.marked
+        gens = level.gamma_gens
         # a bool is an int in Python; True must not stand in for index 1
         if any(type(i) is not int for i in marked):
             raise InputError("marked indices must be integers")
@@ -738,13 +641,14 @@ def _verify_level(
             not 0 <= i < len(gens) for i in marked
         ):
             raise InputError("marked indices are invalid")
-        if StabilizerChain(ctx.product.degree, [gens[i] for i in marked]).order() != gamma.order:
+        marked_gens = [gens[i] for i in marked]
+        if StabilizerChain(level.product.degree, marked_gens).order() != gamma.order:
             raise InputError("marked generators do not generate gamma")
 
     rec.guard("gamma-perfect", lab, check_gamma)
 
     # ---- projections
     def check_proj():
-        check_projections(ctx.product, ctx.gamma, ctx.family)
+        check_projections(level.product, level.gamma, level.family)
 
     rec.guard("projections", lab, check_proj)

@@ -14,6 +14,10 @@ by recursion on k:
     bounded cover of all simple factors,
   * take Gamma = <Delta, Q, T> and verify every claim directly.
 
+Each level is a `products.Level`, the record the verifier reads a
+certificate level into: `split_levels` derives its split, the next three
+phases set its witnesses, and `assemble_and_verify` runs the verifier's
+claim checks on the Delta, Q, T and Gamma the level derives from them.
 Every choice is deterministic given the seed, and every intermediate
 identity is asserted rather than assumed.  The construction transcript
 retains all witnesses so a certificate can be verified from scratch.
@@ -26,147 +30,20 @@ import random
 from .covering import _ClassTable, _LayeredDecomposer, cover_tuples
 from .errors import InternalError, PreconditionError, VerificationError
 from .gmodule import GModule, solve_commutator_decomposition
-from .groups import (
-    DEFAULT_BUDGET,
-    ENUMERATION_CAP,
-    CosetMap,
-    PermGroup,
-    commutator_subgroup,
-)
+from .groups import DEFAULT_BUDGET, ENUMERATION_CAP, PermGroup
 from .perms import Permutation
 from .products import (
     DirectProduct,
+    Level,
     check_gamma_perfect,
     check_projections,
     check_Q,
     check_s_in_T,
     check_T,
-    column,
-    gamma_generators,
     pad_generators,
-    q_values,
-    t_values,
 )
-from .structure import (
-    InternalDirectProduct,
-    is_in_Y,
-    semisimple_factors,
-    series_term,
-    split_star_trivial,
-    star_chain,
-)
-from .words import Word, commutator_words, evaluate_word, gaschutz_lift
-
-
-class LevelSplit:
-    """Per-factor decomposition data at one recursion level."""
-
-    __slots__ = ("family", "product", "W", "A", "S", "B", "qmaps")
-
-    def __init__(
-        self,
-        family: tuple[PermGroup, ...],
-        product: DirectProduct,
-        W: list[PermGroup],
-        A: list[PermGroup],
-        S: list[PermGroup],
-        B: list[PermGroup],
-        qmaps: list[CosetMap],
-    ):
-        self.family = family
-        self.product = product
-        self.W = W
-        self.A = A
-        self.S = S
-        self.B = B
-        self.qmaps = qmaps
-
-    @property
-    def quotients(self) -> list[PermGroup]:
-        return [qm.quotient for qm in self.qmaps]
-
-
-class AlignedLifts:
-    """Words and per-factor lifts satisfying the alignment identity."""
-
-    __slots__ = ("m", "words", "lifts", "k_res", "s_res")
-
-    def __init__(
-        self,
-        m: int,
-        words: list[Word],
-        lifts: list[list[Permutation]],
-        k_res: list[list[Permutation]],
-        s_res: list[list[Permutation]],
-    ):
-        self.m = m
-        self.words = words
-        self.lifts = lifts
-        self.k_res = k_res
-        self.s_res = s_res
-
-
-class QData:
-    __slots__ = ("modules", "q_elems", "q_coords", "values")
-
-    def __init__(
-        self,
-        modules: list[GModule | None],
-        q_elems: list[list[list[Permutation]] | None],
-        q_coords: list[list[list[tuple[int, ...]]] | None],
-        values: list[Permutation],
-    ):
-        self.modules = modules
-        self.q_elems = q_elems
-        self.q_coords = q_coords
-        self.values = values
-
-
-class TData:
-    __slots__ = ("factor_of", "tuples", "e", "r", "values")
-
-    def __init__(
-        self,
-        factor_of: list[int],
-        tuples: list[list[Permutation]],
-        e: int,
-        r: list[list[list[list[Permutation]]]],
-        values: list[Permutation],
-    ):
-        self.factor_of = factor_of
-        self.tuples = tuples
-        self.e = e
-        self.r = r
-        self.values = values
-
-
-class LevelData:
-    __slots__ = (
-        "k_level", "split", "aligned", "delta_gens", "qdata", "tdata",
-        "gamma", "gamma_gens", "marked_idx",
-    )
-
-    def __init__(
-        self,
-        k_level: int,
-        split: LevelSplit,
-        aligned: AlignedLifts,
-        delta_gens: list[Permutation],
-        qdata: QData,
-        tdata: TData | None,
-        gamma: PermGroup,
-        gamma_gens: list[Permutation],
-        marked_idx: list[int],
-    ):
-        self.k_level = k_level
-        self.split = split
-        self.aligned = aligned
-        self.delta_gens = delta_gens
-        self.qdata = qdata
-        self.tdata = tdata
-        self.gamma = gamma
-        self.gamma_gens = gamma_gens
-        self.marked_idx = marked_idx
+from .structure import InternalDirectProduct, is_in_Y, semisimple_factors
+from .words import commutator_words, evaluate_word, gaschutz_lift
 
 
 class ConstructionCertificate:
@@ -186,7 +63,7 @@ class ConstructionCertificate:
         seed: int,
         budget: int,
         cap: int,
-        levels: list[LevelData] | None = None,
+        levels: list[Level] | None = None,
         gamma: PermGroup | None = None,
         product: DirectProduct | None = None,
     ):
@@ -202,49 +79,31 @@ class ConstructionCertificate:
         self.product = product
 
     @property
-    def top(self) -> LevelData | None:
+    def top(self) -> Level | None:
         return self.levels[0] if self.levels else None
 
 
-def split_levels(family, k: int, cap: int = ENUMERATION_CAP) -> LevelSplit:
-    """W_j = (G_j)_{k-1} with its abelian/semisimple split and B_j = [A_j, G_j]."""
+def split_levels(family, k: int, cap: int = ENUMERATION_CAP) -> Level:
+    """The level-k split of each member over W_j = (G_j)_{k-1}."""
     if k < 1:
         raise PreconditionError("split_levels needs k >= 1")
-    family = tuple(family)
-    product = DirectProduct(family)
-    Ws, As, Ss, Bs, qmaps = [], [], [], [], []
-    for G in family:
-        W = series_term(G, k, cap)
-        A, S = split_star_trivial(W, cap)
-        B = commutator_subgroup(G, A, G)
-        qmap = CosetMap(G, W, cap)
-        _, qlevel = star_chain(qmap.quotient, max_depth=max(k, 4), cap=cap)
-        if qlevel is None or qlevel > k - 1:
-            raise PreconditionError(
-                f"quotient has star level {qlevel}, above {k - 1}"
-            )
-        Ws.append(W)
-        As.append(A)
-        Ss.append(S)
-        Bs.append(B)
-        qmaps.append(qmap)
-    return LevelSplit(family, product, Ws, As, Ss, Bs, qmaps)
+    return Level(family, k, cap)
 
 
 def recurse_and_align(
-    split: LevelSplit,
+    level: Level,
     sub_gamma: PermGroup,
     sub_product: DirectProduct,
     marked,
     d: int,
     rng,
     cap: int = ENUMERATION_CAP,
-) -> AlignedLifts:
+) -> None:
     """Lift the recursion's generators into each member and repair them.
 
-    After this step the tuple a_{.,j} generates G_j for every j and
-    a_{i,j} * w_i(a_{1,j},...,a_{m,j})^-1 = k_{i,j} * s_{i,j} with
-    k_{i,j} in B_j and s_{i,j} in S_j.
+    Sets the level's m, words, lifts and residues: the tuple a_{.,j}
+    generates G_j for every j and a_{i,j} * w_i(a_{1,j},...,a_{m,j})^-1 =
+    k_{i,j} * s_{i,j} with k_{i,j} in B_j and s_{i,j} in S_j.
     """
     gens = pad_generators(marked, sub_product, d)
     m = len(gens)
@@ -253,9 +112,9 @@ def recurse_and_align(
     lifts: list[list[Permutation]] = []
     k_res: list[list[Permutation]] = []
     s_res: list[list[Permutation]] = []
-    for j, G in enumerate(split.family):
-        qmap = split.qmaps[j]
-        W, A, S, B = split.W[j], split.A[j], split.S[j], split.B[j]
+    for j, G in enumerate(level.family):
+        qmap = level.qmaps[j]
+        W, A, S, B = level.W[j], level.A[j], level.S[j], level.B[j]
         ws_split = InternalDirectProduct(W, [A, S], cap)
 
         def residues(a_tuple):
@@ -292,76 +151,49 @@ def recurse_and_align(
         lifts.append(a)
         k_res.append(ks)
         s_res.append(ss)
-    return AlignedLifts(m, words, lifts, k_res, s_res)
+    level.m, level.words = m, words
+    level.lifts, level.k_res, level.s_res = lifts, k_res, s_res
 
 
-def build_Q(split: LevelSplit, aligned: AlignedLifts) -> QData:
+def build_Q(level: Level) -> None:
     """Solve each abelian residue k_i as a product of commutators [q_il, a_l]
-    in its member's module; Q is generated by the [q_il, a_t]."""
-    m = aligned.m
-    modules: list[GModule | None] = []
-    q_elems: list[list[list[Permutation]] | None] = []
-    q_coords: list[list[list[tuple[int, ...]]] | None] = []
-    for j, G in enumerate(split.family):
-        A = split.A[j]
+    in its member's module, and set the level's module bases and the
+    coordinates of the q_il; Q is generated by the [q_il, a_t]."""
+    m = level.m
+    level.basis, level.q_coords = [], []
+    for j, G in enumerate(level.family):
+        A, lifts = level.A[j], level.lifts[j]
         if A.order == 1:
             for i in range(m):
-                if not aligned.k_res[j][i].is_identity():
+                if not level.k_res[j][i].is_identity():
                     raise InternalError("nontrivial residue over a trivial abelian part")
-            modules.append(None)
-            q_elems.append(None)
-            q_coords.append(None)
+            level.basis.append(None)
+            level.q_coords.append(None)
             continue
-        M = GModule(G, A, aligned.lifts[j])
-        per_i_elems = []
+        M = GModule(G, A, lifts)
         per_i_coords = []
         for i in range(m):
-            target = aligned.k_res[j][i]
+            target = level.k_res[j][i]
             if target.is_identity():
-                qs = [A.identity] * m
+                per_i_coords.append([M.zero()] * m)
             else:
-                qs = solve_commutator_decomposition(M, aligned.lifts[j], target)
-            per_i_elems.append(qs)
-            per_i_coords.append([M.encode(q) for q in qs])
-        modules.append(M)
-        q_elems.append(per_i_elems)
-        q_coords.append(per_i_coords)
-
-    values = q_values(split.product, q_elems, aligned.lifts)
-    return QData(modules, q_elems, q_coords, values)
+                qs = solve_commutator_decomposition(M, lifts, target)
+                per_i_coords.append([M.encode(q) for q in qs])
+        level.basis.append(M.basis)
+        level.q_coords.append(per_i_coords)
 
 
-def build_T(
-    split: LevelSplit,
-    aligned: AlignedLifts,
-    budget: int,
-    rng,
-    cap: int = ENUMERATION_CAP,
-) -> TData | None:
+def build_T(level: Level, budget: int, rng, cap: int = ENUMERATION_CAP) -> None:
     """Cover the simple factors of the semisimple parts and decompose every
     semisimple residue as a bounded product of conjugates of cover
-    generators."""
-    m = aligned.m
-    product = split.product
-    factor_of: list[int] = []
-    flat_factors: list[PermGroup] = []
-    simple_factors: list[list[PermGroup]] = []
-    decomposers: list[InternalDirectProduct | None] = []
-    for j, S in enumerate(split.S):
-        facs = semisimple_factors(S, cap)
-        simple_factors.append(facs)
-        if facs:
-            decomposers.append(InternalDirectProduct(S, facs, cap))
-        else:
-            decomposers.append(None)
-        for M in facs:
-            factor_of.append(j)
-            flat_factors.append(M)
-    if not flat_factors:
-        return None
-
-    g = budget
-    tuples, _ = cover_tuples(flat_factors, g, rng, cap)
+    generators; sets the level's cover, or None without simple factors."""
+    m = level.m
+    if not level.simple_factors:
+        level.cover = None
+        return
+    factor_of = [j for j, _ in level.simple_factors]
+    flat_factors = [M for _, M in level.simple_factors]
+    tuples, _ = cover_tuples(flat_factors, budget, rng, cap)
     # X = class(m_1) ... class(m_g) and its powers are unions of classes
     class_tables = [_ClassTable(M, cap) for M in flat_factors]
     e_per_factor = []
@@ -370,53 +202,41 @@ def build_T(
         e_per_factor.append(len(classes.power_sizes(X)))
     e = max(e_per_factor)
 
-    # components of each semisimple residue in each simple factor
+    # each semisimple residue's component in each simple factor
+    decomposers = {
+        j: InternalDirectProduct(S, semisimple_factors(S, cap), cap)
+        for j, S in enumerate(level.S)
+        if j in factor_of
+    }
     s_comp: list[list[Permutation]] = []
-    for idx, M in enumerate(flat_factors):
-        j = factor_of[idx]
-        pos = simple_factors[j].index(M)
-        comps = []
-        for i in range(m):
-            comps.append(decomposers[j].components(aligned.s_res[j][i])[pos])
-        s_comp.append(comps)
+    for j, M in level.simple_factors:
+        pos = decomposers[j].factors.index(M)
+        s_comp.append(
+            [decomposers[j].components(level.s_res[j][i])[pos] for i in range(m)]
+        )
 
     r: list[list[list[list[Permutation]]]] = [[] for _ in range(m)]
     for classes, tup, comps in zip(class_tables, tuples, s_comp):
         decomposer = _LayeredDecomposer(classes, tup, e)
         for l in range(m):
             r[l].append(decomposer.decompose(comps[l]))
-
-    values = t_values(product, factor_of, tuples, r, e)
-    return TData(factor_of, tuples, e, r, values)
+    level.cover = (factor_of, tuples, e, r)
 
 
-def assemble_and_verify(
-    split: LevelSplit,
-    aligned: AlignedLifts,
-    delta_gens,
-    qdata: QData,
-    tdata: TData | None,
-) -> tuple[PermGroup, list[Permutation], list[int]]:
+def assemble_and_verify(level: Level) -> None:
     """Gamma = <Delta u Q u T>; assert the claims that make it a perfect
-    subdirect cover, by the checks the verifier runs, before returning.
-    The marked indices are the generators that extended Gamma's chain."""
-    product = split.product
-    t_vals = tdata.values if tdata is not None else []
-    gamma_gens = gamma_generators(delta_gens, qdata.values, t_vals)
-    gamma = product.subgroup(gamma_gens)
-    t_group = product.subgroup(t_vals)
-    cover = None if tdata is None else (tdata.factor_of, tdata.tuples, tdata.e, tdata.r)
-    k_elems = [column(product, aligned.k_res, i) for i in range(aligned.m)]
-    s_elems = [column(product, aligned.s_res, i) for i in range(aligned.m)]
+    subdirect cover, by the checks the verifier runs, and mark the
+    generators that extended Gamma's chain."""
+    product = level.product
     try:
-        check_Q(product, delta_gens, qdata.values, k_elems)
-        check_s_in_T(product, cover, s_elems, t_group)
-        check_T(product, t_group, split.S)
-        check_gamma_perfect(gamma)
-        check_projections(product, gamma, split.family)
+        check_Q(product, level.delta, level.q_values, level.k_elems)
+        check_s_in_T(product, level.cover, level.s_elems, level.t_group)
+        check_T(product, level.t_group, level.S)
+        check_gamma_perfect(level.gamma)
+        check_projections(product, level.gamma, level.family)
     except VerificationError as exc:
         raise InternalError(str(exc)) from exc
-    return gamma, gamma_gens, list(gamma.chain.picks)
+    level.marked = list(level.gamma.chain.picks)
 
 
 def _construct_level(
@@ -426,37 +246,22 @@ def _construct_level(
     rng,
     budget: int,
     cap: int,
-    levels: list[LevelData],
+    levels: list[Level],
 ) -> tuple[PermGroup, list[Permutation], DirectProduct]:
-    product = DirectProduct(family)
     if k == 0:
+        product = DirectProduct(family)
         return product.subgroup([]), [], product
-    split = split_levels(family, k, cap)
+    level = split_levels(family, k, cap)
     sub_gamma, sub_marked, sub_product = _construct_level(
-        split.quotients, d, k - 1, rng, budget, cap, levels
+        level.quotients, d, k - 1, rng, budget, cap, levels
     )
-    aligned = recurse_and_align(split, sub_gamma, sub_product, sub_marked, d, rng, cap)
-    delta_gens = [column(split.product, aligned.lifts, i) for i in range(aligned.m)]
-    qdata = build_Q(split, aligned)
-    tdata = build_T(split, aligned, budget, rng, cap)
-    gamma, gamma_gens, marked_idx = assemble_and_verify(
-        split, aligned, delta_gens, qdata, tdata
-    )
-    levels.append(
-        LevelData(
-            k_level=k,
-            split=split,
-            aligned=aligned,
-            delta_gens=delta_gens,
-            qdata=qdata,
-            tdata=tdata,
-            gamma=gamma,
-            gamma_gens=gamma_gens,
-            marked_idx=marked_idx,
-        )
-    )
-    marked = [gamma_gens[i] for i in marked_idx]
-    return gamma, marked, split.product
+    recurse_and_align(level, sub_gamma, sub_product, sub_marked, d, rng, cap)
+    build_Q(level)
+    build_T(level, budget, rng, cap)
+    assemble_and_verify(level)
+    levels.append(level)
+    marked = [level.gamma_gens[i] for i in level.marked]
+    return level.gamma, marked, level.product
 
 
 def construct(
@@ -491,7 +296,7 @@ def construct(
         cert.product = None
         return cert
     rng = random.Random(seed)
-    levels: list[LevelData] = []
+    levels: list[Level] = []
     gamma, _, product = _construct_level(family, d, k, rng, budget, cap, levels)
     cert.levels = list(reversed(levels))
     cert.gamma = gamma

@@ -225,9 +225,9 @@ class _LayeredDecomposer:
     Layer i is class(m_1) ... class(m_i), indices mod g; `layers[i]` holds
     its class numbers up to the first layer that is the whole group
     (`saturated_at`).  Layer i is ordered by the new products x * c, for x
-    in layer i-1 in its order and c in m_i's `conjugation_orbit` order.  A
-    back step from y takes the first x of layer i-1 with x^-1 y in
-    class(m_i), and that orbit's conjugator for x^-1 y.  The orders are
+    in layer i-1 in its order and c in m_i's `conjugation_orbit_images`
+    order.  A back step from y takes the first x of layer i-1 with x^-1 y
+    in class(m_i), and that orbit's conjugator for x^-1 y.  The orders are
     generated only as far as back steps read them, and an orbit is walked
     on first use.  Past saturation every x qualifies, so the step takes m_i
     itself with the identity conjugator, the first member of its orbit.
@@ -293,7 +293,10 @@ class _LayeredDecomposer:
     def decompose(self, target: Permutation) -> list[list[Permutation]]:
         """Conjugators r[t][j] with target = prod_t prod_j m_j ** r[t][j]."""
         cur = target.images
-        if self.classes.index.get(cur) not in self.layers[-1]:
+        number = self.classes.index.get(cur)
+        if number is None:
+            raise PreconditionError("element is not in the group")
+        if number not in self.layers[-1]:
             raise PreconditionError(
                 f"element is not a product of {self.e} rounds of the classes"
             )

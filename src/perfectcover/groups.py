@@ -460,18 +460,13 @@ def center(G: PermGroup, cap: int = ENUMERATION_CAP) -> PermGroup:
     return from_elements(G.degree, central)
 
 
-def conjugation_orbit(G: PermGroup, x: Permutation) -> dict[Permutation, Permutation]:
-    """The class of x in G, each member y mapped to one r with x ** r == y.
+def conjugation_orbit_images(G: PermGroup, x: Permutation) -> dict:
+    """The class of x in G on raw images: the images of each member y
+    mapped to the images of one r with x ** r == y.
 
     Breadth-first over the reduced generators, so members appear in a fixed
     discovery order; G is never enumerated.
     """
-    return {_wrap(y): _wrap(r) for y, r in conjugation_orbit_images(G, x).items()}
-
-
-def conjugation_orbit_images(G: PermGroup, x: Permutation) -> dict:
-    """`conjugation_orbit` on raw images: the images of each member y, in
-    the same order, mapped to the images of its r."""
     if x not in G:
         raise PreconditionError("element is not in the group")
     table, compose, _ = kernel(G.degree)
@@ -490,19 +485,12 @@ def conjugation_orbit_images(G: PermGroup, x: Permutation) -> dict:
     return orbit
 
 
-def conjugation_orbits(G: PermGroup, cap: int = ENUMERATION_CAP):
-    """Each class of G as its `conjugation_orbit`, in discovery order.
+def conjugation_orbits_images(G: PermGroup, cap: int = ENUMERATION_CAP):
+    """Each class of G as its `conjugation_orbit_images`, in discovery order.
 
     An element is released once its class is walked, so G is never held
     whole while the caller consumes the orbits.
     """
-    for orbit in conjugation_orbits_images(G, cap):
-        yield {_wrap(y): _wrap(r) for y, r in orbit.items()}
-
-
-def conjugation_orbits_images(G: PermGroup, cap: int = ENUMERATION_CAP):
-    """`conjugation_orbits` on raw images: each class as its
-    `conjugation_orbit_images`, in the same order."""
     # reversed, so that popitem() takes the elements in enumeration order
     remaining = dict.fromkeys(reversed([x.images for x in enumerate_elements(G, cap)]))
     while remaining:
@@ -514,12 +502,12 @@ def conjugation_orbits_images(G: PermGroup, cap: int = ENUMERATION_CAP):
 
 def conjugacy_classes(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[list[Permutation]]:
     """Partition of the elements into conjugacy classes, in discovery order."""
-    return [list(orbit) for orbit in conjugation_orbits(G, cap)]
+    return [[_wrap(y) for y in orbit] for orbit in conjugation_orbits_images(G, cap)]
 
 
 def conjugacy_class_of(G: PermGroup, x: Permutation) -> list[Permutation]:
     """The class of x in G, with no full enumeration of G."""
-    return list(conjugation_orbit(G, x))
+    return [_wrap(y) for y in conjugation_orbit_images(G, x)]
 
 
 def intersection(G: PermGroup, H: PermGroup, cap: int = ENUMERATION_CAP) -> PermGroup:

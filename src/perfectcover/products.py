@@ -1,16 +1,31 @@
-"""Direct products on disjoint domains; elements are flat permutations.
+"""Direct products on disjoint domains, and one level of the cover over them.
 
 Factor j acts on the block of points offsets[j] .. offsets[j] + degree - 1
 of the combined domain, so an element of the product is a single
 permutation of that domain which preserves every block, and the
 stabilizer-chain kernel works on subgroups of products unchanged.
+
+`Level` is one level of the construction: the split of each member, the
+witnesses a certificate stores, and Delta, Q, T and Gamma derived from
+them.  The builder fills it in phase by phase and the verifier parses it
+from a certificate; both run the `check_*` functions below on it.
 """
 
 from __future__ import annotations
 
-from .errors import InputError, VerificationError
-from .groups import PermGroup, commutator_subgroup, derived_subgroup, normal_closure
+from functools import cached_property
+
+from .errors import InputError, PreconditionError, VerificationError
+from .groups import (
+    ENUMERATION_CAP,
+    CosetMap,
+    PermGroup,
+    commutator_subgroup,
+    derived_subgroup,
+    normal_closure,
+)
 from .perms import Permutation, commutator, kernel, pack
+from .structure import semisimple_factors, series_term, split_star_trivial, star_chain
 
 
 class DirectProduct:
@@ -174,6 +189,119 @@ def t_values(product: DirectProduct, factor_of, tuples, r, e: int) -> list[Permu
 def gamma_generators(delta, q_vals, t_vals) -> list[Permutation]:
     """Gamma's generator list, Delta then Q then T; `marked` indexes it."""
     return [*delta, *q_vals, *t_vals]
+
+
+# ----------------------------------------------------------------------
+# One level of the cover.
+
+
+class Level:
+    """Level k of the construction over a family, built by the builder and
+    parsed from a certificate by the verifier.
+
+    The split, derived by the constructor: each member G splits over
+    W = G_{k-1} as A x S, with A = Z(W), S = [W, W] and B = [A, G];
+    `qmaps[j]` maps G onto G/W, the member one level deeper, and
+    `simple_factors` lists (member, factor) for the simple factors of each
+    S, members in order.
+
+    The witnesses, as a certificate stores them, set by whoever builds or
+    reads the level: `m`, `words`, `lifts`, `k_res` and `s_res`; per member
+    the module `basis` and `q_coords`, both None without a module; `cover`
+    = (factor_of, tuples, e, r), or None without simple factors; and
+    `marked`, the indices into `gamma_gens` of Gamma's marked generators.
+
+    The values Gamma is built from are derived from the witnesses on first
+    use, so that a verifier step that needs a value the witnesses cannot
+    give reports the failure itself.
+    """
+
+    def __init__(self, family, k: int, cap: int = ENUMERATION_CAP):
+        """The split at level k >= 1; PreconditionError if a member does
+        not split as A x S or its quotient is not of level k - 1."""
+        self.k = k
+        self.family = tuple(family)
+        self.product = DirectProduct(self.family)
+        self.W, self.A, self.S, self.B, self.qmaps = [], [], [], [], []
+        for G in self.family:
+            W = series_term(G, k, cap)
+            A, S = split_star_trivial(W, cap)
+            B = commutator_subgroup(G, A, G)
+            qmap = CosetMap(G, W, cap)
+            _, qlevel = star_chain(qmap.quotient, max_depth=max(k, 4), cap=cap)
+            if qlevel is None or qlevel > k - 1:
+                raise PreconditionError(
+                    f"quotient has star level {qlevel}, above {k - 1}"
+                )
+            self.W.append(W)
+            self.A.append(A)
+            self.S.append(S)
+            self.B.append(B)
+            self.qmaps.append(qmap)
+        self.simple_factors = [
+            (j, M) for j, S in enumerate(self.S) for M in semisimple_factors(S, cap)
+        ]
+
+    @property
+    def quotients(self) -> list[PermGroup]:
+        """The family one level deeper."""
+        return [qmap.quotient for qmap in self.qmaps]
+
+    @cached_property
+    def delta(self) -> list[Permutation]:
+        return [column(self.product, self.lifts, i) for i in range(self.m)]
+
+    @cached_property
+    def k_elems(self) -> list[Permutation]:
+        """The abelian residues k_i as elements of the product."""
+        return [column(self.product, self.k_res, i) for i in range(self.m)]
+
+    @cached_property
+    def s_elems(self) -> list[Permutation]:
+        """The semisimple residues s_i as elements of the product."""
+        return [column(self.product, self.s_res, i) for i in range(self.m)]
+
+    @cached_property
+    def q_elems(self) -> list[list[list[Permutation]] | None]:
+        """q_elems[j][i][l] decoded from the module basis and coordinates;
+        None for a member without a module."""
+        out = []
+        for j, (G, basis) in enumerate(zip(self.family, self.basis)):
+            if basis is None:
+                out.append(None)
+                continue
+
+            def decode(coords, identity=G.identity, basis=basis):
+                x = identity
+                for b, c in zip(basis, coords):
+                    x = x * b**c
+                return x
+
+            out.append([[decode(c) for c in row] for row in self.q_coords[j]])
+        return out
+
+    @cached_property
+    def q_values(self) -> list[Permutation]:
+        return q_values(self.product, self.q_elems, self.lifts)
+
+    @cached_property
+    def t_values(self) -> list[Permutation]:
+        if self.cover is None:
+            return []
+        factor_of, tuples, e, r = self.cover
+        return t_values(self.product, factor_of, tuples, r, e)
+
+    @cached_property
+    def t_group(self) -> PermGroup:
+        return self.product.subgroup(self.t_values)
+
+    @cached_property
+    def gamma_gens(self) -> list[Permutation]:
+        return gamma_generators(self.delta, self.q_values, self.t_values)
+
+    @cached_property
+    def gamma(self) -> PermGroup:
+        return self.product.subgroup(self.gamma_gens)
 
 
 # ----------------------------------------------------------------------

@@ -165,6 +165,9 @@ def star_subgroup(G: PermGroup, cap: int = ENUMERATION_CAP) -> PermGroup:
     quotient is nonabelian simple.  star(G) <= [G, G], so a trivial derived
     subgroup returns at once, without the normal-subgroup lattice.
     """
+    cached = G.facts.get("star")
+    if cached is not None:
+        return cached
     D = derived_subgroup(G)
     if D.order == 1:
         return D
@@ -176,6 +179,7 @@ def star_subgroup(G: PermGroup, cap: int = ENUMERATION_CAP) -> PermGroup:
         )
         if maximal and not _is_subgroup(D, N):
             result = intersection(result, N, cap)
+    G.facts["star"] = result
     return result
 
 
@@ -345,7 +349,8 @@ def split_star_trivial(
     S = derived_subgroup(W)
     if A.order * S.order != W.order:
         raise PreconditionError("center and derived subgroup do not split the group")
-    if intersection(A, S, cap).order != 1:
+    # a trivial part meets the other trivially
+    if A.order > 1 and S.order > 1 and intersection(A, S, cap).order != 1:
         raise PreconditionError("center meets the derived subgroup nontrivially")
     semisimple_factors(S, cap)
     return A, S
@@ -355,6 +360,9 @@ def semisimple_factors(S: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGro
     """The simple direct factors of a semisimple group (errors otherwise)."""
     if S.order == 1:
         return []
+    cached = S.facts.get("semisimple_factors")
+    if cached is not None:
+        return cached
     normals = normal_subgroups(S, cap)
     minimal = [
         N
@@ -376,6 +384,7 @@ def semisimple_factors(S: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGro
         raise PreconditionError("minimal normal subgroups do not fill the group")
     if PermGroup(S.degree, gens).order != S.order:
         raise PreconditionError("factors do not generate the group")
+    S.facts["semisimple_factors"] = minimal
     return minimal
 
 

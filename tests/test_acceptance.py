@@ -240,17 +240,16 @@ def test_criterion_8_construction_k2():
             assert report.valid, report.lines()
             # equation (1) coordinatewise at every level, words certified
             for lvl in cert.levels:
-                split, al = lvl.split, lvl.aligned
-                for w in al.words:
+                for w in lvl.words:
                     assert w.in_commutator_subgroup
-                for j in range(len(split.family)):
-                    for i in range(al.m):
-                        lhs = al.lifts[j][i] * evaluate_word(
-                            al.words[i], al.lifts[j]
+                for j in range(len(lvl.family)):
+                    for i in range(lvl.m):
+                        lhs = lvl.lifts[j][i] * evaluate_word(
+                            lvl.words[i], lvl.lifts[j]
                         ).inverse()
-                        assert lhs == al.k_res[j][i] * al.s_res[j][i]
-                        assert al.k_res[j][i] in split.B[j]
-                        assert al.s_res[j][i] in split.S[j]
+                        assert lhs == lvl.k_res[j][i] * lvl.s_res[j][i]
+                        assert lvl.k_res[j][i] in lvl.B[j]
+                        assert lvl.s_res[j][i] in lvl.S[j]
             gamma = cert.gamma
             assert derived_subgroup(gamma).order == gamma.order
             for j, G in enumerate(cert.family):

@@ -24,7 +24,7 @@ from perfectcover.construction import construct
 from perfectcover.errors import InputError
 from perfectcover.groupfile import parse_family_file
 from perfectcover.groups import CosetMap, PermGroup
-from perfectcover.perms import parse_cycles
+from perfectcover.perms import format_cycles, parse_cycles
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +241,24 @@ def test_w2a5_family_constructs_and_verifies():
     cert = construct(members, d=d, k=k, names=names, seed=7, budget=2)
     text = dumps_certificate(serialize_certificate(cert))
     _assert_pinned(text, W2A5_K2_SEED7_DIGESTS, k=2)
+    assert verify_certificate(json.loads(text)).valid
+
+
+# tests/data/k2-W7A5.txt at seed 7, budget 2: W7A5 = 7^4:A5 has a module
+# of 2401 elements, whose basis and coordinates the certificate stores.
+# Only the 0.6.0 bytes are pinned: 0.5.0 derived another basis for this
+# module, so its certificate differs in more than the version string.
+W7A5_K2_SEED7_SHA256 = "48a8a50391f4ebce3360a1d6856b35fdd284251fedea3ac7b964dec9337425ff"
+
+
+def test_w7a5_family_constructs_and_verifies():
+    family = pathlib.Path(__file__).parent / "data" / "k2-W7A5.txt"
+    names, members, d, k = parse_family_file(str(family))
+    assert [G.order for G in members] == [144060]
+    cert = construct(members, d=d, k=k, names=names, seed=7, budget=2)
+    text = dumps_certificate(serialize_certificate(cert))
+    assert __version__ == "0.6.0"
+    assert _sha256(text) == W7A5_K2_SEED7_SHA256
     assert verify_certificate(json.loads(text)).valid
 
 
@@ -585,6 +603,26 @@ def test_verify_builds_one_coset_map_per_level_factor(e16_cert, monkeypatch):
     assert verify_certificate(e16_cert).valid
     assert len(e16_cert["levels"]) * len(e16_cert["family"]) == 2
     assert len(built) == 2
+
+
+def test_a_member_that_does_not_split_fails_structure(a5_cert, groups, tmp_path):
+    # SL(2,5) has level 2: at level 1 its W is SL(2,5) itself, which is not
+    # star-trivial, so the level has no split and no deeper family
+    data = copy.deepcopy(a5_cert)
+    SL25 = groups["SL25"]
+    data["family"][0] = {
+        "name": "SL25",
+        "degree": SL25.degree,
+        "generators": [format_cycles(g) for g in SL25.generators],
+    }
+    report = verify_certificate(data)
+    assert report.failed_steps() == ["family", "structure"]
+    problems = {s.name: s.problems for s in report.steps}
+    assert any("not star-trivial" in p for p in problems["structure"])
+    assert "level 1 does not split" in report.message
+    path = tmp_path / "cert.json"
+    path.write_text(dumps_certificate(data))
+    assert main(["verify", str(path)]) == 1
 
 
 @pytest.mark.parametrize("change", ["extra", "missing"])

@@ -95,6 +95,14 @@ def test_cli_cover_witness(capsys):
     assert "(1 2 3) =" in out
 
 
+def test_cli_cover_witness_outside_the_group(capsys):
+    # (1 2) is odd: the fault is the element, not the number of rounds
+    assert main(["cover", "catalog:A5", "--witness", "(1 2)"]) == 1
+    err = capsys.readouterr().err
+    assert "element is not in the group" in err
+    assert "rounds" not in err
+
+
 def test_cli_construct_verify_round_trip(tmp_path, capsys):
     fam = tmp_path / "family.txt"
     fam.write_text("group A5 catalog:A5\nparams d=2 k=1\n")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from perfectcover import construction
+from perfectcover import products
 from perfectcover.construction import (
     construct,
     split_levels,
@@ -70,7 +70,7 @@ def test_construct_k1_pair(groups):
         assert product.projection_of(gamma, j).order == G.order
     # at k = 1 the abelian parts are trivial
     lvl = cert.top
-    assert all(A.order == 1 for A in lvl.split.A)
+    assert all(A.order == 1 for A in lvl.A)
 
 
 def test_construct_sl25_k2(groups):
@@ -78,8 +78,8 @@ def test_construct_sl25_k2(groups):
     assert cert.gamma.order == 120
     top = cert.levels[0]
     # exact lifts: the center residues vanish after the congruence correction
-    assert all(x.is_identity() for x in top.aligned.k_res[0])
-    assert all(x.is_identity() for x in top.aligned.s_res[0])
+    assert all(x.is_identity() for x in top.k_res[0])
+    assert all(x.is_identity() for x in top.s_res[0])
 
 
 def test_equation_one_holds_coordinatewise(groups):
@@ -92,15 +92,13 @@ def test_equation_one_holds_coordinatewise(groups):
         budget=2,
     )
     for lvl in cert.levels:
-        aligned = lvl.split, lvl.aligned
-        split, al = aligned
-        for j in range(len(split.family)):
-            for i in range(al.m):
-                lhs = al.lifts[j][i] * evaluate_word(al.words[i], al.lifts[j]).inverse()
-                assert lhs == al.k_res[j][i] * al.s_res[j][i]
-                assert al.k_res[j][i] in split.B[j]
-                assert al.s_res[j][i] in split.S[j]
-        for w in al.words:
+        for j in range(len(lvl.family)):
+            for i in range(lvl.m):
+                lhs = lvl.lifts[j][i] * evaluate_word(lvl.words[i], lvl.lifts[j]).inverse()
+                assert lhs == lvl.k_res[j][i] * lvl.s_res[j][i]
+                assert lvl.k_res[j][i] in lvl.B[j]
+                assert lvl.s_res[j][i] in lvl.S[j]
+        for w in lvl.words:
             assert w.in_commutator_subgroup
 
 
@@ -116,8 +114,8 @@ def test_mixed_family_q_supported_on_second_coordinate(groups):
     top = cert.levels[0]
     # the SL(2,5) coordinate has B = 1, so its q data is trivial and any
     # Q generator lives in the affine coordinate only
-    for value in top.qdata.values:
-        assert top.split.product.project(value, 0).is_identity()
+    for value in top.q_values:
+        assert top.product.project(value, 0).is_identity()
 
 
 def test_gamma_marked_generators_generate(groups):
@@ -125,7 +123,7 @@ def test_gamma_marked_generators_generate(groups):
     lvl = cert.top
     from perfectcover.groups import PermGroup
 
-    marked = [lvl.gamma_gens[i] for i in lvl.marked_idx]
+    marked = [lvl.gamma_gens[i] for i in lvl.marked]
     assert PermGroup(cert.product.degree, marked).order == lvl.gamma.order
 
 
@@ -141,7 +139,7 @@ def test_construct_deterministic_with_seed(groups):
 
 def test_assemble_asserts_Q_by_the_shared_check(groups, monkeypatch):
     # with no Q generators, E16A5's nonzero abelian residues are not in Q
-    monkeypatch.setattr(construction, "q_values", lambda *args: [])
+    monkeypatch.setattr(products, "q_values", lambda *args: [])
     with pytest.raises(InternalError, match="nonzero abelian residue with empty Q") as info:
         construct(
             (groups["SL25"], groups["E16A5"]),

@@ -175,8 +175,14 @@ def test_decompose_infeasible_depth(groups):
     A5 = groups["A5"]
     X = conjugacy_class_of(A5, P("(1 2)(3 4)", 5))
     # depth 1 with a single involution class cannot reach a 5-cycle
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="not a product of 1 rounds"):
         decompose_conjugate_product(A5, P("(1 2 3 4 5)", 5), [P("(1 2)(3 4)", 5)], 1)
+
+
+def test_decompose_rejects_a_target_outside_the_group(groups):
+    A5 = groups["A5"]
+    with pytest.raises(PreconditionError, match="element is not in the group"):
+        decompose_conjugate_product(A5, P("(1 2)", 5), [P("(1 2)(3 4)", 5)], 2)
 
 
 def test_semisimple_cover_single_factor(groups):
@@ -281,21 +287,22 @@ def test_t_values_take_no_product_per_value(groups, monkeypatch):
         tuple(groups[n] for n in names), d=2, k=1, names=names, seed=7, budget=61
     )
     level = cert.levels[-1]
-    product, tdata = level.split.product, level.tdata
-    args = (product, tdata.factor_of, tdata.tuples, tdata.r, tdata.e)
-    g, m = len(tdata.tuples[0]), len(tdata.r)
+    product = level.product
+    factor_of, tuples, e, r = level.cover
+    args = (product, factor_of, tuples, r, e)
+    g, m = len(tuples[0]), len(r)
     reference = {}
     for l in range(m):
         for c in range(g):
-            for t in range(tdata.e):
-                conj = _conjugator_element(product, tdata.factor_of, tdata.r, l, c, t)
+            for t in range(e):
+                conj = _conjugator_element(product, factor_of, r, l, c, t)
                 for c2 in range(g):
-                    m_c = _cover_element(product, tdata.factor_of, tdata.tuples, c2)
+                    m_c = _cover_element(product, factor_of, tuples, c2)
                     reference.setdefault(conj.inverse() * m_c * conj, None)
     calls = count_permutation_calls(monkeypatch)
     values = t_values(*args)
-    assert values == list(reference) == tdata.values
-    n_conjugators = m * g * tdata.e
+    assert values == list(reference) == level.t_values
+    n_conjugators = m * g * e
     assert calls["__mul__"] <= n_conjugators + g
     assert calls["__mul__"] < len(values)
     assert calls["inverse"] == 0

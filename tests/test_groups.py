@@ -20,8 +20,7 @@ from perfectcover.groups import (
     commutator_subgroup,
     conjugacy_class_of,
     conjugacy_classes,
-    conjugation_orbit,
-    conjugation_orbits,
+    conjugation_orbit_images,
     conjugation_orbits_images,
     derived_subgroup,
     enumerate_elements,
@@ -230,36 +229,45 @@ def test_class_size_times_centralizer(groups):
             assert len(cls) * centralizer(G, cls[0]).order == G.order
 
 
+def _wrapped(orbit):
+    """An orbit on raw images as (member, conjugator) Permutation pairs."""
+    return [(Permutation(y), Permutation(r)) for y, r in orbit.items()]
+
+
 def test_conjugacy_class_of_matches_partition(groups):
     for name in ("A4", "A5", "A6", "PSL27"):
         G = groups[name]
         classes = conjugacy_classes(G)
         for cls in classes:
-            assert set(conjugacy_class_of(G, cls[0])) == set(cls), name
-            orbit = conjugation_orbit(G, cls[0])
-            assert list(orbit) == cls, name
-            for y, r in orbit.items():
+            assert conjugacy_class_of(G, cls[0]) == cls, name
+            orbit = _wrapped(conjugation_orbit_images(G, cls[0]))
+            assert [y for y, _ in orbit] == cls, name
+            for y, r in orbit:
                 assert r in G, name
                 assert cls[0].conjugate(r) == y, name
-        orbits = list(conjugation_orbits(G))
-        assert [list(o) for o in orbits] == classes, name
+        orbits = [_wrapped(o) for o in conjugation_orbits_images(G)]
+        assert [[y for y, _ in o] for o in orbits] == classes, name
         for orbit in orbits:
-            x = next(iter(orbit))
-            for y, r in orbit.items():
+            x = orbit[0][0]
+            for y, r in orbit:
                 assert r in G, name
                 assert x.conjugate(r) == y, name
     with pytest.raises(PreconditionError):
-        conjugation_orbit(groups["A5"], P("(1 2)", 5))
+        conjugation_orbit_images(groups["A5"], P("(1 2)", 5))
+    with pytest.raises(PreconditionError):
+        conjugacy_class_of(groups["A5"], P("(1 2)", 5))
 
 
 @pytest.mark.parametrize("name", ["A4", "A5", "SL25", "E16A5"])
 def test_conjugation_orbits_wrap_the_image_form(groups, name):
+    # the classes are the image orbits wrapped, and each orbit is the walk
+    # from its first member, conjugators included
     G = groups[name]
-    wrapped = [
-        [(Permutation(y), Permutation(r)) for y, r in orbit.items()]
-        for orbit in conjugation_orbits_images(G)
-    ]
-    assert wrapped == [list(orbit.items()) for orbit in conjugation_orbits(G)]
+    orbits = list(conjugation_orbits_images(G))
+    assert conjugacy_classes(G) == [[Permutation(y) for y in o] for o in orbits]
+    for orbit in orbits:
+        x = Permutation(next(iter(orbit)))
+        assert _wrapped(orbit) == _wrapped(conjugation_orbit_images(G, x))
 
 
 def test_center_and_intersection(groups):
@@ -513,8 +521,9 @@ def test_groups_above_degree_256_match_their_native_degree(groups, name, degree)
     assert P(f"(1 {degree})", degree) not in big
     assert [down(x) for x in mulclose(big.generators, degree=degree)] == elements
     x = G.generators[0]
-    orbit = conjugation_orbit(big, _embedded(x, degree))
-    assert {down(y): down(r) for y, r in orbit.items()} == conjugation_orbit(G, x)
+    orbit = _wrapped(conjugation_orbit_images(big, _embedded(x, degree)))
+    native_orbit = _wrapped(conjugation_orbit_images(G, x))
+    assert [(down(y), down(r)) for y, r in orbit] == native_orbit
     closure = normal_closure(big, [_embedded(x, degree)])
     native = normal_closure(G, [x])
     assert closure.order == native.order
@@ -560,7 +569,7 @@ def test_kernel_loops_take_no_permutation_products(groups, monkeypatch):
     assert calls == {"__mul__": 0, "inverse": 0}
     assert len(mulclose(A5.generators)) == 60
     assert calls == {"__mul__": 0, "inverse": 0}
-    assert len(conjugation_orbit(fresh_A5, five_cycle)) == 12
+    assert len(conjugation_orbit_images(fresh_A5, five_cycle)) == 12
     assert calls == {"__mul__": 0, "inverse": 0}
     assert CosetMap(SL25, Z).quotient.order == 60
     assert calls == {"__mul__": 0, "inverse": 0}

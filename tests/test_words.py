@@ -175,10 +175,11 @@ def reference_commutator_pool(G):
     first (u, v) with x = u ** v, on `Permutation` products; the classes are
     led in `enumerate_elements` order."""
     pool = {}
-    for orbit in groups.conjugation_orbits(G):
-        u = next(iter(orbit))
+    for orbit in groups.conjugation_orbits_images(G):
+        u = Permutation(next(iter(orbit)))
         u_inv = u.inverse()
         for x, v in orbit.items():
+            x, v = Permutation(x), Permutation(v)
             value = u_inv * x
             if value not in pool:
                 pool[value] = (u, v)
