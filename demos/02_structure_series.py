@@ -14,7 +14,7 @@ for name in ("A5", "SL25", "E16A5", "S3", "A5xA5"):
     report = star_series(G)
     orders = " > ".join(str(H.order) for H in report.series)
     print(
-        f"{name:7s} series {orders:18s} level={report.level_text} "
+        f"{name:7s} series {orders:18s} level={report.level} "
         f"perfect={report.perfect} dmin={report.dmin_text}"
     )
 

@@ -74,7 +74,7 @@ def cmd_analyze(args) -> int:
     for i, term in enumerate(report.series):
         print(f"G_{i} |G_{i}|={term.order}")
     print(
-        f"level={report.level_text} perfect={'true' if report.perfect else 'false'} "
+        f"level={report.level} perfect={'true' if report.perfect else 'false'} "
         f"dmin={report.dmin_text}"
     )
     if report.abelianization_invariants:

@@ -284,6 +284,10 @@ def construct(
         raise PreconditionError("d must be positive")
     if k < 0:
         raise PreconditionError("k must be nonnegative")
+    if family and budget < 2:
+        raise PreconditionError(
+            "budget must be at least 2: a simple nonabelian factor needs 2 generators"
+        )
     for name, G in zip(names, family):
         ok, reason = is_in_Y(G, d, k, cap)
         if not ok:

@@ -6,9 +6,10 @@ class walk per group (`_ClassTable`): class k lies in P * Q iff z_k q^-1
 lies in P for some q in Q, z_k the representative of k (Arad-Herzog,
 *Products of Conjugacy Classes in Groups*, LNM 1112, 1985).  Decompositions
 into products of conjugates of given generators follow back-pointers
-through those layers.  The cover provider builds, for a finite list of
-simple groups, a bounded tuple of elements of their direct product
-generating a perfect subgroup that surjects onto every factor.
+through those layers and read their conjugators off the same walk, so no
+generator's class is walked again.  The cover provider builds, for a
+finite list of simple groups, a bounded tuple of elements of their direct
+product generating a perfect subgroup that surjects onto every factor.
 
 Element loops run on raw images through `perms.kernel`, and a
 `Permutation` is built only for what a function returns.  `product_set`
@@ -25,7 +26,6 @@ from .groups import (
     PermGroup,
     StabilizerChain,
     conjugacy_class_of,
-    conjugation_orbit_images,
     conjugation_orbits_images,
     derived_subgroup,
     is_abelian,
@@ -70,19 +70,21 @@ def product_set(X, Y, cap: int = ENUMERATION_CAP) -> frozenset:
 class _ClassTable:
     """The conjugacy classes of a group, from one class walk.
 
-    `index` maps the images of each element to the number of its class and
-    `members[k]` lists the images of class k in walk order; its first
-    member z_k represents the class.  A normal subset is a union of
-    classes, held as the frozenset of their numbers.
+    `index` maps the images of each element to the number of its class.
+    `members[k]` is class k's `conjugation_orbit_images`: it maps the images
+    of each member, in walk order, to the images of a conjugator r with
+    z_k ** r the member, where z_k, the first member, represents the class.
+    A normal subset is a union of classes, held as the frozenset of their
+    numbers.
     """
 
     def __init__(self, S: PermGroup, cap: int = ENUMERATION_CAP):
         self.group = S
         self.index: dict = {}
-        self.members: list[list] = []
+        self.members: list[dict] = []
         for k, orbit in enumerate(conjugation_orbits_images(S, cap)):
             self.index.update(dict.fromkeys(orbit, k))
-            self.members.append(list(orbit))
+            self.members.append(orbit)
         self._table, self._compose, self._invert = kernel(S.degree)
         self._inverse_tables: dict[int, list] = {}
 
@@ -98,22 +100,24 @@ class _ClassTable:
     def size(self, K) -> int:
         return sum(len(self.members[k]) for k in K)
 
+    def inverse_tables(self, k: int) -> list:
+        """The tables of the inverses of class k's members, in walk order."""
+        tables = self._inverse_tables.get(k)
+        if tables is None:
+            tables = self._inverse_tables[k] = [
+                self._table(self._invert(c)) for c in self.members[k]
+            ]
+        return tables
+
     def product(self, P, Q) -> frozenset:
         """The classes of P * Q: class k is in it iff z_k q^-1 is in P for
         some q in Q, so the cost is #classes x |Q| products at most."""
-        tables = []
-        for q in Q:
-            t = self._inverse_tables.get(q)
-            if t is None:
-                t = self._inverse_tables[q] = [
-                    self._table(self._invert(c)) for c in self.members[q]
-                ]
-            tables.extend(t)
+        tables = [t for q in Q for t in self.inverse_tables(q)]
         index, compose = self.index, self._compose
         return frozenset(
             k
             for k, cls in enumerate(self.members)
-            if any(index[compose(cls[0], t)] in P for t in tables)
+            if any(index[compose(next(iter(cls)), t)] in P for t in tables)
         )
 
     def layers(self, ks) -> list[frozenset]:
@@ -223,14 +227,13 @@ class _LayeredDecomposer:
     """Back-pointers through the products of the classes of m_1..m_g.
 
     Layer i is class(m_1) ... class(m_i), indices mod g; `layers[i]` holds
-    its class numbers up to the first layer that is the whole group
-    (`saturated_at`).  Layer i is ordered by the new products x * c, for x
-    in layer i-1 in its order and c in m_i's `conjugation_orbit_images`
-    order.  A back step from y takes the first x of layer i-1 with x^-1 y
-    in class(m_i), and that orbit's conjugator for x^-1 y.  The orders are
-    generated only as far as back steps read them, and an orbit is walked
-    on first use.  Past saturation every x qualifies, so the step takes m_i
-    itself with the identity conjugator, the first member of its orbit.
+    its class numbers up to the first layer that is the whole group, and
+    every later layer is the whole group too.  A back step from y in layer
+    i takes c = m_i, with the identity conjugator, when y c^-1 lies in
+    layer i-1, and otherwise the first c of class(m_i), in the class
+    table's walk order, with y c^-1 in layer i-1.  The walk gives
+    m_i = z ** u and c = z ** r_c, so c = m_i ** (u^-1 r_c).  Past the last
+    layer m_i always qualifies, so those conjugators are the identity.
     """
 
     def __init__(self, classes: _ClassTable, gens, e: int):
@@ -242,52 +245,24 @@ class _LayeredDecomposer:
         self._table, self._compose, self._invert = kernel(self.S.degree)
         self._ident = self.S.identity.images
         self._class_of = [classes.number(m) for m in self.gens]
+        self._gen_inverses = [self._table(self._invert(m.images)) for m in self.gens]
         self.layers = classes.layers(self._class_of[i % self.g] for i in range(e * self.g))
-        full = len(self.layers[-1]) == len(classes.members)
-        self.saturated_at = len(self.layers) - 1 if full else None
-        self._orbits: dict[int, tuple[dict, list]] = {}
-        # each layer's generated prefix, as a list and a set, and how many
-        # elements of the layer below it has multiplied out
-        self._orders = [[self._ident]] + [[] for _ in self.layers[1:]]
-        self._seen = [set(order) for order in self._orders]
-        self._taken = [0] * len(self.layers)
-
-    def _orbit(self, j: int) -> tuple[dict, list]:
-        """m_j's `conjugation_orbit_images` and its members' tables."""
-        if j not in self._orbits:
-            orbit = conjugation_orbit_images(self.S, self.gens[j])
-            self._orbits[j] = orbit, list(map(self._table, orbit))
-        return self._orbits[j]
-
-    def _element(self, i: int, n: int):
-        """The n-th element of layer i in its order, or None past its end."""
-        order, seen = self._orders[i], self._seen[i]
-        while len(order) <= n:
-            x = self._element(i - 1, self._taken[i])
-            if x is None:
-                return None
-            self._taken[i] += 1
-            for t in self._orbit((i - 1) % self.g)[1]:
-                y = self._compose(x, t)
-                if y not in seen:
-                    seen.add(y)
-                    order.append(y)
-        return order[n]
 
     def _back_step(self, i: int, y) -> tuple:
         """(layer i-1 factor, conjugator) of images y in layer i."""
         j = (i - 1) % self.g
-        if self.saturated_at is not None and i > self.saturated_at:
-            m_inverse = self._invert(self.gens[j].images)
-            return self._compose(y, self._table(m_inverse)), self._ident
-        y_table = self._table(y)
-        index, want = self.classes.index, self._class_of[j]
-        n = 0
-        while (x := self._element(i - 1, n)) is not None:
-            c = self._compose(self._invert(x), y_table)
-            if index[c] == want:
-                return x, self._orbit(j)[0][c]
-            n += 1
+        index, compose = self.classes.index, self._compose
+        below = self.layers[min(i - 1, len(self.layers) - 1)]
+        x = compose(y, self._gen_inverses[j])
+        if index[x] in below:
+            return x, self._ident
+        k = self._class_of[j]
+        conjugators = self.classes.members[k]
+        for (c, r), c_inverse in zip(conjugators.items(), self.classes.inverse_tables(k)):
+            x = compose(y, c_inverse)
+            if index[x] in below:
+                u_inverse = self._invert(conjugators[self.gens[j].images])
+                return x, compose(u_inverse, self._table(r))
         raise InternalError("back-pointer resolution failed")
 
     def decompose(self, target: Permutation) -> list[list[Permutation]]:

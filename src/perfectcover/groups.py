@@ -406,11 +406,12 @@ def _distinct_commutators(xs, ys) -> list[Permutation]:
 
 def derived_subgroup(G: PermGroup) -> PermGroup:
     """[G, G]: normal closure of commutators of generator pairs, computed
-    once per group."""
+    once per group; G itself when G is perfect."""
     D = G.facts.get("derived")
     if D is None:
         gens = G.reduced_generators()
-        D = G.facts["derived"] = normal_closure(G, _distinct_commutators(gens, gens))
+        D = normal_closure(G, _distinct_commutators(gens, gens))
+        G.facts["derived"] = D = G if D.order == G.order else D
     return D
 
 

@@ -228,8 +228,8 @@ class Level:
             A, S = split_star_trivial(W, cap)
             B = commutator_subgroup(G, A, G)
             qmap = CosetMap(G, W, cap)
-            _, qlevel = star_chain(qmap.quotient, max_depth=max(k, 4), cap=cap)
-            if qlevel is None or qlevel > k - 1:
+            _, qlevel = star_chain(qmap.quotient, cap)
+            if qlevel > k - 1:
                 raise PreconditionError(
                     f"quotient has star level {qlevel}, above {k - 1}"
                 )

@@ -8,17 +8,18 @@ descending characteristic series whose length is the level of G.
 Subgroups are compared through their stabilizer chains: H <= K when |H|
 divides |K| and K contains the generators of H, and equal orders with
 containment mean equality.  Element sets are enumerated only for the
-conjugacy-class walk of `normal_subgroups` and to break ties of equal
-order in its sorted result (Holt-Eick-O'Brien, Handbook of Computational
-Group Theory, ch. 4).
+conjugacy-class walk of `normal_subgroups`, whose result is sorted by
+order, subgroups of equal order in discovery order (Holt-Eick-O'Brien,
+Handbook of Computational Group Theory, ch. 4).
 
 The walk keeps only class sizes and candidate representatives, and the
-closures follow it.  Once a closure equal to G is found, a class x^G is
-skipped when no proper divisor of |G| is 1 + |x^G| + (a sum of sizes of
-other nontrivial classes).  This is exact: a normal subgroup is a union
-of classes containing {1}, so a proper ncl(x) would have such an order
-by Lagrange; hence ncl(x) = G, which is already listed.  Every structure
-fact is computed once per group and kept in `PermGroup.facts`.
+closures follow it.  G itself is listed from the start, so a class x^G
+is skipped when no proper divisor of |G| is 1 + |x^G| + (a sum of sizes
+of other nontrivial classes).  This is exact: a normal subgroup is a
+union of classes containing {1}, so a proper ncl(x) would have such an
+order by Lagrange; hence ncl(x) = G, which is already listed.  Every
+structure fact is computed once per group and kept in `PermGroup.facts`;
+a perfect group is its own derived subgroup, so it has one lattice.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import itertools
 import math
 import random
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .groups import (
     ENUMERATION_CAP,
     PermGroup,
@@ -54,9 +55,8 @@ def normal_subgroups(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGroup
 
     Each subgroup is held by its chain: a candidate is already known when
     some entry has its order and contains it.  The first group found for
-    each subgroup represents it.  The list is sorted by order, and groups
-    of equal order by their sorted element images; only those ties are
-    enumerated.
+    each subgroup represents it, G for G and the trivial group first.  The
+    list is sorted by order, stably, so ties keep their discovery order.
     """
     cached = G.facts.get("normal_subgroups")
     if cached is not None:
@@ -71,6 +71,7 @@ def normal_subgroups(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGroup
             found.append(H)
 
     register(PermGroup(G.degree, ()))
+    register(G)
     # x and x^k with k prime to |x| have the same normal closure, so a class
     # holding such a power of an earlier representative adds nothing.  The
     # walk keeps each class's size and each candidate's representative.
@@ -83,17 +84,13 @@ def normal_subgroups(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGroup
             covered.update(y.images for y in _coprime_powers(x))
             candidates.append((len(sizes), x))
         sizes.append(len(orbit))
-    # Once G is found, a class whose closure cannot be proper adds nothing;
-    # sizes[0] is the identity's class, which the walk meets first.
+    # A class whose closure cannot be proper adds nothing; sizes[0] is the
+    # identity's class, which the walk meets first.
     n = G.order
     divisors = [d for d in range(1, n // 2 + 1) if n % d == 0]
-    full = False
     for i, x in candidates:
-        if full and not _may_be_proper(divisors, sizes[i], sizes[1:i] + sizes[i + 1 :]):
-            continue
-        N = normal_closure(G, [x])
-        register(N)
-        full = full or N.order == n
+        if _may_be_proper(divisors, sizes[i], sizes[1:i] + sizes[i + 1 :]):
+            register(normal_closure(G, [x]))
     # Pairs within found[:old] were joined on the previous pass, so their
     # joins are already in found.
     old = 0
@@ -110,16 +107,7 @@ def normal_subgroups(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGroup
         old = len(found)
         for H in new:
             register(H)
-    by_order: dict[int, list[PermGroup]] = {}
-    for H in found:
-        by_order.setdefault(H.order, []).append(H)
-    subs = []
-    for order in sorted(by_order):
-        ties = by_order[order]
-        if len(ties) > 1:
-            ties.sort(key=lambda H: sorted(h.images for h in enumerate_elements(H, cap)))
-        subs.extend(ties)
-    G.facts["normal_subgroups"] = subs
+    subs = G.facts["normal_subgroups"] = sorted(found, key=lambda H: H.order)
     return subs
 
 
@@ -183,34 +171,29 @@ def star_subgroup(G: PermGroup, cap: int = ENUMERATION_CAP) -> PermGroup:
     return result
 
 
-def star_chain(G: PermGroup, max_depth: int = 16, cap: int = ENUMERATION_CAP):
-    """The series G = G_0 > G_1 > ... and its level (None if depth runs out)."""
+def star_chain(G: PermGroup, cap: int = ENUMERATION_CAP):
+    """The series G = G_0 > G_1 > ... > G_level = 1 and its level.
+
+    For G != 1, star(G) lies in [G, G] < G or, when G is perfect, in a
+    maximal normal subgroup, so the series descends strictly to 1 within
+    log2 |G| steps.
+    """
     cached = G.facts.get("star_chain")
-    if cached is not None and (cached[1] is not None or cached[2] >= max_depth):
-        return cached[0], cached[1]
-    series = [G]
-    level: int | None = None
-    while True:
-        cur = series[-1]
-        if cur.order == 1:
-            level = len(series) - 1
-            break
-        if len(series) > max_depth:
-            break
-        nxt = star_subgroup(cur, cap)
-        if nxt.order == cur.order:
-            break
-        series.append(nxt)
-    G.facts["star_chain"] = (series, level, max_depth)
-    return series, level
+    if cached is None:
+        series = [G]
+        while series[-1].order > 1:
+            nxt = star_subgroup(series[-1], cap)
+            if nxt.order == series[-1].order:
+                raise InternalError("star subgroup of a nontrivial group is not proper")
+            series.append(nxt)
+        cached = G.facts["star_chain"] = (series, len(series) - 1)
+    return cached
 
 
 def series_term(G: PermGroup, k: int, cap: int = ENUMERATION_CAP) -> PermGroup:
     """W = G_{k-1} for k >= 1: the star-series term k - 1, or the trivial
     group once the series has ended; a level-k split of G is taken over it."""
-    series, level = star_chain(G, max_depth=max(k + 1, 4), cap=cap)
-    if level is None:
-        raise PreconditionError("star series did not terminate")
+    series, _ = star_chain(G, cap)
     return series[k - 1] if k - 1 < len(series) else PermGroup(G.degree, ())
 
 
@@ -223,7 +206,7 @@ class StructureReport:
     def __init__(
         self,
         series: tuple[PermGroup, ...],
-        level: int | None,
+        level: int,
         perfect: bool,
         min_generators: int | None,
         mg_bound: int,
@@ -237,10 +220,6 @@ class StructureReport:
         self.abelianization_invariants = abelianization_invariants
 
     @property
-    def level_text(self) -> str:
-        return "infinite" if self.level is None else str(self.level)
-
-    @property
     def dmin_text(self) -> str:
         if self.min_generators is None:
             return f">{self.mg_bound}"
@@ -249,11 +228,10 @@ class StructureReport:
 
 def star_series(
     G: PermGroup,
-    max_depth: int = 16,
     mg_bound: int = 4,
     cap: int = ENUMERATION_CAP,
 ) -> StructureReport:
-    series, level = star_chain(G, max_depth, cap)
+    series, level = star_chain(G, cap)
     perfect = is_perfect(G)
     if perfect:
         invariants: tuple[int, ...] = ()
@@ -329,8 +307,8 @@ def is_in_Y(
         return False, "not perfect"
     if min_generators(G, d, cap=cap) is None:
         return False, f"no generating tuple of size at most {d} found"
-    _, level = star_chain(G, max_depth=max(k + 1, 2), cap=cap)
-    if level is None or level > k:
+    _, level = star_chain(G, cap)
+    if level > k:
         return False, f"star series level {level} exceeds {k}"
     return True, "ok"
 
@@ -375,8 +353,7 @@ def semisimple_factors(S: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGro
     for M in minimal:
         if is_abelian(M):
             raise PreconditionError("minimal normal subgroup is abelian")
-        # M = S (S simple) has S's normal subgroups
-        if len(normals if M.order == S.order else normal_subgroups(M, cap)) != 2:
+        if len(normal_subgroups(M, cap)) != 2:
             raise PreconditionError("minimal normal subgroup is not simple")
         product_order *= M.order
         gens.extend(M.generators)

@@ -10,10 +10,15 @@ The commutator-word search runs on raw images through `perms.kernel`.
 its parent and the letter that reached it.  The search walks classes in
 that order until every target is answered, and builds a `Word` only for
 the witnesses used (Seress, *Permutation Group Algorithms*, 2003, ch. 1).
+
+`gaschutz_lift` tries the tuples of N^k in a seeded order: all of them,
+over shuffled enumerations of N, when there are at most 10^6, and
+otherwise draws from N's chain, so a large N is never enumerated.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
@@ -292,38 +297,6 @@ _EXHAUSTIVE_LIFTS = 10**6
 _RANDOM_LIFT_TRIALS = 10**5
 
 
-def _candidate_tuples(n_elements, k: int, rng):
-    """Candidate tuples over n_elements^k: seeded-shuffled exhaustive stream
-    when the space is small, otherwise seeded random sampling."""
-    n = len(n_elements)
-    if n**k <= _EXHAUSTIVE_LIFTS:
-        axes = []
-        for _ in range(k):
-            axis = list(n_elements)
-            rng.shuffle(axis)
-            axes.append(axis)
-
-        def stream():
-            idx = [0] * k
-            while True:
-                yield tuple(axes[i][idx[i]] for i in range(k))
-                pos = k - 1
-                while pos >= 0:
-                    idx[pos] += 1
-                    if idx[pos] < n:
-                        break
-                    idx[pos] = 0
-                    pos -= 1
-                if pos < 0:
-                    return
-
-        return stream(), True
-    def sampled():
-        for _ in range(_RANDOM_LIFT_TRIALS):
-            yield tuple(rng.choice(n_elements) for _ in range(k))
-    return sampled(), False
-
-
 def gaschutz_lift(
     G: PermGroup,
     N: PermGroup,
@@ -357,8 +330,19 @@ def gaschutz_lift(
     if PermGroup(G.degree, reps).order == G.order:
         return reps
 
-    n_elements = sorted(enumerate_elements(N, cap))
-    candidates, exhaustive = _candidate_tuples(n_elements, k, rng)
+    exhaustive = N.order**k <= _EXHAUSTIVE_LIFTS
+    if exhaustive:
+        elements = enumerate_elements(N, cap)
+        axes = []
+        for _ in range(k):
+            axis = list(elements)
+            rng.shuffle(axis)
+            axes.append(axis)
+        candidates = itertools.product(*axes)
+    else:
+        candidates = (
+            [N.sample(rng) for _ in range(k)] for _ in range(_RANDOM_LIFT_TRIALS)
+        )
     for tup in candidates:
         lifted = [a * n for a, n in zip(reps, tup)]
         chain = StabilizerChain(G.degree, lifted)

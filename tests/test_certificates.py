@@ -43,17 +43,10 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _assert_pinned(text: str, digests: dict, k: int) -> None:
-    """The bytes have this version's pinned digest.  Format 0.6.0 changed
-    only how the module basis is derived, and on every pinned family the
-    new derivation gives the 0.5.0 basis, so each certificate is its 0.5.0
-    bytes with the version string changed.  Format 0.5.0 changed only the
-    commutator word search, which at k=1 gets the trivial group, so a k=1
-    certificate is its 0.4.0 bytes in the same way."""
+def _assert_pinned(text: str, digests: dict) -> None:
+    """The bytes have this version's pinned digest.  The older entries are
+    kept as history and for the fixtures of those formats."""
     assert _sha256(text) == digests[__version__]
-    for version in ("0.5.0", "0.4.0") if k == 1 else ("0.5.0",):
-        old = text.replace(f'"version": "{__version__}"', f'"version": "{version}"')
-        assert old != text and _sha256(old) == digests[version]
 
 
 # SHA-256 of the a5_cert bytes, per certificate format version.  Within a
@@ -64,6 +57,7 @@ A5_SEED7_DIGESTS = {
     "0.4.0": "b4d097c44b789cc68b54855b46d3a8c9ed4bc4207d1ae2341d41e9098dd30dfb",
     "0.5.0": "94239e9242f7a65401b5ef23967434b86e6933bf740dd638f28b8a32b0ec6a85",
     "0.6.0": "71f6426fc33415169cbe30e24baab806954896f93088c9b7fc21bf51e632cd05",
+    "0.7.0": "9aeaf3e8dedb74405d7f33c91bf168e5500397978bad9380c0a3b08a09d8a9fe",
 }
 
 # The same for budget 61: the class product of build_T fills A5 before its
@@ -73,17 +67,18 @@ A5_SEED7_BUDGET61_DIGESTS = {
     "0.4.0": "d56d79643727a4d7516583a2536feb821d9fc904d236655b837b01a627708585",
     "0.5.0": "0d87127ce99b8dd8aefa63ec91e9810776b0556a09038b49f7b14ab0b311fcfa",
     "0.6.0": "c892320039e14d1f5e04e1f28736a23b24361bfe573832fb098a05474e710d05",
+    "0.7.0": "7ab3abab12e328f759991130c5abb83171cea80e335e675404b6a156f9d725e8",
 }
 
 
 def test_seed7_certificate_bytes_are_pinned(a5_cert):
-    _assert_pinned(dumps_certificate(a5_cert), A5_SEED7_DIGESTS, k=1)
+    _assert_pinned(dumps_certificate(a5_cert), A5_SEED7_DIGESTS)
 
 
 def test_seed7_budget61_certificate_bytes_are_pinned(groups):
     cert = construct((groups["A5"],), d=2, k=1, names=("A5",), seed=7, budget=61)
     text = dumps_certificate(serialize_certificate(cert))
-    _assert_pinned(text, A5_SEED7_BUDGET61_DIGESTS, k=1)
+    _assert_pinned(text, A5_SEED7_BUDGET61_DIGESTS)
 
 
 # The same for e16_cert (E16A5, d=2, k=2): its level-0 words are not empty,
@@ -93,12 +88,13 @@ E16A5_K2_SEED7_DIGESTS = {
     "0.4.0": "5b23274d1515f319af8e27e95521e89811d4739c6c79555f21a99aa29d803940",
     "0.5.0": "e78e1ea7145cfa3c3ad524b0b95896e64fad47d6ff437c92861b15bc1ca42cec",
     "0.6.0": "20e29097cf4b083c9d894db2c70569cf29701427f17e5178a3d51cd7882f63e5",
+    "0.7.0": "f497a947c6c1bd603fde7fb4b447c083e1f9f1c96ba033024c9e1a1955f40e21",
 }
 
 
 def test_e16a5_k2_certificate_bytes_are_pinned(e16_cert):
     assert any(w != "e" for w in e16_cert["levels"][0]["words"])
-    _assert_pinned(dumps_certificate(e16_cert), E16A5_K2_SEED7_DIGESTS, k=2)
+    _assert_pinned(dumps_certificate(e16_cert), E16A5_K2_SEED7_DIGESTS)
 
 
 # The same for A5xA5 (d=2, k=1, budget 2).  Its two simple factors are
@@ -110,12 +106,13 @@ A5XA5_SEED7_DIGESTS = {
     "0.4.0": "01931f9a6b6141f3a3a9ac9ec8037d5e094b8eb2f73f22b9b602115ef643ac10",
     "0.5.0": "b593f1054888e0f856fedd0969b09bf04d1c6c8bc417b57d09c20c3a88bc2eff",
     "0.6.0": "251ecebb85f65ee860de54a25689d002c93831bb29e0d1e87c6cbf09387add48",
+    "0.7.0": "fe32f36b51fd1ac83b685e9bf84ca0976104a360ebd913359f8133dfa2ad39e9",
 }
 
 
 def test_a5xa5_certificate_bytes_are_pinned(groups):
     cert = construct((groups["A5xA5"],), d=2, k=1, names=("A5xA5",), seed=7, budget=2)
-    _assert_pinned(dumps_certificate(serialize_certificate(cert)), A5XA5_SEED7_DIGESTS, k=1)
+    _assert_pinned(dumps_certificate(serialize_certificate(cert)), A5XA5_SEED7_DIGESTS)
 
 
 # The two benchmark families (bench/families/k1-cover.txt and k2-mixed.txt)
@@ -128,12 +125,14 @@ BENCH_FAMILY_SEED7_DIGESTS = {
         "0.4.0": "5185e188810aff32e55237427592a7c0ecfbd5e9cabed49ea83c1d974d22087d",
         "0.5.0": "83d1d740ff74eb6d7c80fcc9dac98cb8c8e855b2bb59690ff029f14ff30080c0",
         "0.6.0": "d8aeeed499c3ad06084f348a619e4dcd178a2a04728b349b7ca9d67a026a5804",
+        "0.7.0": "fa18a2e0158f7791454ebdcad9e673f8f1043d81cd837c331e3d6bd73307d219",
     },
     ("SL25+E16A5", 2, 2): {
         "0.3.0": "bc5e97568aaca3a9e5df3f886067a4c420a879a33562034b06c3ed82e5f66d95",
         "0.4.0": "7f0ce09443fbcd65c0c1969fa3699c29005538042598ef066c4594489d6b34e5",
         "0.5.0": "9e326be870c7db9e2595b031c5288dfb007d53d76dcf1e94f4efdbc76722f02b",
         "0.6.0": "3c629631f39b6f1bcb5050260601fd1cbd60549b812fdcff152ab69d57ab4edc",
+        "0.7.0": "a339c6d17695169c5c100210a258a5f30bad7221135f1f138fd98c62ed343198",
     },
 }
 
@@ -147,7 +146,7 @@ def test_benchmark_family_certificate_bytes_are_pinned(groups, family, k, budget
         tuple(groups[n] for n in names), d=2, k=k, names=names, seed=7, budget=budget
     )
     text = dumps_certificate(serialize_certificate(cert))
-    _assert_pinned(text, BENCH_FAMILY_SEED7_DIGESTS[family, k, budget], k)
+    _assert_pinned(text, BENCH_FAMILY_SEED7_DIGESTS[family, k, budget])
 
 
 # tests/data/k1-A8.txt at seed 7, budget 61: A8 has 14 classes and order
@@ -158,6 +157,7 @@ A8_FAMILY_SEED7_DIGESTS = {
     "0.4.0": "75e16caa11508baeea2030e8026576df5ecb13e4139e61af8a23f464cdaa29cb",
     "0.5.0": "01ff7859035d2dc90b720fcf14bf067a10ad925770b87f55d4f37a90407e4b24",
     "0.6.0": "561ac49da19240408d1ea60168b0c9caa080c843056826429ce3c68416ef0637",
+    "0.7.0": "dcdd81b73d93d27b2ed5c3f10b59ba6e6e893d994289ca3f9211a73f2ad5b9b8",
 }
 
 
@@ -166,7 +166,7 @@ def test_a8_family_constructs_and_verifies():
     names, members, d, k = parse_family_file(str(family))
     cert = construct(members, d=d, k=k, names=names, seed=7, budget=61)
     text = dumps_certificate(serialize_certificate(cert))
-    _assert_pinned(text, A8_FAMILY_SEED7_DIGESTS, k=1)
+    _assert_pinned(text, A8_FAMILY_SEED7_DIGESTS)
     assert verify_certificate(json.loads(text)).valid
 
 
@@ -176,6 +176,7 @@ M11_FAMILY_SEED7_DIGESTS = {
     "0.4.0": "bf537cb25a1169e473ed51c634e1d9cf30c53a128dd48d5c43014f7d6114ad3a",
     "0.5.0": "a8bc733324151eb619ed6972ed500f6604f64a91d8011ebb3e81e8803cacc842",
     "0.6.0": "ba73ecbf53f1e0a1892d8d3ab152defc7260d44c686b8cf4b805b5b5c152e153",
+    "0.7.0": "27c812dccb37710eb16e7792e5427717f5807a7dab64e564e230b0fc31c5223c",
 }
 
 
@@ -185,7 +186,7 @@ def test_m11_family_constructs_and_verifies():
     assert [G.order for G in members] == [7920]
     cert = construct(members, d=d, k=k, names=names, seed=7, budget=61)
     text = dumps_certificate(serialize_certificate(cert))
-    _assert_pinned(text, M11_FAMILY_SEED7_DIGESTS, k=1)
+    _assert_pinned(text, M11_FAMILY_SEED7_DIGESTS)
     assert verify_certificate(json.loads(text)).valid
 
 
@@ -195,6 +196,7 @@ A5XA5_FAMILY_SEED7_DIGESTS = {
     "0.4.0": "01931f9a6b6141f3a3a9ac9ec8037d5e094b8eb2f73f22b9b602115ef643ac10",
     "0.5.0": "b593f1054888e0f856fedd0969b09bf04d1c6c8bc417b57d09c20c3a88bc2eff",
     "0.6.0": "251ecebb85f65ee860de54a25689d002c93831bb29e0d1e87c6cbf09387add48",
+    "0.7.0": "fe32f36b51fd1ac83b685e9bf84ca0976104a360ebd913359f8133dfa2ad39e9",
 }
 
 
@@ -203,7 +205,7 @@ def test_a5xa5_family_constructs_and_verifies():
     names, members, d, k = parse_family_file(str(family))
     cert = construct(members, d=d, k=k, names=names, seed=7, budget=2)
     text = dumps_certificate(serialize_certificate(cert))
-    _assert_pinned(text, A5XA5_FAMILY_SEED7_DIGESTS, k=1)
+    _assert_pinned(text, A5XA5_FAMILY_SEED7_DIGESTS)
     assert verify_certificate(json.loads(text)).valid
 
 
@@ -213,6 +215,7 @@ def test_a5xa5_family_constructs_and_verifies():
 A5XA5_SL25_K2_SEED7_DIGESTS = {
     "0.5.0": "4511970e698a103a29770eb262adf7f74a44ca6c37540e2070b9b9febd9f1cfd",
     "0.6.0": "5bd659bbb88b913740ddc4f09120f2017f815d7908e940f5904f1d8a67e22ca0",
+    "0.7.0": "0e45464d8aa5c02abe0cf522212499f7f1110d9911f4237d1e9db44ef4aada78",
 }
 
 
@@ -221,7 +224,7 @@ def test_a5xa5_beside_sl25_family_constructs_and_verifies():
     names, members, d, k = parse_family_file(str(family))
     cert = construct(members, d=d, k=k, names=names, seed=7, budget=2)
     text = dumps_certificate(serialize_certificate(cert))
-    _assert_pinned(text, A5XA5_SL25_K2_SEED7_DIGESTS, k=2)
+    _assert_pinned(text, A5XA5_SL25_K2_SEED7_DIGESTS)
     assert verify_certificate(json.loads(text)).valid
 
 
@@ -231,6 +234,7 @@ def test_a5xa5_beside_sl25_family_constructs_and_verifies():
 W2A5_K2_SEED7_DIGESTS = {
     "0.5.0": "52c1b05c37f30cf4e4e993afb89f90802450fe6519217932b5cb78c5c6416679",
     "0.6.0": "eb74ac4e8a5906b97b3166d889b15152a1f2ffee3383f29929ebdb8c6f15bb96",
+    "0.7.0": "ccffc87eb318b98238144bb461a3db411574474a6c75d38e37650947e2b9bf62",
 }
 
 
@@ -240,15 +244,16 @@ def test_w2a5_family_constructs_and_verifies():
     assert [G.order for G in members] == [960]
     cert = construct(members, d=d, k=k, names=names, seed=7, budget=2)
     text = dumps_certificate(serialize_certificate(cert))
-    _assert_pinned(text, W2A5_K2_SEED7_DIGESTS, k=2)
+    _assert_pinned(text, W2A5_K2_SEED7_DIGESTS)
     assert verify_certificate(json.loads(text)).valid
 
 
 # tests/data/k2-W7A5.txt at seed 7, budget 2: W7A5 = 7^4:A5 has a module
 # of 2401 elements, whose basis and coordinates the certificate stores.
-# Only the 0.6.0 bytes are pinned: 0.5.0 derived another basis for this
-# module, so its certificate differs in more than the version string.
-W7A5_K2_SEED7_SHA256 = "48a8a50391f4ebce3360a1d6856b35fdd284251fedea3ac7b964dec9337425ff"
+W7A5_K2_SEED7_DIGESTS = {
+    "0.6.0": "48a8a50391f4ebce3360a1d6856b35fdd284251fedea3ac7b964dec9337425ff",
+    "0.7.0": "be413bfbb09ba2d91c76aa8ea5ccfdf8784cc122190a552e70238ec5282f27c3",
+}
 
 
 def test_w7a5_family_constructs_and_verifies():
@@ -257,8 +262,7 @@ def test_w7a5_family_constructs_and_verifies():
     assert [G.order for G in members] == [144060]
     cert = construct(members, d=d, k=k, names=names, seed=7, budget=2)
     text = dumps_certificate(serialize_certificate(cert))
-    assert __version__ == "0.6.0"
-    assert _sha256(text) == W7A5_K2_SEED7_SHA256
+    _assert_pinned(text, W7A5_K2_SEED7_DIGESTS)
     assert verify_certificate(json.loads(text)).valid
 
 
@@ -719,19 +723,34 @@ def test_format_0_4_0_certificate_is_valid_only_when_forced(e16_cert, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_top_gamma_block_holds_the_marked_generators(a5_cert):
-    # Gamma and every witness are those of format 0.3.0; the top block keeps
-    # only the generators 0.3.0 marked, in marked order
-    old = _format_0_3_0_data()
-    old_gamma = old.pop("gamma")
-    new = copy.deepcopy(a5_cert)
-    new_gamma = new.pop("gamma")
-    del old["version"], new["version"]
-    assert new == old
-    assert new_gamma == {
-        "generators": [old_gamma["generators"][i] for i in old_gamma["marked"]],
-        "order": old_gamma["order"],
-        "marked": list(range(len(old_gamma["marked"]))),
+# The k2-mixed benchmark family (SL25+E16A5, d=2, k=2, budget 2) at seed 7
+# as format 0.6.0 wrote it.  Format 0.7.0 kept the layout and changed the
+# choices of conjugators, lifts and lattice order, which the verifier
+# accepts in any valid form.
+FORMAT_0_6_0_CERT = pathlib.Path(__file__).parent / "data" / "k2-mixed-seed7-format-0.6.0.json"
+
+
+def test_format_0_6_0_certificate_is_valid_only_when_forced(capsys):
+    text = FORMAT_0_6_0_CERT.read_text()
+    assert _sha256(text) == BENCH_FAMILY_SEED7_DIGESTS["SL25+E16A5", 2, 2]["0.6.0"]
+    data = json.loads(text)
+    refused = verify_certificate(data)
+    assert not refused.valid and "version" in refused.message
+    assert main(["verify", str(FORMAT_0_6_0_CERT)]) == 1
+    assert verify_certificate(data, force_version=True).valid
+    assert main(["verify", str(FORMAT_0_6_0_CERT), "--force"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_top_gamma_block_holds_the_marked_generators(groups, a5_cert):
+    # Level 0 derives more generators of Gamma than it needs; the top block
+    # keeps only the marked ones, in marked order.
+    top = construct((groups["A5"],), d=2, k=1, names=("A5",), seed=7, budget=2).top
+    assert len(top.marked) < len(top.gamma_gens)
+    assert a5_cert["gamma"] == {
+        "generators": [{"0": format_cycles(top.gamma_gens[i])} for i in top.marked],
+        "order": top.gamma.order,
+        "marked": list(range(len(top.marked))),
     }
 
 

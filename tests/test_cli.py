@@ -1,8 +1,9 @@
 import json
+import pathlib
 
 import pytest
 
-from perfectcover import catalog
+from perfectcover import catalog, construction
 from perfectcover.cli import main
 from perfectcover.errors import InputError
 from perfectcover.groupfile import (
@@ -121,6 +122,21 @@ def test_cli_construct_verify_round_trip(tmp_path, capsys):
         ["construct", str(fam), "--seed", "7", "--budget", "2", "-o", str(cert2)]
     ) == 0
     assert cert_path.read_bytes() == cert2.read_bytes()
+
+
+@pytest.mark.parametrize("budget", ["-3", "0", "1"])
+def test_cli_construct_rejects_a_budget_below_2(tmp_path, capsys, monkeypatch, budget):
+    # refused before any search: admissibility is never asked
+    def refuse(*args):
+        raise AssertionError("admissibility was checked")
+
+    monkeypatch.setattr(construction, "is_in_Y", refuse)
+    family = pathlib.Path(__file__).parent.parent / "bench" / "families" / "k1-cover.txt"
+    cert_path = tmp_path / "cert.json"
+    args = ["construct", str(family), "--budget", budget, "-o", str(cert_path)]
+    assert main(args) == 1
+    assert "budget must be at least 2" in capsys.readouterr().err
+    assert not cert_path.exists()
 
 
 def test_cli_verify_rejects_tampered(tmp_path, capsys):

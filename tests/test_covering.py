@@ -1,10 +1,17 @@
+import json
 import math
 import random
+import sys
 
 import pytest
 from conftest import count_permutation_calls
 
-from perfectcover import covering, groups as groups_module
+from perfectcover import catalog, covering, groups as groups_module, structure
+from perfectcover.certificates import (
+    dumps_certificate,
+    serialize_certificate,
+    verify_certificate,
+)
 from perfectcover.construction import construct
 from perfectcover.covering import (
     CoveringCertificate,
@@ -275,7 +282,7 @@ def test_covering_loops_take_no_permutation_products(groups, monkeypatch):
     table = _ClassTable(A6)
     assert table.power_sizes(table.classes_of(classes[0])) == (72, 360)
     decomposer = _LayeredDecomposer(table, gens, 2)
-    assert decomposer.saturated_at is not None
+    assert len(decomposer.layers[-1]) == len(table.members)
     assert calls == {"__mul__": 0, "inverse": 0}
 
 
@@ -310,8 +317,9 @@ def test_t_values_take_no_product_per_value(groups, monkeypatch):
 
 class _ElementLayerDecomposer:
     """The element-level decomposer the class-level one replaced, kept as
-    its reference: it stores every layer below saturation as a dict from
-    each product to its first (layer i-1 factor, class member)."""
+    the reference for which targets are reachable: it stores every layer
+    below saturation as a dict from each product to its first (layer i-1
+    factor, class member)."""
 
     def __init__(self, S, gens, e):
         self.S, self.gens, self.e, self.g = S, tuple(gens), e, len(gens)
@@ -363,9 +371,10 @@ class _ElementLayerDecomposer:
 
 
 @pytest.mark.parametrize("name", ["A5", "A6", "PSL27"])
-def test_decompose_equals_element_layer_reference(groups, name):
-    # The lazy insertion orders must pick the same back-pointers, and so
-    # the same conjugators, as the stored element layers.
+def test_decompose_agrees_with_element_layer_reference(groups, name):
+    # The class layers refuse exactly the targets the stored element layers
+    # cannot reach; every row multiplies back to its target, and past
+    # saturation every conjugator is the identity (m_j itself qualifies).
     S = groups[name]
     rng = random.Random(1729)
     elements = enumerate_elements(S)
@@ -376,16 +385,25 @@ def test_decompose_equals_element_layer_reference(groups, name):
         for e in (1, 2, 3):
             reference = _ElementLayerDecomposer(S, gens, e)
             decomposer = _LayeredDecomposer(table, gens, e)
-            assert decomposer.saturated_at == reference.saturated_at
+            saturated = reference.saturated_at
+            if saturated is not None:
+                assert len(decomposer.layers) == saturated + 1
             reachable = 0
             for target in targets:
                 try:
-                    expected = reference.decompose(target)
+                    reference.decompose(target)
                 except PreconditionError:
                     with pytest.raises(PreconditionError):
                         decomposer.decompose(target)
                     continue
-                assert decomposer.decompose(target) == expected
+                rows = decomposer.decompose(target)
+                product = S.identity
+                for t, row in enumerate(rows):
+                    for j, r in enumerate(row):
+                        product = product * gens[j].conjugate(r)
+                        if saturated is not None and t * size + j >= saturated:
+                            assert r.is_identity()
+                assert product == target
                 reachable += 1
             assert reachable > 0
 
@@ -413,20 +431,21 @@ def test_covering_number_equals_element_powers(groups, name):
 
 def test_k1_cover_walks_each_factor_once(groups, monkeypatch):
     # seed 7 of bench/families/k1-cover.txt: 3 simple factors, 61 cover
-    # generators each.  The decomposers walk a generator's orbit only for
-    # the positions they read below saturation (183 walks when every
-    # generator's class was stored), and each factor is enumerated once,
-    # inside the class walk of its class table.
+    # generators each.  The decomposers read their conjugators off the
+    # class tables, so no generator's class is walked on its own, and each
+    # factor is enumerated once, inside the class walk of its class table.
     orbit_walks = []
     class_walks = []
     enumerated = []
-    walk_orbit = covering.conjugation_orbit_images
+    walk_orbit = groups_module.conjugation_orbit_images
     walk_classes = covering.conjugation_orbits_images
     enumerate_group = groups_module.enumerate_elements
     inside = []
 
     def counting_orbit(S, x):
-        orbit_walks.append(S.order)
+        # a class walked on its own, not as a step of a walk of all classes
+        if sys._getframe(1).f_code is not walk_classes.__code__:
+            orbit_walks.append(S.order)
         return walk_orbit(S, x)
 
     def counting_classes(S, cap):
@@ -442,12 +461,38 @@ def test_k1_cover_walks_each_factor_once(groups, monkeypatch):
             enumerated.append(G.order)
         return enumerate_group(G, cap)
 
-    monkeypatch.setattr(covering, "conjugation_orbit_images", counting_orbit)
+    monkeypatch.setattr(groups_module, "conjugation_orbit_images", counting_orbit)
     monkeypatch.setattr(covering, "conjugation_orbits_images", counting_classes)
     monkeypatch.setattr(groups_module, "enumerate_elements", counting_enumerate)
     names = ("A5", "A6", "PSL27")
-    construct(tuple(groups[n] for n in names), d=2, k=1, names=names, seed=7, budget=61)
-    assert len(orbit_walks) <= 9
+    family = tuple(catalog.CATALOG[n].group() for n in names)
+    construct(family, d=2, k=1, names=names, seed=7, budget=61)
+    assert orbit_walks == []
     assert sorted(class_walks) == [60, 168, 360]
     assert sorted(enumerated) == [60, 168, 360]
     assert not hasattr(covering, "enumerate_elements")
+    assert not hasattr(covering, "conjugation_orbit_images")
+
+
+def test_k1_cover_walks_each_group_once_per_process(groups, monkeypatch):
+    # seed 7 of bench/families/k1-cover.txt: a simple member is its own
+    # derived subgroup, so the lattice walk of admissibility serves the
+    # split too.  Construct walks each member's classes for its lattice and
+    # for its class table; verify needs only the lattice.
+    walks = []
+    for module in (structure, covering):
+        walk = module.conjugation_orbits_images
+
+        def counting(G, cap, walk=walk):
+            walks.append(G.order)
+            return walk(G, cap)
+
+        monkeypatch.setattr(module, "conjugation_orbits_images", counting)
+    names = ("A5", "A6", "PSL27")
+    family = tuple(catalog.CATALOG[n].group() for n in names)
+    cert = construct(family, d=2, k=1, names=names, seed=7, budget=61)
+    assert sorted(walks) == [60, 60, 168, 168, 360, 360]
+    walks.clear()
+    data = json.loads(dumps_certificate(serialize_certificate(cert)))
+    assert verify_certificate(data).valid
+    assert sorted(walks) == [60, 168, 360]

@@ -415,6 +415,17 @@ def test_gaschutz_returns_generating_reps_unchanged():
     assert tuple(lifts) == tuple(SL.generators)
 
 
+def test_gaschutz_draws_from_a_large_N_without_enumerating_it(monkeypatch):
+    # |N|^k = 360^3 is over 10^6, so the candidates are draws from N's chain
+    def refuse(*args):
+        raise AssertionError("N was enumerated")
+
+    monkeypatch.setattr(words, "enumerate_elements", refuse)
+    A6 = get("A6")
+    lifts = gaschutz_lift(A6, A6, [A6.identity] * 3, rng=random.Random(5))
+    assert PermGroup(A6.degree, lifts).order == A6.order
+
+
 def test_gaschutz_rejects_nongenerating_cosets():
     S3 = get("S3")
     A3 = derived_subgroup(S3)
