@@ -260,17 +260,29 @@ class _Recorder:
         return VerificationReport(steps, all(s.ok for s in steps))
 
 
-def _parse_group(doc: dict) -> PermGroup:
+def _parse_group(doc: dict, parsed: dict) -> PermGroup:
     degree = doc["degree"]
-    gens = [parse_cycles(s, degree) for s in doc["generators"]]
-    return PermGroup(degree, gens)
+    return PermGroup(degree, _parse_gens(doc["generators"], degree, parsed))
 
 
-def _parse_gens(strings, degree: int) -> list[Permutation]:
-    return [parse_cycles(s, degree) for s in strings]
+def _parse_gens(strings, degree: int, parsed: dict) -> list[Permutation]:
+    """The permutations of cycle strings of one degree.  `parsed` holds, for
+    one verification, each (string, degree) parsed and validated so far,
+    so a repeated string is parsed once; a string that fails to parse
+    raises each time and is never kept."""
+    out = []
+    for s in strings:
+        if type(s) is not str or type(degree) is not int:
+            out.append(parse_cycles(s, degree))
+            continue
+        p = parsed.get((s, degree))
+        if p is None:
+            p = parsed[s, degree] = parse_cycles(s, degree)
+        out.append(p)
+    return out
 
 
-def _read_level(doc: dict, level: Level) -> None:
+def _read_level(doc: dict, level: Level, parsed: dict) -> None:
     """Set a level's witnesses from its document, all but the module data
     and the cover: the q-decomposition and s-in-T steps read those, so that
     a malformed one fails the step that checks it, and a later step that
@@ -279,24 +291,27 @@ def _read_level(doc: dict, level: Level) -> None:
         raise InputError("the level needs one factor per family member")
     degrees = [G.degree for G in level.family]
     level.m = doc["m"]
-    level.lifts = [_parse_gens(f["lifts"], n) for f, n in zip(doc["factors"], degrees)]
-    level.k_res = [_parse_gens(f["k_res"], n) for f, n in zip(doc["factors"], degrees)]
-    level.s_res = [_parse_gens(f["s_res"], n) for f, n in zip(doc["factors"], degrees)]
+    factors = list(zip(doc["factors"], degrees))
+    level.lifts = [_parse_gens(f["lifts"], n, parsed) for f, n in factors]
+    level.k_res = [_parse_gens(f["k_res"], n, parsed) for f, n in factors]
+    level.s_res = [_parse_gens(f["s_res"], n, parsed) for f, n in factors]
     level.words = [parse_word(w, level.m) for w in doc["words"]]
     level.marked = doc["marked"]
 
 
-def _read_module(doc: dict, level: Level) -> None:
+def _read_module(doc: dict, level: Level, parsed: dict) -> None:
     """Set each member's module basis and q coordinates, None without a
     module."""
     level.basis = [
-        None if f["module_basis"] is None else _parse_gens(f["module_basis"], G.degree)
+        None
+        if f["module_basis"] is None
+        else _parse_gens(f["module_basis"], G.degree, parsed)
         for f, G in zip(doc["factors"], level.family)
     ]
     level.q_coords = [f["q_coords"] for f in doc["factors"]]
 
 
-def _read_cover(doc: dict, level: Level) -> None:
+def _read_cover(doc: dict, level: Level, parsed: dict) -> None:
     """Set the cover (factor_of, tuples, e, r), None if the document has
     none; cover tuple idx belongs to the level's simple factor idx."""
     cover = doc["cover"]
@@ -305,9 +320,12 @@ def _read_cover(doc: dict, level: Level) -> None:
         return
     factor_of = [j for j, _ in level.simple_factors]
     degrees = [level.family[j].degree for j in factor_of]
-    tuples = [_parse_gens(tup, n) for tup, n in zip(cover["tuples"], degrees)]
+    tuples = [_parse_gens(tup, n, parsed) for tup, n in zip(cover["tuples"], degrees)]
     r = [
-        [[_parse_gens(row, n) for row in per_idx] for per_idx, n in zip(per_l, degrees)]
+        [
+            [_parse_gens(row, n, parsed) for row in per_idx]
+            for per_idx, n in zip(per_l, degrees)
+        ]
         for per_l in doc["r"]
     ]
     level.cover = factor_of, tuples, cover["e"], r
@@ -334,8 +352,10 @@ def verify_certificate(
     rec = _Recorder()
     d = data["d"]
     k = data["k"]
+    # every (string, degree) this verification has parsed; dropped with it
+    parsed: dict = {}
     try:
-        family = [_parse_group(doc) for doc in data["family"]]
+        family = [_parse_group(doc, parsed) for doc in data["family"]]
         names = [doc["name"] for doc in data["family"]]
     except Exception as exc:  # noqa: BLE001
         return VerificationReport([], False, f"family data unreadable: {exc}")
@@ -373,7 +393,7 @@ def verify_certificate(
             message = f"level {k - i} does not split; later steps not run"
             return VerificationReport(rec.report().steps, False, message)
         try:
-            _read_level(doc, level)
+            _read_level(doc, level, parsed)
         except Exception as exc:  # noqa: BLE001
             return VerificationReport([], False, f"level data unreadable: {exc}")
         levels.append(level)
@@ -382,7 +402,9 @@ def verify_certificate(
     # bottom-up: each level needs the deeper gamma's marked generators
     for idx in range(len(levels) - 1, -1, -1):
         deeper = levels[idx + 1] if idx + 1 < len(levels) else None
-        _verify_level(rec, levels[idx], data["levels"][idx], deeper, d, data["budget"])
+        _verify_level(
+            rec, levels[idx], data["levels"][idx], deeper, d, data["budget"], parsed
+        )
 
     _verify_top(rec, data, levels)
     return rec.report()
@@ -435,7 +457,7 @@ def _check_r_shape(doc: dict, m: int, n_factors: int) -> None:
 
 
 def _verify_level(
-    rec, level: Level, doc: dict, deeper: Level | None, d: int, budget: int
+    rec, level: Level, doc: dict, deeper: Level | None, d: int, budget: int, parsed: dict
 ) -> None:
     lab = f"level {level.k}"
     m = level.m
@@ -522,7 +544,7 @@ def _verify_level(
 
     # ---- q decomposition
     def check_qdec():
-        _read_module(doc, level)
+        _read_module(doc, level, parsed)
         for j, (basis, rows) in enumerate(zip(level.basis, level.q_coords)):
             A = level.A[j]
             if basis is None:
@@ -593,8 +615,8 @@ def _verify_level(
     rec.guard("s-in-T", lab, lambda: _check_r_shape(doc, m, len(level.simple_factors)))
 
     def check_sT():
-        _read_cover(doc, level)
-        check_s_in_T(level.product, level.cover, level.s_elems, level.t_group)
+        _read_cover(doc, level, parsed)
+        check_s_in_T(level.cover_values, level.s_elems, level.t_group)
 
     rec.guard("s-in-T", lab, check_sT)
 

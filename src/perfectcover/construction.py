@@ -230,7 +230,7 @@ def assemble_and_verify(level: Level) -> None:
     product = level.product
     try:
         check_Q(product, level.delta, level.q_values, level.k_elems)
-        check_s_in_T(product, level.cover, level.s_elems, level.t_group)
+        check_s_in_T(level.cover_values, level.s_elems, level.t_group)
         check_T(product, level.t_group, level.S)
         check_gamma_perfect(level.gamma)
         check_projections(product, level.gamma, level.family)

@@ -9,6 +9,11 @@ stabilizer-chain kernel works on subgroups of products unchanged.
 witnesses a certificate stores, and Delta, Q, T and Gamma derived from
 them.  The builder fills it in phase by phase and the verifier parses it
 from a certificate; both run the `check_*` functions below on it.
+
+A level derives its cover's values once (`CoverValues`): each of the g
+cover elements m_c and each distinct conjugator r_{l,c,t} is built once,
+and T's generators and the s-in-T row products are composed on raw images
+from those same values.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .groups import (
     derived_subgroup,
     normal_closure,
 )
-from .perms import Permutation, commutator, kernel, pack
+from .perms import BYTES_MAX_DEGREE, Permutation, commutator, kernel, pack
 from .structure import semisimple_factors, series_term, split_star_trivial, star_chain
 
 
@@ -43,19 +48,38 @@ class DirectProduct:
             total += f.degree
         self.degree = total
         self.identity = Permutation._trusted(pack(range(total)))
+        # Up to degree 256 an element is the join of one bytes block per
+        # factor: the identity's block, or the component's images shifted
+        # by the factor's offset through its translate table.
+        self._blocks = self._shifts = None
+        if total <= BYTES_MAX_DEGREE:
+            ident = self.identity.images
+            self._blocks = [
+                ident[off:off + f.degree] for off, f in zip(self.offsets, factors)
+            ]
+            self._shifts = [
+                bytes((off + i) % BYTES_MAX_DEGREE for i in range(BYTES_MAX_DEGREE))
+                for off in self.offsets
+            ]
 
     def element(self, components: dict[int, Permutation]) -> Permutation:
         """The element whose factor-j component is components[j]; factors
         without a component get the identity."""
-        images = list(range(self.degree))
         for j, p in components.items():
             if not 0 <= j < len(self.factors):
                 raise InputError(f"no factor with index {j}")
             if p.degree != self.factors[j].degree:
                 raise InputError("component degree mismatch")
-            off = self.offsets[j]
-            images[off:off + p.degree] = [off + im for im in p.images]
-        return Permutation._trusted(pack(images))
+        if self._shifts is None:
+            images = list(range(self.degree))
+            for j, p in components.items():
+                off = self.offsets[j]
+                images[off:off + p.degree] = [off + im for im in p.images]
+            return Permutation._trusted(pack(images))
+        blocks = self._blocks.copy()
+        for j, p in components.items():
+            blocks[j] = p.images.translate(self._shifts[j])
+        return Permutation._trusted(b"".join(blocks))
 
     def project(self, g: Permutation, j: int) -> Permutation:
         """Component of a block-preserving permutation in factor j."""
@@ -115,32 +139,6 @@ def _factor_product(product: DirectProduct, factor_of, parts) -> Permutation:
     return product.element(comps)
 
 
-def _cover_element(product: DirectProduct, factor_of, tuples, c: int) -> Permutation:
-    """m_c: the c-th cover generator of every simple factor at once."""
-    return _factor_product(product, factor_of, [tup[c] for tup in tuples])
-
-
-def _conjugator_element(
-    product: DirectProduct, factor_of, r, l: int, c: int, t: int
-) -> Permutation:
-    """r_{l,c,t}: the conjugator of m_c in term t of residue l's decomposition."""
-    return _factor_product(product, factor_of, [rows[t][c] for rows in r[l]])
-
-
-def cover_row_product(
-    product: DirectProduct, factor_of, tuples, r, l: int, e: int
-) -> Permutation:
-    """The product over t < e, c < g of m_c ** r_{l,c,t}; by construction it
-    equals the semisimple residue s_l."""
-    x = product.identity
-    for t in range(e):
-        for c in range(len(tuples[0])):
-            x = x * _cover_element(product, factor_of, tuples, c).conjugate(
-                _conjugator_element(product, factor_of, r, l, c, t)
-            )
-    return x
-
-
 def _distinct(values) -> list[Permutation]:
     seen: set[Permutation] = set()
     out = []
@@ -167,23 +165,66 @@ def q_values(product: DirectProduct, q_elems, lifts) -> list[Permutation]:
     return _distinct(v for v in values if not v.is_identity())
 
 
-def t_values(product: DirectProduct, factor_of, tuples, r, e: int) -> list[Permutation]:
-    """T's generators: the distinct m_{c'} ** r_{l,c,t} over (l, c, t, c')
-    in that order."""
-    g = len(tuples[0])
-    table, compose, invert = kernel(product.degree)
-    cover_tables = [
-        table(_cover_element(product, factor_of, tuples, c).images) for c in range(g)
-    ]
-    values: dict = {}
-    for l in range(len(r)):
+class CoverValues:
+    """A level's cover on raw images, derived once per level.
+
+    From the cover (factor_of, tuples, e, r) it builds each of the g cover
+    elements m_c once and each distinct conjugator column r_{l,c,t} once,
+    and composes each distinct conjugator once with every m_c.
+    `columns[l][c][t]` numbers r_{l,c,t} among the distinct conjugators, in
+    first-seen (l, c, t) order, and `conjugates[n][c]` holds the images of
+    m_c ** (conjugator n).  T's generators and the cover-row products are
+    read off these values; a repeated conjugator only repeats values
+    already seen.
+    """
+
+    def __init__(self, product: DirectProduct, cover):
+        factor_of, tuples, e, r = cover
+        g = len(tuples[0])
+        self.e, self.g = e, g
+        self.identity = product.identity
+        self._table, compose, invert = kernel(product.degree)
+        self._compose = compose
+        elements = []
         for c in range(g):
-            for t in range(e):
-                conj = _conjugator_element(product, factor_of, r, l, c, t).images
-                inv, conj_table = invert(conj), table(conj)
-                for m_table in cover_tables:
-                    values[compose(compose(inv, m_table), conj_table)] = None
-    return [Permutation._trusted(v) for v in values]
+            m_c = _factor_product(product, factor_of, [tup[c] for tup in tuples])
+            elements.append(self._table(m_c.images))
+        number: dict = {}
+        self.columns: list[list[list[int]]] = []
+        self.conjugates: list[list] = []
+        for blocks in r:
+            per_c = []
+            for c in range(g):
+                per_t = []
+                for t in range(e):
+                    parts = [rows[t][c] for rows in blocks]
+                    key = tuple(p.images for p in parts)
+                    if key not in number:
+                        number[key] = len(self.conjugates)
+                        conj = _factor_product(product, factor_of, parts).images
+                        inv, conj_table = invert(conj), self._table(conj)
+                        self.conjugates.append(
+                            [compose(compose(inv, m), conj_table) for m in elements]
+                        )
+                    per_t.append(number[key])
+                per_c.append(per_t)
+            self.columns.append(per_c)
+
+    def t_values(self) -> list[Permutation]:
+        """T's generators: the distinct m_{c'} ** r_{l,c,t} over (l, c, t, c')
+        in that order, each distinct conjugator composed once per m_{c'}."""
+        values = dict.fromkeys(v for row in self.conjugates for v in row)
+        return [Permutation._trusted(v) for v in values]
+
+    def row_product(self, l: int) -> Permutation:
+        """The product over t < e, c < g of m_c ** r_{l,c,t}; by construction
+        it equals the semisimple residue s_l."""
+        x = self.identity.images
+        columns = self.columns[l]
+        for t in range(self.e):
+            for c in range(self.g):
+                x = self._compose(x, self._table(self.conjugates[columns[c][t]][c]))
+        return Permutation._trusted(x)
 
 
 def gamma_generators(delta, q_vals, t_vals) -> list[Permutation]:
@@ -285,11 +326,13 @@ class Level:
         return q_values(self.product, self.q_elems, self.lifts)
 
     @cached_property
+    def cover_values(self) -> CoverValues | None:
+        """The cover's values, None without a cover."""
+        return None if self.cover is None else CoverValues(self.product, self.cover)
+
+    @cached_property
     def t_values(self) -> list[Permutation]:
-        if self.cover is None:
-            return []
-        factor_of, tuples, e, r = self.cover
-        return t_values(self.product, factor_of, tuples, r, e)
+        return [] if self.cover_values is None else self.cover_values.t_values()
 
     @cached_property
     def t_group(self) -> PermGroup:
@@ -327,17 +370,15 @@ def check_Q(product: DirectProduct, delta, q_vals, k_elems) -> None:
             raise VerificationError(f"abelian residue {i} is not in Q")
 
 
-def check_s_in_T(product: DirectProduct, cover, s_elems, t_group: PermGroup) -> None:
+def check_s_in_T(cover: CoverValues | None, s_elems, t_group: PermGroup) -> None:
     """Each semisimple residue s_l is its cover-row product and lies in T.
-    `cover` is (factor_of, tuples, e, r), or None when there is no cover,
-    and then every residue must be trivial."""
+    Without a cover (None) every residue must be trivial."""
     if cover is None:
         if not all(s.is_identity() for s in s_elems):
             raise VerificationError("nontrivial semisimple residue with no T")
         return
-    factor_of, tuples, e, r = cover
     for l, s in enumerate(s_elems):
-        if cover_row_product(product, factor_of, tuples, r, l, e) != s:
+        if cover.row_product(l) != s:
             raise VerificationError(f"row {l}: cover product does not equal the residue")
         if s not in t_group:
             raise VerificationError(f"row {l}: semisimple residue is not in T")

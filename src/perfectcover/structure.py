@@ -84,11 +84,12 @@ def normal_subgroups(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGroup
             covered.update(y.images for y in _coprime_powers(x))
             candidates.append((len(sizes), x))
         sizes.append(len(orbit))
-    # A class whose closure cannot be proper adds nothing; sizes[0] is the
-    # identity's class, which the walk meets first.
+    # A class whose closure cannot be proper adds nothing.  sizes[0] is the
+    # identity's class, which the walk meets first: candidate 0, whose
+    # closure is the trivial group registered above, so it is skipped.
     n = G.order
     divisors = [d for d in range(1, n // 2 + 1) if n % d == 0]
-    for i, x in candidates:
+    for i, x in candidates[1:]:
         if _may_be_proper(divisors, sizes[i], sizes[1:i] + sizes[i + 1 :]):
             register(normal_closure(G, [x]))
     # Pairs within found[:old] were joined on the previous pass, so their

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import tamper_conjugator
 
-from perfectcover import __version__
+from perfectcover import __version__, certificates
 from perfectcover.certificates import (
     dumps_certificate,
     serialize_certificate,
@@ -248,6 +248,23 @@ def test_w2a5_family_constructs_and_verifies():
     assert verify_certificate(json.loads(text)).valid
 
 
+# tests/data/k2-W3A5-SL25.txt at seed 7, budget 2: W3A5 = 3^4:A5, an
+# affine group of order 4860, beside SL(2,5).
+W3A5_SL25_K2_SEED7_DIGESTS = {
+    "0.7.0": "3b26ed17ab85e8fd79ccb2128062f79e6e30ee39b7134648c5fabc2e9a39f413",
+}
+
+
+def test_w3a5_beside_sl25_family_constructs_and_verifies():
+    family = pathlib.Path(__file__).parent / "data" / "k2-W3A5-SL25.txt"
+    names, members, d, k = parse_family_file(str(family))
+    assert [G.order for G in members] == [4860, 120]
+    cert = construct(members, d=d, k=k, names=names, seed=7, budget=2)
+    text = dumps_certificate(serialize_certificate(cert))
+    _assert_pinned(text, W3A5_SL25_K2_SEED7_DIGESTS)
+    assert verify_certificate(json.loads(text)).valid
+
+
 # tests/data/k2-W7A5.txt at seed 7, budget 2: W7A5 = 7^4:A5 has a module
 # of 2401 elements, whose basis and coordinates the certificate stores.
 W7A5_K2_SEED7_DIGESTS = {
@@ -452,6 +469,72 @@ def test_conjugator_rows_match_the_cover(mixed_cert):
     report = verify_certificate(data)
     assert not report.valid
     assert report.failed_steps() == ["s-in-T"]
+
+
+def test_verify_parses_each_distinct_string_once(groups, monkeypatch):
+    # seed-7 k1-cover: the verifier parses each distinct (string, degree)
+    # of the document once, however often it repeats
+    names = ("A5", "A6", "PSL27")
+    cert = construct(
+        tuple(groups[n] for n in names), d=2, k=1, names=names, seed=7, budget=61
+    )
+    data = json.loads(dumps_certificate(serialize_certificate(cert)))
+    degrees = [f["degree"] for f in data["family"]]
+    level = data["levels"][0]
+    strings = [(s, f["degree"]) for f in data["family"] for s in f["generators"]]
+    for f, n in zip(level["factors"], degrees):
+        assert f["module_basis"] is None
+        strings += [(s, n) for key in ("lifts", "k_res", "s_res") for s in f[key]]
+    # every member is simple, so cover tuple idx belongs to member idx
+    strings += [(s, n) for tup, n in zip(level["cover"]["tuples"], degrees) for s in tup]
+    strings += [
+        (s, n)
+        for per_l in level["r"]
+        for per_idx, n in zip(per_l, degrees)
+        for row in per_idx
+        for s in row
+    ]
+    calls = []
+    original = certificates.parse_cycles
+
+    def counting(text, degree):
+        calls.append((text, degree))
+        return original(text, degree)
+
+    monkeypatch.setattr(certificates, "parse_cycles", counting)
+    assert verify_certificate(data).valid
+    assert sorted(calls) == sorted(set(strings))
+    assert len(calls) < len(strings)
+
+
+def test_malformed_conjugator_repeated_in_two_rows_fails_s_in_T(
+    a5_cert, tmp_path, capsys
+):
+    # a string that fails to parse fails the step that reads it, wherever
+    # it repeats; no parse result of it is kept
+    data = copy.deepcopy(a5_cert)
+    r = data["levels"][0]["r"]
+    assert len(r) == 2
+    r[0][0][0][0] = r[1][0][0][0] = "(1 2 2)"
+    report = verify_certificate(data)
+    assert not report.valid
+    problems = {s.name: s.problems for s in report.steps}
+    assert any("repeated point" in p for p in problems["s-in-T"])
+    path = tmp_path / "cert.json"
+    path.write_text(dumps_certificate(data))
+    assert main(["verify", str(path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_parse_failures_are_not_kept():
+    parsed = {}
+    assert certificates._parse_gens(["(1 7)"], 7, parsed) == [parse_cycles("(1 7)", 7)]
+    for _ in range(2):
+        with pytest.raises(InputError, match="out of range"):
+            certificates._parse_gens(["(1 7)"], 5, parsed)
+        with pytest.raises(InputError, match="repeated point"):
+            certificates._parse_gens(["(1 2 2)"], 5, parsed)
+    assert list(parsed) == [("(1 7)", 7)]
 
 
 def test_covering_exponent_must_be_an_integer(groups):

@@ -27,7 +27,7 @@ from perfectcover.covering import (
 )
 from perfectcover.errors import InputError, PreconditionError
 from perfectcover.perms import Permutation, kernel, parse_cycles
-from perfectcover.products import _conjugator_element, _cover_element, t_values
+from perfectcover.products import CoverValues, DirectProduct, check_s_in_T
 from perfectcover.groups import (
     PermGroup,
     centralizer,
@@ -287,8 +287,9 @@ def test_covering_loops_take_no_permutation_products(groups, monkeypatch):
 
 
 def test_t_values_take_no_product_per_value(groups, monkeypatch):
-    # T's generators come from image compositions: Permutation products are
-    # allowed only in building the conjugator and cover elements themselves.
+    # A level builds each cover element m_c and each distinct conjugator
+    # column r_{l,c,t} once as a DirectProduct element; T's generators and
+    # the s-in-T row products are composed on images from those values.
     names = ("A5", "A6", "PSL27")
     cert = construct(
         tuple(groups[n] for n in names), d=2, k=1, names=names, seed=7, budget=61
@@ -296,23 +297,56 @@ def test_t_values_take_no_product_per_value(groups, monkeypatch):
     level = cert.levels[-1]
     product = level.product
     factor_of, tuples, e, r = level.cover
-    args = (product, factor_of, tuples, r, e)
     g, m = len(tuples[0]), len(r)
+
+    def element(parts):
+        # simple factors of one member multiply into its component
+        comps = {}
+        for j, part in zip(factor_of, parts):
+            comps[j] = comps[j] * part if j in comps else part
+        return product.element(comps)
+
+    cover_elements = [element([tup[c] for tup in tuples]) for c in range(g)]
+    columns = {
+        (l, c, t): element([rows[t][c] for rows in r[l]])
+        for l in range(m)
+        for c in range(g)
+        for t in range(e)
+    }
     reference = {}
+    for conj in columns.values():
+        for m_c in cover_elements:
+            reference.setdefault(conj.inverse() * m_c * conj, None)
+    row_products = []
     for l in range(m):
-        for c in range(g):
-            for t in range(e):
-                conj = _conjugator_element(product, factor_of, r, l, c, t)
-                for c2 in range(g):
-                    m_c = _cover_element(product, factor_of, tuples, c2)
-                    reference.setdefault(conj.inverse() * m_c * conj, None)
-    calls = count_permutation_calls(monkeypatch)
-    values = t_values(*args)
-    assert values == list(reference) == level.t_values
-    n_conjugators = m * g * e
-    assert calls["__mul__"] <= n_conjugators + g
-    assert calls["__mul__"] < len(values)
-    assert calls["inverse"] == 0
+        x = product.identity
+        for t in range(e):
+            for c in range(g):
+                x = x * cover_elements[c].conjugate(columns[l, c, t])
+        row_products.append(x)
+    distinct = len(set(columns.values()))
+    assert (g, m * g * e, distinct) == (61, 122, 5)
+
+    calls = {"element": 0}
+    original = DirectProduct.element
+
+    def counting(*args):
+        calls["element"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(DirectProduct, "element", counting)
+    products = count_permutation_calls(monkeypatch)
+    values = CoverValues(product, level.cover)
+    assert values.t_values() == list(reference) == level.t_values
+    assert calls["element"] <= g + distinct
+    built = calls["element"]
+    assert [values.row_product(l) for l in range(m)] == row_products == level.s_elems
+    assert calls["element"] == built
+    # the level's own values are shared by T and the s-in-T check
+    check_s_in_T(level.cover_values, level.s_elems, level.t_group)
+    assert calls["element"] == built
+    # every member is simple, so no component is a product of two parts
+    assert products == {"__mul__": 0, "inverse": 0}
 
 
 class _ElementLayerDecomposer:

@@ -1,7 +1,7 @@
 """The permutation kernel against sympy.combinatorics, which shares no code
 with it: group orders, membership, derived subgroups, centers and normal
 closures on every catalog group, on subgroups generated by products of
-catalog generators, and on the group files W2A5 and W7A5.  sympy is a
+catalog generators, and on the group files W2A5, W3A5 and W7A5.  sympy is a
 test-only dependency; without it this module is skipped."""
 
 import pathlib
@@ -24,8 +24,8 @@ from perfectcover.perms import Permutation  # noqa: E402
 SymPerm = sympy_comb.Permutation
 SymGroup = sympy_comb.PermutationGroup
 DATA = pathlib.Path(__file__).parent / "data"
-# C_p^4 : A5 for p = 2 and 7, each with a module of p^4 elements
-GROUP_FILES = ("W2A5", "W7A5")
+# C_p^4 : A5 for p = 2, 3 and 7, each with a module of p^4 elements
+GROUP_FILES = ("W2A5", "W3A5", "W7A5")
 
 
 def _sym(p: Permutation):

@@ -148,7 +148,7 @@ def test_s_in_T_check_needs_a_cover_for_a_nontrivial_residue(groups):
     prod = DirectProduct((groups["A5"],))
     s = prod.element({0: P("(1 2 3)", 5)})
     with pytest.raises(VerificationError, match="nontrivial semisimple residue with no T"):
-        check_s_in_T(prod, None, [s], prod.subgroup([]))
+        check_s_in_T(None, [s], prod.subgroup([]))
 
 
 def test_T_check_rejects_an_abelian_T(groups):

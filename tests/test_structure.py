@@ -384,10 +384,10 @@ def test_level_drops_by_one_in_the_quotient(groups):
     "name, orders, closures",
     # At most one closure per cyclic class (A5: the two classes of 5-cycles
     # are x and x^2; SL(2,5): also the two classes of elements of order 10),
-    # and, as G is listed from the start, only the classes the class
-    # equation leaves open: the identity in A5, and also the centre
-    # {1, -1} in SL(2,5).
-    [("A5", [1, 60], 1), ("SL25", [1, 2, 120], 2)],
+    # and, as the trivial group and G are listed from the start, only the
+    # nonidentity classes the class equation leaves open: none in A5, the
+    # centre {1, -1} in SL(2,5).
+    [("A5", [1, 60], 0), ("SL25", [1, 2, 120], 1)],
     ids=["A5", "SL25"],
 )
 def test_normal_subgroups_take_one_closure_per_cyclic_class(
