@@ -7,13 +7,12 @@ plain breadth-first closure, and looks at its class structure.
 
 from perfectcover.groups import (
     PermGroup,
-    centralizer,
-    conjugacy_classes,
+    conjugation_orbits_images,
     derived_subgroup,
     enumerate_elements,
     mulclose,
 )
-from perfectcover.perms import parse_cycles
+from perfectcover.perms import Permutation, parse_cycles
 
 a = parse_cycles("(1 2 3 4 5)", 5)
 b = parse_cycles("(1 2 3)", 5)
@@ -28,13 +27,16 @@ print("  (1 2) is a member:  ", parse_cycles("(1 2)", 5) in A5)
 
 print("  perfect:", derived_subgroup(A5).order == A5.order)
 
+elements = enumerate_elements(A5)
 print("conjugacy classes:")
-for cls in conjugacy_classes(A5):
-    rep = cls[0]
+for orbit in conjugation_orbits_images(A5):
+    rep = Permutation(next(iter(orbit)))
+    # the centralizer of rep, by filtering the element list
+    centralizer = sum(1 for h in elements if h * rep == rep * h)
     print(
-        f"  size {len(cls):2d}  centralizer {centralizer(A5, rep).order:2d}  "
-        f"product {len(cls) * centralizer(A5, rep).order}"
+        f"  size {len(orbit):2d}  centralizer {centralizer:2d}  "
+        f"product {len(orbit) * centralizer}"
     )
 
-assert len(enumerate_elements(A5)) == 60
+assert len(elements) == 60
 print("all 60 elements enumerate without duplicates")

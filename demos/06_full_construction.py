@@ -10,10 +10,10 @@ import tempfile
 
 from perfectcover import catalog
 from perfectcover.certificates import (
+    dumps_certificate,
     load_certificate,
     serialize_certificate,
     verify_certificate,
-    write_certificate,
 )
 from perfectcover.construction import construct
 from perfectcover.groups import derived_subgroup
@@ -40,7 +40,8 @@ for lvl in cert.levels:
 
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "certificate.json")
-    write_certificate(serialize_certificate(cert), path)
+    with open(path, "w") as fh:
+        fh.write(dumps_certificate(serialize_certificate(cert)))
     print(f"certificate of {os.path.getsize(path)} bytes written and read back")
     report = verify_certificate(load_certificate(path))
 print("independent verification:", "valid" if report.valid else "INVALID")

@@ -166,11 +166,6 @@ def dumps_certificate(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def write_certificate(data: dict, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_certificate(data))
-
-
 def load_certificate(path) -> dict:
     """The JSON object in a file; InputError if it holds anything else."""
     with open(path) as fh:

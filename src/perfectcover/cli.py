@@ -120,6 +120,8 @@ def cmd_cover(args) -> int:
     from .perms import format_cycles, parse_cycles
 
     S = resolve_group(args.group)
+    # parse every argument before printing anything
+    target = None if args.witness is None else parse_cycles(args.witness, S.degree)
     if args.class_rep is None:
         rep = next(
             (g for g in sorted(S.elements()) if not g.is_identity()), None
@@ -133,8 +135,7 @@ def cmd_cover(args) -> int:
     print(f"class of {format_cycles(rep)}: size {len(cls)}")
     print(f"covering number e={cert.e}")
     print("power sizes: " + " ".join(str(s) for s in cert.power_sizes))
-    if args.witness is not None:
-        target = parse_cycles(args.witness, S.degree)
+    if target is not None:
         rows = decompose_conjugate_product(S, target, [rep], cert.e, args.cap)
         parts = []
         for t in range(cert.e):

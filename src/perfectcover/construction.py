@@ -193,7 +193,7 @@ def build_T(level: Level, budget: int, rng, cap: int = ENUMERATION_CAP) -> None:
         return
     factor_of = [j for j, _ in level.simple_factors]
     flat_factors = [M for _, M in level.simple_factors]
-    tuples, _ = cover_tuples(flat_factors, budget, rng, cap)
+    tuples = cover_tuples(flat_factors, budget, rng)
     # X = class(m_1) ... class(m_g) and its powers are unions of classes
     class_tables = [_ClassTable(M, cap) for M in flat_factors]
     e_per_factor = []

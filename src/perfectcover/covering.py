@@ -7,34 +7,29 @@ lies in P for some q in Q, z_k the representative of k (Arad-Herzog,
 *Products of Conjugacy Classes in Groups*, LNM 1112, 1985).  Decompositions
 into products of conjugates of given generators follow back-pointers
 through those layers and read their conjugators off the same walk, so no
-generator's class is walked again.  The cover provider builds, for a
-finite list of simple groups, a bounded tuple of elements of their direct
-product generating a perfect subgroup that surjects onto every factor.
+generator's class is walked again.  `cover_tuples` draws, for a list of
+simple groups, one generating tuple of each of a common bounded length;
+the construction's T is generated by the componentwise products of these
+tuples.
 
 Element loops run on raw images through `perms.kernel`, and a
-`Permutation` is built only for what a function returns.  `product_set`
-multiplies element sets, for callers and tests that need the elements.
+`Permutation` is built only for what a function returns.
 """
 
 from __future__ import annotations
 
-import random
-
-from .errors import InputError, InternalError, PreconditionError
+from .errors import InternalError, PreconditionError
 from .groups import (
     ENUMERATION_CAP,
     PermGroup,
     StabilizerChain,
-    conjugacy_class_of,
     conjugation_orbits_images,
-    derived_subgroup,
     is_abelian,
 )
 from .perms import Permutation, kernel
 from .products import DirectProduct
 from .structure import normal_subgroups
 
-_COVER_BUDGET_MAX = 61
 _COVER_RETRIES = 64
 _GENERATING_TUPLE_RETRIES = 512
 _wrap = Permutation._trusted
@@ -44,27 +39,6 @@ def is_simple_nonabelian(S: PermGroup, cap: int = ENUMERATION_CAP) -> bool:
     if is_abelian(S) or S.order == 1:
         return False
     return len(normal_subgroups(S, cap)) == 2
-
-
-def product_set(X, Y, cap: int = ENUMERATION_CAP) -> frozenset:
-    """{x * y : x in X, y in Y}, element by element."""
-    X = [x.images for x in X]
-    Y = [y.images for y in Y]
-    if len(X) * len(Y) > cap * 64:
-        raise PreconditionError("product set computation over the cap")
-    if not X or not Y:
-        return frozenset()
-    degree = len(X[0])
-    if any(len(a) != degree for a in X) or any(len(b) != degree for b in Y):
-        raise InputError("degree mismatch in product")
-    table, compose, _ = kernel(degree)
-    tables = [table(b) for b in Y]
-    out = set()
-    for a in X:
-        out.update([compose(a, t) for t in tables])
-        if len(out) > cap:
-            raise PreconditionError("product set exceeded the cap")
-    return frozenset(map(_wrap, out))
 
 
 class _ClassTable:
@@ -191,38 +165,6 @@ def covering_number(
     return cert
 
 
-def pick_small_centralizer_gen(
-    S: PermGroup, gens, cap: int = ENUMERATION_CAP
-) -> int:
-    """Index of a generator with minimal centralizer order.
-
-    For a generating t-tuple of a simple group the selected generator always
-    satisfies |C(m)|^t <= |S|^(t-1): the centralizers of a generating set
-    intersect in the trivial center, so they cannot all have small index.
-    """
-    gens = tuple(gens)
-    if not gens:
-        raise PreconditionError("empty generating tuple")
-    if StabilizerChain(S.degree, gens).order() != S.order:
-        raise PreconditionError("tuple does not generate the group")
-    if not is_simple_nonabelian(S, cap):
-        raise PreconditionError("group is not simple nonabelian")
-    orders = []
-    for m in gens:
-        cls = conjugacy_class_of(S, m)
-        if S.order % len(cls):
-            raise InternalError("class size does not divide the group order")
-        orders.append(S.order // len(cls))
-    best = min(range(len(gens)), key=lambda i: (orders[i], i))
-    t = len(gens)
-    if orders[best] ** t > S.order ** (t - 1):
-        raise InternalError(
-            "pigeonhole bound failed for a generating tuple; this contradicts "
-            "the trivial center of a simple group"
-        )
-    return best
-
-
 class _LayeredDecomposer:
     """Back-pointers through the products of the classes of m_1..m_g.
 
@@ -302,29 +244,6 @@ def decompose_conjugate_product(
     return _LayeredDecomposer(_ClassTable(S, cap), gens, e).decompose(target)
 
 
-class SemisimpleCover:
-    """A bounded generating tuple of a perfect subdirect subgroup of a
-    product of simple groups."""
-
-    __slots__ = ("product", "factors", "gens", "group", "full_product", "budget")
-
-    def __init__(
-        self,
-        product: DirectProduct,
-        factors: tuple[PermGroup, ...],
-        gens: tuple[Permutation, ...],
-        group: PermGroup,
-        full_product: bool,
-        budget: int,
-    ):
-        self.product = product
-        self.factors = factors
-        self.gens = gens
-        self.group = group
-        self.full_product = full_product
-        self.budget = budget
-
-
 def sample_generating_tuple(M: PermGroup, size: int, rng) -> list[Permutation]:
     """A seeded random generating tuple of the given size."""
     for _ in range(_GENERATING_TUPLE_RETRIES):
@@ -336,56 +255,22 @@ def sample_generating_tuple(M: PermGroup, size: int, rng) -> list[Permutation]:
     )
 
 
-def cover_tuples(factors, budget: int, rng, cap: int = ENUMERATION_CAP):
+def cover_tuples(factors, budget: int, rng) -> list[list[Permutation]]:
     """Per-factor generating tuples of size `budget`, retried so that the
-    corresponding diagonal subgroup is the full product when possible.
-
-    Returns (tuples, full_product_flag).
-    """
+    corresponding diagonal subgroup is the full product when possible."""
     factors = list(factors)
+    if len(factors) == 1:
+        return [sample_generating_tuple(factors[0], budget, rng)]
+    prod = DirectProduct(factors)
     full_order = 1
     for M in factors:
         full_order *= M.order
-    for attempt in range(_COVER_RETRIES):
+    for _ in range(_COVER_RETRIES):
         tuples = [sample_generating_tuple(M, budget, rng) for M in factors]
-        if len(factors) == 1:
-            return tuples, True
-        prod = DirectProduct(factors)
         gens = [
             prod.element({i: tuples[i][c] for i in range(len(factors))})
             for c in range(budget)
         ]
         if StabilizerChain(prod.degree, gens).order() == full_order:
-            return tuples, True
-    return tuples, False
-
-
-def semisimple_cover(
-    factors, budget: int = _COVER_BUDGET_MAX, seed: int = 0, cap: int = ENUMERATION_CAP
-) -> SemisimpleCover:
-    """Generators of a perfect subgroup of the product surjecting onto
-    every simple factor, using at most `budget` generators."""
-    factors = tuple(factors)
-    if not factors:
-        raise PreconditionError("need at least one factor")
-    if not 1 <= budget <= _COVER_BUDGET_MAX:
-        raise PreconditionError(f"budget must be between 1 and {_COVER_BUDGET_MAX}")
-    for M in factors:
-        if not is_simple_nonabelian(M, cap):
-            raise PreconditionError("every factor must be simple nonabelian")
-    if budget < 2:
-        raise PreconditionError("a simple nonabelian factor needs at least 2 generators")
-    rng = random.Random(seed)
-    tuples, full = cover_tuples(factors, budget, rng, cap)
-    prod = DirectProduct(factors)
-    gens = tuple(
-        prod.element({i: tuples[i][c] for i in range(len(factors))})
-        for c in range(budget)
-    )
-    group = prod.subgroup(gens)
-    for i, M in enumerate(factors):
-        if prod.projection_of(group, i).order != M.order:
-            raise InternalError("cover projection is not surjective")
-    if derived_subgroup(group).order != group.order:
-        raise InternalError("cover subgroup is not perfect")
-    return SemisimpleCover(prod, factors, gens, group, full, budget)
+            return tuples
+    return tuples

@@ -12,15 +12,14 @@ form a polycyclic sequence: g_i has a relative order e_i over the prefix
 subgroup <g_1 .. g_(i-1)>, and each element of A has one exponent vector w
 with 0 <= w_i < e_i, found by sifting it down the prefix chains.  The r
 power relations g_i^e_i = g_1^w_1 ... g_(i-1)^w_(i-1) span the relation
-lattice, whose Smith form maps exponent vectors to basis coordinates.  A
-submodule is a lattice too: its generators with the order rows, so that
-membership, size and equality are integer linear algebra (Holt-Eick-
-O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 8 and 9).
+lattice, whose Smith form maps exponent vectors to basis coordinates.
+Solving prod_l [q_l, a_l] = target is then one integer linear solve
+against the rows basis(T_l - 1) and the order rows (Holt-Eick-O'Brien,
+*Handbook of Computational Group Theory*, 2005, ch. 8 and 9).  The
+submodule [A, G] itself is computed on groups, by `commutator_subgroup`.
 """
 
 from __future__ import annotations
-
-import math
 
 from .errors import InternalError, PreconditionError
 from .groups import PermGroup, StabilizerChain, is_normal
@@ -135,65 +134,10 @@ class GModule:
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.rank
 
-    def add(self, u, v) -> tuple[int, ...]:
-        return tuple((a + b) % d for a, b, d in zip(u, v, self.orders))
-
-    def neg(self, u) -> tuple[int, ...]:
-        return tuple((-a) % d for a, d in zip(u, self.orders))
-
-    def apply_matrix(self, v, matrix) -> tuple[int, ...]:
-        return tuple(
-            sum(v[i] * matrix[i][j] for i in range(self.rank)) % self.orders[j]
-            for j in range(self.rank)
-        )
-
-    def augment(self, v, matrix) -> tuple[int, ...]:
-        """v * (T - 1), the coordinate form of the commutator [v, g]."""
-        return self.add(self.apply_matrix(v, matrix), self.neg(v))
-
 
 def _order_rows(M: GModule) -> list[list[int]]:
     """The rows d_i e_i, which span the coordinate vectors of the identity."""
     return [[d * e for e in row] for d, row in zip(M.orders, identity_matrix(M.rank))]
-
-
-class Submodule:
-    """A subgroup of the carrier closed under the declared action: the
-    lattice spanned by its generators and the order rows."""
-
-    __slots__ = ("module", "generators")
-
-    def __init__(self, module: GModule, generators: tuple[tuple[int, ...], ...]):
-        self.module = module
-        self.generators = generators
-
-    @property
-    def rows(self) -> list[list[int]]:
-        return [list(v) for v in self.generators] + _order_rows(self.module)
-
-    @property
-    def size(self) -> int:
-        """|A| over the lattice's index in Z^rank, its Smith diagonal's product."""
-        D = smith_normal_form(self.rows)[0]
-        return math.prod(self.module.orders) // math.prod(diagonal_of(D))
-
-    def contains(self, coords) -> bool:
-        return solve_left(self.rows, list(coords)) is not None
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Submodule)
-            and self.module is other.module
-            and all(other.contains(v) for v in self.generators)
-            and all(self.contains(v) for v in other.generators)
-        )
-
-
-def _acting_matrices(M: GModule, acting_gens) -> list[list[list[int]]]:
-    acting = M.acting_gens if acting_gens is None else tuple(acting_gens)
-    if acting == M.acting_gens:
-        return M.matrices
-    return [M.matrix_for(g) for g in acting]
 
 
 def _augmentation_rows(vectors, matrices) -> list[list[int]]:
@@ -207,52 +151,6 @@ def _augmentation_rows(vectors, matrices) -> list[list[int]]:
     ]
 
 
-def close_submodule(module: GModule, seed_vectors, matrices) -> Submodule:
-    """Smallest action-closed subgroup containing the seeds.
-
-    A seed or an image row * T outside the lattice so far joins its
-    generators, until the image of every generator is contained.
-    """
-    gens = []
-    rows = _order_rows(module)
-
-    def join(v):
-        if solve_left(rows, list(v)) is None:
-            gens.append(v)
-            rows.append(list(v))
-
-    for v in seed_vectors:
-        join(module.reduce(v))
-    for v in gens:  # walks the generators that join on the way too
-        for T in matrices:
-            join(module.apply_matrix(v, T))
-    return Submodule(module, tuple(gens))
-
-
-def augmentation_submodule(M: GModule, acting_gens=None) -> Submodule:
-    """The span of all basis(g - 1), closed under the action: [A, <acting>]."""
-    mats = _acting_matrices(M, acting_gens)
-    return close_submodule(M, _augmentation_rows(identity_matrix(M.rank), mats), mats)
-
-
-def submodule_generated(
-    M: GModule, elements, apply_augmentation: bool = False, acting_gens=None
-) -> Submodule:
-    """Action closure of the given carrier elements, optionally of their
-    images under every g - 1 first."""
-    mats = _acting_matrices(M, acting_gens)
-    vecs = [M.encode(x) for x in elements]
-    if apply_augmentation:
-        vecs = _augmentation_rows(vecs, mats)
-    return close_submodule(M, vecs, mats)
-
-
-def is_perfect_module(V: Submodule, acting_gens=None) -> bool:
-    """True iff V equals its own augmentation submodule."""
-    mats = _acting_matrices(V.module, acting_gens)
-    return close_submodule(V.module, _augmentation_rows(V.generators, mats), mats) == V
-
-
 def solve_commutator_decomposition(
     M: GModule, acting_gens, target: Permutation
 ) -> list[Permutation]:
@@ -262,7 +160,7 @@ def solve_commutator_decomposition(
     the basis orders; the result is verified by direct group arithmetic.
     """
     acting = tuple(acting_gens)
-    mats = _acting_matrices(M, acting)
+    mats = M.matrices if acting == M.acting_gens else [M.matrix_for(g) for g in acting]
     rows = _augmentation_rows(identity_matrix(M.rank), mats) + _order_rows(M)
     # No solution means the target lies outside [A, <acting>].
     x = solve_left(rows, list(M.encode(target)))

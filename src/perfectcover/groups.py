@@ -14,11 +14,11 @@ bit.  Normal closures extend one chain and keep its picks.
 
 The chain, `mulclose` and the class walks work on raw images through
 `perms.kernel` and build a `Permutation` only for what they return: a
-residue, a closure element, a class member.  Each level stores the inverse of each transversal element when it
-computes its orbit, so a sift step is one compose, and it keeps the strong
-generators that fix the earlier base points as they are added, so no pass
-filters them again.  Schreier-Sims checks
-each Schreier generator once: a level records, since its orbit was last
+closure element, a class member.  Each level stores the inverse of each
+transversal element when it computes its orbit, so a sift step is one
+compose, and it keeps the strong generators that fix the earlier base
+points as they are added, so no pass filters them again.  Schreier-Sims
+checks each Schreier generator once: a level records, since its orbit was last
 recomputed, the (orbit point, strong generator) pairs it has checked, and
 it keeps the Schreier generators that sifted to the identity.  Both stay
 true because the levels below are complete whenever a level is processed
@@ -255,11 +255,6 @@ class StabilizerChain:
             n *= len(lev.transversal)
         return n
 
-    def sift(self, g: Permutation) -> Permutation:
-        """Residue of g after stripping through the chain; identity iff member."""
-        residue, _ = self._sift_from(g.images, 0)
-        return _wrap(residue)
-
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             raise InputError("degree mismatch in membership test")
@@ -445,14 +440,6 @@ def is_normal(G: PermGroup, N: PermGroup) -> bool:
     )
 
 
-def centralizer(G: PermGroup, g: Permutation, cap: int = ENUMERATION_CAP) -> PermGroup:
-    """{h in G : hg = gh}, by filtering the element list (deliberately brute force)."""
-    if g not in G:
-        raise PreconditionError("element is not in the group")
-    fixed = [h for h in enumerate_elements(G, cap) if h * g == g * h]
-    return from_elements(G.degree, fixed)
-
-
 def center(G: PermGroup, cap: int = ENUMERATION_CAP) -> PermGroup:
     gens = G.reduced_generators()
     central = [
@@ -499,11 +486,6 @@ def conjugation_orbits_images(G: PermGroup, cap: int = ENUMERATION_CAP):
         for y in orbit:
             remaining.pop(y, None)
         yield orbit
-
-
-def conjugacy_classes(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[list[Permutation]]:
-    """Partition of the elements into conjugacy classes, in discovery order."""
-    return [[_wrap(y) for y in orbit] for orbit in conjugation_orbits_images(G, cap)]
 
 
 def conjugacy_class_of(G: PermGroup, x: Permutation) -> list[Permutation]:

@@ -95,12 +95,6 @@ class DirectProduct:
         """Group generated by elements of the product, on the combined domain."""
         return PermGroup(self.degree, list(elements))
 
-    def full_group(self) -> PermGroup:
-        gens = []
-        for j, f in enumerate(self.factors):
-            gens.extend(self.element({j: g}) for g in f.generators)
-        return PermGroup(self.degree, gens)
-
     def projection_of(self, H: PermGroup, j: int) -> PermGroup:
         """Image of a subgroup of the product in factor j, generated by the
         projections of H's reduced generators, which generate H."""

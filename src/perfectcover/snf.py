@@ -14,56 +14,8 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        Ai = A[i]
-        for k in range(inner):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                row = out[i]
-                for j in range(cols):
-                    row[j] += a * Bk[j]
-    return out
-
-
 def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
-def determinant(A) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    After step k every entry below and right of the pivot is a (k+1)-minor
-    of A, so the division by the previous pivot is exact (Bareiss, Math.
-    Comp. 22, 1968).  A row swap flips the sign.
-    """
-    n = len(A)
-    M = [list(row) for row in A]
-    sign = 1
-    prev = 1
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if M[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            M[col], M[pivot] = M[pivot], M[col]
-            sign = -sign
-        p = M[col][col]
-        top = M[col]
-        for r in range(col + 1, n):
-            row = M[r]
-            a = row[col]
-            for j in range(col + 1, n):
-                row[j] = (row[j] * p - a * top[j]) // prev
-        prev = p
-    return sign * prev
 
 
 class _SmithState:

@@ -88,10 +88,6 @@ class Word:
     def empty(cls, size: int) -> Word:
         return cls(size, ())
 
-    @classmethod
-    def generator(cls, size: int, idx: int, exp: int = 1) -> Word:
-        return cls.make(size, [(idx, exp)])
-
     def __mul__(self, other: Word) -> Word:
         if self.size != other.size:
             raise InputError("alphabet size mismatch")

@@ -5,7 +5,12 @@ from contextlib import contextmanager
 import pytest
 
 from perfectcover import catalog
-from perfectcover.groups import PermGroup, derived_subgroup
+from perfectcover.groups import (
+    PermGroup,
+    conjugation_orbits_images,
+    derived_subgroup,
+    enumerate_elements,
+)
 from perfectcover.perms import Permutation, format_cycles, parse_cycles
 from perfectcover.structure import series_term
 
@@ -16,6 +21,29 @@ ACCEPTANCE_LINES = []
 def groups():
     """Fresh catalog groups, built once per test session."""
     return {name: catalog.CATALOG[name].group() for name in catalog.names()}
+
+
+def walked_classes(G):
+    """The conjugacy classes of G as element lists, in class-walk order."""
+    return [[Permutation(y) for y in orbit] for orbit in conjugation_orbits_images(G)]
+
+
+def centralizer_order(G, g):
+    """|C_G(g)| by testing every element of G against g (brute force)."""
+    return sum(1 for h in enumerate_elements(G) if h * g == g * h)
+
+
+def product_set(X, Y):
+    """{x * y : x in X, y in Y}, element by element."""
+    return frozenset(x * y for x in X for y in Y)
+
+
+def full_product_group(prod):
+    """The whole direct product, generated by each factor's generators in
+    its own block."""
+    return prod.subgroup(
+        prod.element({j: g}) for j, f in enumerate(prod.factors) for g in f.generators
+    )
 
 
 @contextmanager

@@ -8,7 +8,7 @@ built once and shared between the later criteria.
 import copy
 import random
 
-from conftest import criterion, tamper_conjugator
+from conftest import centralizer_order, criterion, tamper_conjugator, walked_classes
 
 from perfectcover.catalog import CATALOG
 from perfectcover.certificates import (
@@ -17,26 +17,17 @@ from perfectcover.certificates import (
     verify_certificate,
 )
 from perfectcover.construction import construct
-from perfectcover.covering import (
-    covering_number,
-    pick_small_centralizer_gen,
-    sample_generating_tuple,
-)
-from perfectcover.gmodule import (
-    GModule,
-    augmentation_submodule,
-    is_perfect_module,
-    submodule_generated,
-)
+from perfectcover.covering import covering_number, sample_generating_tuple
+from perfectcover.gmodule import GModule
 from perfectcover.groups import (
     PermGroup,
-    centralizer,
+    commutator_subgroup,
     conjugacy_class_of,
-    conjugacy_classes,
     derived_subgroup,
     enumerate_elements,
     is_perfect,
     mulclose,
+    normal_closure,
 )
 from perfectcover.perms import commutator, parse_cycles
 from perfectcover.structure import min_generators, normal_subgroups, star_chain
@@ -167,28 +158,30 @@ def test_criterion_4_module_properties(groups):
         pairs = _module_pairs(groups)
         assert pairs
         for name, G, A in pairs:
-            M = GModule(G, A)
-            aug = augmentation_submodule(M, G.generators)
+            # B = [A, G], computed as the builder and the verifier compute it
+            B = commutator_subgroup(G, A, G)
+            aug = set(enumerate_elements(B))
             # (a) independence of the generating set, equality with the
             # brute-force commutator span
-            alt = tuple(G.reduced_generators())
-            assert augmentation_submodule(M, alt) == aug
             extended = tuple(G.generators) + (G.generators[0] * G.generators[-1],)
-            assert augmentation_submodule(M, extended) == aug
+            for gens in (G.reduced_generators(), extended):
+                H = PermGroup(G.degree, gens)
+                assert set(enumerate_elements(commutator_subgroup(H, A, H))) == aug, name
             span = {
                 commutator(a, g)
                 for a in enumerate_elements(A)
                 for g in enumerate_elements(G)
             }
-            brute = set(mulclose(list(span), degree=G.degree))
-            assert aug.size == len(brute), name
-            assert all(aug.contains(M.encode(x)) for x in brute), name
+            assert set(mulclose(list(span), degree=G.degree)) == aug, name
             # (b) generation from module generators
-            from_basis = submodule_generated(M, M.basis, apply_augmentation=True)
-            assert from_basis == aug, name
-            # (c) perfect acting group gives a perfect module
+            M = GModule(G, A)
+            from_basis = normal_closure(
+                G, [commutator(b, g) for b in M.basis for g in G.generators]
+            )
+            assert set(enumerate_elements(from_basis)) == aug, name
+            # (c) perfect acting group gives a perfect module: [B, G] = B
             if is_perfect(G):
-                assert is_perfect_module(aug), name
+                assert commutator_subgroup(G, B, G).order == B.order, name
 
 
 def test_criterion_5_covering_number(groups):
@@ -201,7 +194,7 @@ def test_criterion_5_covering_number(groups):
         assert len(X) < A5.order  # X^1 is not all of A5
         for name in ("A5", "A6", "PSL27"):
             S = groups[name]
-            for cls in conjugacy_classes(S):
+            for cls in walked_classes(S):
                 if cls[0].is_identity():
                     continue
                 c = covering_number(S, cls)
@@ -216,8 +209,12 @@ def test_criterion_6_centralizer_pigeonhole(groups):
             for t in (2, 3, 5, 9, 17, 33, 61):
                 for _ in range(2):
                     gens = sample_generating_tuple(S, t, rng)
-                    idx = pick_small_centralizer_gen(S, gens)
-                    c = centralizer(S, gens[idx]).order
+                    # |C(m)| = |S| / |m^S|, least over the tuple
+                    c, best = min(
+                        (S.order // len(conjugacy_class_of(S, m)), i)
+                        for i, m in enumerate(gens)
+                    )
+                    assert c == centralizer_order(S, gens[best]), (name, t)
                     assert c**t <= S.order ** (t - 1), (name, t)
 
 

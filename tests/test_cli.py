@@ -96,6 +96,22 @@ def test_cli_cover_witness(capsys):
     assert "(1 2 3) =" in out
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--class", "(1 2 3)", "--witness", "(1 2 3 4 5 6)"],
+        ["--class", "(1 2 3 4 5 6)", "--witness", "(1 2 3)"],
+        ["--witness", "(1 2"],
+    ],
+    ids=["witness", "class", "unclosed-witness"],
+)
+def test_cli_cover_parses_before_it_prints(capsys, args):
+    assert main(["cover", "catalog:A5", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_cli_cover_witness_outside_the_group(capsys):
     # (1 2) is odd: the fault is the element, not the number of rounds
     assert main(["cover", "catalog:A5", "--witness", "(1 2)"]) == 1

@@ -4,7 +4,7 @@ import random
 import sys
 
 import pytest
-from conftest import count_permutation_calls
+from conftest import centralizer_order, count_permutation_calls, product_set, walked_classes
 
 from perfectcover import catalog, covering, groups as groups_module, structure
 from perfectcover.certificates import (
@@ -17,24 +17,19 @@ from perfectcover.covering import (
     CoveringCertificate,
     _ClassTable,
     _LayeredDecomposer,
+    cover_tuples,
     covering_number,
     decompose_conjugate_product,
     is_simple_nonabelian,
-    pick_small_centralizer_gen,
-    product_set,
     sample_generating_tuple,
-    semisimple_cover,
 )
-from perfectcover.errors import InputError, PreconditionError
+from perfectcover.errors import PreconditionError
 from perfectcover.perms import Permutation, kernel, parse_cycles
-from perfectcover.products import CoverValues, DirectProduct, check_s_in_T
+from perfectcover.products import CoverValues, DirectProduct, check_s_in_T, check_T
 from perfectcover.groups import (
     PermGroup,
-    centralizer,
     conjugacy_class_of,
-    conjugacy_classes,
     conjugation_orbit_images,
-    derived_subgroup,
     enumerate_elements,
 )
 
@@ -51,28 +46,42 @@ def test_simplicity_detector(groups):
     assert not is_simple_nonabelian(groups["A5xA5"])
 
 
+def _elements_of(table, K):
+    """The elements of the classes K of a class table."""
+    return frozenset(Permutation(y) for k in K for y in table.members[k])
+
+
 def test_product_set_with_identity(groups):
     A5 = groups["A5"]
-    Y = conjugacy_class_of(A5, P("(1 2 3)", 5))
-    assert product_set([A5.identity], Y) == frozenset(Y)
+    table = _ClassTable(A5)
+    identity = table.classes_of([A5.identity])
+    Y = table.classes_of(conjugacy_class_of(A5, P("(1 2 3)", 5)))
+    assert table.product(identity, Y) == table.product(Y, identity) == Y
 
 
 def test_involution_class_square_covers_a5(groups):
-    # exhaustive 15 x 15 products: the square of the involution class is
-    # all of A5 (identity, involutions, 3-cycles and 5-cycles all occur)
+    # the square of the involution class is all of A5 (identity,
+    # involutions, 3-cycles and 5-cycles all occur), as the exhaustive
+    # 15 x 15 element products confirm
     A5 = groups["A5"]
+    table = _ClassTable(A5)
     X = conjugacy_class_of(A5, P("(1 2)(3 4)", 5))
     assert len(X) == 15
-    square = product_set(X, X)
-    assert len(square) == 60
-    assert square == frozenset(enumerate_elements(A5))
+    K = table.classes_of(X)
+    square = table.product(K, K)
+    assert len(square) == 5
+    assert _elements_of(table, square) == product_set(X, X)
+    assert product_set(X, X) == frozenset(enumerate_elements(A5))
 
 
 def test_inverse_class_product_contains_identity(groups):
     A5 = groups["A5"]
+    table = _ClassTable(A5)
     X = conjugacy_class_of(A5, P("(1 2 3 4 5)", 5))
-    Y = frozenset(x.inverse() for x in X)
-    assert A5.identity in product_set(X, Y)
+    Y = [x.inverse() for x in X]
+    product = table.product(table.classes_of(X), table.classes_of(Y))
+    assert table.number(A5.identity) in product
+    assert _elements_of(table, product) == product_set(X, Y)
 
 
 def test_covering_number_involutions(groups):
@@ -107,7 +116,7 @@ def test_covering_counting_bound(groups):
 
 
 def _nontrivial_classes(S):
-    return [c for c in conjugacy_classes(S) if not c[0].is_identity()]
+    return [c for c in walked_classes(S) if not c[0].is_identity()]
 
 
 def test_covering_number_preconditions(groups):
@@ -122,26 +131,24 @@ def test_covering_number_preconditions(groups):
 
 
 def test_pick_small_centralizer_example(groups):
+    # |C(m)| = |S| / |m^S|: 5 for the 5-cycle and 3 for the 3-cycle
     A5 = groups["A5"]
-    # centralizer orders are 5 (the 5-cycle) and 3 (the 3-cycle)
-    assert pick_small_centralizer_gen(A5, A5.generators) == 1
+    orders = [A5.order // len(conjugacy_class_of(A5, m)) for m in A5.generators]
+    assert orders == [5, 3]
+    assert orders == [centralizer_order(A5, m) for m in A5.generators]
 
 
 def test_pick_small_centralizer_bound(groups):
+    # a generating t-tuple of a simple group has a member m with
+    # |C(m)|^t <= |S|^(t-1): the centralizers meet in the trivial center
     rng = random.Random(23)
     for name in ("A5", "A6", "PSL27"):
         S = groups[name]
         for t in (2, 3, 5):
             gens = sample_generating_tuple(S, t, rng)
-            idx = pick_small_centralizer_gen(S, gens)
-            c = centralizer(S, gens[idx]).order
+            c = min(S.order // len(conjugacy_class_of(S, m)) for m in gens)
+            assert c == min(centralizer_order(S, m) for m in gens)
             assert c**t <= S.order ** (t - 1)
-
-
-def test_pick_small_centralizer_rejects_nongenerating(groups):
-    A5 = groups["A5"]
-    with pytest.raises(PreconditionError):
-        pick_small_centralizer_gen(A5, (P("(1 2 3)", 5),))
 
 
 def test_decompose_trivial(groups):
@@ -164,10 +171,8 @@ def test_decompose_identity_two_rounds(groups):
 def test_decompose_with_certificate(groups):
     A5 = groups["A5"]
     X = frozenset({A5.identity})
-    from perfectcover.covering import product_set as ps
-
     for g in A5.generators:
-        X = ps(X, conjugacy_class_of(A5, g))
+        X = product_set(X, conjugacy_class_of(A5, g))
     cert = covering_number(A5, X)
     target = P("(1 2)(3 4)", 5)
     rows = decompose_conjugate_product(A5, target, A5.generators, cert.e)
@@ -192,41 +197,33 @@ def test_decompose_rejects_a_target_outside_the_group(groups):
         decompose_conjugate_product(A5, P("(1 2)", 5), [P("(1 2)(3 4)", 5)], 2)
 
 
+def _cover_group(factors, budget, seed):
+    """The tuples of `cover_tuples` and the subgroup T of the product that
+    they generate componentwise, checked as the construction checks T."""
+    tuples = cover_tuples(factors, budget, random.Random(seed))
+    assert [len(tup) for tup in tuples] == [budget] * len(factors)
+    prod = DirectProduct(factors)
+    T = prod.subgroup(
+        prod.element({i: tup[c] for i, tup in enumerate(tuples)}) for c in range(budget)
+    )
+    check_T(prod, T, factors)
+    return T
+
+
 def test_semisimple_cover_single_factor(groups):
-    cov = semisimple_cover((groups["A5"],), budget=2, seed=1)
-    assert cov.group.order == 60
-    assert derived_subgroup(cov.group).order == cov.group.order
+    assert _cover_group((groups["A5"],), 2, 1).order == 60
 
 
 def test_semisimple_cover_two_distinct_factors(groups):
-    cov = semisimple_cover((groups["A5"], groups["PSL27"]), budget=2, seed=1)
-    assert cov.group.order == 10080
-    assert cov.full_product
+    assert _cover_group((groups["A5"], groups["PSL27"]), 2, 1).order == 10080
 
 
 def test_semisimple_cover_repeated_factor(groups):
-    cov = semisimple_cover((groups["A5"], groups["A5"]), budget=2, seed=1)
-    assert cov.group.order == 3600
-    assert cov.full_product
-    for i in range(2):
-        assert cov.product.projection_of(cov.group, i).order == 60
+    assert _cover_group((groups["A5"], groups["A5"]), 2, 1).order == 3600
 
 
 def test_semisimple_cover_budget_61(groups):
-    cov = semisimple_cover((groups["A5"],), budget=61, seed=1)
-    assert len(cov.gens) == 61
-    assert cov.group.order == 60
-
-
-def test_semisimple_cover_validation(groups):
-    with pytest.raises(PreconditionError):
-        semisimple_cover((groups["A5"],), budget=0)
-    with pytest.raises(PreconditionError):
-        semisimple_cover((groups["A5"],), budget=62)
-    with pytest.raises(PreconditionError):
-        semisimple_cover((groups["S3"],), budget=2)
-    with pytest.raises(PreconditionError):
-        semisimple_cover((), budget=2)
+    assert _cover_group((groups["A5"],), 61, 1).order == 60
 
 
 def _embedded(p, degree):
@@ -243,7 +240,7 @@ def test_covering_layer_above_degree_256_matches_degree_5(groups):
     for rep in (P("(1 2)(3 4)", 5), P("(1 2 3)", 5), P("(1 2 3 4 5)", 5)):
         X = conjugacy_class_of(A5, rep)
         X_big = conjugacy_class_of(big, _embedded(rep, 300))
-        assert product_set(X_big, X_big) == {_embedded(y, 300) for y in product_set(X, X)}
+        assert X_big == [_embedded(y, 300) for y in X]
         cert, cert_big = covering_number(A5, X), covering_number(big, X_big)
         assert cert_big.power_sizes == cert.power_sizes
         assert cert_big.e == cert.e
@@ -261,24 +258,12 @@ def test_covering_layer_above_degree_256_matches_degree_5(groups):
         assert rows == [[_embedded(r, 300) for r in row] for row in native]
 
 
-def test_product_set_rejects_mixed_degrees(groups):
-    x5, x6, x300 = P("(1 2 3)", 5), P("(1 2 3)", 6), _embedded(P("(1 2 3)", 5), 300)
-    for X, Y in (([x5], [x6]), ([x5], [x5, x6]), ([x5, x6], [x5]), ([x300], [x5])):
-        with pytest.raises(InputError):
-            product_set(X, Y)
-
-
 def test_covering_loops_take_no_permutation_products(groups, monkeypatch):
-    # product_set and the decomposer's layers run on raw images.
+    # the class products and the decomposer's layers run on raw images.
     A6 = groups["A6"]
     classes = _nontrivial_classes(A6)
     gens = [c[0] for c in classes]
-    expected = {x * y for x in classes[0] for y in classes[1]}
     calls = count_permutation_calls(monkeypatch)
-    assert product_set(classes[0], classes[1]) == expected
-    for X, Y in zip(classes, classes[1:]):
-        product_set(X, Y)
-    assert calls == {"__mul__": 0, "inverse": 0}
     table = _ClassTable(A6)
     assert table.power_sizes(table.classes_of(classes[0])) == (72, 360)
     decomposer = _LayeredDecomposer(table, gens, 2)

@@ -9,17 +9,11 @@ import pytest
 from conftest import count_permutation_calls
 
 from perfectcover.errors import PreconditionError
-from perfectcover.gmodule import (
-    GModule,
-    abelian_group_basis,
-    augmentation_submodule,
-    is_perfect_module,
-    solve_commutator_decomposition,
-    submodule_generated,
-)
+from perfectcover.gmodule import GModule, abelian_group_basis, solve_commutator_decomposition
 from perfectcover.groupfile import parse_group_file
 from perfectcover.groups import (
     PermGroup,
+    commutator_subgroup,
     enumerate_elements,
     mulclose,
     normal_closure,
@@ -40,7 +34,7 @@ def translations(groups):
 
 def brute_commutator_span(G, A):
     """Closure of all [a, g] over the whole of A and G: the oracle for the
-    augmentation submodule."""
+    augmentation submodule [A, G]."""
     comms = {
         commutator(a, g)
         for a in enumerate_elements(A)
@@ -49,11 +43,8 @@ def brute_commutator_span(G, A):
     return set(mulclose(list(comms), degree=G.degree))
 
 
-def assert_equals_oracle(M, sub, oracle):
-    """The lattice submodule is exactly the oracle's element set: equal
-    size, and every oracle element is contained."""
-    assert sub.size == len(oracle)
-    assert all(sub.contains(M.encode(x)) for x in oracle)
+def elements(H):
+    return set(enumerate_elements(H))
 
 
 # --------------------------------------------------------------- basis
@@ -156,7 +147,9 @@ def test_module_e16(groups):
     for g in G.generators:
         T = M.matrix_for(g)
         for x in enumerate_elements(A):
-            assert M.decode(M.apply_matrix(M.encode(x), T)) == x.conjugate(g)
+            v = M.encode(x)
+            image = [sum(c * row[j] for c, row in zip(v, T)) for j in range(M.rank)]
+            assert M.decode(image) == x.conjugate(g)
 
 
 def test_module_preconditions(groups):
@@ -168,58 +161,59 @@ def test_module_preconditions(groups):
 
 
 # ------------------------------------------------------- augmentation
+#
+# The augmentation submodule [A, G] is computed on groups, as the builder
+# and the verifier compute it: B = commutator_subgroup(G, A, G).
 
 
 def test_augmentation_v4_under_a4(groups):
-    M = GModule(groups["A4"], groups["V4"])
-    aug = augmentation_submodule(M)
-    assert aug.size == 4
-    assert_equals_oracle(M, aug, brute_commutator_span(groups["A4"], groups["V4"]))
+    G, A = groups["A4"], groups["V4"]
+    B = commutator_subgroup(G, A, G)
+    assert B.order == 4
+    assert elements(B) == brute_commutator_span(G, A)
 
 
 def test_augmentation_trivial_action(groups):
     V4 = groups["V4"]
-    M = GModule(V4, V4, V4.generators)
-    assert augmentation_submodule(M).size == 1
+    assert commutator_subgroup(V4, V4, V4).order == 1
 
 
 def test_augmentation_e16(groups):
     G = groups["E16A5"]
     A = translations(groups)
-    M = GModule(G, A)
-    aug = augmentation_submodule(M)
-    assert aug.size == 16
-    assert_equals_oracle(M, aug, brute_commutator_span(G, A))
+    B = commutator_subgroup(G, A, G)
+    assert B.order == 16
+    assert elements(B) == brute_commutator_span(G, A)
 
 
 def test_augmentation_generating_set_independent(groups):
     # Lemma-style property: the augmentation submodule does not depend on
     # which generating set of the acting group is used
     G, A = groups["A4"], groups["V4"]
-    M = GModule(G, A)
-    first = augmentation_submodule(M, G.generators)
-    second = augmentation_submodule(M, G.reduced_generators())
     extra = tuple(G.generators) + (G.generators[0] * G.generators[1],)
-    third = augmentation_submodule(M, extra)
-    assert first == second == third
+    spans = [
+        elements(commutator_subgroup(H, A, H))
+        for H in (G, PermGroup(4, G.reduced_generators()), PermGroup(4, extra))
+    ]
+    assert spans[0] == spans[1] == spans[2]
 
 
 # --------------------------------------------------- submodule generation
+#
+# The submodule generated by elements of A is their normal closure in G.
 
 
 def test_submodule_generated_orbit(groups):
-    M = GModule(groups["A4"], groups["V4"])
-    sub = submodule_generated(M, [P("(1 2)(3 4)", 4)])
-    assert sub.size == 4
-    assert submodule_generated(M, []).size == 1
+    G = groups["A4"]
+    assert normal_closure(G, [P("(1 2)(3 4)", 4)]).order == 4
+    assert normal_closure(G, []).order == 1
 
 
 def test_submodule_generated_irreducible(groups):
     G = groups["E16A5"]
     A = translations(groups)
-    M = GModule(G, A)
     seed = next(x for x in enumerate_elements(A) if not x.is_identity())
-    assert submodule_generated(M, [seed]).size == 16
+    assert normal_closure(G, [seed]).order == 16
 
 
 def test_submodule_lattice_in_a_cyclic_module():
@@ -227,42 +221,33 @@ def test_submodule_lattice_in_a_cyclic_module():
     # generated by 4 has order 3 and holds 0, 4 and 8 only
     degree, (g,) = cycles_on_blocks(12)
     A = PermGroup(degree, [g])
-    M = GModule(A, A)
-    sub = submodule_generated(M, [g**4])
-    assert sub.size == 3
-    members = {x for x in enumerate_elements(A) if sub.contains(M.encode(x))}
-    assert members == {g**0, g**4, g**8}
-    assert sub == submodule_generated(M, [g**8])
-    assert sub != submodule_generated(M, [g**6])
+    sub = normal_closure(A, [g**4])
+    assert elements(sub) == {g**0, g**4, g**8}
+    assert elements(sub) == elements(normal_closure(A, [g**8]))
+    assert elements(sub) != elements(normal_closure(A, [g**6]))
 
 
 def test_generated_augmentation_consistency(groups):
-    # closing the images m(g - 1) equals augmenting the closed module
+    # closing the images b(g - 1) of a generating set equals augmenting the
+    # closed module, and both are generated from GModule's basis
     G, A = groups["A4"], groups["V4"]
     M = GModule(G, A)
-    gens = [b for b in M.basis]
-    left = submodule_generated(M, gens, apply_augmentation=True)
-    inner = submodule_generated(M, gens)
-    right_seeds = [
-        M.augment(v, T) for v in inner.generators for T in M.matrices
-    ]
-    from perfectcover.gmodule import close_submodule
-
-    right = close_submodule(M, right_seeds, M.matrices)
-    assert left == right
+    left = normal_closure(G, [commutator(b, g) for b in M.basis for g in G.generators])
+    right = commutator_subgroup(G, normal_closure(G, M.basis), G)
+    assert elements(left) == elements(right) == elements(commutator_subgroup(G, A, G))
 
 
 # ---------------------------------------------------------- perfection
 
 
 def test_perfect_module_examples(groups):
-    M = GModule(groups["A4"], groups["V4"])
-    assert is_perfect_module(augmentation_submodule(M))
-    assert is_perfect_module(submodule_generated(M, []))
-
-    G = groups["E16A5"]
-    M = GModule(G, translations(groups))
-    assert is_perfect_module(augmentation_submodule(M))
+    # B = [A, G] is a perfect module, [B, G] = B, for A4 on V4 and for
+    # 2^4:A5 on its translations; the trivial module is perfect too
+    for G, A in ((groups["A4"], groups["V4"]), (groups["E16A5"], translations(groups))):
+        B = commutator_subgroup(G, A, G)
+        assert elements(commutator_subgroup(G, B, G)) == elements(B)
+    trivial = PermGroup(4, [])
+    assert commutator_subgroup(groups["A4"], trivial, groups["A4"]).order == 1
 
 
 # -------------------------------------------------------------- solving

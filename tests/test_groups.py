@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from conftest import count_permutation_calls
+from conftest import centralizer_order, count_permutation_calls, walked_classes
 
 from perfectcover import catalog, groups as groups_module
 from perfectcover.errors import (
@@ -16,10 +16,8 @@ from perfectcover.groups import (
     PermGroup,
     StabilizerChain,
     center,
-    centralizer,
     commutator_subgroup,
     conjugacy_class_of,
-    conjugacy_classes,
     conjugation_orbit_images,
     conjugation_orbits_images,
     derived_subgroup,
@@ -205,28 +203,33 @@ def test_commutator_subgroup_containment_check(groups):
 
 
 def test_centralizer_examples(groups):
-    A5 = groups["A5"]
-    assert centralizer(A5, P("(1 2 3 4 5)", 5)).order == 5
-    assert centralizer(A5, Permutation.identity(5)).order == 60
-    assert centralizer(groups["S3"], P("(1 2)", 3)).order == 2
+    # |C(x)| = |G| / |x^G|, against the brute-force count
+    A5, S3 = groups["A5"], groups["S3"]
+    for G, x, order in (
+        (A5, P("(1 2 3 4 5)", 5), 5),
+        (A5, Permutation.identity(5), 60),
+        (S3, P("(1 2)", 3), 2),
+    ):
+        assert G.order // len(conjugacy_class_of(G, x)) == order
+        assert centralizer_order(G, x) == order
 
 
 def test_conjugacy_classes_examples(groups):
-    sizes = sorted(len(c) for c in conjugacy_classes(groups["A5"]))
+    sizes = sorted(len(c) for c in walked_classes(groups["A5"]))
     assert sizes == [1, 12, 12, 15, 20]
-    assert sorted(len(c) for c in conjugacy_classes(groups["S3"])) == [1, 2, 3]
+    assert sorted(len(c) for c in walked_classes(groups["S3"])) == [1, 2, 3]
     trivial = PermGroup(2, [])
-    assert conjugacy_classes(trivial) == [[Permutation.identity(2)]]
+    assert walked_classes(trivial) == [[Permutation.identity(2)]]
 
 
 def test_class_size_times_centralizer(groups):
     for name in ("S3", "A4", "A5", "PSL27"):
         G = groups[name]
-        classes = conjugacy_classes(G)
+        classes = walked_classes(G)
         assert sum(len(c) for c in classes) == G.order
         for cls in classes:
             assert G.order % len(cls) == 0
-            assert len(cls) * centralizer(G, cls[0]).order == G.order
+            assert len(cls) * centralizer_order(G, cls[0]) == G.order
 
 
 def _wrapped(orbit):
@@ -237,7 +240,7 @@ def _wrapped(orbit):
 def test_conjugacy_class_of_matches_partition(groups):
     for name in ("A4", "A5", "A6", "PSL27"):
         G = groups[name]
-        classes = conjugacy_classes(G)
+        classes = walked_classes(G)
         for cls in classes:
             assert conjugacy_class_of(G, cls[0]) == cls, name
             orbit = _wrapped(conjugation_orbit_images(G, cls[0]))
@@ -260,13 +263,15 @@ def test_conjugacy_class_of_matches_partition(groups):
 
 @pytest.mark.parametrize("name", ["A4", "A5", "SL25", "E16A5"])
 def test_conjugation_orbits_wrap_the_image_form(groups, name):
-    # the classes are the image orbits wrapped, and each orbit is the walk
-    # from its first member, conjugators included
+    # the orbits partition G, each class is its image orbit wrapped, and
+    # each orbit is the walk from its first member, conjugators included
     G = groups[name]
     orbits = list(conjugation_orbits_images(G))
-    assert conjugacy_classes(G) == [[Permutation(y) for y in o] for o in orbits]
+    assert sum(map(len, orbits)) == G.order
+    assert set().union(*orbits) == {x.images for x in enumerate_elements(G)}
     for orbit in orbits:
         x = Permutation(next(iter(orbit)))
+        assert conjugacy_class_of(G, x) == [Permutation(y) for y in orbit]
         assert _wrapped(orbit) == _wrapped(conjugation_orbit_images(G, x))
 
 

@@ -44,6 +44,92 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+def unreachable_definitions(package: Path) -> list[str]:
+    """The top-level functions, classes and constants of the package that
+    no chain of name references reaches from `cli.main` or from a module's
+    top-level statements that define nothing.
+
+    A name is read where an expression names it: bare, from the module that
+    defines it or imports it with `from .module import name`, or as the
+    attribute of a module imported with `from . import module`.  A reached
+    class reaches everything its body names.
+    """
+    definitions = {}  # (module, name) -> defining statements
+    starts = []  # (module, statement) read on import
+    imports = {}  # module -> {local name: (module, name), or (module, None)}
+    for path in sorted(package.glob("*.py")):
+        module, tree = path.stem, ast.parse(path.read_text())
+        local = imports[module] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    target = (node.module, alias.name) if node.module else (alias.name, None)
+                    local[alias.asname or alias.name] = target
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            else:
+                names = []
+            for name in names:
+                definitions.setdefault((module, name), []).append(node)
+            if not names:
+                starts.append((module, node))
+    for local in imports.values():
+        for name, (module, attr) in local.items():
+            if attr is None and module not in imports:  # `from . import __version__`
+                local[name] = ("__init__", module)
+
+    def read(module, node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                if (module, sub.id) in definitions:
+                    yield module, sub.id
+                elif sub.id in imports[module] and imports[module][sub.id][1]:
+                    yield imports[module][sub.id]
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                source, attr = imports[module].get(sub.value.id, (None, ""))
+                if attr is None:
+                    yield source, sub.attr
+
+    reached = {("cli", "main")}
+    todo = [("cli", "main")]
+    for module, node in starts:
+        todo.extend(read(module, node))
+    while todo:
+        key = todo.pop()
+        reached.add(key)
+        for node in definitions.get(key, []):
+            todo.extend(ref for ref in read(key[0], node) if ref not in reached)
+    return sorted(f"{m}.{name}" for m, name in definitions if (m, name) not in reached)
+
+
+def test_reachability_scan_follows_imports_and_attributes(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "from . import helpers\nfrom .core import run as go\n"
+        "def main():\n    go()\n    helpers.TABLE\n"
+        "if __name__ == '__main__':\n    main()\n"
+    )
+    (tmp_path / "core.py").write_text(
+        "def run():\n    return _step()\ndef _step():\n    pass\n"
+        "def unused():\n    return run()\n"
+    )
+    (tmp_path / "helpers.py").write_text(
+        "TABLE = {}\nSPARE = 1\nclass Orphan:\n    pass\nprint(SPARE)\n"
+    )
+    assert unreachable_definitions(tmp_path) == ["core.unused", "helpers.Orphan"]
+
+
+def test_every_definition_is_reachable_from_the_cli():
+    # Code that no command reaches is library surface nothing checks in
+    # use: delete it, or move an oracle next to the tests that read it.
+    assert unreachable_definitions(PACKAGE) == []
+
+
 # Modules a CLI process must not load: `dataclasses` brings `inspect`,
 # `ast`, `dis` and `tokenize`, and `fractions` brings `decimal`.
 COLD_START_FORBIDDEN = ("dataclasses", "inspect", "fractions", "decimal")

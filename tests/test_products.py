@@ -1,4 +1,5 @@
 import pytest
+from conftest import full_product_group
 
 from perfectcover.errors import InputError, VerificationError
 from perfectcover.groups import PermGroup, mulclose
@@ -51,7 +52,7 @@ def test_componentwise_pairs_generate_full_product(groups):
 
 def test_single_factor_projection_is_bijective(groups):
     prod = DirectProduct((groups["A5"],))
-    H = prod.full_group()
+    H = full_product_group(prod)
     assert H.order == 60
     proj = prod.projection_of(H, 0)
     assert proj.order == 60
@@ -178,7 +179,7 @@ def test_projection_check_rejects_a_missed_factor(groups):
 
 def test_gamma_check_rejects_a_non_perfect_gamma(groups):
     prod = DirectProduct((groups["S3"],))
-    gamma = prod.full_group()
+    gamma = full_product_group(prod)
     check_projections(prod, gamma, [groups["S3"]])
     with pytest.raises(VerificationError, match="gamma is not perfect"):
         check_gamma_perfect(gamma)

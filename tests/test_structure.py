@@ -4,6 +4,7 @@ import pathlib
 from collections import Counter
 
 import pytest
+from conftest import full_product_group
 
 from perfectcover import catalog, groups as groups_module, structure
 from perfectcover.errors import InternalError, PreconditionError
@@ -305,7 +306,7 @@ def test_is_in_Y_monotone(groups):
 
 def test_split_star_trivial_examples(groups):
     prod = DirectProduct((groups["V4"], groups["A5"]))
-    W = prod.full_group()
+    W = full_product_group(prod)
     A, S = split_star_trivial(W)
     assert A.order == 4 and S.order == 60
     assert intersection(A, S).order == 1
