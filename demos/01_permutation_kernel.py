@@ -7,7 +7,7 @@ plain breadth-first closure, and looks at its class structure.
 
 from perfectcover.groups import (
     PermGroup,
-    conjugation_orbits_images,
+    conjugacy_classes,
     derived_subgroup,
     enumerate_elements,
     mulclose,
@@ -29,7 +29,7 @@ print("  perfect:", derived_subgroup(A5).order == A5.order)
 
 elements = enumerate_elements(A5)
 print("conjugacy classes:")
-for orbit in conjugation_orbits_images(A5):
+for orbit in conjugacy_classes(A5):
     rep = Permutation(next(iter(orbit)))
     # the centralizer of rep, by filtering the element list
     centralizer = sum(1 for h in elements if h * rep == rep * h)

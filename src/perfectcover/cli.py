@@ -116,18 +116,18 @@ def cmd_verify(args) -> int:
 def cmd_cover(args) -> int:
     from .covering import covering_number, decompose_conjugate_product
     from .groupfile import resolve_group
-    from .groups import conjugacy_class_of
-    from .perms import format_cycles, parse_cycles
+    from .groups import conjugacy_class_of, conjugacy_classes
+    from .perms import Permutation, format_cycles, parse_cycles
 
     S = resolve_group(args.group)
     # parse every argument before printing anything
     target = None if args.witness is None else parse_cycles(args.witness, S.degree)
     if args.class_rep is None:
-        rep = next(
-            (g for g in sorted(S.elements()) if not g.is_identity()), None
-        )
-        if rep is None:
+        # the least nonidentity element; the first class is the identity's
+        others = [y for cls in conjugacy_classes(S, args.cap)[1:] for y in cls]
+        if not others:
             raise PreconditionError("the trivial group has no nonidentity class")
+        rep = Permutation(min(others))
     else:
         rep = parse_cycles(args.class_rep, S.degree)
     cls = conjugacy_class_of(S, rep)

@@ -26,6 +26,7 @@ retains all witnesses so a certificate can be verified from scratch.
 from __future__ import annotations
 
 import random
+from itertools import cycle
 
 from .covering import _ClassTable, _LayeredDecomposer, cover_tuples
 from .errors import InternalError, PreconditionError, VerificationError
@@ -194,13 +195,14 @@ def build_T(level: Level, budget: int, rng, cap: int = ENUMERATION_CAP) -> None:
     factor_of = [j for j, _ in level.simple_factors]
     flat_factors = [M for _, M in level.simple_factors]
     tuples = cover_tuples(flat_factors, budget, rng)
-    # X = class(m_1) ... class(m_g) and its powers are unions of classes
+    # X = class(m_1) ... class(m_g) and its powers are unions of classes;
+    # normal subsets commute, so X^e is layer e*g along m_1..m_g, repeated
     class_tables = [_ClassTable(M, cap) for M in flat_factors]
-    e_per_factor = []
+    e = 1
     for classes, tup in zip(class_tables, tuples):
-        X = classes.layers(map(classes.number, tup))[-1]
-        e_per_factor.append(len(classes.power_sizes(X)))
-    e = max(e_per_factor)
+        ks = [frozenset({classes.number(m)}) for m in tup]
+        covered_at = len(classes.layers(cycle(ks))) - 1
+        e = max(e, -(-covered_at // len(ks)))
 
     # each semisimple residue's component in each simple factor
     decomposers = {

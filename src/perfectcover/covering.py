@@ -1,16 +1,17 @@
 """Conjugacy-class product arithmetic in small simple groups.
 
 Normal subsets are unions of conjugacy classes, so covering numbers and
-the layers of a cover decomposition are computed on class numbers from one
-class walk per group (`_ClassTable`): class k lies in P * Q iff z_k q^-1
-lies in P for some q in Q, z_k the representative of k (Arad-Herzog,
-*Products of Conjugacy Classes in Groups*, LNM 1112, 1985).  Decompositions
-into products of conjugates of given generators follow back-pointers
-through those layers and read their conjugators off the same walk, so no
-generator's class is walked again.  `cover_tuples` draws, for a list of
-simple groups, one generating tuple of each of a common bounded length;
-the construction's T is generated by the componentwise products of these
-tuples.
+the layers of a cover decomposition (`_ClassTable.layers`, which also
+takes the powers of a normal subset) are computed on class numbers from
+the group's one class walk, which its lattice reads too: class k lies in
+P * Q iff z_k q^-1 lies in P for some q in Q, z_k the representative of k
+(Arad-Herzog, *Products of Conjugacy Classes in Groups*, LNM 1112, 1985).
+Decompositions into products of conjugates of given generators follow
+back-pointers through those layers and read their conjugators off the
+same walk, so no generator's class is walked again.  `cover_tuples`
+draws, for a list of simple groups, one generating tuple of each of a
+common bounded length; the construction's T is generated by the
+componentwise products of these tuples.
 
 Element loops run on raw images through `perms.kernel`, and a
 `Permutation` is built only for what a function returns.
@@ -18,12 +19,14 @@ Element loops run on raw images through `perms.kernel`, and a
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .errors import InternalError, PreconditionError
 from .groups import (
     ENUMERATION_CAP,
     PermGroup,
     StabilizerChain,
-    conjugation_orbits_images,
+    conjugacy_classes,
     is_abelian,
 )
 from .perms import Permutation, kernel
@@ -42,7 +45,7 @@ def is_simple_nonabelian(S: PermGroup, cap: int = ENUMERATION_CAP) -> bool:
 
 
 class _ClassTable:
-    """The conjugacy classes of a group, from one class walk.
+    """The conjugacy classes of a group, as its class walk lists them.
 
     `index` maps the images of each element to the number of its class.
     `members[k]` is class k's `conjugation_orbit_images`: it maps the images
@@ -54,11 +57,8 @@ class _ClassTable:
 
     def __init__(self, S: PermGroup, cap: int = ENUMERATION_CAP):
         self.group = S
-        self.index: dict = {}
-        self.members: list[dict] = []
-        for k, orbit in enumerate(conjugation_orbits_images(S, cap)):
-            self.index.update(dict.fromkeys(orbit, k))
-            self.members.append(orbit)
+        self.members: list[dict] = conjugacy_classes(S, cap)
+        self.index = {y: k for k, orbit in enumerate(self.members) for y in orbit}
         self._table, self._compose, self._invert = kernel(S.degree)
         self._inverse_tables: dict[int, list] = {}
 
@@ -94,29 +94,18 @@ class _ClassTable:
             if any(index[compose(next(iter(cls)), t)] in P for t in tables)
         )
 
-    def layers(self, ks) -> list[frozenset]:
-        """The classes of class(k_1) ... class(k_i) for i = 0, 1, ... along
-        the class numbers ks, up to the first that is the whole group."""
+    def layers(self, Ks) -> list[frozenset]:
+        """The classes of K_1 ... K_i for i = 0, 1, ... along the class
+        number sets Ks, which may be endless, up to the first that is the
+        whole group; in a simple group that takes fewer than |S| layers."""
         layers = [frozenset({self.index[self.group.identity.images]})]
-        for k in ks:
+        for K in Ks:
             if len(layers[-1]) == len(self.members):
                 break
-            layers.append(self.product(layers[-1], {k}))
-        return layers
-
-    def power_sizes(self, K) -> tuple[int, ...]:
-        """|X|, |X^2|, ... up to the first power of X, the union of the
-        classes K, that is the whole group."""
-        power = K
-        sizes = [self.size(K)]
-        while len(power) < len(self.members):
-            if len(sizes) > self.group.order:
+            if len(layers) > self.group.order:
                 raise InternalError("covering iteration failed to terminate")
-            power = self.product(power, K)
-            sizes.append(self.size(power))
-        if sizes[-1] != self.group.order:
-            raise InternalError("the classes do not partition the group")
-        return tuple(sizes)
+            layers.append(self.product(layers[-1], K))
+        return layers
 
 
 class CoveringCertificate:
@@ -147,8 +136,8 @@ def covering_number(
 ) -> CoveringCertificate:
     """Least e with X^e = S, for a nontrivial normal subset X of simple S.
 
-    X and its powers are unions of classes, so the powers are taken on
-    class numbers and their sizes are sums of class sizes.
+    X and its powers are unions of classes, so the powers are the layers
+    along X, X, ... and their sizes are sums of class sizes.
     """
     Xset = frozenset(X)
     if not is_simple_nonabelian(S, cap):
@@ -159,7 +148,7 @@ def covering_number(
         raise PreconditionError("subset is not closed under conjugation")
     if not Xset or Xset == {S.identity}:
         raise PreconditionError("subset must contain a nonidentity element")
-    sizes = classes.power_sizes(K)
+    sizes = tuple(map(classes.size, classes.layers(repeat(K))[1:]))
     cert = CoveringCertificate(S, Xset, len(sizes), sizes)
     cert.check()
     return cert
@@ -188,7 +177,9 @@ class _LayeredDecomposer:
         self._ident = self.S.identity.images
         self._class_of = [classes.number(m) for m in self.gens]
         self._gen_inverses = [self._table(self._invert(m.images)) for m in self.gens]
-        self.layers = classes.layers(self._class_of[i % self.g] for i in range(e * self.g))
+        self.layers = classes.layers(
+            frozenset({self._class_of[i % self.g]}) for i in range(e * self.g)
+        )
 
     def _back_step(self, i: int, y) -> tuple:
         """(layer i-1 factor, conjugator) of images y in layer i."""
@@ -259,8 +250,6 @@ def cover_tuples(factors, budget: int, rng) -> list[list[Permutation]]:
     """Per-factor generating tuples of size `budget`, retried so that the
     corresponding diagonal subgroup is the full product when possible."""
     factors = list(factors)
-    if len(factors) == 1:
-        return [sample_generating_tuple(factors[0], budget, rng)]
     prod = DirectProduct(factors)
     full_order = 1
     for M in factors:

@@ -14,10 +14,11 @@ bit.  Normal closures extend one chain and keep its picks.
 
 The chain, `mulclose` and the class walks work on raw images through
 `perms.kernel` and build a `Permutation` only for what they return: a
-closure element, a class member.  Each level stores the inverse of each
-transversal element when it computes its orbit, so a sift step is one
-compose, and it keeps the strong generators that fix the earlier base
-points as they are added, so no pass filters them again.  Schreier-Sims
+closure element, a class member.  A group's classes are walked once and
+kept in its `facts`.  Each level stores the inverse of each transversal
+element when it computes its orbit, so a sift step is one compose, and it
+keeps the strong generators that fix the earlier base points as they are
+added, so no pass filters them again.  Schreier-Sims
 checks each Schreier generator once: a level records, since its orbit was last
 recomputed, the (orbit point, strong generator) pairs it has checked, and
 it keeps the Schreier generators that sifted to the identity.  Both stay
@@ -333,9 +334,6 @@ class PermGroup:
         generate the group."""
         return self._reduced
 
-    def elements(self, cap: int = ENUMERATION_CAP) -> list[Permutation]:
-        return enumerate_elements(self, cap)
-
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self._order})"
 
@@ -441,10 +439,8 @@ def is_normal(G: PermGroup, N: PermGroup) -> bool:
 
 
 def center(G: PermGroup, cap: int = ENUMERATION_CAP) -> PermGroup:
-    gens = G.reduced_generators()
-    central = [
-        h for h in enumerate_elements(G, cap) if all(h * g == g * h for g in gens)
-    ]
+    """Z(G): the singleton classes, which the walk reaches in enumeration order."""
+    central = [_wrap(z) for cls in conjugacy_classes(G, cap) if len(cls) == 1 for z in cls]
     return from_elements(G.degree, central)
 
 
@@ -473,19 +469,22 @@ def conjugation_orbit_images(G: PermGroup, x: Permutation) -> dict:
     return orbit
 
 
-def conjugation_orbits_images(G: PermGroup, cap: int = ENUMERATION_CAP):
-    """Each class of G as its `conjugation_orbit_images`, in discovery order.
-
-    An element is released once its class is walked, so G is never held
-    whole while the caller consumes the orbits.
-    """
-    # reversed, so that popitem() takes the elements in enumeration order
-    remaining = dict.fromkeys(reversed([x.images for x in enumerate_elements(G, cap)]))
-    while remaining:
-        orbit = conjugation_orbit_images(G, _wrap(remaining.popitem()[0]))
-        for y in orbit:
-            remaining.pop(y, None)
-        yield orbit
+def conjugacy_classes(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[dict]:
+    """Each class of G as its `conjugation_orbit_images`, each led by the
+    first element, in enumeration order, of no earlier class; walked once
+    per group and kept, unchanged by its readers, in `G.facts`."""
+    classes = G.facts.get("classes")
+    if classes is None:
+        # reversed, so that popitem() takes the elements in enumeration order
+        remaining = dict.fromkeys(reversed([x.images for x in enumerate_elements(G, cap)]))
+        classes = []
+        while remaining:
+            orbit = conjugation_orbit_images(G, _wrap(remaining.popitem()[0]))
+            for y in orbit:
+                remaining.pop(y, None)
+            classes.append(orbit)
+        G.facts["classes"] = classes
+    return classes
 
 
 def conjugacy_class_of(G: PermGroup, x: Permutation) -> list[Permutation]:

@@ -7,15 +7,15 @@ descending characteristic series whose length is the level of G.
 
 Subgroups are compared through their stabilizer chains: H <= K when |H|
 divides |K| and K contains the generators of H, and equal orders with
-containment mean equality.  Element sets are enumerated only for the
-conjugacy-class walk of `normal_subgroups`, whose result is sorted by
+containment mean equality.  `normal_subgroups` reads the group's one
+class walk (`groups.conjugacy_classes`), and its result is sorted by
 order, subgroups of equal order in discovery order (Holt-Eick-O'Brien,
 Handbook of Computational Group Theory, ch. 4).
 
-The walk keeps only class sizes and candidate representatives, and the
-closures follow it.  G itself is listed from the start, so a class x^G
-is skipped when no proper divisor of |G| is 1 + |x^G| + (a sum of sizes
-of other nontrivial classes).  This is exact: a normal subgroup is a
+The lattice takes only class sizes and candidate representatives from
+the walk.  G itself is listed from the start, so a class x^G is skipped
+when no proper divisor of |G| is 1 + |x^G| + (a sum of sizes of other
+nontrivial classes).  This is exact: a normal subgroup is a
 union of classes containing {1}, so a proper ncl(x) would have such an
 order by Lagrange; hence ncl(x) = G, which is already listed.  Every
 structure fact is computed once per group and kept in `PermGroup.facts`;
@@ -35,7 +35,7 @@ from .groups import (
     CosetMap,
     StabilizerChain,
     center,
-    conjugation_orbits_images,
+    conjugacy_classes,
     derived_subgroup,
     enumerate_elements,
     intersection,
@@ -74,11 +74,11 @@ def normal_subgroups(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGroup
     register(G)
     # x and x^k with k prime to |x| have the same normal closure, so a class
     # holding such a power of an earlier representative adds nothing.  The
-    # walk keeps each class's size and each candidate's representative.
+    # lattice keeps each class's size and each candidate's representative.
     covered: set = set()
     sizes: list[int] = []
     candidates: list[tuple[int, Permutation]] = []
-    for orbit in conjugation_orbits_images(G, cap):
+    for orbit in conjugacy_classes(G, cap):
         if covered.isdisjoint(orbit):
             x = Permutation._trusted(next(iter(orbit)))
             covered.update(y.images for y in _coprime_powers(x))
@@ -328,8 +328,10 @@ def split_star_trivial(
     S = derived_subgroup(W)
     if A.order * S.order != W.order:
         raise PreconditionError("center and derived subgroup do not split the group")
-    # a trivial part meets the other trivially
-    if A.order > 1 and S.order > 1 and intersection(A, S, cap).order != 1:
+    # A is central, so it meets S trivially iff |AS| = |A||S| = |W|; a
+    # trivial part meets the other trivially
+    AS = A.generators + S.generators
+    if A.order > 1 and S.order > 1 and PermGroup(W.degree, AS).order != W.order:
         raise PreconditionError("center meets the derived subgroup nontrivially")
     semisimple_factors(S, cap)
     return A, S

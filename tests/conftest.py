@@ -1,13 +1,15 @@
 import copy
+import sys
 import time
 from contextlib import contextmanager
 
 import pytest
 
-from perfectcover import catalog
+from perfectcover import catalog, groups as groups_module, structure, words
 from perfectcover.groups import (
+    ENUMERATION_CAP,
     PermGroup,
-    conjugation_orbits_images,
+    conjugacy_classes,
     derived_subgroup,
     enumerate_elements,
 )
@@ -25,7 +27,7 @@ def groups():
 
 def walked_classes(G):
     """The conjugacy classes of G as element lists, in class-walk order."""
-    return [[Permutation(y) for y in orbit] for orbit in conjugation_orbits_images(G)]
+    return [[Permutation(y) for y in orbit] for orbit in conjugacy_classes(G)]
 
 
 def centralizer_order(G, g):
@@ -114,6 +116,21 @@ def count_permutation_calls(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(Permutation, name, counting)
+    return calls
+
+
+def count_enumerations(monkeypatch):
+    """(calling function, group order, cap) of each enumeration of a group
+    from here on; a class walk is an enumeration by `conjugacy_classes`."""
+    calls = []
+    original = groups_module.enumerate_elements
+
+    def counting(G, cap=ENUMERATION_CAP):
+        calls.append((sys._getframe(1).f_code.co_name, G.order, cap))
+        return original(G, cap)
+
+    for module in (groups_module, structure, words):
+        monkeypatch.setattr(module, "enumerate_elements", counting)
     return calls
 
 

@@ -2,10 +2,12 @@ import json
 import pathlib
 
 import pytest
+from conftest import count_enumerations
 
 from perfectcover import catalog, construction
 from perfectcover.cli import main
 from perfectcover.errors import InputError
+from perfectcover.groups import ENUMERATION_CAP
 from perfectcover.groupfile import (
     parse_family_file,
     parse_group_file,
@@ -94,6 +96,24 @@ def test_cli_cover_witness(capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "(1 2 3) =" in out
+
+
+def test_cli_cover_witness_walks_the_group_once(capsys, monkeypatch):
+    # the simplicity check, the covering number and the decomposition read
+    # one walk of A5's classes
+    enumerated = count_enumerations(monkeypatch)
+    assert main(
+        ["cover", "catalog:A5", "--class", "(1 2 3)", "--witness", "(1 2)(3 4)"]
+    ) == 0
+    assert enumerated == [("conjugacy_classes", 60, ENUMERATION_CAP)]
+
+
+def test_cli_cover_default_class_keeps_the_cap(capsys, monkeypatch):
+    enumerated = count_enumerations(monkeypatch)
+    assert main(["cover", "catalog:A5", "--cap", "500"]) == 0
+    assert "class of (3 4 5): size 20" in capsys.readouterr().out
+    assert enumerated
+    assert all(cap == 500 for _, _, cap in enumerated)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,17 @@
+import itertools
 import json
 import math
 import random
 import sys
 
 import pytest
-from conftest import centralizer_order, count_permutation_calls, product_set, walked_classes
+from conftest import (
+    centralizer_order,
+    count_enumerations,
+    count_permutation_calls,
+    product_set,
+    walked_classes,
+)
 
 from perfectcover import catalog, covering, groups as groups_module, structure
 from perfectcover.certificates import (
@@ -265,7 +272,8 @@ def test_covering_loops_take_no_permutation_products(groups, monkeypatch):
     gens = [c[0] for c in classes]
     calls = count_permutation_calls(monkeypatch)
     table = _ClassTable(A6)
-    assert table.power_sizes(table.classes_of(classes[0])) == (72, 360)
+    powers = table.layers(itertools.repeat(table.classes_of(classes[0])))
+    assert [table.size(K) for K in powers[1:]] == [72, 360]
     decomposer = _LayeredDecomposer(table, gens, 2)
     assert len(decomposer.layers[-1]) == len(table.members)
     assert calls == {"__mul__": 0, "inverse": 0}
@@ -451,67 +459,45 @@ def test_covering_number_equals_element_powers(groups, name):
 def test_k1_cover_walks_each_factor_once(groups, monkeypatch):
     # seed 7 of bench/families/k1-cover.txt: 3 simple factors, 61 cover
     # generators each.  The decomposers read their conjugators off the
-    # class tables, so no generator's class is walked on its own, and each
-    # factor is enumerated once, inside the class walk of its class table.
+    # class tables, so no generator's class is walked on its own, and a
+    # factor's lattice, centre and class table read one walk of its classes.
     orbit_walks = []
-    class_walks = []
-    enumerated = []
     walk_orbit = groups_module.conjugation_orbit_images
-    walk_classes = covering.conjugation_orbits_images
-    enumerate_group = groups_module.enumerate_elements
-    inside = []
 
     def counting_orbit(S, x):
         # a class walked on its own, not as a step of a walk of all classes
-        if sys._getframe(1).f_code is not walk_classes.__code__:
+        if sys._getframe(1).f_code.co_name != "conjugacy_classes":
             orbit_walks.append(S.order)
         return walk_orbit(S, x)
 
-    def counting_classes(S, cap):
-        class_walks.append(S.order)
-        inside.append(S)
-        try:
-            yield from walk_classes(S, cap)
-        finally:
-            inside.pop()
-
-    def counting_enumerate(G, cap):
-        if inside:
-            enumerated.append(G.order)
-        return enumerate_group(G, cap)
-
     monkeypatch.setattr(groups_module, "conjugation_orbit_images", counting_orbit)
-    monkeypatch.setattr(covering, "conjugation_orbits_images", counting_classes)
-    monkeypatch.setattr(groups_module, "enumerate_elements", counting_enumerate)
+    enumerated = count_enumerations(monkeypatch)
     names = ("A5", "A6", "PSL27")
     family = tuple(catalog.CATALOG[n].group() for n in names)
     construct(family, d=2, k=1, names=names, seed=7, budget=61)
     assert orbit_walks == []
-    assert sorted(class_walks) == [60, 168, 360]
-    assert sorted(enumerated) == [60, 168, 360]
+    walks = [order for caller, order, _ in enumerated if caller == "conjugacy_classes"]
+    assert sorted(walks) == [60, 168, 360]
     assert not hasattr(covering, "enumerate_elements")
     assert not hasattr(covering, "conjugation_orbit_images")
 
 
-def test_k1_cover_walks_each_group_once_per_process(groups, monkeypatch):
+def test_k1_cover_walks_each_group_once_per_process(monkeypatch):
     # seed 7 of bench/families/k1-cover.txt: a simple member is its own
-    # derived subgroup, so the lattice walk of admissibility serves the
-    # split too.  Construct walks each member's classes for its lattice and
-    # for its class table; verify needs only the lattice.
-    walks = []
-    for module in (structure, covering):
-        walk = module.conjugation_orbits_images
-
-        def counting(G, cap, walk=walk):
-            walks.append(G.order)
-            return walk(G, cap)
-
-        monkeypatch.setattr(module, "conjugation_orbits_images", counting)
+    # derived subgroup and its own simple factor, so the class walk of its
+    # lattice in admissibility also serves its centre in the split and its
+    # class table in the cover.  Beside the walk, construct enumerates each
+    # member once more for the Gaschutz lift search, whose candidates are
+    # in enumeration order, and the star subgroup meets the trivial group.
+    enumerated = count_enumerations(monkeypatch)
     names = ("A5", "A6", "PSL27")
     family = tuple(catalog.CATALOG[n].group() for n in names)
     cert = construct(family, d=2, k=1, names=names, seed=7, budget=61)
-    assert sorted(walks) == [60, 60, 168, 168, 360, 360]
-    walks.clear()
+    walks = [("conjugacy_classes", order) for order in (60, 168, 360)]
+    trivial = [("intersection", 1)] * 3
+    lifts = [("gaschutz_lift", order) for order in (60, 168, 360)]
+    assert sorted(call[:2] for call in enumerated) == sorted(walks + trivial + lifts)
+    enumerated.clear()
     data = json.loads(dumps_certificate(serialize_certificate(cert)))
     assert verify_certificate(data).valid
-    assert sorted(walks) == [60, 168, 360]
+    assert sorted(call[:2] for call in enumerated) == sorted(walks + trivial)

@@ -18,8 +18,8 @@ from perfectcover.groups import (
     center,
     commutator_subgroup,
     conjugacy_class_of,
+    conjugacy_classes,
     conjugation_orbit_images,
-    conjugation_orbits_images,
     derived_subgroup,
     enumerate_elements,
     from_elements,
@@ -248,7 +248,7 @@ def test_conjugacy_class_of_matches_partition(groups):
             for y, r in orbit:
                 assert r in G, name
                 assert cls[0].conjugate(r) == y, name
-        orbits = [_wrapped(o) for o in conjugation_orbits_images(G)]
+        orbits = [_wrapped(o) for o in conjugacy_classes(G)]
         assert [[y for y, _ in o] for o in orbits] == classes, name
         for orbit in orbits:
             x = orbit[0][0]
@@ -266,7 +266,7 @@ def test_conjugation_orbits_wrap_the_image_form(groups, name):
     # the orbits partition G, each class is its image orbit wrapped, and
     # each orbit is the walk from its first member, conjugators included
     G = groups[name]
-    orbits = list(conjugation_orbits_images(G))
+    orbits = list(conjugacy_classes(G))
     assert sum(map(len, orbits)) == G.order
     assert set().union(*orbits) == {x.images for x in enumerate_elements(G)}
     for orbit in orbits:

@@ -4,14 +4,17 @@ import pathlib
 from collections import Counter
 
 import pytest
-from conftest import full_product_group
+from conftest import count_enumerations, full_product_group
 
 from perfectcover import catalog, groups as groups_module, structure
+from perfectcover.covering import _ClassTable
 from perfectcover.errors import InternalError, PreconditionError
 from perfectcover.groupfile import parse_group_file
 from perfectcover.groups import (
+    ENUMERATION_CAP,
     CosetMap,
     PermGroup,
+    center,
     derived_subgroup,
     enumerate_elements,
     from_elements,
@@ -463,17 +466,27 @@ def test_may_be_proper_reads_the_class_equation():
 
 
 def test_semisimple_factors_walk_a_simple_group_once(monkeypatch):
-    walks = []
-    original = structure.conjugation_orbits_images
-
-    def counting(G, *args):
-        walks.append(G.order)
-        return original(G, *args)
-
-    monkeypatch.setattr(structure, "conjugation_orbits_images", counting)
+    # the lattice, the centre and the covering class table of a group read
+    # one walk of its classes
+    enumerated = count_enumerations(monkeypatch)
     A5 = catalog.CATALOG["A5"].group()
     assert [M.order for M in semisimple_factors(A5)] == [60]
-    assert walks == [60]
+    assert center(A5).order == 1
+    assert len(_ClassTable(A5).members) == 5
+    assert enumerated == [("conjugacy_classes", 60, ENUMERATION_CAP)]
     # |M| < |S|: each factor's own lattice decides its simplicity
     assert [M.order for M in semisimple_factors(catalog.CATALOG["A5xA5"].group())] == [60, 60]
-    assert walks == [60, 3600, 60, 60]
+    assert [order for _, order, _ in enumerated] == [60, 3600, 60, 60]
+
+
+def test_split_rejects_a_centre_that_meets_the_derived_subgroup(monkeypatch):
+    # A5 x C2 on 7 points is star-trivial with centre <(6 7)>.  A false
+    # centre of order 2 inside A5 passes |A||S| = |W|, and fails only as a
+    # part that meets S.
+    W = PermGroup(7, [P("(1 2 3 4 5)", 7), P("(1 2 3)", 7), P("(6 7)", 7)])
+    inside = PermGroup(7, [P("(1 2)(3 4)", 7)])
+    monkeypatch.setattr(structure, "center", lambda G, cap=ENUMERATION_CAP: inside)
+    with pytest.raises(
+        PreconditionError, match="center meets the derived subgroup nontrivially"
+    ):
+        split_star_trivial(W)

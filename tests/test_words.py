@@ -180,7 +180,7 @@ def reference_commutator_pool(G):
     first (u, v) with x = u ** v, on `Permutation` products; the classes are
     led in `enumerate_elements` order."""
     pool = {}
-    for orbit in groups.conjugation_orbits_images(G):
+    for orbit in groups.conjugacy_classes(G):
         u = Permutation(next(iter(orbit)))
         u_inv = u.inverse()
         for x, v in orbit.items():
@@ -286,7 +286,7 @@ def test_search_stops_before_walking_every_class(mixed_level1_search, monkeypatc
 
     monkeypatch.setattr(words, "conjugation_orbit_images", counted)
     commutator_words(gamma, gens, gens)
-    n_classes = sum(1 for _ in groups.conjugation_orbits_images(gamma))
+    n_classes = sum(1 for _ in groups.conjugacy_classes(gamma))
     assert 0 < len(walks) < n_classes
 
 
