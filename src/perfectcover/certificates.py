@@ -26,7 +26,7 @@ import math
 
 from . import __version__
 from .errors import InputError
-from .groups import ENUMERATION_CAP, PermGroup, StabilizerChain
+from .groups import ENUMERATION_CAP, PermGroup, generates
 from .perms import Permutation, commutator, format_cycles, parse_cycles
 from .products import (
     DirectProduct,
@@ -532,7 +532,7 @@ def _verify_level(
     # ---- generation
     def check_generation():
         for j, G in enumerate(level.family):
-            if StabilizerChain(G.degree, level.lifts[j]).order() != G.order:
+            if not generates(G, level.lifts[j]):
                 raise InputError(f"factor {j}: lifts do not generate the member")
 
     rec.guard("generation", lab, check_generation)
@@ -562,7 +562,7 @@ def _verify_level(
             # independent: each element of A has one coordinate vector
             if (
                 math.prod(orders) != A.order
-                or StabilizerChain(A.degree, basis).order() != A.order
+                or not generates(A, basis)
             ):
                 raise InputError(f"factor {j}: basis does not span A")
             if rows is None or len(rows) != m:
@@ -601,7 +601,10 @@ def _verify_level(
 
     # ---- Q module closure
     def check_qmodule():
-        check_Q(level.product, level.delta, level.q_values, level.k_elems)
+        check_Q(
+            level.product, level.delta, level.q_values, level.k_elems,
+            level.delta_q_bound,
+        )
 
     rec.guard("Q-module", lab, check_qmodule)
 
@@ -634,7 +637,7 @@ def _verify_level(
                     f"cover tuple {idx} holds {len(tuples[idx])} elements, "
                     f"not the budget {budget}"
                 )
-            if StabilizerChain(M.degree, tuples[idx]).order() != M.order:
+            if not generates(M, tuples[idx]):
                 raise InputError(f"cover tuple {idx} does not generate its factor")
         check_T(level.product, level.t_group, level.S)
 
@@ -659,7 +662,7 @@ def _verify_level(
         ):
             raise InputError("marked indices are invalid")
         marked_gens = [gens[i] for i in marked]
-        if StabilizerChain(level.product.degree, marked_gens).order() != gamma.order:
+        if not generates(gamma, marked_gens):
             raise InputError("marked generators do not generate gamma")
 
     rec.guard("gamma-perfect", lab, check_gamma)

@@ -31,7 +31,7 @@ from itertools import cycle
 from .covering import _ClassTable, _LayeredDecomposer, cover_tuples
 from .errors import InternalError, PreconditionError, VerificationError
 from .gmodule import GModule, solve_commutator_decomposition
-from .groups import DEFAULT_BUDGET, ENUMERATION_CAP, PermGroup
+from .groups import DEFAULT_BUDGET, ENUMERATION_CAP, PermGroup, generates
 from .perms import Permutation
 from .products import (
     DirectProduct,
@@ -139,8 +139,7 @@ def recurse_and_align(
                 raise InternalError("congruence correction left a residue outside B")
 
         adjust = PermGroup(G.degree, tuple(B.generators) + tuple(S.generators))
-        with_adjust = PermGroup(G.degree, tuple(a) + tuple(adjust.generators))
-        if with_adjust.order != G.order:
+        if not generates(G, tuple(a) + tuple(adjust.generators)):
             raise InternalError(
                 "lifts do not generate modulo B*S; the Frattini argument failed"
             )
@@ -231,7 +230,9 @@ def assemble_and_verify(level: Level) -> None:
     generators that extended Gamma's chain."""
     product = level.product
     try:
-        check_Q(product, level.delta, level.q_values, level.k_elems)
+        check_Q(
+            product, level.delta, level.q_values, level.k_elems, level.delta_q_bound
+        )
         check_s_in_T(level.cover_values, level.s_elems, level.t_group)
         check_T(product, level.t_group, level.S)
         check_gamma_perfect(level.gamma)

@@ -27,6 +27,7 @@ from .groups import (
     PermGroup,
     StabilizerChain,
     conjugacy_classes,
+    generates,
     is_abelian,
 )
 from .perms import Permutation, kernel
@@ -239,7 +240,7 @@ def sample_generating_tuple(M: PermGroup, size: int, rng) -> list[Permutation]:
     """A seeded random generating tuple of the given size."""
     for _ in range(_GENERATING_TUPLE_RETRIES):
         tup = [M.sample(rng) for _ in range(size)]
-        if StabilizerChain(M.degree, tup).order() == M.order:
+        if generates(M, tup):
             return tup
     raise PreconditionError(
         f"failed to generate the group with tuples of size {size}"
@@ -248,7 +249,9 @@ def sample_generating_tuple(M: PermGroup, size: int, rng) -> list[Permutation]:
 
 def cover_tuples(factors, budget: int, rng) -> list[list[Permutation]]:
     """Per-factor generating tuples of size `budget`, retried so that the
-    corresponding diagonal subgroup is the full product when possible."""
+    corresponding diagonal subgroup is the full product when possible.
+    Each tuple lies in its factor, so the product's order bounds the
+    diagonal's chain."""
     factors = list(factors)
     prod = DirectProduct(factors)
     full_order = 1
@@ -260,6 +263,6 @@ def cover_tuples(factors, budget: int, rng) -> list[list[Permutation]]:
             prod.element({i: tuples[i][c] for i in range(len(factors))})
             for c in range(budget)
         ]
-        if StabilizerChain(prod.degree, gens).order() == full_order:
+        if StabilizerChain(prod.degree, gens, full_order).order() == full_order:
             return tuples
     return tuples

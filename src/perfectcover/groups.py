@@ -12,6 +12,21 @@ discovered breadth-first with strong generators in order, so orders,
 membership tests and every derived computation are reproducible bit for
 bit.  Normal closures extend one chain and keep its picks.
 
+A chain may be given an order bound: the order of a group that provably
+contains every generator it will see.  Once the product of its basic orbit
+lengths reaches the bound, it stops: `__init__` skips the generators that
+are left, `_complete` returns and `normal_closure` ends its conjugate loop.
+That product never exceeds the order of the group the strong generators
+generate, so reaching the bound means each basic orbit is already the full
+orbit of its stabilizer and the partial BSGS is complete: every Schreier
+generator and every later generator would sift to the identity, and the
+unbounded run would change nothing more.  Levels, transversals, strong
+generators and picks are therefore the unbounded run's, bit for bit.  A
+bound is passed only where containment is definitional or was just
+checked: samples of G, conjugates by G of elements of G, subgroups of G,
+or elements sifted through G's chain first, as `generates` does.  A
+generation test is `generates(G, xs)`; nothing compares orders alone.
+
 The chain, `mulclose` and the class walks work on raw images through
 `perms.kernel` and build a `Permutation` only for what they return: a
 closure element, a class member.  A group's classes are walked once and
@@ -102,11 +117,14 @@ class StabilizerChain:
     """Base, basic orbits and transversals for a permutation group.
 
     `picks` lists the indices of the generators that extended the chain
-    while it was built, in order.
+    while it was built, in order.  `bound`, when given, is the order of a
+    group that contains every generator; the chain stops growing once its
+    order reaches it (see the module docstring).
     """
 
-    def __init__(self, degree: int, generators):
+    def __init__(self, degree: int, generators, bound: int | None = None):
         self.degree = degree
+        self.bound = bound
         self._table, self._compose, self._invert = kernel(degree)
         self._ident = pack(range(degree))
         self.identity = _wrap(self._ident)
@@ -116,6 +134,8 @@ class StabilizerChain:
         for i, g in enumerate(generators):
             if g.degree != degree:
                 raise InputError("generator degree mismatch")
+            if self.full():
+                continue
             if self._extend_images(g.images):
                 self.picks.append(i)
 
@@ -179,8 +199,11 @@ class StabilizerChain:
         return g, len(levels)
 
     def _complete(self, i: int) -> None:
-        """Schreier-Sims on levels i down to 0; levels deeper than i are complete."""
+        """Schreier-Sims on levels i down to 0; levels deeper than i are
+        complete.  Returns early once the order reaches the bound."""
         while i >= 0:
+            if self.full():
+                return
             extended = self._process_level(i)
             if extended is None:
                 i -= 1
@@ -256,6 +279,10 @@ class StabilizerChain:
             n *= len(lev.transversal)
         return n
 
+    def full(self) -> bool:
+        """Has the order reached the bound?  Then the chain is complete."""
+        return self.bound is not None and self.order() >= self.bound
+
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             raise InputError("degree mismatch in membership test")
@@ -281,7 +308,8 @@ class PermGroup:
     by the query: each is determined by the generators, which never change.
     """
 
-    def __init__(self, degree: int, generators):
+    def __init__(self, degree: int, generators, bound: int | None = None):
+        """`bound` is the order of a group known to contain the generators."""
         if degree < 1:
             raise InputError("degree must be positive")
         generators = tuple(generators)
@@ -290,7 +318,7 @@ class PermGroup:
                 raise InputError("generator degree mismatch")
         self.degree = degree
         self.generators = generators
-        self.chain = StabilizerChain(degree, generators)
+        self.chain = StabilizerChain(degree, generators, bound)
         self._order = self.chain.order()
         self._reduced = tuple(generators[i] for i in self.chain.picks)
 
@@ -354,8 +382,18 @@ def from_elements(degree: int, elements) -> PermGroup:
     return PermGroup._from_chain(picked, chain, range(len(picked)))
 
 
+def generates(G: PermGroup, xs) -> bool:
+    """Do the elements xs lie in G and generate it?  Each x is sifted
+    through G's chain, so |G| bounds the chain of xs."""
+    xs = list(xs)
+    if not all(x in G for x in xs):
+        return False
+    return StabilizerChain(G.degree, xs, G.order).order() == G.order
+
+
 def normal_closure(G: PermGroup, seeds) -> PermGroup:
-    """Smallest subgroup containing `seeds` and closed under G-conjugation."""
+    """Smallest subgroup containing `seeds` and closed under G-conjugation;
+    it lies in G, so its chain is bounded by |G|."""
     seeds = list(seeds)
     for s in seeds:
         if s not in G:
@@ -363,10 +401,10 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
     table, compose, _ = kernel(G.degree)
     conj = _conjugators(G)
     gens = [s for s in seeds if not s.is_identity()]
-    chain = StabilizerChain(G.degree, gens)
+    chain = StabilizerChain(G.degree, gens, G.order)
     picks = list(chain.picks)
     queue = deque(s.images for s in gens)
-    while queue:
+    while queue and not chain.full():
         h_table = table(queue.popleft())
         for g_inv, g_table in conj:
             c = compose(compose(g_inv, h_table), g_table)
@@ -374,6 +412,8 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
                 picks.append(len(gens))
                 gens.append(_wrap(c))
                 queue.append(c)
+                if chain.full():
+                    break
     return PermGroup._from_chain(gens, chain, picks)
 
 
@@ -424,7 +464,7 @@ def commutator_subgroup(G: PermGroup, H: PermGroup, K: PermGroup) -> PermGroup:
             raise PreconditionError("subgroup not contained in ambient group")
     if not (is_normal(G, H) or is_normal(G, K)):
         raise PreconditionError("neither argument is normal in the ambient group")
-    joint = PermGroup(G.degree, tuple(H.generators) + tuple(K.generators))
+    joint = PermGroup(G.degree, tuple(H.generators) + tuple(K.generators), G.order)
     return normal_closure(joint, _distinct_commutators(H.generators, K.generators))
 
 
@@ -563,10 +603,10 @@ class CosetMap:
 
     def apply(self, g: Permutation) -> Permutation:
         """Image of g in the quotient group."""
-        if self.trivial:
-            return g
         if g not in self.group:
             raise PreconditionError("element is not in the group")
+        if self.trivial:
+            return g
         if self.full:
             return Permutation((0,))
         t, compose, canonical = self._table(g.images), self._compose, self._canonical

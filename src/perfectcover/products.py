@@ -10,6 +10,14 @@ witnesses a certificate stores, and Delta, Q, T and Gamma derived from
 them.  The builder fills it in phase by phase and the verifier parses it
 from a certificate; both run the `check_*` functions below on it.
 
+The chains of T, Gamma and <Delta, Q> are bounded by the order of a product
+that contains them (`groups.StabilizerChain`), but only once the witnesses
+are seen to lie in their groups: T <= S_1 x ... x S_n when each cover tuple
+element and each distinct conjugator part lies in its simple factor, and
+Gamma and <Delta, Q> lie in G_1 x ... x G_n when, besides, each lift lies
+in its member and each module basis in its A.  Otherwise those chains are
+built unbounded, so a witness outside its group changes no verdict.
+
 A level derives its cover's values once (`CoverValues`): each of the g
 cover elements m_c and each distinct conjugator r_{l,c,t} is built once,
 and T's generators and the s-in-T row products are composed on raw images
@@ -18,6 +26,7 @@ from those same values.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 from .errors import InputError, PreconditionError, VerificationError
@@ -27,6 +36,7 @@ from .groups import (
     PermGroup,
     commutator_subgroup,
     derived_subgroup,
+    generates,
     normal_closure,
 )
 from .perms import BYTES_MAX_DEGREE, Permutation, commutator, kernel, pack
@@ -91,17 +101,19 @@ class DirectProduct:
         # g is a bijection mapping the block into itself, hence onto it
         return Permutation._trusted(pack([im - off for im in block]))
 
-    def subgroup(self, elements) -> PermGroup:
-        """Group generated by elements of the product, on the combined domain."""
-        return PermGroup(self.degree, list(elements))
+    def subgroup(self, elements, bound: int | None = None) -> PermGroup:
+        """Group generated by elements of the product, on the combined
+        domain; `bound` is the order of a group known to contain them."""
+        return PermGroup(self.degree, list(elements), bound)
+
+    def projections(self, H: PermGroup, j: int) -> list[Permutation]:
+        """The projections into factor j of H's reduced generators, which
+        generate H, so these generate H's image in factor j."""
+        return [self.project(g, j) for g in H.reduced_generators()]
 
     def projection_of(self, H: PermGroup, j: int) -> PermGroup:
-        """Image of a subgroup of the product in factor j, generated by the
-        projections of H's reduced generators, which generate H."""
-        return PermGroup(
-            self.factors[j].degree,
-            [self.project(g, j) for g in H.reduced_generators()],
-        )
+        """Image of a subgroup of the product in factor j."""
+        return PermGroup(self.factors[j].degree, self.projections(H, j))
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +178,8 @@ class CoverValues:
     elements m_c once and each distinct conjugator column r_{l,c,t} once,
     and composes each distinct conjugator once with every m_c.
     `columns[l][c][t]` numbers r_{l,c,t} among the distinct conjugators, in
-    first-seen (l, c, t) order, and `conjugates[n][c]` holds the images of
+    first-seen (l, c, t) order, `parts[n]` lists conjugator n's part in
+    each simple factor, and `conjugates[n][c]` holds the images of
     m_c ** (conjugator n).  T's generators and the cover-row products are
     read off these values; a repeated conjugator only repeats values
     already seen.
@@ -185,6 +198,7 @@ class CoverValues:
             elements.append(self._table(m_c.images))
         number: dict = {}
         self.columns: list[list[list[int]]] = []
+        self.parts: list[list[Permutation]] = []
         self.conjugates: list[list] = []
         for blocks in r:
             per_c = []
@@ -195,6 +209,7 @@ class CoverValues:
                     key = tuple(p.images for p in parts)
                     if key not in number:
                         number[key] = len(self.conjugates)
+                        self.parts.append(parts)
                         conj = _factor_product(product, factor_of, parts).images
                         inv, conj_table = invert(conj), self._table(conj)
                         self.conjugates.append(
@@ -329,8 +344,36 @@ class Level:
         return [] if self.cover_values is None else self.cover_values.t_values()
 
     @cached_property
+    def cover_inside(self) -> bool:
+        """Does each cover tuple element and each distinct conjugator part
+        lie in its simple factor?  Then T <= S_1 x ... x S_n."""
+        if self.cover is None:
+            return True
+        _, tuples, _, _ = self.cover
+        factors = [M for _, M in self.simple_factors]
+        parts = self.cover_values.parts
+        n = len(factors)
+        if len(tuples) != n or any(len(p) != n for p in parts):
+            return False
+        return _inside(
+            (M, [*tup, *(p[idx] for p in parts)])
+            for idx, (M, tup) in enumerate(zip(factors, tuples))
+        )
+
+    @cached_property
+    def delta_q_bound(self) -> int | None:
+        """|G_1| ... |G_n| when each lift lies in its member and each module
+        basis in its A, so that <Delta, Q> lies in the product; else None."""
+        bases = ((A, b) for A, b in zip(self.A, self.basis) if b is not None)
+        if not _inside([*zip(self.family, self.lifts), *bases]):
+            return None
+        return math.prod(G.order for G in self.family)
+
+    @cached_property
     def t_group(self) -> PermGroup:
-        return self.product.subgroup(self.t_values)
+        values = self.t_values
+        bound = math.prod(S.order for S in self.S) if self.cover_inside else None
+        return self.product.subgroup(values, bound)
 
     @cached_property
     def gamma_gens(self) -> list[Permutation]:
@@ -338,7 +381,15 @@ class Level:
 
     @cached_property
     def gamma(self) -> PermGroup:
-        return self.product.subgroup(self.gamma_gens)
+        gens = self.gamma_gens
+        bound = self.delta_q_bound if self.cover_inside else None
+        return self.product.subgroup(gens, bound)
+
+
+def _inside(pairs) -> bool:
+    """Does each element lie in its group, for each (group, elements) pair?
+    A repeated element is sifted once."""
+    return all(x in H for H, xs in pairs for x in dict.fromkeys(xs))
 
 
 # ----------------------------------------------------------------------
@@ -347,14 +398,15 @@ class Level:
 # these functions; each raises VerificationError naming what fails.
 
 
-def check_Q(product: DirectProduct, delta, q_vals, k_elems) -> None:
+def check_Q(product: DirectProduct, delta, q_vals, k_elems, bound=None) -> None:
     """Q = [Q, Delta], where Q is the normal closure of its generators in
-    <Delta, Q>, and Q holds every abelian residue k_i."""
+    <Delta, Q>, and Q holds every abelian residue k_i; `bound` is the order
+    of a group known to contain Delta and Q, or None."""
     if not q_vals:
         if not all(k.is_identity() for k in k_elems):
             raise VerificationError("nonzero abelian residue with empty Q")
         return
-    joint = product.subgroup([*delta, *q_vals])
+    joint = product.subgroup([*delta, *q_vals], bound)
     qgroup = normal_closure(joint, q_vals)
     # Q is normal in <Delta, Q>, so [Q, Delta] <= Q and orders decide
     if commutator_subgroup(joint, qgroup, product.subgroup(delta)).order != qgroup.order:
@@ -383,7 +435,7 @@ def check_T(product: DirectProduct, t_group: PermGroup, S) -> None:
     if derived_subgroup(t_group).order != t_group.order:
         raise VerificationError("T is not perfect")
     for j, S_j in enumerate(S):
-        if product.projection_of(t_group, j).order != S_j.order:
+        if not generates(S_j, product.projections(t_group, j)):
             raise VerificationError(f"T does not project onto the semisimple part {j}")
 
 
@@ -395,5 +447,5 @@ def check_gamma_perfect(gamma: PermGroup) -> None:
 def check_projections(product: DirectProduct, gamma: PermGroup, family) -> None:
     """Gamma maps onto every member."""
     for j, G in enumerate(family):
-        if product.projection_of(gamma, j).order != G.order:
+        if not generates(G, product.projections(gamma, j)):
             raise VerificationError(f"projection onto factor {j} is not surjective")

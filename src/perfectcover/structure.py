@@ -33,11 +33,11 @@ from .groups import (
     ENUMERATION_CAP,
     PermGroup,
     CosetMap,
-    StabilizerChain,
     center,
     conjugacy_classes,
     derived_subgroup,
     enumerate_elements,
+    generates,
     intersection,
     is_abelian,
     is_perfect,
@@ -100,7 +100,7 @@ def normal_subgroups(G: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGroup
         for (_, a), (j, b) in itertools.combinations(enumerate(found), 2):
             if j < old or _is_subgroup(a, b) or _is_subgroup(b, a):
                 continue
-            join = PermGroup(G.degree, a.generators + b.generators)
+            join = PermGroup(G.degree, a.generators + b.generators, G.order)
             if not known(join):
                 new.append(join)
         if not new:
@@ -283,14 +283,14 @@ def min_generators(
         rng = random.Random(G.order * 1_000_003 + t)
         for _ in range(_MIN_GEN_TRIALS):
             tup = [G.sample(rng) for _ in range(t)]
-            if StabilizerChain(G.degree, tup).order() == G.order:
+            if generates(G, tup):
                 found = True
                 break
         if not found and G.order**t <= _EXHAUSTIVE_TUPLES:
             if elements is None:
                 elements = enumerate_elements(G, cap)
             for tup in itertools.product(elements, repeat=t):
-                if StabilizerChain(G.degree, tup).order() == G.order:
+                if generates(G, tup):
                     found = True
                     break
         if found:
@@ -331,7 +331,7 @@ def split_star_trivial(
     # A is central, so it meets S trivially iff |AS| = |A||S| = |W|; a
     # trivial part meets the other trivially
     AS = A.generators + S.generators
-    if A.order > 1 and S.order > 1 and PermGroup(W.degree, AS).order != W.order:
+    if A.order > 1 and S.order > 1 and not generates(W, AS):
         raise PreconditionError("center meets the derived subgroup nontrivially")
     semisimple_factors(S, cap)
     return A, S
@@ -362,7 +362,7 @@ def semisimple_factors(S: PermGroup, cap: int = ENUMERATION_CAP) -> list[PermGro
         gens.extend(M.generators)
     if product_order != S.order:
         raise PreconditionError("minimal normal subgroups do not fill the group")
-    if PermGroup(S.degree, gens).order != S.order:
+    if not generates(S, gens):
         raise PreconditionError("factors do not generate the group")
     S.facts["semisimple_factors"] = minimal
     return minimal

@@ -32,10 +32,10 @@ from .errors import (
 from .groups import (
     ENUMERATION_CAP,
     PermGroup,
-    StabilizerChain,
     conjugation_orbit_images,
     derived_subgroup,
     enumerate_elements,
+    generates,
     is_normal,
 )
 from .perms import Permutation, kernel, pack
@@ -316,14 +316,13 @@ def gaschutz_lift(
     for a in reps:
         if a not in G:
             raise PreconditionError("representative is not in the group")
-    with_n = PermGroup(G.degree, tuple(reps) + tuple(N.generators))
-    if with_n.order != G.order:
+    if not generates(G, tuple(reps) + tuple(N.generators)):
         raise PreconditionError("the cosets do not generate the quotient")
     d = min_generators(G, k)
     if d is None:
         raise PreconditionError(f"group needs more than {k} generators")
 
-    if PermGroup(G.degree, reps).order == G.order:
+    if generates(G, reps):
         return reps
 
     exhaustive = N.order**k <= _EXHAUSTIVE_LIFTS
@@ -341,8 +340,7 @@ def gaschutz_lift(
         )
     for tup in candidates:
         lifted = [a * n for a, n in zip(reps, tup)]
-        chain = StabilizerChain(G.degree, lifted)
-        if chain.order() == G.order:
+        if generates(G, lifted):
             return lifted
     if exhaustive:
         raise InternalError(

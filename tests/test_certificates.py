@@ -728,6 +728,28 @@ def test_cover_needs_one_tuple_per_simple_factor(a5_cert, change):
         assert report.failed_steps() == ["T-perfect"]
 
 
+@pytest.mark.parametrize("budget", [2, 61])
+def test_cover_tuple_must_lie_in_its_factor(budget):
+    # A5 x A5 has two simple factors of order 60.  With its two cover
+    # tuples swapped, each tuple generates a group of the right order, the
+    # other factor, and the cover elements, products over both factors,
+    # are unchanged; only membership in the factor tells them apart.
+    family = pathlib.Path(__file__).parent / "data" / "k1-A5xA5.txt"
+    names, members, d, k = parse_family_file(str(family))
+    cert = construct(members, d=d, k=k, names=names, seed=7, budget=budget)
+    data = serialize_certificate(cert)
+    assert verify_certificate(data).valid
+    tuples = data["levels"][0]["cover"]["tuples"]
+    assert tuples[0] != tuples[1]
+    tuples[0], tuples[1] = tuples[1], tuples[0]
+    report = verify_certificate(data)
+    assert report.failed_steps() == ["T-perfect"]
+    problems = {s.name: s.problems for s in report.steps}
+    assert any(
+        "cover tuple 0 does not generate its factor" in p for p in problems["T-perfect"]
+    )
+
+
 @pytest.mark.parametrize("budget", [3, 1, 61, -1, 1000])
 def test_budget_must_match_the_cover_tuples(a5_cert, tmp_path, capsys, budget):
     # every cover tuple holds exactly `budget` elements; a certificate

@@ -501,3 +501,27 @@ def test_k1_cover_walks_each_group_once_per_process(monkeypatch):
     data = json.loads(dumps_certificate(serialize_certificate(cert)))
     assert verify_certificate(data).valid
     assert sorted(call[:2] for call in enumerated) == sorted(walks + trivial)
+
+
+def test_k1_cover_sift_count_per_process(monkeypatch):
+    # seed 7 of bench/families/k1-cover.txt: T and Gamma, both of order
+    # 3,628,800, are bounded by |A5| |A6| |PSL27| once their witnesses are
+    # seen to lie in their groups, so their chains stop at that order
+    # instead of sifting each of their 305 and 307 generators.  Unbounded
+    # chains made 2,865 sifts in construct and 2,629 in verify.
+    sifts = []
+    original = groups_module.StabilizerChain._sift_from
+
+    def counting(self, g, start):
+        sifts.append(start)
+        return original(self, g, start)
+
+    names = ("A5", "A6", "PSL27")
+    family = tuple(catalog.CATALOG[n].group() for n in names)
+    monkeypatch.setattr(groups_module.StabilizerChain, "_sift_from", counting)
+    cert = construct(family, d=2, k=1, names=names, seed=7, budget=61)
+    assert len(sifts) == 1576
+    sifts.clear()
+    data = json.loads(dumps_certificate(serialize_certificate(cert)))
+    assert verify_certificate(data).valid
+    assert len(sifts) == 1319

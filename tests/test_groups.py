@@ -1,9 +1,16 @@
 """Kernel operations, each checked against the BFS-closure oracle."""
 
+import functools
 import random
 
 import pytest
-from conftest import centralizer_order, count_permutation_calls, walked_classes
+from conftest import (
+    centralizer_order,
+    count_permutation_calls,
+    full_product_group,
+    walked_classes,
+)
+from hypothesis import given, settings, strategies as st
 
 from perfectcover import catalog, groups as groups_module
 from perfectcover.errors import (
@@ -23,6 +30,7 @@ from perfectcover.groups import (
     derived_subgroup,
     enumerate_elements,
     from_elements,
+    generates,
     intersection,
     is_normal,
     mulclose,
@@ -288,10 +296,10 @@ def count_chain_builds(monkeypatch):
     built = []
     original = StabilizerChain.__init__
 
-    def counting(self, degree, generators):
+    def counting(self, degree, generators, bound=None):
         generators = list(generators)
         built.append(generators)
-        original(self, degree, generators)
+        original(self, degree, generators, bound)
 
     monkeypatch.setattr(StabilizerChain, "__init__", counting)
     return built
@@ -469,6 +477,20 @@ def test_coset_map_onto_the_whole_group_enumerates_nothing(groups, monkeypatch):
         CosetMap(cases[0], cases[0]).apply(P("(1 2)", 5))
 
 
+def test_coset_map_apply_refuses_a_non_member_for_every_normal_subgroup(groups):
+    # a trivial N, N = G and a proper N: apply checks membership first
+    A5, SL25 = groups["A5"], groups["SL25"]
+    odd = P("(1 2)", SL25.degree)
+    assert odd not in SL25
+    for G, N in ((A5, PermGroup(5, [])), (A5, A5), (SL25, center(SL25))):
+        qmap = CosetMap(G, N)
+        outside = P("(1 2)", G.degree)
+        with pytest.raises(PreconditionError, match="element is not in the group"):
+            qmap.apply(outside)
+        for g in G.generators:
+            assert qmap.apply(g) in qmap.quotient
+
+
 def test_derived_subgroup_is_computed_once_per_group(monkeypatch):
     G = catalog.CATALOG["SL25"].group()
     calls = []
@@ -623,3 +645,109 @@ def test_level_generators_are_the_strong_generators_fixing_the_base(groups, name
         empty.extend(g)
         _assert_level_gens_match_definition(empty)
     assert empty.order() == G.order
+
+
+# ----------------------------------------------------------------------
+# Chains bounded by a known order
+
+
+def _chain_state(chain):
+    """Everything a chain holds that its readers see."""
+    return (
+        chain.picks,
+        chain.order(),
+        [g for g, _ in chain._gen_tables],
+        [
+            (
+                lev.point,
+                lev.orbit,
+                list(lev.transversal.items()),
+                list(lev.inverse.items()),
+                [g for g, _ in lev.gens],
+            )
+            for lev in chain.levels
+        ],
+    )
+
+
+def _count_sifts(build):
+    """The value of build() and the number of sifts it made."""
+    calls = []
+    original = StabilizerChain._sift_from
+
+    def counting(self, g, start):
+        calls.append(start)
+        return original(self, g, start)
+
+    StabilizerChain._sift_from = counting
+    try:
+        value = build()
+    finally:
+        StabilizerChain._sift_from = original
+    return value, len(calls)
+
+
+_BOUND_GROUPS = [*catalog.names(), ("A5", "A4"), ("S3", "V4", "Z4"), ("PSL27", "S3")]
+
+
+@functools.lru_cache(maxsize=None)
+def _bound_group(key):
+    """A catalog group, or the full direct product of a tuple of them."""
+    if isinstance(key, str):
+        return catalog.CATALOG[key].group()
+    return full_product_group(DirectProduct([catalog.CATALOG[n].group() for n in key]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    key=st.sampled_from(_BOUND_GROUPS),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(0, 6),
+    repeats=st.integers(0, 12),
+    foreign=st.booleans(),
+)
+def test_bounded_chain_is_the_unbounded_chain(key, seed, size, repeats, foreign):
+    # Random elements of G, then products of them: a chain bounded by |G|
+    # holds what the unbounded chain holds, with no more sifts.
+    G = _bound_group(key)
+    rng = random.Random(seed)
+    xs = [G.sample(rng) for _ in range(size)]
+    for _ in range(repeats if xs else 0):
+        xs.append(rng.choice(xs) * rng.choice(xs))
+    plain, plain_sifts = _count_sifts(lambda: StabilizerChain(G.degree, xs))
+    bounded, bounded_sifts = _count_sifts(
+        lambda: StabilizerChain(G.degree, xs, G.order)
+    )
+    assert _chain_state(bounded) == _chain_state(plain)
+    assert bounded.base() == plain.base()
+    assert bounded_sifts <= plain_sifts
+    sample_rngs = random.Random(seed), random.Random(seed)
+    assert bounded.sample(sample_rngs[0]) == plain.sample(sample_rngs[1])
+    # generates agrees with "every x in G and the unbounded order is |G|";
+    # a random permutation of the domain is mostly outside G
+    if foreign:
+        points = list(range(G.degree))
+        rng.shuffle(points)
+        xs.insert(rng.randrange(len(xs) + 1), Permutation(points))
+    expected = all(x in G for x in xs) and (
+        StabilizerChain(G.degree, xs).order() == G.order
+    )
+    assert generates(G, xs) == expected
+
+
+def test_generates_needs_membership_not_just_the_order():
+    # A5 on points 1..5 inside degree 6, and A5 on points 2..6: equal
+    # orders, but the second lies outside the first
+    def a5_on(points):
+        cycle5 = {p: points[(i + 1) % 5] for i, p in enumerate(points)}
+        cycle3 = {points[0]: points[1], points[1]: points[2], points[2]: points[0]}
+        return [
+            Permutation([c.get(p, p) for p in range(6)]) for c in (cycle5, cycle3)
+        ]
+
+    G = PermGroup(6, a5_on(range(5)))
+    xs = a5_on(range(1, 6))
+    assert G.order == 60 == StabilizerChain(6, xs).order()
+    assert not generates(G, xs)
+    assert generates(G, G.generators)
+    assert not generates(G, G.generators[:1])

@@ -1,11 +1,13 @@
 import pytest
 from conftest import full_product_group
 
+from perfectcover.construction import construct
 from perfectcover.errors import InputError, VerificationError
 from perfectcover.groups import PermGroup, mulclose
 from perfectcover.perms import Permutation, parse_cycles
 from perfectcover.products import (
     DirectProduct,
+    Level,
     check_gamma_perfect,
     check_projections,
     check_Q,
@@ -183,3 +185,33 @@ def test_gamma_check_rejects_a_non_perfect_gamma(groups):
     check_projections(prod, gamma, [groups["S3"]])
     with pytest.raises(VerificationError, match="gamma is not perfect"):
         check_gamma_perfect(gamma)
+
+
+def _copy_witnesses(level, family, k):
+    """A fresh Level of the same split holding level's witnesses."""
+    fresh = Level(family, k)
+    for name in ("m", "words", "lifts", "k_res", "s_res", "basis", "q_coords", "cover"):
+        setattr(fresh, name, getattr(level, name))
+    return fresh
+
+
+def test_level_bounds_need_witnesses_inside_their_groups(groups):
+    # A5 x A5 at k = 1: T = Gamma = A5 x A5, whose chains are bounded by
+    # its order once the witnesses are seen to lie in their groups
+    family = (groups["A5xA5"],)
+    level = construct(family, d=2, k=1, seed=7, budget=2).levels[0]
+    assert level.cover_inside and level.delta_q_bound == 3600
+    assert level.t_group.chain.bound == level.gamma.chain.bound == 3600
+    # the cover tuples swapped: each lies in the other simple factor
+    swapped = _copy_witnesses(level, family, 1)
+    factor_of, tuples, e, r = level.cover
+    swapped.cover = factor_of, [tuples[1], tuples[0]], e, r
+    assert not swapped.cover_inside
+    assert swapped.t_group.chain.bound is None and swapped.gamma.chain.bound is None
+    assert swapped.t_group.order == level.t_group.order
+    # a lift outside its member: Delta and Q are not known to lie in the product
+    outside = _copy_witnesses(level, family, 1)
+    odd = P("(1 2)", groups["A5xA5"].degree)
+    outside.lifts = [[odd * level.lifts[0][0], *level.lifts[0][1:]]]
+    assert outside.cover_inside and outside.delta_q_bound is None
+    assert outside.gamma.chain.bound is None
