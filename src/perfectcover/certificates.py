@@ -16,7 +16,11 @@ every claim from scratch, using only the stored data and the library
 kernel, and a fixed list of named steps makes failures attributable.  The
 claim checks of `products` (`check_Q`, `check_s_in_T`, `check_T`,
 `check_gamma_perfect` and `check_projections`) are the construction's
-too, which asserts them on its own levels.
+too, which asserts them on its own levels.  When a level's T or Gamma is
+the whole product of its groups, as its recomputed order and the
+membership of its witnesses show, the last three read each factor's
+perfectness, recomputed here from the family, instead of taking a derived
+closure and projection chains of the product (`products`).
 """
 
 from __future__ import annotations
@@ -639,14 +643,14 @@ def _verify_level(
                 )
             if not generates(M, tuples[idx]):
                 raise InputError(f"cover tuple {idx} does not generate its factor")
-        check_T(level.product, level.t_group, level.S)
+        check_T(level.product, level.t_group, level.S, level.cover_inside)
 
     rec.guard("T-perfect", lab, check_cover)
 
     # ---- gamma
     def check_gamma():
         gamma = level.gamma
-        check_gamma_perfect(gamma)
+        check_gamma_perfect(gamma, level.family, level.gamma_inside)
         for i in range(m):
             # equation (1) assembled over the product
             w_val = evaluate_word(level.words[i], level.delta)
@@ -669,6 +673,8 @@ def _verify_level(
 
     # ---- projections
     def check_proj():
-        check_projections(level.product, level.gamma, level.family)
+        check_projections(
+            level.product, level.gamma, level.family, level.gamma_inside
+        )
 
     rec.guard("projections", lab, check_proj)

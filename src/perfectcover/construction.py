@@ -234,9 +234,9 @@ def assemble_and_verify(level: Level) -> None:
             product, level.delta, level.q_values, level.k_elems, level.delta_q_bound
         )
         check_s_in_T(level.cover_values, level.s_elems, level.t_group)
-        check_T(product, level.t_group, level.S)
-        check_gamma_perfect(level.gamma)
-        check_projections(product, level.gamma, level.family)
+        check_T(product, level.t_group, level.S, level.cover_inside)
+        check_gamma_perfect(level.gamma, level.family, level.gamma_inside)
+        check_projections(product, level.gamma, level.family, level.gamma_inside)
     except VerificationError as exc:
         raise InternalError(str(exc)) from exc
     level.marked = list(level.gamma.chain.picks)

@@ -27,7 +27,6 @@ from .groups import (
     PermGroup,
     StabilizerChain,
     conjugacy_classes,
-    generates,
     is_abelian,
 )
 from .perms import Permutation, kernel
@@ -240,7 +239,8 @@ def sample_generating_tuple(M: PermGroup, size: int, rng) -> list[Permutation]:
     """A seeded random generating tuple of the given size."""
     for _ in range(_GENERATING_TUPLE_RETRIES):
         tup = [M.sample(rng) for _ in range(size)]
-        if generates(M, tup):
+        # samples of M lie in M, so |M| bounds their chain with no sift
+        if StabilizerChain(M.degree, tup, M.order).order() == M.order:
             return tup
     raise PreconditionError(
         f"failed to generate the group with tuples of size {size}"

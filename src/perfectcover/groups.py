@@ -25,7 +25,8 @@ generators and picks are therefore the unbounded run's, bit for bit.  A
 bound is passed only where containment is definitional or was just
 checked: samples of G, conjugates by G of elements of G, subgroups of G,
 or elements sifted through G's chain first, as `generates` does.  A
-generation test is `generates(G, xs)`; nothing compares orders alone.
+generation test is `generates(G, xs)`; only the builder's own samples of G
+(`covering`) skip its sifts and compare orders alone.
 
 The chain, `mulclose` and the class walks work on raw images through
 `perms.kernel` and build a `Permutation` only for what they return: a

@@ -18,6 +18,18 @@ Gamma and <Delta, Q> lie in G_1 x ... x G_n when, besides, each lift lies
 in its member and each module basis in its A.  Otherwise those chains are
 built unbounded, so a witness outside its group changes no verdict.
 
+On those same conditions T-perfect, gamma-perfect and projections take an
+order path (`check_T`, `check_gamma_perfect`, `check_projections`): when T's
+chain reaches |S_1| ... |S_n|, or Gamma's |G_1| ... |G_n|, the group is the
+whole product, since a subgroup of a finite group with the group's order is
+the group.  A direct product is perfect iff each factor is, and it maps onto
+each factor, so T-perfect then checks only that each S_j is perfect,
+gamma-perfect that each G_j is (a fact admissibility, or `star_chain` for a
+quotient, has already computed), and projections nothing.  Every other T or
+Gamma, a proper subgroup or one whose witnesses are not seen to lie in their
+groups, takes the derived closure and the projection chains, so both paths
+give the same verdicts.
+
 A level derives its cover's values once (`CoverValues`): each of the g
 cover elements m_c and each distinct conjugator r_{l,c,t} is built once,
 and T's generators and the s-in-T row products are composed on raw images
@@ -35,8 +47,8 @@ from .groups import (
     CosetMap,
     PermGroup,
     commutator_subgroup,
-    derived_subgroup,
     generates,
+    is_perfect,
     normal_closure,
 )
 from .perms import BYTES_MAX_DEGREE, Permutation, commutator, kernel, pack
@@ -370,6 +382,12 @@ class Level:
         return math.prod(G.order for G in self.family)
 
     @cached_property
+    def gamma_inside(self) -> bool:
+        """Do Delta, Q and T lie in G_1 x ... x G_n, as seen from their
+        witnesses?"""
+        return self.cover_inside and self.delta_q_bound is not None
+
+    @cached_property
     def t_group(self) -> PermGroup:
         values = self.t_values
         bound = math.prod(S.order for S in self.S) if self.cover_inside else None
@@ -382,7 +400,7 @@ class Level:
     @cached_property
     def gamma(self) -> PermGroup:
         gens = self.gamma_gens
-        bound = self.delta_q_bound if self.cover_inside else None
+        bound = self.delta_q_bound if self.gamma_inside else None
         return self.product.subgroup(gens, bound)
 
 
@@ -430,22 +448,44 @@ def check_s_in_T(cover: CoverValues | None, s_elems, t_group: PermGroup) -> None
             raise VerificationError(f"row {l}: semisimple residue is not in T")
 
 
-def check_T(product: DirectProduct, t_group: PermGroup, S) -> None:
-    """T is perfect and projects onto each member's semisimple part S[j]."""
-    if derived_subgroup(t_group).order != t_group.order:
+def _is_whole(H: PermGroup, groups, inside: bool) -> bool:
+    """Is H, known to lie in the product of `groups` when `inside`, all of
+    it?  A subgroup whose order is the group's order is the group."""
+    return inside and H.order == math.prod(G.order for G in groups)
+
+
+def check_T(product: DirectProduct, t_group: PermGroup, S, inside: bool = False) -> None:
+    """T is perfect and projects onto each member's semisimple part S[j];
+    `inside` says T is known to lie in S[0] x ... x S[n-1]."""
+    if _is_whole(t_group, S, inside):
+        # a direct product is perfect iff each factor is, and maps onto each
+        if not all(is_perfect(S_j) for S_j in S):
+            raise VerificationError("T is not perfect")
+        return
+    if not is_perfect(t_group):
         raise VerificationError("T is not perfect")
     for j, S_j in enumerate(S):
         if not generates(S_j, product.projections(t_group, j)):
             raise VerificationError(f"T does not project onto the semisimple part {j}")
 
 
-def check_gamma_perfect(gamma: PermGroup) -> None:
-    if derived_subgroup(gamma).order != gamma.order:
+def check_gamma_perfect(gamma: PermGroup, family, inside: bool = False) -> None:
+    """Gamma is perfect; `inside` says it is known to lie in the product of
+    the members `family`."""
+    if _is_whole(gamma, family, inside):
+        perfect = all(is_perfect(G) for G in family)
+    else:
+        perfect = is_perfect(gamma)
+    if not perfect:
         raise VerificationError("gamma is not perfect")
 
 
-def check_projections(product: DirectProduct, gamma: PermGroup, family) -> None:
-    """Gamma maps onto every member."""
+def check_projections(
+    product: DirectProduct, gamma: PermGroup, family, inside: bool = False
+) -> None:
+    """Gamma maps onto every member; `inside` as for `check_gamma_perfect`."""
+    if _is_whole(gamma, family, inside):
+        return
     for j, G in enumerate(family):
         if not generates(G, product.projections(gamma, j)):
             raise VerificationError(f"projection onto factor {j} is not surjective")

@@ -134,6 +134,20 @@ def count_enumerations(monkeypatch):
     return calls
 
 
+def count_sifts(monkeypatch):
+    """The start level of each sift through a stabilizer chain from here
+    on; a sift is the chain kernel's unit of work."""
+    sifts = []
+    original = groups_module.StabilizerChain._sift_from
+
+    def counting(self, g, start):
+        sifts.append(start)
+        return original(self, g, start)
+
+    monkeypatch.setattr(groups_module.StabilizerChain, "_sift_from", counting)
+    return sifts
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

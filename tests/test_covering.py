@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import pathlib
 import random
 import sys
 
@@ -9,6 +10,7 @@ from conftest import (
     centralizer_order,
     count_enumerations,
     count_permutation_calls,
+    count_sifts,
     product_set,
     walked_classes,
 )
@@ -31,6 +33,7 @@ from perfectcover.covering import (
     sample_generating_tuple,
 )
 from perfectcover.errors import PreconditionError
+from perfectcover.groupfile import parse_family_file
 from perfectcover.perms import Permutation, kernel, parse_cycles
 from perfectcover.products import CoverValues, DirectProduct, check_s_in_T, check_T
 from perfectcover.groups import (
@@ -39,6 +42,8 @@ from perfectcover.groups import (
     conjugation_orbit_images,
     enumerate_elements,
 )
+
+FAMILIES = pathlib.Path(__file__).parent.parent / "bench" / "families"
 
 
 def P(text, degree):
@@ -503,25 +508,38 @@ def test_k1_cover_walks_each_group_once_per_process(monkeypatch):
     assert sorted(call[:2] for call in enumerated) == sorted(walks + trivial)
 
 
-def test_k1_cover_sift_count_per_process(monkeypatch):
-    # seed 7 of bench/families/k1-cover.txt: T and Gamma, both of order
-    # 3,628,800, are bounded by |A5| |A6| |PSL27| once their witnesses are
-    # seen to lie in their groups, so their chains stop at that order
-    # instead of sifting each of their 305 and 307 generators.  Unbounded
-    # chains made 2,865 sifts in construct and 2,629 in verify.
-    sifts = []
-    original = groups_module.StabilizerChain._sift_from
-
-    def counting(self, g, start):
-        sifts.append(start)
-        return original(self, g, start)
-
-    names = ("A5", "A6", "PSL27")
-    family = tuple(catalog.CATALOG[n].group() for n in names)
-    monkeypatch.setattr(groups_module.StabilizerChain, "_sift_from", counting)
-    cert = construct(family, d=2, k=1, names=names, seed=7, budget=61)
-    assert len(sifts) == 1576
+def _construct_and_verify_sifts(monkeypatch, workload, budget):
+    """The sifts of a seed-7 construct of a benchmark family, then of a
+    verify of its certificate."""
+    names, members, d, k = parse_family_file(str(FAMILIES / f"{workload}.txt"))
+    sifts = count_sifts(monkeypatch)
+    cert = construct(members, d=d, k=k, names=names, seed=7, budget=budget)
+    constructed = len(sifts)
     sifts.clear()
     data = json.loads(dumps_certificate(serialize_certificate(cert)))
     assert verify_certificate(data).valid
-    assert len(sifts) == 1319
+    return constructed, len(sifts)
+
+
+def test_k1_cover_sift_count_per_process(monkeypatch):
+    # seed 7 of bench/families/k1-cover.txt: T = A5 x A6 x PSL27 and Gamma,
+    # the same group, are bounded by its order 3,628,800 once their
+    # witnesses are seen to lie in their groups, so their chains stop there;
+    # at that order T-perfect, gamma-perfect and projections need only each
+    # factor's own perfectness, and take no derived closure and no
+    # projection chain.  The cover tuples' chains are bounded by the
+    # factor's order without sifting the factor's own samples.  Before
+    # that, construct made 1,576 sifts and verify 1,319; with unbounded
+    # chains, 2,865 and 2,629.
+    assert _construct_and_verify_sifts(
+        monkeypatch, "k1-cover", 61
+    ) == (956, 882)
+
+
+def test_k2_mixed_sift_count_per_process(monkeypatch):
+    # seed 7 of bench/families/k2-mixed.txt (SL25 and E16A5): each level's
+    # T and Gamma are whole products, so the order path holds both levels;
+    # before it, construct made 1,281 sifts and verify 1,011.
+    assert _construct_and_verify_sifts(
+        monkeypatch, "k2-mixed", 2
+    ) == (1165, 892)

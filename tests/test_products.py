@@ -1,8 +1,20 @@
+import json
+import math
+import pathlib
+
 import pytest
 from conftest import full_product_group
 
+import perfectcover
+from perfectcover import groups as groups_module
+from perfectcover.certificates import (
+    dumps_certificate,
+    serialize_certificate,
+    verify_certificate,
+)
 from perfectcover.construction import construct
 from perfectcover.errors import InputError, VerificationError
+from perfectcover.groupfile import parse_family_file
 from perfectcover.groups import PermGroup, mulclose
 from perfectcover.perms import Permutation, parse_cycles
 from perfectcover.products import (
@@ -174,7 +186,7 @@ def test_projection_check_rejects_a_missed_factor(groups):
     A5 = groups["A5"]
     prod = DirectProduct((A5, A5))
     gamma = prod.subgroup([prod.element({0: g}) for g in A5.generators])
-    check_gamma_perfect(gamma)
+    check_gamma_perfect(gamma, [A5, A5])
     with pytest.raises(VerificationError, match="projection onto factor 1"):
         check_projections(prod, gamma, [A5, A5])
 
@@ -184,7 +196,7 @@ def test_gamma_check_rejects_a_non_perfect_gamma(groups):
     gamma = full_product_group(prod)
     check_projections(prod, gamma, [groups["S3"]])
     with pytest.raises(VerificationError, match="gamma is not perfect"):
-        check_gamma_perfect(gamma)
+        check_gamma_perfect(gamma, [groups["S3"]])
 
 
 def _copy_witnesses(level, family, k):
@@ -215,3 +227,109 @@ def test_level_bounds_need_witnesses_inside_their_groups(groups):
     outside.lifts = [[odd * level.lifts[0][0], *level.lifts[0][1:]]]
     assert outside.cover_inside and outside.delta_q_bound is None
     assert outside.gamma.chain.bound is None
+
+
+# ----------------------------------------------------------------------
+# The order path: a T or Gamma known to lie in a product, of the product's
+# order, is the whole product
+
+ROOT = pathlib.Path(__file__).parent.parent
+ORDER_PATH_FAMILIES = [
+    (ROOT / "bench" / "families" / "k1-cover.txt", 61),
+    (ROOT / "bench" / "families" / "k2-mixed.txt", 2),
+    (ROOT / "tests" / "data" / "k1-A5xA5.txt", 2),
+    (ROOT / "tests" / "data" / "k2-W2A5.txt", 2),
+    (ROOT / "tests" / "data" / "k2-A5xA5-SL25.txt", 2),
+]
+
+
+def _verdict(check, *args):
+    """None if the check passes, else its message."""
+    try:
+        check(*args)
+    except VerificationError as exc:
+        return str(exc)
+    return None
+
+
+def _verdicts(level, order_path: bool):
+    product, gamma = level.product, level.gamma
+    t_inside = order_path and level.cover_inside
+    gamma_inside = order_path and level.gamma_inside
+    return [
+        _verdict(check_T, product, level.t_group, level.S, t_inside),
+        _verdict(check_gamma_perfect, gamma, level.family, gamma_inside),
+        _verdict(check_projections, product, gamma, level.family, gamma_inside),
+    ]
+
+
+@pytest.mark.parametrize(
+    "path, budget", ORDER_PATH_FAMILIES, ids=[p.stem for p, _ in ORDER_PATH_FAMILIES]
+)
+def test_order_path_and_closure_path_agree_on_every_level(path, budget):
+    names, members, d, k = parse_family_file(str(path))
+    cert = construct(members, d=d, k=k, names=names, seed=7, budget=budget)
+    for level in cert.levels:
+        # every level of these families takes the order path
+        assert level.cover_inside and level.gamma_inside
+        assert level.t_group.order == math.prod(S.order for S in level.S)
+        assert level.gamma.order == math.prod(G.order for G in level.family)
+        assert _verdicts(level, True) == _verdicts(level, False) == [None] * 3
+
+
+def test_whole_product_with_a_non_perfect_factor_fails(groups):
+    A5, S3 = groups["A5"], groups["S3"]
+    prod = DirectProduct((A5, S3))
+    whole = full_product_group(prod)
+    for inside in (True, False):
+        with pytest.raises(VerificationError, match="T is not perfect"):
+            check_T(prod, whole, [A5, S3], inside)
+        with pytest.raises(VerificationError, match="gamma is not perfect"):
+            check_gamma_perfect(whole, [A5, S3], inside)
+        check_projections(prod, whole, [A5, S3], inside)
+
+
+def test_proper_subgroup_inside_the_product_takes_the_closure_path(groups):
+    A5 = groups["A5"]
+    prod = DirectProduct((A5, A5))
+    diag = prod.subgroup(
+        [prod.element({0: g, 1: g}) for g in A5.generators], bound=3600
+    )
+    assert diag.order == 60
+    check_T(prod, diag, [A5, A5], True)
+    # the diagonal's own derived subgroup was taken: the closure path ran
+    assert diag.facts["derived"] is diag
+    check_gamma_perfect(diag, [A5, A5], True)
+    check_projections(prod, diag, [A5, A5], True)
+    # A5 x 1 lies in A5 x A5 too, and misses factor 1
+    first = prod.subgroup([prod.element({0: g}) for g in A5.generators], bound=3600)
+    with pytest.raises(VerificationError, match="semisimple part 1"):
+        check_T(prod, first, [A5, A5], True)
+    with pytest.raises(VerificationError, match="projection onto factor 1"):
+        check_projections(prod, first, [A5, A5], True)
+
+
+def test_k1_cover_takes_no_derived_subgroup_of_the_product(monkeypatch):
+    # seed 7 of bench/families/k1-cover.txt: T and Gamma are both
+    # A5 x A6 x PSL27 on 5 + 6 + 8 = 19 points, so T-perfect and
+    # gamma-perfect read each member's perfectness, known from
+    # admissibility, and take no derived closure on 19 points
+    degrees = []
+    original = groups_module.derived_subgroup
+
+    def recording(G):
+        degrees.append(G.degree)
+        return original(G)
+
+    # every package module that binds the name, so no caller escapes
+    for module in vars(perfectcover).values():
+        if getattr(module, "derived_subgroup", None) is original:
+            monkeypatch.setattr(module, "derived_subgroup", recording)
+    names, members, d, k = parse_family_file(str(ORDER_PATH_FAMILIES[0][0]))
+    cert = construct(members, d=d, k=k, names=names, seed=7, budget=61)
+    assert cert.levels[0].product.degree == 19
+    assert degrees and 19 not in degrees
+    degrees.clear()
+    data = json.loads(dumps_certificate(serialize_certificate(cert)))
+    assert verify_certificate(data).valid
+    assert degrees and 19 not in degrees
