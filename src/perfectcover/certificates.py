@@ -2,9 +2,11 @@
 
 A certificate is a plain JSON document holding the witnesses of one
 construction run: the family, then per level the words, lifts, residues,
-module coordinates, cover tuples and conjugators and the marked
-generators of that level's Gamma, and at the top Gamma's marked
-generators.
+the elements q_il of A in each abelian residue's commutator decomposition,
+cover tuples and conjugators and the marked generators of that level's
+Gamma, and at the top Gamma's marked generators.  A q is stored as a
+permutation, like a lift, so the q-decomposition step checks the claim
+k_i = [q_i1, a_1] ... [q_im, a_m] and nothing about an encoding.
 Nothing the family and k determine is stored per level.  The verifier
 reads each level into a `products.Level`, the record the construction
 builds: the Level derives the split (W, A, S, B and the simple factors)
@@ -26,7 +28,6 @@ closure and projection chains of the product (`products`).
 from __future__ import annotations
 
 import json
-import math
 
 from . import __version__
 from .errors import InputError
@@ -114,19 +115,14 @@ def serialize_certificate(cert) -> dict:
     for lvl in cert.levels:
         factors = []
         for j in range(len(lvl.family)):
-            basis, coords = lvl.basis[j], lvl.q_coords[j]
+            q = lvl.q[j]
             factors.append(
                 {
                     "lifts": [_perm_str(a) for a in lvl.lifts[j]],
                     "k_res": [_perm_str(x) for x in lvl.k_res[j]],
                     "s_res": [_perm_str(x) for x in lvl.s_res[j]],
-                    "module_basis": (
-                        [_perm_str(b) for b in basis] if basis is not None else None
-                    ),
-                    "q_coords": (
-                        [[list(c) for c in per_i] for per_i in coords]
-                        if coords is not None
-                        else None
+                    "q": (
+                        None if q is None else [[_perm_str(x) for x in row] for row in q]
                     ),
                 }
             )
@@ -282,10 +278,10 @@ def _parse_gens(strings, degree: int, parsed: dict) -> list[Permutation]:
 
 
 def _read_level(doc: dict, level: Level, parsed: dict) -> None:
-    """Set a level's witnesses from its document, all but the module data
-    and the cover: the q-decomposition and s-in-T steps read those, so that
-    a malformed one fails the step that checks it, and a later step that
-    needs it fails on its absence."""
+    """Set a level's witnesses from its document, all but q and the cover:
+    the q-decomposition and s-in-T steps read those, so that a malformed
+    one fails the step that checks it, and a later step that needs it
+    fails on its absence."""
     if len(doc["factors"]) != len(level.family):
         raise InputError("the level needs one factor per family member")
     degrees = [G.degree for G in level.family]
@@ -298,16 +294,14 @@ def _read_level(doc: dict, level: Level, parsed: dict) -> None:
     level.marked = doc["marked"]
 
 
-def _read_module(doc: dict, level: Level, parsed: dict) -> None:
-    """Set each member's module basis and q coordinates, None without a
-    module."""
-    level.basis = [
+def _read_q(doc: dict, level: Level, parsed: dict) -> None:
+    """Set each member's q, None without a module."""
+    level.q = [
         None
-        if f["module_basis"] is None
-        else _parse_gens(f["module_basis"], G.degree, parsed)
+        if f["q"] is None
+        else [_parse_gens(row, G.degree, parsed) for row in f["q"]]
         for f, G in zip(doc["factors"], level.family)
     ]
-    level.q_coords = [f["q_coords"] for f in doc["factors"]]
 
 
 def _read_cover(doc: dict, level: Level, parsed: dict) -> None:
@@ -543,59 +537,25 @@ def _verify_level(
 
     # ---- q decomposition
     def check_qdec():
-        _read_module(doc, level, parsed)
-        for j, (basis, rows) in enumerate(zip(level.basis, level.q_coords)):
+        _read_q(doc, level, parsed)
+        for j, rows in enumerate(level.q):
             A = level.A[j]
-            if basis is None:
+            if rows is None:
                 if A.order != 1:
-                    raise InputError(f"factor {j}: missing module data")
-                if rows is not None:
-                    raise InputError(f"factor {j}: q coordinates without a module basis")
-                for i in range(m):
-                    if not level.k_res[j][i].is_identity():
-                        raise InputError(
-                            f"factor {j}: nontrivial residue without module data"
-                        )
+                    raise InputError(f"factor {j}: missing q")
+                if not all(x.is_identity() for x in level.k_res[j]):
+                    raise InputError(f"factor {j}: nontrivial residue without a module")
                 continue
-            orders = []
-            for b in basis:
-                if b not in A:
-                    raise InputError(f"factor {j}: basis element outside A")
-                orders.append(b.order())
-            # elements that generate A, with orders multiplying to |A|, are
-            # independent: each element of A has one coordinate vector
-            if (
-                math.prod(orders) != A.order
-                or not generates(A, basis)
-            ):
-                raise InputError(f"factor {j}: basis does not span A")
-            if rows is None or len(rows) != m:
-                raise InputError(f"factor {j}: missing q coordinates")
-            for i in range(m):
-                if len(rows[i]) != m:
-                    raise InputError(f"factor {j}: q row {i} has wrong arity")
-                # one reduced coordinate per basis element, so that each q
-                # has exactly one encoding; True must not stand in for 1
-                for l, coords in enumerate(rows[i]):
-                    if not (
-                        isinstance(coords, list)
-                        and len(coords) == len(orders)
-                        and all(
-                            type(c) is int and 0 <= c < n
-                            for c, n in zip(coords, orders)
-                        )
-                    ):
-                        raise InputError(
-                            f"factor {j}: q coordinates ({i}, {l}) do not "
-                            "match the module basis"
-                        )
-        for j, per_i in enumerate(level.q_elems):
-            if per_i is None:
-                continue
-            for i in range(m):
+            if A.order == 1:
+                raise InputError(f"factor {j}: q without a module")
+            if len(rows) != m or any(len(row) != m for row in rows):
+                raise InputError(f"factor {j}: q needs m = {m} rows of m elements")
+            if not all(x in A for x in dict.fromkeys(x for row in rows for x in row)):
+                raise InputError(f"factor {j}: q outside A")
+            for i, row in enumerate(rows):
                 prod = level.family[j].identity
-                for l in range(m):
-                    prod = prod * commutator(per_i[i][l], level.lifts[j][l])
+                for q, a in zip(row, level.lifts[j]):
+                    prod = prod * commutator(q, a)
                 if prod != level.k_res[j][i]:
                     raise InputError(
                         f"factor {j} row {i}: commutator decomposition fails"
@@ -618,7 +578,7 @@ def _verify_level(
 
     def check_sT():
         _read_cover(doc, level, parsed)
-        check_s_in_T(level.cover_values, level.s_elems, level.t_group)
+        check_s_in_T(level.cover_values, level.s_elems)
 
     rec.guard("s-in-T", lab, check_sT)
 

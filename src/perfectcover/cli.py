@@ -3,8 +3,8 @@
 Subcommands: analyze (structure report), construct (build and write a
 certificate), verify (re-check a certificate), cover (covering numbers of
 a conjugacy class), catalog (list built-ins).  Exit codes: 0 success or
-valid, 1 invalid certificate or failed precondition, 2 usage or parse
-error.
+valid, 1 invalid certificate, failed precondition, exhausted search or
+exhausted memory, 2 usage or parse error.
 
 Each handler imports the layers it calls, so that a process compiles only
 those: `verify` loads the verifier and not the builder, `catalog` neither.
@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from . import __version__
-from .errors import InputError, PreconditionError, SizeLimitError
+from .errors import InputError, PreconditionError, SearchError, SizeLimitError
 from .groups import DEFAULT_BUDGET, ENUMERATION_CAP
 
 
@@ -172,8 +172,8 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PreconditionError, SizeLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (PreconditionError, SizeLimitError, SearchError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -157,30 +157,27 @@ def recurse_and_align(
 
 def build_Q(level: Level) -> None:
     """Solve each abelian residue k_i as a product of commutators [q_il, a_l]
-    in its member's module, and set the level's module bases and the
-    coordinates of the q_il; Q is generated by the [q_il, a_t]."""
+    with every q_il in its member's abelian part A, the identity for a
+    trivial residue, and set the level's q; Q is generated by the
+    [q_il, a_t]."""
     m = level.m
-    level.basis, level.q_coords = [], []
+    level.q = []
     for j, G in enumerate(level.family):
         A, lifts = level.A[j], level.lifts[j]
         if A.order == 1:
-            for i in range(m):
-                if not level.k_res[j][i].is_identity():
-                    raise InternalError("nontrivial residue over a trivial abelian part")
-            level.basis.append(None)
-            level.q_coords.append(None)
+            if not all(k.is_identity() for k in level.k_res[j]):
+                raise InternalError("nontrivial residue over a trivial abelian part")
+            level.q.append(None)
             continue
         M = GModule(G, A, lifts)
-        per_i_coords = []
-        for i in range(m):
-            target = level.k_res[j][i]
-            if target.is_identity():
-                per_i_coords.append([M.zero()] * m)
-            else:
-                qs = solve_commutator_decomposition(M, lifts, target)
-                per_i_coords.append([M.encode(q) for q in qs])
-        level.basis.append(M.basis)
-        level.q_coords.append(per_i_coords)
+        level.q.append(
+            [
+                [G.identity] * m
+                if target.is_identity()
+                else solve_commutator_decomposition(M, lifts, target)
+                for target in level.k_res[j]
+            ]
+        )
 
 
 def build_T(level: Level, budget: int, rng, cap: int = ENUMERATION_CAP) -> None:
@@ -233,7 +230,7 @@ def assemble_and_verify(level: Level) -> None:
         check_Q(
             product, level.delta, level.q_values, level.k_elems, level.delta_q_bound
         )
-        check_s_in_T(level.cover_values, level.s_elems, level.t_group)
+        check_s_in_T(level.cover_values, level.s_elems)
         check_T(product, level.t_group, level.S, level.cover_inside)
         check_gamma_perfect(level.gamma, level.family, level.gamma_inside)
         check_projections(product, level.gamma, level.family, level.gamma_inside)

@@ -67,7 +67,7 @@ def _smith_basis(A: PermGroup):
         rel[i] = e
         relations.append(rel)
     columns = [[rel[i] for rel in relations] for i in range(r)]
-    D, U, Uinv, _, _ = smith_normal_form(columns)
+    D, U, Uinv, _ = smith_normal_form(columns)
     coordinates, basis, orders = [], [], []
     for i, d in enumerate(diagonal_of(D)):
         if d == 1:
@@ -130,9 +130,6 @@ class GModule:
 
     def reduce(self, coords) -> tuple[int, ...]:
         return tuple(c % d for c, d in zip(coords, self.orders))
-
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.rank
 
 
 def _order_rows(M: GModule) -> list[list[int]]:

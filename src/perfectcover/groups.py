@@ -533,15 +533,6 @@ def conjugacy_class_of(G: PermGroup, x: Permutation) -> list[Permutation]:
     return [_wrap(y) for y in conjugation_orbit_images(G, x)]
 
 
-def intersection(G: PermGroup, H: PermGroup, cap: int = ENUMERATION_CAP) -> PermGroup:
-    """G meet H, by filtering the smaller group's elements (desk scale)."""
-    if G.degree != H.degree:
-        raise InputError("degree mismatch in intersection")
-    small, big = (G, H) if G.order <= H.order else (H, G)
-    common = [x for x in enumerate_elements(small, cap) if x in big]
-    return from_elements(G.degree, common)
-
-
 class CosetMap:
     """The action of G on right cosets of a normal subgroup N.
 

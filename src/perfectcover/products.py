@@ -15,7 +15,7 @@ that contains them (`groups.StabilizerChain`), but only once the witnesses
 are seen to lie in their groups: T <= S_1 x ... x S_n when each cover tuple
 element and each distinct conjugator part lies in its simple factor, and
 Gamma and <Delta, Q> lie in G_1 x ... x G_n when, besides, each lift lies
-in its member and each module basis in its A.  Otherwise those chains are
+in its member and each q in its A.  Otherwise those chains are
 built unbounded, so a witness outside its group changes no verdict.
 
 On those same conditions T-perfect, gamma-perfect and projections take an
@@ -33,13 +33,15 @@ give the same verdicts.
 A level derives its cover's values once (`CoverValues`): each of the g
 cover elements m_c and each distinct conjugator r_{l,c,t} is built once,
 and T's generators and the s-in-T row products are composed on raw images
-from those same values.
+from those same values: each factor of a row product is one of T's
+generators, so a residue equal to its row product lies in T.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import chain
 
 from .errors import InputError, PreconditionError, VerificationError
 from .groups import (
@@ -167,17 +169,20 @@ def _distinct(values) -> list[Permutation]:
     return out
 
 
-def q_values(product: DirectProduct, q_elems, lifts) -> list[Permutation]:
+def q_values(product: DirectProduct, q, lifts) -> list[Permutation]:
     """Q's generators: the distinct nonidentity [q_{i,l}, a_t] over (i, l, t)
-    in that order; q_elems[j] is None for a member without a module."""
-    nontrivial = [j for j, q in enumerate(q_elems) if q is not None]
+    in that order, each joining the members whose q holds a q_{i,l}; q[j]
+    is None for a member without a module.  Every stored q is read, so Q
+    is defined whatever shape the q-decomposition step finds."""
     m = len(lifts[0])
+    cells: dict = {}
+    for j, rows in enumerate(q):
+        for i, row in enumerate(rows or ()):
+            for l, x in enumerate(row):
+                cells.setdefault((i, l), {})[j] = x
     values = (
-        product.element(
-            {j: commutator(q_elems[j][i][l], lifts[j][t]) for j in nontrivial}
-        )
-        for i in range(m)
-        for l in range(m)
+        product.element({j: commutator(x, lifts[j][t]) for j, x in cells[il].items()})
+        for il in sorted(cells)
         for t in range(m)
     )
     return _distinct(v for v in values if not v.is_identity())
@@ -268,8 +273,8 @@ class Level:
     S, members in order.
 
     The witnesses, as a certificate stores them, set by whoever builds or
-    reads the level: `m`, `words`, `lifts`, `k_res` and `s_res`; per member
-    the module `basis` and `q_coords`, both None without a module; `cover`
+    reads the level: `m`, `words`, `lifts`, `k_res` and `s_res`; `q`, per
+    member the m x m elements q_il of its A, None without a module; `cover`
     = (factor_of, tuples, e, r), or None without simple factors; and
     `marked`, the indices into `gamma_gens` of Gamma's marked generators.
 
@@ -324,27 +329,8 @@ class Level:
         return [column(self.product, self.s_res, i) for i in range(self.m)]
 
     @cached_property
-    def q_elems(self) -> list[list[list[Permutation]] | None]:
-        """q_elems[j][i][l] decoded from the module basis and coordinates;
-        None for a member without a module."""
-        out = []
-        for j, (G, basis) in enumerate(zip(self.family, self.basis)):
-            if basis is None:
-                out.append(None)
-                continue
-
-            def decode(coords, identity=G.identity, basis=basis):
-                x = identity
-                for b, c in zip(basis, coords):
-                    x = x * b**c
-                return x
-
-            out.append([[decode(c) for c in row] for row in self.q_coords[j]])
-        return out
-
-    @cached_property
     def q_values(self) -> list[Permutation]:
-        return q_values(self.product, self.q_elems, self.lifts)
+        return q_values(self.product, self.q, self.lifts)
 
     @cached_property
     def cover_values(self) -> CoverValues | None:
@@ -374,10 +360,10 @@ class Level:
 
     @cached_property
     def delta_q_bound(self) -> int | None:
-        """|G_1| ... |G_n| when each lift lies in its member and each module
-        basis in its A, so that <Delta, Q> lies in the product; else None."""
-        bases = ((A, b) for A, b in zip(self.A, self.basis) if b is not None)
-        if not _inside([*zip(self.family, self.lifts), *bases]):
+        """|G_1| ... |G_n| when each lift lies in its member and each q in
+        its A, so that <Delta, Q> lies in the product; else None."""
+        qs = [(A, chain(*rows)) for A, rows in zip(self.A, self.q) if rows]
+        if not _inside([*zip(self.family, self.lifts), *qs]):
             return None
         return math.prod(G.order for G in self.family)
 
@@ -434,9 +420,11 @@ def check_Q(product: DirectProduct, delta, q_vals, k_elems, bound=None) -> None:
             raise VerificationError(f"abelian residue {i} is not in Q")
 
 
-def check_s_in_T(cover: CoverValues | None, s_elems, t_group: PermGroup) -> None:
-    """Each semisimple residue s_l is its cover-row product and lies in T.
-    Without a cover (None) every residue must be trivial."""
+def check_s_in_T(cover: CoverValues | None, s_elems) -> None:
+    """Each semisimple residue s_l is its cover-row product, and so lies in
+    T: each factor of the row product is one of T's generators
+    (`CoverValues.t_values`).  Without a cover (None) every residue must be
+    trivial."""
     if cover is None:
         if not all(s.is_identity() for s in s_elems):
             raise VerificationError("nontrivial semisimple residue with no T")
@@ -444,8 +432,6 @@ def check_s_in_T(cover: CoverValues | None, s_elems, t_group: PermGroup) -> None
     for l, s in enumerate(s_elems):
         if cover.row_product(l) != s:
             raise VerificationError(f"row {l}: cover product does not equal the residue")
-        if s not in t_group:
-            raise VerificationError(f"row {l}: semisimple residue is not in T")
 
 
 def _is_whole(H: PermGroup, groups, inside: bool) -> bool:

@@ -2,7 +2,8 @@
 
 Everything uses Python integers, so there is no overflow; matrices are
 lists of lists.  The Smith form routine tracks both transformation
-matrices and their inverses, which the abelian-group decomposition needs.
+matrices and the inverse of the row transformation, which the
+abelian-group decomposition needs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ def mat_vec(A, v):
 
 
 class _SmithState:
-    """Work matrix plus the four transformation accumulators."""
+    """Work matrix plus the three transformation accumulators."""
 
     def __init__(self, A):
         self.M = [list(row) for row in A]
@@ -28,7 +29,6 @@ class _SmithState:
         self.U = identity_matrix(self.rows)
         self.Uinv = identity_matrix(self.rows)
         self.V = identity_matrix(self.cols)
-        self.Vinv = identity_matrix(self.cols)
 
     def swap_rows(self, i, j):
         if i == j:
@@ -45,7 +45,6 @@ class _SmithState:
             row[i], row[j] = row[j], row[i]
         for row in self.V:
             row[i], row[j] = row[j], row[i]
-        self.Vinv[i], self.Vinv[j] = self.Vinv[j], self.Vinv[i]
 
     def add_row(self, dst, src, c):
         """row dst += c * row src."""
@@ -64,7 +63,6 @@ class _SmithState:
             row[dst] += c * row[src]
         for row in self.V:
             row[dst] += c * row[src]
-        self.Vinv[src] = [a - c * b for a, b in zip(self.Vinv[src], self.Vinv[dst])]
 
     def negate_row(self, i):
         self.M[i] = [-a for a in self.M[i]]
@@ -74,9 +72,9 @@ class _SmithState:
 
 
 def smith_normal_form(A):
-    """Return (D, U, Uinv, V, Vinv) with U*A*V = D diagonal, d_i | d_{i+1}.
+    """Return (D, U, Uinv, V) with U*A*V = D diagonal, d_i | d_{i+1}.
 
-    U and V are unimodular; Uinv and Vinv are their exact inverses.
+    U and V are unimodular; Uinv is U's exact inverse.
     """
     st = _SmithState(A)
     n = min(st.rows, st.cols)
@@ -127,7 +125,7 @@ def smith_normal_form(A):
         for j in range(st.cols):
             if i != j and st.M[i][j]:
                 raise InternalError("Smith reduction left an off-diagonal entry")
-    return D, st.U, st.Uinv, st.V, st.Vinv
+    return D, st.U, st.Uinv, st.V
 
 
 def diagonal_of(D) -> list[int]:
@@ -148,7 +146,7 @@ def solve_left(B, t):
         return [] if all(v == 0 for v in t) else None
     # Transpose to the column form A z = b with A = B^T.
     A = [[B[r][c] for r in range(rows)] for c in range(cols)]
-    D, U, _, V, _ = smith_normal_form(A)
+    D, U, _, V = smith_normal_form(A)
     b = mat_vec(U, list(t))
     diag = diagonal_of(D)
     z = [0] * rows

@@ -1,8 +1,9 @@
 """Characteristic series via the star operator, and related structure queries.
 
 For a finite group G, star(G) is the intersection of all normal subgroups
-whose quotient is abelian or simple; G/star(G) splits as (abelianization)
-x (largest semisimple quotient).  Iterating star yields a strictly
+whose quotient is abelian or simple, read off the normal-subgroup
+lattice; G/star(G) splits as (abelianization) x (largest semisimple
+quotient).  Iterating star yields a strictly
 descending characteristic series whose length is the level of G.
 
 Subgroups are compared through their stabilizer chains: H <= K when |H|
@@ -38,7 +39,6 @@ from .groups import (
     derived_subgroup,
     enumerate_elements,
     generates,
-    intersection,
     is_abelian,
     is_perfect,
     normal_closure,
@@ -151,8 +151,10 @@ def star_subgroup(G: PermGroup, cap: int = ENUMERATION_CAP) -> PermGroup:
     """Intersection of all normal subgroups with abelian or simple quotient.
 
     Equals derived(G) intersected with every maximal normal subgroup whose
-    quotient is nonabelian simple.  star(G) <= [G, G], so a trivial derived
-    subgroup returns at once, without the normal-subgroup lattice.
+    quotient is nonabelian simple, the maximal ones not above derived(G).
+    An intersection of normal subgroups is normal, so it is the largest
+    member of the lattice below all of them.  star(G) <= [G, G], so a
+    trivial derived subgroup returns at once, without the lattice.
     """
     cached = G.facts.get("star")
     if cached is not None:
@@ -160,14 +162,17 @@ def star_subgroup(G: PermGroup, cap: int = ENUMERATION_CAP) -> PermGroup:
     D = derived_subgroup(G)
     if D.order == 1:
         return D
-    proper = [N for N in normal_subgroups(G, cap) if N.order < G.order]
-    result = D
-    for N in proper:
-        maximal = not any(
-            M.order > N.order and _is_subgroup(N, M) for M in proper
-        )
-        if maximal and not _is_subgroup(D, N):
-            result = intersection(result, N, cap)
+    lattice = normal_subgroups(G, cap)
+    proper = [N for N in lattice if N.order < G.order]
+    tops = [
+        N
+        for N in proper
+        if not any(M.order > N.order and _is_subgroup(N, M) for M in proper)
+        and not _is_subgroup(D, N)
+    ]
+    result = next(
+        N for N in reversed(lattice) if all(_is_subgroup(N, M) for M in [D, *tops])
+    )
     G.facts["star"] = result
     return result
 

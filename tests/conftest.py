@@ -35,6 +35,15 @@ def centralizer_order(G, g):
     return sum(1 for h in enumerate_elements(G) if h * g == g * h)
 
 
+def meet(*subgroups):
+    """The elements common to subgroups of one group, by testing each
+    element of the smallest against the others (brute force)."""
+    small = min(subgroups, key=lambda H: H.order)
+    return frozenset(
+        x for x in enumerate_elements(small) if all(x in H for H in subgroups)
+    )
+
+
 def product_set(X, Y):
     """{x * y : x in X, y in Y}, element by element."""
     return frozenset(x * y for x in X for y in Y)

@@ -262,16 +262,12 @@ def test_criterion_9_negative_controls():
 
         _, e16_data = get_k2_cert("E16A5")
         bad = copy.deepcopy(e16_data)
-        perturbed = False
-        for lvl in bad["levels"]:
-            for factor in lvl["factors"]:
-                if factor["q_coords"] is not None:
-                    factor["q_coords"][0][0][0] ^= 1
-                    perturbed = True
-                    break
-            if perturbed:
-                break
-        assert perturbed
+        # replace q_00 with k_0, another element of A
+        factor = next(
+            f for lvl in bad["levels"] for f in lvl["factors"] if f["q"] is not None
+        )
+        assert factor["q"][0][0] != factor["k_res"][0]
+        factor["q"][0][0] = factor["k_res"][0]
         report = verify_certificate(bad)
         assert not report.valid
         assert report.failed_steps()[0] == "q-decomposition"

@@ -58,6 +58,7 @@ A5_SEED7_DIGESTS = {
     "0.5.0": "94239e9242f7a65401b5ef23967434b86e6933bf740dd638f28b8a32b0ec6a85",
     "0.6.0": "71f6426fc33415169cbe30e24baab806954896f93088c9b7fc21bf51e632cd05",
     "0.7.0": "9aeaf3e8dedb74405d7f33c91bf168e5500397978bad9380c0a3b08a09d8a9fe",
+    "0.8.0": "3c761109ad597aca410c713fcdd73dcd9f12e9cd6cf726978c33fd15731156f2",
 }
 
 # The same for budget 61: the class product of build_T fills A5 before its
@@ -68,6 +69,7 @@ A5_SEED7_BUDGET61_DIGESTS = {
     "0.5.0": "0d87127ce99b8dd8aefa63ec91e9810776b0556a09038b49f7b14ab0b311fcfa",
     "0.6.0": "c892320039e14d1f5e04e1f28736a23b24361bfe573832fb098a05474e710d05",
     "0.7.0": "7ab3abab12e328f759991130c5abb83171cea80e335e675404b6a156f9d725e8",
+    "0.8.0": "8d282d70ca07d991a2c96ce8f7abd8d85e6d4db57fc5c0f9f4521f75323f1b36",
 }
 
 
@@ -89,6 +91,7 @@ E16A5_K2_SEED7_DIGESTS = {
     "0.5.0": "e78e1ea7145cfa3c3ad524b0b95896e64fad47d6ff437c92861b15bc1ca42cec",
     "0.6.0": "20e29097cf4b083c9d894db2c70569cf29701427f17e5178a3d51cd7882f63e5",
     "0.7.0": "f497a947c6c1bd603fde7fb4b447c083e1f9f1c96ba033024c9e1a1955f40e21",
+    "0.8.0": "18a5dadfda73372ee1cc6b1444247306f9973113a9b59455caf9610aaacb34cd",
 }
 
 
@@ -107,6 +110,7 @@ A5XA5_SEED7_DIGESTS = {
     "0.5.0": "b593f1054888e0f856fedd0969b09bf04d1c6c8bc417b57d09c20c3a88bc2eff",
     "0.6.0": "251ecebb85f65ee860de54a25689d002c93831bb29e0d1e87c6cbf09387add48",
     "0.7.0": "fe32f36b51fd1ac83b685e9bf84ca0976104a360ebd913359f8133dfa2ad39e9",
+    "0.8.0": "bcfb9b749594b243d58b708424ac8f746097c2b577aacea55459754c43d8e3ee",
 }
 
 
@@ -126,6 +130,7 @@ BENCH_FAMILY_SEED7_DIGESTS = {
         "0.5.0": "83d1d740ff74eb6d7c80fcc9dac98cb8c8e855b2bb59690ff029f14ff30080c0",
         "0.6.0": "d8aeeed499c3ad06084f348a619e4dcd178a2a04728b349b7ca9d67a026a5804",
         "0.7.0": "fa18a2e0158f7791454ebdcad9e673f8f1043d81cd837c331e3d6bd73307d219",
+        "0.8.0": "aeacc621ac2e4742f0bec62921fcb06c560eeac5868c0bd98a11a7934efa8f6d",
     },
     ("SL25+E16A5", 2, 2): {
         "0.3.0": "bc5e97568aaca3a9e5df3f886067a4c420a879a33562034b06c3ed82e5f66d95",
@@ -133,6 +138,7 @@ BENCH_FAMILY_SEED7_DIGESTS = {
         "0.5.0": "9e326be870c7db9e2595b031c5288dfb007d53d76dcf1e94f4efdbc76722f02b",
         "0.6.0": "3c629631f39b6f1bcb5050260601fd1cbd60549b812fdcff152ab69d57ab4edc",
         "0.7.0": "a339c6d17695169c5c100210a258a5f30bad7221135f1f138fd98c62ed343198",
+        "0.8.0": "fc54ac78d412a95aeb5e051ca42c8605ed7b8b8c225a6905b052f2df9917beee",
     },
 }
 
@@ -158,6 +164,7 @@ A8_FAMILY_SEED7_DIGESTS = {
     "0.5.0": "01ff7859035d2dc90b720fcf14bf067a10ad925770b87f55d4f37a90407e4b24",
     "0.6.0": "561ac49da19240408d1ea60168b0c9caa080c843056826429ce3c68416ef0637",
     "0.7.0": "dcdd81b73d93d27b2ed5c3f10b59ba6e6e893d994289ca3f9211a73f2ad5b9b8",
+    "0.8.0": "534e0cb643589b4e49fbaf6616554d447362085a48c87c25259039cc3c7269d6",
 }
 
 
@@ -177,6 +184,7 @@ M11_FAMILY_SEED7_DIGESTS = {
     "0.5.0": "a8bc733324151eb619ed6972ed500f6604f64a91d8011ebb3e81e8803cacc842",
     "0.6.0": "ba73ecbf53f1e0a1892d8d3ab152defc7260d44c686b8cf4b805b5b5c152e153",
     "0.7.0": "27c812dccb37710eb16e7792e5427717f5807a7dab64e564e230b0fc31c5223c",
+    "0.8.0": "7ffec360a1cd1735849ffd06daf3f529000ae416b9531f7eae42df9adc7a43f7",
 }
 
 
@@ -197,6 +205,7 @@ A5XA5_FAMILY_SEED7_DIGESTS = {
     "0.5.0": "b593f1054888e0f856fedd0969b09bf04d1c6c8bc417b57d09c20c3a88bc2eff",
     "0.6.0": "251ecebb85f65ee860de54a25689d002c93831bb29e0d1e87c6cbf09387add48",
     "0.7.0": "fe32f36b51fd1ac83b685e9bf84ca0976104a360ebd913359f8133dfa2ad39e9",
+    "0.8.0": "bcfb9b749594b243d58b708424ac8f746097c2b577aacea55459754c43d8e3ee",
 }
 
 
@@ -216,6 +225,7 @@ A5XA5_SL25_K2_SEED7_DIGESTS = {
     "0.5.0": "4511970e698a103a29770eb262adf7f74a44ca6c37540e2070b9b9febd9f1cfd",
     "0.6.0": "5bd659bbb88b913740ddc4f09120f2017f815d7908e940f5904f1d8a67e22ca0",
     "0.7.0": "0e45464d8aa5c02abe0cf522212499f7f1110d9911f4237d1e9db44ef4aada78",
+    "0.8.0": "1cf0e602f2ee956652cefdd21430a49d5afcdf072396f3817498184ea71a7c86",
 }
 
 
@@ -235,6 +245,7 @@ W2A5_K2_SEED7_DIGESTS = {
     "0.5.0": "52c1b05c37f30cf4e4e993afb89f90802450fe6519217932b5cb78c5c6416679",
     "0.6.0": "eb74ac4e8a5906b97b3166d889b15152a1f2ffee3383f29929ebdb8c6f15bb96",
     "0.7.0": "ccffc87eb318b98238144bb461a3db411574474a6c75d38e37650947e2b9bf62",
+    "0.8.0": "3a29d8a1e41054cec01a5b94df0881ddb74111bfa7579ffd3143b09594640ea5",
 }
 
 
@@ -252,6 +263,7 @@ def test_w2a5_family_constructs_and_verifies():
 # affine group of order 4860, beside SL(2,5).
 W3A5_SL25_K2_SEED7_DIGESTS = {
     "0.7.0": "3b26ed17ab85e8fd79ccb2128062f79e6e30ee39b7134648c5fabc2e9a39f413",
+    "0.8.0": "8ae37d3d1c2dd0d5e706f316eea3755e5751446ef1448c39dbf197812d90bdc4",
 }
 
 
@@ -266,10 +278,11 @@ def test_w3a5_beside_sl25_family_constructs_and_verifies():
 
 
 # tests/data/k2-W7A5.txt at seed 7, budget 2: W7A5 = 7^4:A5 has a module
-# of 2401 elements, whose basis and coordinates the certificate stores.
+# of 2401 elements, whose q elements the certificate stores.
 W7A5_K2_SEED7_DIGESTS = {
     "0.6.0": "48a8a50391f4ebce3360a1d6856b35fdd284251fedea3ac7b964dec9337425ff",
     "0.7.0": "be413bfbb09ba2d91c76aa8ea5ccfdf8784cc122190a552e70238ec5282f27c3",
+    "0.8.0": "15980637a376300613827ae61d1b7a0fa8b70b7718fe993970249014ba721b38",
 }
 
 
@@ -362,34 +375,15 @@ def test_tampered_T_conjugator_rejected(a5_cert):
 
 
 def test_perturbed_q_coordinate_rejected(e16_cert):
+    # q_00 becomes k_0, another element of A: in A, but the decomposition
+    # of k_0 no longer holds
     data = copy.deepcopy(e16_cert)
-    # the top level's factors act on the points of the family members
-    j, factor = next(
-        (j, factor)
-        for j, factor in enumerate(data["levels"][0]["factors"])
-        if factor["q_coords"] is not None
-    )
-    basis_0 = parse_cycles(factor["module_basis"][0], data["family"][j]["degree"])
-    coords = factor["q_coords"]
-    coords[0][0][0] = (coords[0][0][0] + 1) % max(basis_0.order(), 2)
+    factor = next(f for f in data["levels"][0]["factors"] if f["q"] is not None)
+    assert factor["q"][0][0] != factor["k_res"][0] != "()"
+    factor["q"][0][0] = factor["k_res"][0]
     report = verify_certificate(data)
     assert not report.valid
-    assert report.failed_steps()[0] == "q-decomposition"
-
-
-def test_module_basis_must_generate_A(e16_cert):
-    # Four copies of one basis element of order 2 lie in A = 2^4 and their
-    # orders multiply to |A|, but they generate a group of order 2.
-    data = copy.deepcopy(e16_cert)
-    factor = next(
-        f for lvl in data["levels"] for f in lvl["factors"] if f["module_basis"]
-    )
-    assert len(factor["module_basis"]) == 4
-    factor["module_basis"] = [factor["module_basis"][2]] * 4
-    report = verify_certificate(data)
-    assert not report.valid
-    assert report.failed_steps()[0] == "q-decomposition"
-    assert any("basis does not span A" in line for line in report.lines())
+    assert report.failed_steps() == ["q-decomposition"]
 
 
 @pytest.fixture(scope="module")
@@ -401,31 +395,45 @@ def mixed_cert(groups):
     return serialize_certificate(cert)
 
 
-@pytest.mark.parametrize(
-    "coords", [[0, 0], [], [False], [2]], ids=["long", "empty", "bool", "unreduced"]
-)
-def test_q_coordinates_must_match_the_module_basis(mixed_cert, coords):
-    # SL25's top-level module has one basis element, of order 2, and stores
-    # q = 1 as [0]; each edit decodes to the same q but is not its encoding
-    data = copy.deepcopy(mixed_cert)
-    factor = data["levels"][0]["factors"][0]
-    (basis,) = factor["module_basis"]
-    assert parse_cycles(basis, data["family"][0]["degree"]).order() == 2
-    assert factor["q_coords"][0][0] == [0]
-    factor["q_coords"][0][0] = coords
-    report = verify_certificate(data)
-    assert not report.valid
-    assert report.failed_steps()[0] == "q-decomposition"
-
-
 def test_q_coordinates_need_a_module_basis(mixed_cert):
+    # a q block on a member whose A is trivial
     data = copy.deepcopy(mixed_cert)
     factor = data["levels"][1]["factors"][0]
-    assert factor["module_basis"] is None and factor["q_coords"] is None
-    factor["q_coords"] = [[[5]]]
+    assert factor["q"] is None
+    factor["q"] = [["()", "()"], ["()", "()"]]
     report = verify_certificate(data)
     assert not report.valid
-    assert report.failed_steps()[0] == "q-decomposition"
+    assert report.failed_steps() == ["q-decomposition"]
+
+
+def _q_outside_A(factor):
+    # SL25's A is its centre of order 2, which holds no lift; the
+    # decomposition of k_0 = 1 still holds, since [a_0, a_0] = 1
+    assert factor["q"][0] == ["()", "()"]
+    factor["q"][0][0] = factor["lifts"][0]
+
+
+def _q_row_missing(factor):
+    factor["q"].pop()
+
+
+def _q_row_too_long(factor):
+    factor["q"][0].append(factor["q"][0][0])
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_q_outside_A, _q_row_missing, _q_row_too_long],
+    ids=["outside-A", "m-1-rows", "m+1-elements"],
+)
+def test_q_must_be_m_by_m_elements_of_A(mixed_cert, mutate):
+    # each edit fails the q-decomposition step alone: the Q-module step
+    # reads every stored q, so it still finds the same Q
+    data = copy.deepcopy(mixed_cert)
+    mutate(data["levels"][0]["factors"][0])
+    report = verify_certificate(data)
+    assert not report.valid
+    assert report.failed_steps() == ["q-decomposition"]
 
 
 def _double_k_res(factor):
@@ -483,7 +491,7 @@ def test_verify_parses_each_distinct_string_once(groups, monkeypatch):
     level = data["levels"][0]
     strings = [(s, f["degree"]) for f in data["family"] for s in f["generators"]]
     for f, n in zip(level["factors"], degrees):
-        assert f["module_basis"] is None
+        assert f["q"] is None
         strings += [(s, n) for key in ("lifts", "k_res", "s_res") for s in f[key]]
     # every member is simple, so cover tuple idx belongs to member idx
     strings += [(s, n) for tup, n in zip(level["cover"]["tuples"], degrees) for s in tup]
@@ -505,6 +513,28 @@ def test_verify_parses_each_distinct_string_once(groups, monkeypatch):
     assert verify_certificate(data).valid
     assert sorted(calls) == sorted(set(strings))
     assert len(calls) < len(strings)
+
+
+def test_verify_parses_each_q_string_once(mixed_cert, monkeypatch):
+    # seed-7 k2-mixed: SL25's q holds "()" four times on 24 points, and
+    # E16A5's holds it twice more on 16; each (string, degree) is parsed once
+    level = mixed_cert["levels"][0]
+    degrees = [f["degree"] for f in mixed_cert["family"]]
+    q_strings = [
+        (s, n) for f, n in zip(level["factors"], degrees) for row in f["q"] for s in row
+    ]
+    assert len(set(q_strings)) < len(q_strings)
+    calls = []
+    original = certificates.parse_cycles
+
+    def counting(text, degree):
+        calls.append((text, degree))
+        return original(text, degree)
+
+    monkeypatch.setattr(certificates, "parse_cycles", counting)
+    assert verify_certificate(mixed_cert).valid
+    assert len(calls) == len(set(calls))
+    assert set(q_strings) <= set(calls)
 
 
 def test_malformed_conjugator_repeated_in_two_rows_fails_s_in_T(
@@ -549,10 +579,11 @@ def test_covering_exponent_must_be_an_integer(groups):
 
 
 def test_module_basis_text_with_a_point_in_two_cycles_rejected(mixed_cert):
-    # "(1 4)(2 3)...(1 4)(2 3)..." used to read as its second half
+    # "(1 6)(2 5)...(1 6)(2 5)..." used to read as its second half
     data = copy.deepcopy(mixed_cert)
-    basis = data["levels"][0]["factors"][0]["module_basis"]
-    basis[0] = basis[0] * 2
+    row = data["levels"][0]["factors"][1]["q"][1]
+    assert row[0] != "()"
+    row[0] = row[0] * 2
     report = verify_certificate(data)
     assert not report.valid
     assert report.failed_steps()[0] == "q-decomposition"
@@ -672,7 +703,7 @@ def test_levels_hold_witnesses_only(e16_cert):
     for lvl in e16_cert["levels"]:
         assert set(lvl) == {"m", "words", "factors", "cover", "r", "marked"}
         for factor in lvl["factors"]:
-            assert set(factor) == {"lifts", "k_res", "s_res", "module_basis", "q_coords"}
+            assert set(factor) == {"lifts", "k_res", "s_res", "q"}
     assert set(covers[1]) == {"e", "tuples"}
     assert set(e16_cert["gamma"]) == {"generators", "order", "marked"}
 
@@ -803,16 +834,28 @@ def test_format_0_3_0_certificate_is_refused(capsys):
     refused = verify_certificate(data)
     assert not refused.valid and "version" in refused.message
     assert main(["verify", str(FORMAT_0_3_0_CERT)]) == 1
+    # forced, it fails on its top block, and since format 0.8.0 on its
+    # missing `q`, which Q and Gamma are built from
     forced = verify_certificate(data, force_version=True)
-    assert forced.failed_steps() == ["gamma-perfect"]
+    assert forced.failed_steps() == [
+        "q-decomposition", "Q-module", "gamma-perfect", "projections"
+    ]
     assert main(["verify", str(FORMAT_0_3_0_CERT), "--force"]) == 1
     assert "Traceback" not in capsys.readouterr().err
 
 
 # E16A5, d=2, k=2, budget 2, seed 7 as format 0.4.0 wrote it.  Format
 # 0.5.0 kept the layout and changed the commutator word search, so the old
-# certificate is refused on its version alone and is valid when forced.
+# certificate is refused on its version alone.  Format 0.8.0 replaced each
+# factor's `module_basis` and `q_coords` with `q`, so forced, it is invalid:
+# neither level has a q, and level 2's words and lifts act on level 1's
+# Gamma, which is built from it.
 FORMAT_0_4_0_CERT = pathlib.Path(__file__).parent / "data" / "e16a5-k2-seed7-format-0.4.0.json"
+
+# the steps a format 0.4.0 to 0.7.0 certificate of k = 2 fails when forced
+PRE_Q_FORMAT_K2_FAILURES = [
+    "words", "lifts", "q-decomposition", "Q-module", "gamma-perfect", "projections"
+]
 
 
 def test_format_0_4_0_certificate_is_valid_only_when_forced(e16_cert, capsys):
@@ -823,15 +866,17 @@ def test_format_0_4_0_certificate_is_valid_only_when_forced(e16_cert, capsys):
     refused = verify_certificate(data)
     assert not refused.valid and "version" in refused.message
     assert main(["verify", str(FORMAT_0_4_0_CERT)]) == 1
-    assert verify_certificate(data, force_version=True).valid
-    assert main(["verify", str(FORMAT_0_4_0_CERT), "--force"]) == 0
+    forced = verify_certificate(data, force_version=True)
+    assert forced.failed_steps() == PRE_Q_FORMAT_K2_FAILURES
+    assert main(["verify", str(FORMAT_0_4_0_CERT), "--force"]) == 1
     assert "Traceback" not in capsys.readouterr().err
 
 
 # The k2-mixed benchmark family (SL25+E16A5, d=2, k=2, budget 2) at seed 7
 # as format 0.6.0 wrote it.  Format 0.7.0 kept the layout and changed the
 # choices of conjugators, lifts and lattice order, which the verifier
-# accepts in any valid form.
+# accepts in any valid form; format 0.8.0 replaced `module_basis` and
+# `q_coords` with `q`, so forced, it fails as the 0.4.0 certificate does.
 FORMAT_0_6_0_CERT = pathlib.Path(__file__).parent / "data" / "k2-mixed-seed7-format-0.6.0.json"
 
 
@@ -842,8 +887,9 @@ def test_format_0_6_0_certificate_is_valid_only_when_forced(capsys):
     refused = verify_certificate(data)
     assert not refused.valid and "version" in refused.message
     assert main(["verify", str(FORMAT_0_6_0_CERT)]) == 1
-    assert verify_certificate(data, force_version=True).valid
-    assert main(["verify", str(FORMAT_0_6_0_CERT), "--force"]) == 0
+    forced = verify_certificate(data, force_version=True)
+    assert forced.failed_steps() == PRE_Q_FORMAT_K2_FAILURES
+    assert main(["verify", str(FORMAT_0_6_0_CERT), "--force"]) == 1
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -6,7 +6,7 @@ from conftest import count_enumerations
 
 from perfectcover import catalog, construction
 from perfectcover.cli import main
-from perfectcover.errors import InputError
+from perfectcover.errors import InputError, SearchError
 from perfectcover.groups import ENUMERATION_CAP
 from perfectcover.groupfile import (
     parse_family_file,
@@ -172,6 +172,28 @@ def test_cli_construct_rejects_a_budget_below_2(tmp_path, capsys, monkeypatch, b
     args = ["construct", str(family), "--budget", budget, "-o", str(cert_path)]
     assert main(args) == 1
     assert "budget must be at least 2" in capsys.readouterr().err
+    assert not cert_path.exists()
+
+
+@pytest.mark.parametrize(
+    "error",
+    [SearchError("random lift search exhausted its trial budget"), MemoryError()],
+    ids=["search", "memory"],
+)
+def test_cli_construct_failure_is_one_error_line(tmp_path, capsys, monkeypatch, error):
+    # a search that runs out, or the memory, ends the run with exit 1 and
+    # one line on stderr, as a failed precondition does
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(construction, "construct", fail)
+    fam = tmp_path / "family.txt"
+    fam.write_text("group A5 catalog:A5\nparams d=2 k=1\n")
+    cert_path = tmp_path / "cert.json"
+    assert main(["construct", str(fam), "-o", str(cert_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
     assert not cert_path.exists()
 
 

@@ -163,7 +163,7 @@ def test_s_in_T_check_needs_a_cover_for_a_nontrivial_residue(groups):
     prod = DirectProduct((groups["A5"],))
     s = prod.element({0: P("(1 2 3)", 5)})
     with pytest.raises(VerificationError, match="nontrivial semisimple residue with no T"):
-        check_s_in_T(None, [s], prod.subgroup([]))
+        check_s_in_T(None, [s])
 
 
 def test_T_check_rejects_an_abelian_T(groups):
@@ -202,7 +202,7 @@ def test_gamma_check_rejects_a_non_perfect_gamma(groups):
 def _copy_witnesses(level, family, k):
     """A fresh Level of the same split holding level's witnesses."""
     fresh = Level(family, k)
-    for name in ("m", "words", "lifts", "k_res", "s_res", "basis", "q_coords", "cover"):
+    for name in ("m", "words", "lifts", "k_res", "s_res", "q", "cover"):
         setattr(fresh, name, getattr(level, name))
     return fresh
 
@@ -227,6 +227,18 @@ def test_level_bounds_need_witnesses_inside_their_groups(groups):
     outside.lifts = [[odd * level.lifts[0][0], *level.lifts[0][1:]]]
     assert outside.cover_inside and outside.delta_q_bound is None
     assert outside.gamma.chain.bound is None
+
+
+def test_delta_q_bound_needs_each_q_inside_its_A(groups):
+    # SL25 beside E16A5 at k = 2: each q lies in its member's A, so <Delta, Q>
+    # is bounded by |SL25| |E16A5|; a lift in place of a q lies outside A
+    family = (groups["SL25"], groups["E16A5"])
+    level = construct(family, d=2, k=2, seed=7, budget=2).levels[0]
+    assert level.delta_q_bound == 120 * 960
+    outside = _copy_witnesses(level, family, 2)
+    outside.q = [[[level.lifts[0][0], *level.q[0][0][1:]], *level.q[0][1:]], level.q[1]]
+    assert outside.q[0][0][0] not in level.A[0]
+    assert outside.delta_q_bound is None and not outside.gamma_inside
 
 
 # ----------------------------------------------------------------------
