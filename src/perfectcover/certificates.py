@@ -31,7 +31,7 @@ import json
 
 from . import __version__
 from .errors import InputError
-from .groups import ENUMERATION_CAP, PermGroup, generates
+from .groups import ENUMERATION_CAP, PermGroup, StabilizerChain, generates
 from .perms import Permutation, commutator, format_cycles, parse_cycles
 from .products import (
     DirectProduct,
@@ -595,13 +595,20 @@ def _verify_level(
                 f"the cover needs one tuple per simple factor, {len(flat)} in all"
             )
         _, tuples, _, _ = level.cover
+        # cover_inside has sifted each tuple element into its factor, so
+        # |M| bounds the chain of the tuple; otherwise `generates` sifts them
+        inside = level.cover_inside
         for idx, (_, M) in enumerate(flat):
             if len(tuples[idx]) != budget:
                 raise InputError(
                     f"cover tuple {idx} holds {len(tuples[idx])} elements, "
                     f"not the budget {budget}"
                 )
-            if not generates(M, tuples[idx]):
+            if inside:
+                ok = StabilizerChain(M.degree, tuples[idx], M.order).order() == M.order
+            else:
+                ok = generates(M, tuples[idx])
+            if not ok:
                 raise InputError(f"cover tuple {idx} does not generate its factor")
         check_T(level.product, level.t_group, level.S, level.cover_inside)
 

@@ -480,7 +480,9 @@ def is_normal(G: PermGroup, N: PermGroup) -> bool:
 
 
 def center(G: PermGroup, cap: int = ENUMERATION_CAP) -> PermGroup:
-    """Z(G): the singleton classes, which the walk reaches in enumeration order."""
+    """Z(G): G if abelian, else the walk's singleton classes in enumeration order."""
+    if is_abelian(G):
+        return G
     central = [_wrap(z) for cls in conjugacy_classes(G, cap) if len(cls) == 1 for z in cls]
     return from_elements(G.degree, central)
 
@@ -534,7 +536,8 @@ def conjugacy_class_of(G: PermGroup, x: Permutation) -> list[Permutation]:
 
 
 class CosetMap:
-    """The action of G on right cosets of a normal subgroup N.
+    """The action of G on right cosets of a normal subgroup N: G/N acting
+    regularly, the fallback of `products.quotient_map`.
 
     Cosets are identified by the least element they contain; coset 0 is N
     itself, so quotient permutations are determined by their image of 0.

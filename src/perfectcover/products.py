@@ -10,6 +10,15 @@ witnesses a certificate stores, and Delta, Q, T and Gamma derived from
 them.  The builder fills it in phase by phase and the verifier parses it
 from a certificate; both run the `check_*` functions below on it.
 
+Each member G maps onto G/W, the member one level deeper, on small degree
+where it can (`quotient_map`): by G's action on the orbits of W, which are
+blocks since W is normal, when that image has order |G|/|W|; else, when W
+is regular, onto a point stabiliser G_a, a complement of W; else by
+`groups.CosetMap`, the regular action on the cosets of W, which also
+serves W = 1 and W = G.  So SL(2,5)/Z acts on 12 points and 2^4:A5/2^4 on
+16, not 60 (Holt-Eick-O'Brien, *Handbook of Computational Group Theory*,
+2005, ch. 4; Seress, *Permutation Group Algorithms*, 2003, ch. 6).
+
 The chains of T, Gamma and <Delta, Q> are bounded by the order of a product
 that contains them (`groups.StabilizerChain`), but only once the witnesses
 are seen to lie in their groups: T <= S_1 x ... x S_n when each cover tuple
@@ -43,7 +52,13 @@ import math
 from functools import cached_property
 from itertools import chain
 
-from .errors import InputError, PreconditionError, VerificationError
+from .errors import (
+    InputError,
+    InternalError,
+    PreconditionError,
+    SizeLimitError,
+    VerificationError,
+)
 from .groups import (
     ENUMERATION_CAP,
     CosetMap,
@@ -259,6 +274,148 @@ def gamma_generators(delta, q_vals, t_vals) -> list[Permutation]:
 
 
 # ----------------------------------------------------------------------
+# A member's quotient G/W on small degree.  Each map has `quotient`, the
+# image group, `apply(g)`, which refuses a non-member of G, and `lift(q)`,
+# a preimage in G of an element of the image; `groups.CosetMap` is the
+# fallback.
+
+
+class BlockQuotient:
+    """G/W as the action of G on the orbits of W, numbered by least point.
+
+    W is normal, so its orbits are blocks for G and W lies in the kernel of
+    the action on them; that kernel is W, and the image is G/W, exactly
+    when the image has order |G|/|W| (`of`).  The lift table pairs each
+    element of the image with a preimage, breadth-first over the generators
+    of G; it is built on the first `lift`, and W is never enumerated.
+    """
+
+    def __init__(self, group: PermGroup, block_of, least, quotient: PermGroup, cap: int):
+        self.group = group
+        self.quotient = quotient
+        self._block_of, self._least = block_of, least
+        self._cap = cap
+
+    @classmethod
+    def of(cls, G: PermGroup, W: PermGroup, cap: int) -> BlockQuotient | None:
+        """The map, or None when the action on W's orbits is not G/W."""
+        block_of = [-1] * G.degree
+        least: list[int] = []
+        gens = [w.images for w in W.reduced_generators()]
+        for start in range(G.degree):
+            if block_of[start] < 0:
+                block_of[start] = len(least)
+                orbit = [start]
+                # appending to the list being walked makes the walk breadth-first
+                for p in orbit:
+                    for w in gens:
+                        if block_of[w[p]] < 0:
+                            block_of[w[p]] = len(least)
+                            orbit.append(w[p])
+                least.append(start)
+        index = G.order // W.order
+        images = [Permutation(block_of[g.images[p]] for p in least) for g in G.generators]
+        # W lies in the kernel, so |G/W| bounds the image
+        quotient = PermGroup(len(least), images, index)
+        if quotient.order != index:
+            return None
+        return cls(G, block_of, least, quotient, cap)
+
+    def apply(self, g: Permutation) -> Permutation:
+        """Image of g in the quotient group."""
+        if g not in self.group:
+            raise PreconditionError("element is not in the group")
+        block_of, images = self._block_of, g.images
+        return Permutation._trusted(pack([block_of[images[p]] for p in self._least]))
+
+    @cached_property
+    def _preimages(self) -> dict:
+        """Images of each element of the quotient to images of a preimage."""
+        order, cap = self.quotient.order, self._cap
+        if order > cap:
+            raise SizeLimitError(f"quotient order {order} exceeds cap {cap}")
+        table, compose, _ = kernel(self.group.degree)
+        q_table, q_compose, _ = kernel(self.quotient.degree)
+        steps = [
+            (q_table(s.images), table(g.images))
+            for s, g in zip(self.quotient.generators, self.group.generators)
+        ]
+        found = {self.quotient.identity.images: self.group.identity.images}
+        # appending to the list being walked makes the walk breadth-first
+        queue = list(found)
+        for x in queue:
+            g = found[x]
+            for s, t in steps:
+                y = q_compose(x, s)
+                if y not in found:
+                    found[y] = compose(g, t)
+                    queue.append(y)
+        return found
+
+    def lift(self, q: Permutation) -> Permutation:
+        """A preimage of q in G."""
+        g = self._preimages.get(q.images)
+        if g is None:
+            raise PreconditionError("element is not in the quotient")
+        return Permutation._trusted(g)
+
+
+class ComplementQuotient:
+    """G/W as a point stabiliser G_a, for W regular: transitive, with |W|
+    equal to the degree.
+
+    G_a meets W in W_a = 1 and G = G_a W, so G_a is a complement of W and
+    g -> g t, where t in W sends a^g back to a, projects G onto G_a with
+    kernel W.  The point a is W's first base point and t is read off W's
+    chain transversal at a, so W is never enumerated; `lift` is the
+    identity, since G_a lies in G.
+    """
+
+    def __init__(self, G: PermGroup, W: PermGroup):
+        self.group = G
+        first = W.chain.levels[0]
+        self._point, self._inverse = first.point, first.inverse
+        self._compose = kernel(G.degree)[1]
+        images = [self._project(g.images) for g in G.generators]
+        self.quotient = PermGroup(G.degree, images, G.order // W.order)
+        if self.quotient.order * W.order != G.order:
+            raise InternalError("complement order mismatch")
+
+    @classmethod
+    def of(cls, G: PermGroup, W: PermGroup) -> ComplementQuotient | None:
+        """The map, or None when W, a nontrivial subgroup of G, is not regular."""
+        if W.order != G.degree or len(W.chain.levels[0].orbit) != G.degree:
+            return None
+        return cls(G, W)
+
+    def _project(self, g) -> Permutation:
+        return Permutation._trusted(self._compose(g, self._inverse[g[self._point]]))
+
+    def apply(self, g: Permutation) -> Permutation:
+        """Image of g in the quotient group."""
+        if g not in self.group:
+            raise PreconditionError("element is not in the group")
+        return self._project(g.images)
+
+    def lift(self, q: Permutation) -> Permutation:
+        """q itself, an element of G_a."""
+        return q
+
+
+def quotient_map(G: PermGroup, W: PermGroup, cap: int = ENUMERATION_CAP):
+    """G -> G/W for W = G_{k-1}, normal in G, by the first rule that
+    applies: W's orbits as blocks, then a complement of a regular W, then
+    the regular action on the cosets of W, which also takes W = 1 and
+    W = G.  For 1 < |W| < |G| the first two exclude each other: a regular W
+    has one orbit, on which G acts trivially."""
+    if 1 < W.order < G.order:
+        qmap = BlockQuotient.of(G, W, cap) or ComplementQuotient.of(G, W)
+        if qmap is not None:
+            return qmap
+    return CosetMap(G, W, cap)
+
+
+# ----------------------------------------------------------------------
 # One level of the cover.
 
 
@@ -268,7 +425,8 @@ class Level:
 
     The split, derived by the constructor: each member G splits over
     W = G_{k-1} as A x S, with A = Z(W), S = [W, W] and B = [A, G];
-    `qmaps[j]` maps G onto G/W, the member one level deeper, and
+    `qmaps[j]` maps G onto G/W, the member one level deeper, by the first
+    rule of `quotient_map` that applies, and
     `simple_factors` lists (member, factor) for the simple factors of each
     S, members in order.
 
@@ -294,7 +452,7 @@ class Level:
             W = series_term(G, k, cap)
             A, S = split_star_trivial(W, cap)
             B = commutator_subgroup(G, A, G)
-            qmap = CosetMap(G, W, cap)
+            qmap = quotient_map(G, W, cap)
             _, qlevel = star_chain(qmap.quotient, cap)
             if qlevel > k - 1:
                 raise PreconditionError(
@@ -308,6 +466,20 @@ class Level:
         self.simple_factors = [
             (j, M) for j, S in enumerate(self.S) for M in semisimple_factors(S, cap)
         ]
+
+    @property
+    def q(self) -> list:
+        """The q witnesses; a level whose q was never set, as when the
+        verifier cannot read it, refers each step that needs it to the
+        step that reads it."""
+        try:
+            return self._q
+        except AttributeError:
+            raise VerificationError("no q (see q-decomposition)") from None
+
+    @q.setter
+    def q(self, rows) -> None:
+        self._q = rows
 
     @property
     def quotients(self) -> list[PermGroup]:

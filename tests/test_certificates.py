@@ -13,7 +13,7 @@ import pytest
 
 from conftest import tamper_conjugator
 
-from perfectcover import __version__, certificates
+from perfectcover import __version__, certificates, products
 from perfectcover.certificates import (
     dumps_certificate,
     serialize_certificate,
@@ -59,6 +59,7 @@ A5_SEED7_DIGESTS = {
     "0.6.0": "71f6426fc33415169cbe30e24baab806954896f93088c9b7fc21bf51e632cd05",
     "0.7.0": "9aeaf3e8dedb74405d7f33c91bf168e5500397978bad9380c0a3b08a09d8a9fe",
     "0.8.0": "3c761109ad597aca410c713fcdd73dcd9f12e9cd6cf726978c33fd15731156f2",
+    "0.9.0": "63b24ac7d8d3f7922ed2b89ce0559a77a6d201db554c2d5fec200ba38b0756ff",
 }
 
 # The same for budget 61: the class product of build_T fills A5 before its
@@ -70,6 +71,7 @@ A5_SEED7_BUDGET61_DIGESTS = {
     "0.6.0": "c892320039e14d1f5e04e1f28736a23b24361bfe573832fb098a05474e710d05",
     "0.7.0": "7ab3abab12e328f759991130c5abb83171cea80e335e675404b6a156f9d725e8",
     "0.8.0": "8d282d70ca07d991a2c96ce8f7abd8d85e6d4db57fc5c0f9f4521f75323f1b36",
+    "0.9.0": "de57456ab7790a875acfa11ed4d1f90ce7fc487552e98296c01164afb52b74aa",
 }
 
 
@@ -92,6 +94,7 @@ E16A5_K2_SEED7_DIGESTS = {
     "0.6.0": "20e29097cf4b083c9d894db2c70569cf29701427f17e5178a3d51cd7882f63e5",
     "0.7.0": "f497a947c6c1bd603fde7fb4b447c083e1f9f1c96ba033024c9e1a1955f40e21",
     "0.8.0": "18a5dadfda73372ee1cc6b1444247306f9973113a9b59455caf9610aaacb34cd",
+    "0.9.0": "b153393abaf39be7d3100cc06a49a30a75922edaa80b937a8a8a59d6c864642d",
 }
 
 
@@ -111,6 +114,7 @@ A5XA5_SEED7_DIGESTS = {
     "0.6.0": "251ecebb85f65ee860de54a25689d002c93831bb29e0d1e87c6cbf09387add48",
     "0.7.0": "fe32f36b51fd1ac83b685e9bf84ca0976104a360ebd913359f8133dfa2ad39e9",
     "0.8.0": "bcfb9b749594b243d58b708424ac8f746097c2b577aacea55459754c43d8e3ee",
+    "0.9.0": "a329b451a99aa90e729864e278989f4aa8592cf7f0277c377dda165e049a4708",
 }
 
 
@@ -131,6 +135,7 @@ BENCH_FAMILY_SEED7_DIGESTS = {
         "0.6.0": "d8aeeed499c3ad06084f348a619e4dcd178a2a04728b349b7ca9d67a026a5804",
         "0.7.0": "fa18a2e0158f7791454ebdcad9e673f8f1043d81cd837c331e3d6bd73307d219",
         "0.8.0": "aeacc621ac2e4742f0bec62921fcb06c560eeac5868c0bd98a11a7934efa8f6d",
+        "0.9.0": "5720991ae9746e58406fbbc1f49de22939e6a36913819b48e700fd2ce2f8136b",
     },
     ("SL25+E16A5", 2, 2): {
         "0.3.0": "bc5e97568aaca3a9e5df3f886067a4c420a879a33562034b06c3ed82e5f66d95",
@@ -139,6 +144,7 @@ BENCH_FAMILY_SEED7_DIGESTS = {
         "0.6.0": "3c629631f39b6f1bcb5050260601fd1cbd60549b812fdcff152ab69d57ab4edc",
         "0.7.0": "a339c6d17695169c5c100210a258a5f30bad7221135f1f138fd98c62ed343198",
         "0.8.0": "fc54ac78d412a95aeb5e051ca42c8605ed7b8b8c225a6905b052f2df9917beee",
+        "0.9.0": "ce57fa52239a96192ce9552de79b886fd8cd23f6b4385711a812202d9a5a4652",
     },
 }
 
@@ -165,6 +171,7 @@ A8_FAMILY_SEED7_DIGESTS = {
     "0.6.0": "561ac49da19240408d1ea60168b0c9caa080c843056826429ce3c68416ef0637",
     "0.7.0": "dcdd81b73d93d27b2ed5c3f10b59ba6e6e893d994289ca3f9211a73f2ad5b9b8",
     "0.8.0": "534e0cb643589b4e49fbaf6616554d447362085a48c87c25259039cc3c7269d6",
+    "0.9.0": "3c9fc69f85a973b024b19e6d80107fd804096c6333c648a4543a85edfaca31ed",
 }
 
 
@@ -185,6 +192,7 @@ M11_FAMILY_SEED7_DIGESTS = {
     "0.6.0": "ba73ecbf53f1e0a1892d8d3ab152defc7260d44c686b8cf4b805b5b5c152e153",
     "0.7.0": "27c812dccb37710eb16e7792e5427717f5807a7dab64e564e230b0fc31c5223c",
     "0.8.0": "7ffec360a1cd1735849ffd06daf3f529000ae416b9531f7eae42df9adc7a43f7",
+    "0.9.0": "525ceb6665e5bc42bd8db0349d572e913088ad4bfc2dca717e854af72ce727d2",
 }
 
 
@@ -206,6 +214,7 @@ A5XA5_FAMILY_SEED7_DIGESTS = {
     "0.6.0": "251ecebb85f65ee860de54a25689d002c93831bb29e0d1e87c6cbf09387add48",
     "0.7.0": "fe32f36b51fd1ac83b685e9bf84ca0976104a360ebd913359f8133dfa2ad39e9",
     "0.8.0": "bcfb9b749594b243d58b708424ac8f746097c2b577aacea55459754c43d8e3ee",
+    "0.9.0": "a329b451a99aa90e729864e278989f4aa8592cf7f0277c377dda165e049a4708",
 }
 
 
@@ -226,6 +235,7 @@ A5XA5_SL25_K2_SEED7_DIGESTS = {
     "0.6.0": "5bd659bbb88b913740ddc4f09120f2017f815d7908e940f5904f1d8a67e22ca0",
     "0.7.0": "0e45464d8aa5c02abe0cf522212499f7f1110d9911f4237d1e9db44ef4aada78",
     "0.8.0": "1cf0e602f2ee956652cefdd21430a49d5afcdf072396f3817498184ea71a7c86",
+    "0.9.0": "d49449576d817902057a1d4bc332d114272f3010e14794837e068c3a393a29eb",
 }
 
 
@@ -246,6 +256,7 @@ W2A5_K2_SEED7_DIGESTS = {
     "0.6.0": "eb74ac4e8a5906b97b3166d889b15152a1f2ffee3383f29929ebdb8c6f15bb96",
     "0.7.0": "ccffc87eb318b98238144bb461a3db411574474a6c75d38e37650947e2b9bf62",
     "0.8.0": "3a29d8a1e41054cec01a5b94df0881ddb74111bfa7579ffd3143b09594640ea5",
+    "0.9.0": "ce00e0bdcbe05f03e8365a3e842571e56a47cf46ae2fe185b83512a56bc5f30e",
 }
 
 
@@ -264,6 +275,7 @@ def test_w2a5_family_constructs_and_verifies():
 W3A5_SL25_K2_SEED7_DIGESTS = {
     "0.7.0": "3b26ed17ab85e8fd79ccb2128062f79e6e30ee39b7134648c5fabc2e9a39f413",
     "0.8.0": "8ae37d3d1c2dd0d5e706f316eea3755e5751446ef1448c39dbf197812d90bdc4",
+    "0.9.0": "f26d23f82fab22323725c056b390d23e6459f80a29905ba697afc31ee8e41408",
 }
 
 
@@ -283,6 +295,7 @@ W7A5_K2_SEED7_DIGESTS = {
     "0.6.0": "48a8a50391f4ebce3360a1d6856b35fdd284251fedea3ac7b964dec9337425ff",
     "0.7.0": "be413bfbb09ba2d91c76aa8ea5ccfdf8784cc122190a552e70238ec5282f27c3",
     "0.8.0": "15980637a376300613827ae61d1b7a0fa8b70b7718fe993970249014ba721b38",
+    "0.9.0": "3462758a873215e83988a0f6d60c066067eb5dd9bb27ae0c8b3c4ec05dc6ab57",
 }
 
 
@@ -293,6 +306,25 @@ def test_w7a5_family_constructs_and_verifies():
     cert = construct(members, d=d, k=k, names=names, seed=7, budget=2)
     text = dumps_certificate(serialize_certificate(cert))
     _assert_pinned(text, W7A5_K2_SEED7_DIGESTS)
+    assert verify_certificate(json.loads(text)).valid
+
+
+# tests/data/k2-three.txt at seed 7, budget 2: W2A5, E16A5 and SL25, whose
+# quotients act on 5, 16 and 12 points (blocks, a complement of the regular
+# 2^4, blocks), so the level-1 Gamma lies in A5^3 on 33 points.
+K2_THREE_SEED7_DIGESTS = {
+    "0.9.0": "92a205bfe8bdf87b5c8a73abf71e60c27f4646a57543e0c33a5b52054225c2fd",
+}
+
+
+def test_k2_three_family_constructs_and_verifies():
+    family = pathlib.Path(__file__).parent / "data" / "k2-three.txt"
+    names, members, d, k = parse_family_file(str(family))
+    assert [G.order for G in members] == [960, 960, 120]
+    cert = construct(members, d=d, k=k, names=names, seed=7, budget=2)
+    assert [G.degree for G in cert.levels[1].family] == [5, 16, 12]
+    text = dumps_certificate(serialize_certificate(cert))
+    _assert_pinned(text, K2_THREE_SEED7_DIGESTS)
     assert verify_certificate(json.loads(text)).valid
 
 
@@ -434,6 +466,35 @@ def test_q_must_be_m_by_m_elements_of_A(mixed_cert, mutate):
     report = verify_certificate(data)
     assert not report.valid
     assert report.failed_steps() == ["q-decomposition"]
+
+
+def _q_unparsable(factor):
+    factor["q"] = [["(1 2 2)"]]
+
+
+def _q_missing(factor):
+    # as certificates before format 0.8.0 were written
+    del factor["q"]
+
+
+@pytest.mark.parametrize(
+    "mutate", [_q_unparsable, _q_missing], ids=["unparsable", "missing"]
+)
+def test_steps_that_need_an_unreadable_q_name_q_decomposition(mixed_cert, mutate):
+    # level 1's q cannot be read: its Q and Gamma, and so level 2's words
+    # and lifts, which act on level 1's Gamma, have no q to be built from
+    data = copy.deepcopy(mixed_cert)
+    mutate(data["levels"][1]["factors"][0])
+    report = verify_certificate(data)
+    assert report.failed_steps() == [
+        "words", "lifts", "q-decomposition", "Q-module", "gamma-perfect", "projections"
+    ]
+    problems = {s.name: s.problems for s in report.steps}
+    assert not any("no q" in p for p in problems["q-decomposition"])
+    for step in ("words", "lifts", "Q-module", "gamma-perfect", "projections"):
+        assert problems[step], step
+        assert all(p.endswith("VerificationError: no q (see q-decomposition)")
+                   for p in problems[step]), step
 
 
 def _double_k_res(factor):
@@ -582,8 +643,8 @@ def test_module_basis_text_with_a_point_in_two_cycles_rejected(mixed_cert):
     # "(1 6)(2 5)...(1 6)(2 5)..." used to read as its second half
     data = copy.deepcopy(mixed_cert)
     row = data["levels"][0]["factors"][1]["q"][1]
-    assert row[0] != "()"
-    row[0] = row[0] * 2
+    assert row[1] != "()"
+    row[1] = row[1] * 2
     report = verify_certificate(data)
     assert not report.valid
     assert report.failed_steps()[0] == "q-decomposition"
@@ -708,19 +769,25 @@ def test_levels_hold_witnesses_only(e16_cert):
     assert set(e16_cert["gamma"]) == {"generators", "order", "marked"}
 
 
-def test_verify_builds_one_coset_map_per_level_factor(e16_cert, monkeypatch):
-    # the quotient family and the lifts step share one map per member
-    built = []
-    original = CosetMap.__init__
+def test_verify_builds_one_quotient_map_per_level_factor(mixed_cert, monkeypatch):
+    # the quotient family and the lifts step share one map per member, and
+    # no member of k2-mixed takes the coset action of a proper W > 1
+    built, cosets = [], []
+    original, original_coset = products.quotient_map, CosetMap.__init__
 
-    def counting(self, *args, **kwargs):
-        built.append(1)
-        original(self, *args, **kwargs)
+    def counting(G, W, *args):
+        built.append((G.order, W.order))
+        return original(G, W, *args)
 
-    monkeypatch.setattr(CosetMap, "__init__", counting)
-    assert verify_certificate(e16_cert).valid
-    assert len(e16_cert["levels"]) * len(e16_cert["family"]) == 2
-    assert len(built) == 2
+    def coset_map(self, group, normal, *args):
+        cosets.append((group.order, normal.order))
+        original_coset(self, group, normal, *args)
+
+    monkeypatch.setattr(products, "quotient_map", counting)
+    monkeypatch.setattr(CosetMap, "__init__", coset_map)
+    assert verify_certificate(mixed_cert).valid
+    assert built == [(120, 2), (960, 16), (60, 60), (60, 60)]
+    assert cosets == [(60, 60), (60, 60)]
 
 
 def test_a_member_that_does_not_split_fails_structure(a5_cert, groups, tmp_path):
@@ -835,11 +902,17 @@ def test_format_0_3_0_certificate_is_refused(capsys):
     assert not refused.valid and "version" in refused.message
     assert main(["verify", str(FORMAT_0_3_0_CERT)]) == 1
     # forced, it fails on its top block, and since format 0.8.0 on its
-    # missing `q`, which Q and Gamma are built from
+    # missing `q`, which Q and Gamma are built from; the steps that need q
+    # name the step that reads it
     forced = verify_certificate(data, force_version=True)
     assert forced.failed_steps() == [
         "q-decomposition", "Q-module", "gamma-perfect", "projections"
     ]
+    problems = {s.name: s.problems for s in forced.steps}
+    no_q = "level 1: VerificationError: no q (see q-decomposition)"
+    for step in ("Q-module", "projections"):
+        assert problems[step] == [no_q]
+    assert no_q in problems["gamma-perfect"]
     assert main(["verify", str(FORMAT_0_3_0_CERT), "--force"]) == 1
     assert "Traceback" not in capsys.readouterr().err
 
@@ -847,15 +920,11 @@ def test_format_0_3_0_certificate_is_refused(capsys):
 # E16A5, d=2, k=2, budget 2, seed 7 as format 0.4.0 wrote it.  Format
 # 0.5.0 kept the layout and changed the commutator word search, so the old
 # certificate is refused on its version alone.  Format 0.8.0 replaced each
-# factor's `module_basis` and `q_coords` with `q`, so forced, it is invalid:
-# neither level has a q, and level 2's words and lifts act on level 1's
-# Gamma, which is built from it.
+# factor's `module_basis` and `q_coords` with `q`.  Format 0.9.0 maps each
+# member onto G/W on small degree, so level 1's family acts on 16 points,
+# not 60: forced, the old level-1 witnesses no longer parse, and the
+# certificate is invalid with no step run.
 FORMAT_0_4_0_CERT = pathlib.Path(__file__).parent / "data" / "e16a5-k2-seed7-format-0.4.0.json"
-
-# the steps a format 0.4.0 to 0.7.0 certificate of k = 2 fails when forced
-PRE_Q_FORMAT_K2_FAILURES = [
-    "words", "lifts", "q-decomposition", "Q-module", "gamma-perfect", "projections"
-]
 
 
 def test_format_0_4_0_certificate_is_valid_only_when_forced(e16_cert, capsys):
@@ -867,7 +936,8 @@ def test_format_0_4_0_certificate_is_valid_only_when_forced(e16_cert, capsys):
     assert not refused.valid and "version" in refused.message
     assert main(["verify", str(FORMAT_0_4_0_CERT)]) == 1
     forced = verify_certificate(data, force_version=True)
-    assert forced.failed_steps() == PRE_Q_FORMAT_K2_FAILURES
+    assert not forced.valid and forced.failed_steps() == []
+    assert forced.message == "level data unreadable: point 36 out of range 1..16"
     assert main(["verify", str(FORMAT_0_4_0_CERT), "--force"]) == 1
     assert "Traceback" not in capsys.readouterr().err
 
@@ -876,7 +946,8 @@ def test_format_0_4_0_certificate_is_valid_only_when_forced(e16_cert, capsys):
 # as format 0.6.0 wrote it.  Format 0.7.0 kept the layout and changed the
 # choices of conjugators, lifts and lattice order, which the verifier
 # accepts in any valid form; format 0.8.0 replaced `module_basis` and
-# `q_coords` with `q`, so forced, it fails as the 0.4.0 certificate does.
+# `q_coords` with `q`; format 0.9.0 puts SL25's quotient on 12 points, so
+# forced, its level-1 witnesses no longer parse, as for the 0.4.0 certificate.
 FORMAT_0_6_0_CERT = pathlib.Path(__file__).parent / "data" / "k2-mixed-seed7-format-0.6.0.json"
 
 
@@ -888,7 +959,8 @@ def test_format_0_6_0_certificate_is_valid_only_when_forced(capsys):
     assert not refused.valid and "version" in refused.message
     assert main(["verify", str(FORMAT_0_6_0_CERT)]) == 1
     forced = verify_certificate(data, force_version=True)
-    assert forced.failed_steps() == PRE_Q_FORMAT_K2_FAILURES
+    assert not forced.valid and forced.failed_steps() == []
+    assert forced.message == "level data unreadable: point 13 out of range 1..12"
     assert main(["verify", str(FORMAT_0_6_0_CERT), "--force"]) == 1
     assert "Traceback" not in capsys.readouterr().err
 
