@@ -6,4 +6,4 @@ The package namespace holds only `__version__`; every other name is
 imported from the module that defines it, so a process compiles only the
 layers it calls."""
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -6,14 +6,21 @@ the elements q_il of A in each abelian residue's commutator decomposition,
 cover tuples and conjugators and the marked generators of that level's
 Gamma, and at the top Gamma's marked generators.  A q is stored as a
 permutation, like a lift, so the q-decomposition step checks the claim
-k_i = [q_i1, a_1] ... [q_im, a_m] and nothing about an encoding.
-Nothing the family and k determine is stored per level.  The verifier
-reads each level into a `products.Level`, the record the construction
-builds: the Level derives the split (W, A, S, B and the simple factors)
-from the family and the level number, with the construction's checks, and
-Delta, Q, T and Gamma from the witnesses.  `serialize_certificate` writes
-a Level's witnesses, and `verify_certificate` parses them back from the
-JSON document, so it trusts nothing of the construction run.  It re-checks
+k_i = [q_i1, a_1] ... [q_im, a_m] and nothing about an encoding.  A
+residue list, like q, is null where the split forces it: k_res when A is
+trivial, s_res when S is.  At each level k >= 2 a member stores `W`, a
+few elements whose normal closure is the W it splits over; at level 1, W
+is the member itself.  The verifier reads each level into a
+`products.Level`, the record the construction builds: the Level derives
+the split (W, A, S, B and the simple factors) from the family and W's
+seeds, with the construction's checks, and Delta, Q, T and Gamma from the
+witnesses.  The levels are then a normal series of each member whose
+factors are abelian x semisimple, which bounds its star-series level by
+k, so the family step checks only that each member is perfect and
+d-generated, and fails with structure when a level does not split.
+`serialize_certificate` writes a Level's witnesses, and
+`verify_certificate` parses them back from the JSON document, so it
+trusts nothing of the construction run.  It re-checks
 every claim from scratch, using only the stored data and the library
 kernel, and a fixed list of named steps makes failures attributable.  The
 claim checks of `products` (`check_Q`, `check_s_in_T`, `check_T`,
@@ -31,7 +38,7 @@ import json
 
 from . import __version__
 from .errors import InputError
-from .groups import ENUMERATION_CAP, PermGroup, StabilizerChain, generates
+from .groups import ENUMERATION_CAP, PermGroup, StabilizerChain, generates, is_perfect
 from .perms import Permutation, commutator, format_cycles, parse_cycles
 from .products import (
     DirectProduct,
@@ -43,7 +50,7 @@ from .products import (
     check_T,
     pad_generators,
 )
-from .structure import is_in_Y
+from .structure import min_generators
 from .words import evaluate_word, parse_word
 
 CERT_FORMAT = "perfectcover.certificate"
@@ -96,6 +103,12 @@ def _top_gamma_doc(product, gamma_gens, order, marked) -> dict:
     }
 
 
+def _residue_strs(residues, part: PermGroup) -> list[str] | None:
+    """A residue list, null when its part is trivial and forces every
+    residue to be the identity."""
+    return None if part.order == 1 else [_perm_str(x) for x in residues]
+
+
 def serialize_certificate(cert) -> dict:
     """ConstructionCertificate -> JSON-ready dict."""
     data = {
@@ -116,16 +129,15 @@ def serialize_certificate(cert) -> dict:
         factors = []
         for j in range(len(lvl.family)):
             q = lvl.q[j]
-            factors.append(
-                {
-                    "lifts": [_perm_str(a) for a in lvl.lifts[j]],
-                    "k_res": [_perm_str(x) for x in lvl.k_res[j]],
-                    "s_res": [_perm_str(x) for x in lvl.s_res[j]],
-                    "q": (
-                        None if q is None else [[_perm_str(x) for x in row] for row in q]
-                    ),
-                }
-            )
+            factor = {
+                "lifts": [_perm_str(a) for a in lvl.lifts[j]],
+                "k_res": _residue_strs(lvl.k_res[j], lvl.A[j]),
+                "s_res": _residue_strs(lvl.s_res[j], lvl.S[j]),
+                "q": None if q is None else [[_perm_str(x) for x in row] for row in q],
+            }
+            if lvl.seeds is not None:
+                factor["W"] = [_perm_str(w) for w in lvl.seeds[j]]
+            factors.append(factor)
         cover = lvl.cover
         if cover is not None:
             _, tuples, e, r = cover
@@ -277,19 +289,42 @@ def _parse_gens(strings, degree: int, parsed: dict) -> list[Permutation]:
     return out
 
 
+def _read_seeds(doc: dict, family, k: int, parsed: dict):
+    """Each member's seeds of W at a level k >= 2, None at level 1, whose W
+    is the member itself and whose factors store no `W`."""
+    factors = doc["factors"]
+    if not isinstance(factors, list) or len(factors) != len(family):
+        raise InputError("the level needs one factor per family member")
+    if k == 1:
+        if any("W" in f for f in factors):
+            raise InputError("level 1 stores no W: it is each member itself")
+        return None
+    seeds = []
+    for j, (f, G) in enumerate(zip(factors, family)):
+        if not isinstance(f.get("W"), list):
+            raise InputError(f"factor {j} has no list W")
+        seeds.append(_parse_gens(f["W"], G.degree, parsed))
+    return seeds
+
+
+def _read_residues(strings, G: PermGroup, rows: int, parsed: dict) -> list[Permutation]:
+    """A factor's residues; null stands for one identity per row."""
+    if strings is None:
+        return [G.identity] * rows
+    return _parse_gens(strings, G.degree, parsed)
+
+
 def _read_level(doc: dict, level: Level, parsed: dict) -> None:
     """Set a level's witnesses from its document, all but q and the cover:
     the q-decomposition and s-in-T steps read those, so that a malformed
     one fails the step that checks it, and a later step that needs it
-    fails on its absence."""
-    if len(doc["factors"]) != len(level.family):
-        raise InputError("the level needs one factor per family member")
-    degrees = [G.degree for G in level.family]
+    fails on its absence.  `_read_seeds` has checked the factor count."""
     level.m = doc["m"]
-    factors = list(zip(doc["factors"], degrees))
-    level.lifts = [_parse_gens(f["lifts"], n, parsed) for f, n in factors]
-    level.k_res = [_parse_gens(f["k_res"], n, parsed) for f, n in factors]
-    level.s_res = [_parse_gens(f["s_res"], n, parsed) for f, n in factors]
+    rows = len(doc["words"])
+    factors = list(zip(doc["factors"], level.family))
+    level.lifts = [_parse_gens(f["lifts"], G.degree, parsed) for f, G in factors]
+    level.k_res = [_read_residues(f["k_res"], G, rows, parsed) for f, G in factors]
+    level.s_res = [_read_residues(f["s_res"], G, rows, parsed) for f, G in factors]
     level.words = [parse_word(w, level.m) for w in doc["words"]]
     level.marked = doc["marked"]
 
@@ -353,14 +388,19 @@ def verify_certificate(
     except Exception as exc:  # noqa: BLE001
         return VerificationReport([], False, f"family data unreadable: {exc}")
 
-    # family step: admissibility of every member
+    # family step: each member is perfect and d-generated; its level is at
+    # most k when every level below splits it (`products.Level`), and at
+    # k = 0 only the trivial group has level 0
     for name, G in zip(names, family):
         def check_member(name=name, G=G):
             if not isinstance(name, str):
                 raise InputError("name is not a string")
-            ok, reason = is_in_Y(G, d, k, cap)
-            if not ok:
-                raise InputError(reason)
+            if not is_perfect(G):
+                raise InputError("not perfect")
+            if min_generators(G, d, cap=cap) is None:
+                raise InputError(f"no generating tuple of size at most {d} found")
+            if k < 1 and G.order != 1:
+                raise InputError(f"a nontrivial group has level above {k}")
         rec.guard("family", f"member {name}", check_member)
 
     if not family:
@@ -379,10 +419,13 @@ def verify_certificate(
     cur_family = family
     for i, doc in enumerate(data["levels"]):
         try:
-            level = Level(cur_family, k - i, cap)
+            seeds = _read_seeds(doc, cur_family, k - i, parsed)
+            level = Level(cur_family, k - i, seeds, cap)
         except Exception as exc:  # noqa: BLE001
-            # without the split there is no deeper family to check against
+            # without the split there is no deeper family to check against,
+            # and no member's level is shown to be at most k
             rec.fail("structure", f"level {k - i}: {type(exc).__name__}: {exc}")
+            rec.fail("family", f"level {k - i} does not split the members")
             message = f"level {k - i} does not split; later steps not run"
             return VerificationReport(rec.report().steps, False, message)
         try:
@@ -509,8 +552,16 @@ def _verify_level(
 
     rec.guard("lifts", lab, check_lifts)
 
-    # ---- equation (1)
+    # ---- equation (1); a residue list is null exactly when its part is
+    # trivial, and then stands for identities
     def check_eq1():
+        for j, f in enumerate(doc["factors"]):
+            parts = (("k_res", "A", level.A[j]), ("s_res", "S", level.S[j]))
+            for key, name, part in parts:
+                if f[key] is None and part.order != 1:
+                    raise InputError(f"factor {j}: {key} is null but {name} is not trivial")
+                if f[key] is not None and part.order == 1:
+                    raise InputError(f"factor {j}: {key} is stored but {name} is trivial")
         for j in range(len(level.family)):
             if len(level.k_res[j]) != m or len(level.s_res[j]) != m:
                 raise InputError(f"factor {j} needs m = {m} k_res and s_res entries")

@@ -42,8 +42,9 @@ from .products import (
     check_s_in_T,
     check_T,
     pad_generators,
+    w_seeds,
 )
-from .structure import InternalDirectProduct, is_in_Y, semisimple_factors
+from .structure import InternalDirectProduct, is_in_Y, semisimple_factors, series_term
 from .words import commutator_words, evaluate_word, gaschutz_lift
 
 
@@ -85,10 +86,12 @@ class ConstructionCertificate:
 
 
 def split_levels(family, k: int, cap: int = ENUMERATION_CAP) -> Level:
-    """The level-k split of each member over W_j = (G_j)_{k-1}."""
+    """The level-k split of each member over W_j = (G_j)_{k-1}, given at
+    k >= 2 by the seeds of its normal closure that the certificate stores."""
     if k < 1:
         raise PreconditionError("split_levels needs k >= 1")
-    return Level(family, k, cap)
+    seeds = None if k == 1 else [w_seeds(G, series_term(G, k, cap)) for G in family]
+    return Level(family, k, seeds, cap)
 
 
 def recurse_and_align(

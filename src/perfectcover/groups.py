@@ -26,22 +26,24 @@ bound is passed only where containment is definitional or was just
 checked: samples of G, conjugates by G of elements of G, subgroups of G,
 or elements sifted through G's chain first, as `generates` does.  A
 generation test is `generates(G, xs)`; only the builder's own samples of G
-(`covering`) skip its sifts and compare orders alone.
+(`covering`) and its Gaschutz candidates, products of elements of G
+(`words.gaschutz_lift`), skip its sifts and compare orders alone.
 
 The chain, `mulclose` and the class walks work on raw images through
 `perms.kernel` and build a `Permutation` only for what they return: a
 closure element, a class member.  A group's classes are walked once and
-kept in its `facts`.  Each level stores the inverse of each transversal
-element when it computes its orbit, so a sift step is one compose, and it
-keeps the strong generators that fix the earlier base points as they are
-added, so no pass filters them again.  Schreier-Sims
-checks each Schreier generator once: a level records, since its orbit was last
-recomputed, the (orbit point, strong generator) pairs it has checked, and
-it keeps the Schreier generators that sifted to the identity.  Both stay
-true because the levels below are complete whenever a level is processed
-and their group only grows (Seress, *Permutation Group Algorithms*, 2003,
-ch. 4; Holt-Eick-O'Brien, *Handbook of Computational Group Theory*, 2005,
-ch. 4).
+kept in its `facts`.  Each level stores the inverse of a transversal
+element the first time a sift or a Schreier generator needs it
+(`transversal_inverse`), so a sift step is one compose and no orbit point
+that nothing reaches has its inverse built, and it keeps the strong
+generators that fix the earlier base points as they are added, so no pass
+filters them again.  Schreier-Sims checks each Schreier generator once: a
+level records, since its orbit was last recomputed, the (orbit point,
+strong generator) pairs it has checked, and it keeps the Schreier
+generators that sifted to the identity.  Both stay true because the levels
+below are complete whenever a level is processed and their group only
+grows (Seress, *Permutation Group Algorithms*, 2003, ch. 4;
+Holt-Eick-O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 4).
 
 The independent oracle for all of this is :func:`mulclose`, a plain
 breadth-first closure of the generating set.  It never consults the chain.
@@ -98,12 +100,13 @@ class _Level:
     `gens` holds the (images, table) pairs of the strong generators that fix
     the earlier levels' points, in strong-generator order; a new strong
     generator joins every level up to and including the first whose point
-    it moves.  `transversal[q]` maps the base point to q and `inverse[q]`
-    is the right-operand table of its inverse.  `checked[k]` counts the
-    leading entries s of `gens` whose Schreier generator at `orbit[k]` is
-    known to lie in the deeper levels' group; it is reset whenever the
-    orbit is recomputed.  `sifted` holds Schreier generators that sifted to
-    the identity through the deeper levels.
+    it moves.  `transversal[q]` maps the base point to q and `inverse[q]`,
+    filled on first use, is the right-operand table of its inverse.
+    `checked[k]` counts the leading entries s of `gens` whose Schreier
+    generator at `orbit[k]` is known to lie in the deeper levels' group; it
+    is reset, with `inverse`, whenever the orbit is recomputed.  `sifted`
+    holds Schreier generators that sifted to the identity through the
+    deeper levels.
     """
 
     __slots__ = ("point", "gens", "orbit", "transversal", "inverse", "checked", "sifted")
@@ -178,11 +181,19 @@ class StabilizerChain:
                 if q not in transversal:
                     transversal[q] = compose(rep, s_table)
                     orbit.append(q)
-        table, invert = self._table, self._invert
         lev.orbit = orbit
         lev.transversal = transversal
-        lev.inverse = {q: table(invert(t)) for q, t in transversal.items()}
+        lev.inverse = {}
         lev.checked = [0] * len(orbit)
+
+    def transversal_inverse(self, i: int, q: int):
+        """The right-operand table of the inverse of level i's transversal
+        element at orbit point q, built on first use."""
+        lev = self.levels[i]
+        t_inv = lev.inverse.get(q)
+        if t_inv is None:
+            t_inv = lev.inverse[q] = self._table(self._invert(lev.transversal[q]))
+        return t_inv
 
     def _sift_from(self, g, start: int):
         """Strip images g through levels >= start; returns (residue, level reached)."""
@@ -195,7 +206,9 @@ class StabilizerChain:
                 continue
             t_inv = lev.inverse.get(p)
             if t_inv is None:
-                return g, i
+                if p not in lev.transversal:
+                    return g, i
+                t_inv = self.transversal_inverse(i, p)
             g = compose(g, t_inv)
         return g, len(levels)
 
@@ -233,6 +246,7 @@ class StabilizerChain:
         transversal, inverse, checked, sifted = (
             lev.transversal, lev.inverse, lev.checked, lev.sifted
         )
+        transversal_inverse = self.transversal_inverse
         for k, p in enumerate(lev.orbit):
             done = checked[k]
             if done == n_gens:
@@ -244,7 +258,10 @@ class StabilizerChain:
                 u = compose(t_p, s_table)
                 if u == transversal[q]:
                     continue
-                schreier = compose(u, inverse[q])
+                t_inv = inverse.get(q)
+                if t_inv is None:
+                    t_inv = transversal_inverse(i, q)
+                schreier = compose(u, t_inv)
                 if schreier in sifted:
                     continue
                 residue, j = self._sift_from(schreier, i + 1)

@@ -33,8 +33,7 @@ chain reaches |S_1| ... |S_n|, or Gamma's |G_1| ... |G_n|, the group is the
 whole product, since a subgroup of a finite group with the group's order is
 the group.  A direct product is perfect iff each factor is, and it maps onto
 each factor, so T-perfect then checks only that each S_j is perfect,
-gamma-perfect that each G_j is (a fact admissibility, or `star_chain` for a
-quotient, has already computed), and projections nothing.  Every other T or
+gamma-perfect that each G_j is, and projections nothing.  Every other T or
 Gamma, a proper subgroup or one whose witnesses are not seen to lie in their
 groups, takes the derived closure and the projection chains, so both paths
 give the same verdicts.
@@ -69,7 +68,7 @@ from .groups import (
     normal_closure,
 )
 from .perms import BYTES_MAX_DEGREE, Permutation, commutator, kernel, pack
-from .structure import semisimple_factors, series_term, split_star_trivial, star_chain
+from .structure import semisimple_factors, split_star_trivial
 
 
 class DirectProduct:
@@ -367,14 +366,14 @@ class ComplementQuotient:
     G_a meets W in W_a = 1 and G = G_a W, so G_a is a complement of W and
     g -> g t, where t in W sends a^g back to a, projects G onto G_a with
     kernel W.  The point a is W's first base point and t is read off W's
-    chain transversal at a, so W is never enumerated; `lift` is the
-    identity, since G_a lies in G.
+    chain transversal at a (`transversal_inverse`), so W is never
+    enumerated; `lift` is the identity, since G_a lies in G.
     """
 
     def __init__(self, G: PermGroup, W: PermGroup):
         self.group = G
-        first = W.chain.levels[0]
-        self._point, self._inverse = first.point, first.inverse
+        self._chain = W.chain
+        self._point = W.chain.levels[0].point
         self._compose = kernel(G.degree)[1]
         images = [self._project(g.images) for g in G.generators]
         self.quotient = PermGroup(G.degree, images, G.order // W.order)
@@ -389,7 +388,8 @@ class ComplementQuotient:
         return cls(G, W)
 
     def _project(self, g) -> Permutation:
-        return Permutation._trusted(self._compose(g, self._inverse[g[self._point]]))
+        t_inv = self._chain.transversal_inverse(0, g[self._point])
+        return Permutation._trusted(self._compose(g, t_inv))
 
     def apply(self, g: Permutation) -> Permutation:
         """Image of g in the quotient group."""
@@ -419,16 +419,37 @@ def quotient_map(G: PermGroup, W: PermGroup, cap: int = ENUMERATION_CAP):
 # One level of the cover.
 
 
+def w_seeds(G: PermGroup, W: PermGroup) -> list[Permutation]:
+    """W's reduced generators, taken in order until their normal closure in
+    G has order |W|: the seeds a certificate stores for W at a level >= 2."""
+    seeds: list[Permutation] = []
+    for w in W.reduced_generators():
+        if normal_closure(G, seeds).order == W.order:
+            break
+        seeds.append(w)
+    return seeds
+
+
 class Level:
     """Level k of the construction over a family, built by the builder and
     parsed from a certificate by the verifier.
 
-    The split, derived by the constructor: each member G splits over
-    W = G_{k-1} as A x S, with A = Z(W), S = [W, W] and B = [A, G];
+    The split, derived by the constructor: each member G splits over a
+    normal subgroup W as A x S, with A = Z(W), S = [W, W] and B = [A, G].
+    At level 1, W is G itself; at a level k >= 2 it is the normal closure
+    in G of `seeds[j]`, which the builder takes from the star-series term
+    G_{k-1} (`w_seeds`) and the verifier reads from the certificate.
     `qmaps[j]` maps G onto G/W, the member one level deeper, by the first
-    rule of `quotient_map` that applies, and
-    `simple_factors` lists (member, factor) for the simple factors of each
-    S, members in order.
+    rule of `quotient_map` that applies, and `simple_factors` lists
+    (member, factor) for the simple factors of each S, members in order.
+
+    The constructor checks that each W is star-trivial and is A x S.  G/W
+    is the next level's family, whose split checks its own W, down to
+    level 1, whose W is the whole quotient.  So the levels give each member
+    a normal series G = N_0 >= ... >= N_k = 1 whose factors are abelian x
+    semisimple, and G's star series then has G_i <= N_i: its level is at
+    most k.  The star series is such a series, so every member of level at
+    most k has one, and a certificate needs no star series of a member.
 
     The witnesses, as a certificate stores them, set by whoever builds or
     reads the level: `m`, `words`, `lifts`, `k_res` and `s_res`; `q`, per
@@ -441,23 +462,21 @@ class Level:
     give reports the failure itself.
     """
 
-    def __init__(self, family, k: int, cap: int = ENUMERATION_CAP):
-        """The split at level k >= 1; PreconditionError if a member does
-        not split as A x S or its quotient is not of level k - 1."""
+    def __init__(self, family, k: int, seeds, cap: int = ENUMERATION_CAP):
+        """The split at level k >= 1 over the normal closures of `seeds`, or
+        over each member itself when `seeds` is None, as at level 1;
+        PreconditionError if a seed lies outside its member or a W does
+        not split as A x S."""
         self.k = k
         self.family = tuple(family)
+        self.seeds = seeds
         self.product = DirectProduct(self.family)
         self.W, self.A, self.S, self.B, self.qmaps = [], [], [], [], []
-        for G in self.family:
-            W = series_term(G, k, cap)
+        for j, G in enumerate(self.family):
+            W = G if seeds is None else normal_closure(G, seeds[j])
             A, S = split_star_trivial(W, cap)
             B = commutator_subgroup(G, A, G)
             qmap = quotient_map(G, W, cap)
-            _, qlevel = star_chain(qmap.quotient, cap)
-            if qlevel > k - 1:
-                raise PreconditionError(
-                    f"quotient has star level {qlevel}, above {k - 1}"
-                )
             self.W.append(W)
             self.A.append(A)
             self.S.append(S)

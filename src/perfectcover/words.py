@@ -32,6 +32,7 @@ from .errors import (
 from .groups import (
     ENUMERATION_CAP,
     PermGroup,
+    StabilizerChain,
     conjugation_orbit_images,
     derived_subgroup,
     enumerate_elements,
@@ -305,7 +306,9 @@ def gaschutz_lift(
     Requires N normal in G, the cosets a_i N to generate G/N, and
     k = len(coset_reps) at least the minimal number of generators of G;
     under those hypotheses a lift always exists, so an exhaustive search
-    failure aborts as an internal error.
+    failure aborts as an internal error.  Each a_i is checked to lie in G
+    and each n_i lies in N <= G, so |G| bounds the chain of a candidate
+    tuple a_i n_i, and no candidate is sifted into G.
     """
     reps = list(coset_reps)
     k = len(reps)
@@ -322,7 +325,10 @@ def gaschutz_lift(
     if d is None:
         raise PreconditionError(f"group needs more than {k} generators")
 
-    if generates(G, reps):
+    def generating(members) -> bool:
+        return StabilizerChain(G.degree, members, G.order).order() == G.order
+
+    if generating(reps):
         return reps
 
     exhaustive = N.order**k <= _EXHAUSTIVE_LIFTS
@@ -340,7 +346,7 @@ def gaschutz_lift(
         )
     for tup in candidates:
         lifted = [a * n for a, n in zip(reps, tup)]
-        if generates(G, lifted):
+        if generating(lifted):
             return lifted
     if exhaustive:
         raise InternalError(

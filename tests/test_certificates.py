@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import tamper_conjugator
+from conftest import count_enumerations, tamper_conjugator
 
 from perfectcover import __version__, certificates, products
 from perfectcover.certificates import (
@@ -60,6 +60,7 @@ A5_SEED7_DIGESTS = {
     "0.7.0": "9aeaf3e8dedb74405d7f33c91bf168e5500397978bad9380c0a3b08a09d8a9fe",
     "0.8.0": "3c761109ad597aca410c713fcdd73dcd9f12e9cd6cf726978c33fd15731156f2",
     "0.9.0": "63b24ac7d8d3f7922ed2b89ce0559a77a6d201db554c2d5fec200ba38b0756ff",
+    "0.10.0": "8152e0b5888b7701524ed0c71a6f63e221897f9a881f222bb5fd032b0ad3762e",
 }
 
 # The same for budget 61: the class product of build_T fills A5 before its
@@ -72,6 +73,7 @@ A5_SEED7_BUDGET61_DIGESTS = {
     "0.7.0": "7ab3abab12e328f759991130c5abb83171cea80e335e675404b6a156f9d725e8",
     "0.8.0": "8d282d70ca07d991a2c96ce8f7abd8d85e6d4db57fc5c0f9f4521f75323f1b36",
     "0.9.0": "de57456ab7790a875acfa11ed4d1f90ce7fc487552e98296c01164afb52b74aa",
+    "0.10.0": "d7a5f07ff90ed3a70c87fb7090c7d65cca3c5ba7096ab9f63dc09dd384ec6492",
 }
 
 
@@ -95,6 +97,7 @@ E16A5_K2_SEED7_DIGESTS = {
     "0.7.0": "f497a947c6c1bd603fde7fb4b447c083e1f9f1c96ba033024c9e1a1955f40e21",
     "0.8.0": "18a5dadfda73372ee1cc6b1444247306f9973113a9b59455caf9610aaacb34cd",
     "0.9.0": "b153393abaf39be7d3100cc06a49a30a75922edaa80b937a8a8a59d6c864642d",
+    "0.10.0": "735ba63f4c063b7fc39a2f26800c8f16b409a3b5075df3e278a5387bd00f8d6d",
 }
 
 
@@ -115,6 +118,7 @@ A5XA5_SEED7_DIGESTS = {
     "0.7.0": "fe32f36b51fd1ac83b685e9bf84ca0976104a360ebd913359f8133dfa2ad39e9",
     "0.8.0": "bcfb9b749594b243d58b708424ac8f746097c2b577aacea55459754c43d8e3ee",
     "0.9.0": "a329b451a99aa90e729864e278989f4aa8592cf7f0277c377dda165e049a4708",
+    "0.10.0": "7d6a28797bd148c5e1729e37527e8ddfb9e9d5caae4ac668635b52ef50875e9f",
 }
 
 
@@ -136,6 +140,7 @@ BENCH_FAMILY_SEED7_DIGESTS = {
         "0.7.0": "fa18a2e0158f7791454ebdcad9e673f8f1043d81cd837c331e3d6bd73307d219",
         "0.8.0": "aeacc621ac2e4742f0bec62921fcb06c560eeac5868c0bd98a11a7934efa8f6d",
         "0.9.0": "5720991ae9746e58406fbbc1f49de22939e6a36913819b48e700fd2ce2f8136b",
+        "0.10.0": "bafb74749e4bd5702167379c900eaa9143d463bdf93119cdd526dbe9f381a7df",
     },
     ("SL25+E16A5", 2, 2): {
         "0.3.0": "bc5e97568aaca3a9e5df3f886067a4c420a879a33562034b06c3ed82e5f66d95",
@@ -145,6 +150,7 @@ BENCH_FAMILY_SEED7_DIGESTS = {
         "0.7.0": "a339c6d17695169c5c100210a258a5f30bad7221135f1f138fd98c62ed343198",
         "0.8.0": "fc54ac78d412a95aeb5e051ca42c8605ed7b8b8c225a6905b052f2df9917beee",
         "0.9.0": "ce57fa52239a96192ce9552de79b886fd8cd23f6b4385711a812202d9a5a4652",
+        "0.10.0": "c3ad9d4dbe961f7e8329095401b04f4dfd603ba5d2c42f79726429a382a09168",
     },
 }
 
@@ -172,6 +178,7 @@ A8_FAMILY_SEED7_DIGESTS = {
     "0.7.0": "dcdd81b73d93d27b2ed5c3f10b59ba6e6e893d994289ca3f9211a73f2ad5b9b8",
     "0.8.0": "534e0cb643589b4e49fbaf6616554d447362085a48c87c25259039cc3c7269d6",
     "0.9.0": "3c9fc69f85a973b024b19e6d80107fd804096c6333c648a4543a85edfaca31ed",
+    "0.10.0": "10093b621138f6a7c3d59e6b071c7565c0ab4ea661ed7e5b5b20489665a7fc9e",
 }
 
 
@@ -193,6 +200,7 @@ M11_FAMILY_SEED7_DIGESTS = {
     "0.7.0": "27c812dccb37710eb16e7792e5427717f5807a7dab64e564e230b0fc31c5223c",
     "0.8.0": "7ffec360a1cd1735849ffd06daf3f529000ae416b9531f7eae42df9adc7a43f7",
     "0.9.0": "525ceb6665e5bc42bd8db0349d572e913088ad4bfc2dca717e854af72ce727d2",
+    "0.10.0": "f8243be925d9b1c0c1941bbcca483e411283f786f7ccbf01b53d98f4fe21743a",
 }
 
 
@@ -215,6 +223,7 @@ A5XA5_FAMILY_SEED7_DIGESTS = {
     "0.7.0": "fe32f36b51fd1ac83b685e9bf84ca0976104a360ebd913359f8133dfa2ad39e9",
     "0.8.0": "bcfb9b749594b243d58b708424ac8f746097c2b577aacea55459754c43d8e3ee",
     "0.9.0": "a329b451a99aa90e729864e278989f4aa8592cf7f0277c377dda165e049a4708",
+    "0.10.0": "7d6a28797bd148c5e1729e37527e8ddfb9e9d5caae4ac668635b52ef50875e9f",
 }
 
 
@@ -236,6 +245,7 @@ A5XA5_SL25_K2_SEED7_DIGESTS = {
     "0.7.0": "0e45464d8aa5c02abe0cf522212499f7f1110d9911f4237d1e9db44ef4aada78",
     "0.8.0": "1cf0e602f2ee956652cefdd21430a49d5afcdf072396f3817498184ea71a7c86",
     "0.9.0": "d49449576d817902057a1d4bc332d114272f3010e14794837e068c3a393a29eb",
+    "0.10.0": "87724b6565be56a373883fffd67c1a21c41bf35433fa794e5163e53609fc4154",
 }
 
 
@@ -257,6 +267,7 @@ W2A5_K2_SEED7_DIGESTS = {
     "0.7.0": "ccffc87eb318b98238144bb461a3db411574474a6c75d38e37650947e2b9bf62",
     "0.8.0": "3a29d8a1e41054cec01a5b94df0881ddb74111bfa7579ffd3143b09594640ea5",
     "0.9.0": "ce00e0bdcbe05f03e8365a3e842571e56a47cf46ae2fe185b83512a56bc5f30e",
+    "0.10.0": "7f3b14a00e9fbfed91a5f3bab6da262300edef57bb613b2f4867bee5b58b0045",
 }
 
 
@@ -276,6 +287,7 @@ W3A5_SL25_K2_SEED7_DIGESTS = {
     "0.7.0": "3b26ed17ab85e8fd79ccb2128062f79e6e30ee39b7134648c5fabc2e9a39f413",
     "0.8.0": "8ae37d3d1c2dd0d5e706f316eea3755e5751446ef1448c39dbf197812d90bdc4",
     "0.9.0": "f26d23f82fab22323725c056b390d23e6459f80a29905ba697afc31ee8e41408",
+    "0.10.0": "c4e9cf42895bff962d30a407e19a0267458a78f1f1cb98a5ed45c150f331a211",
 }
 
 
@@ -296,6 +308,7 @@ W7A5_K2_SEED7_DIGESTS = {
     "0.7.0": "be413bfbb09ba2d91c76aa8ea5ccfdf8784cc122190a552e70238ec5282f27c3",
     "0.8.0": "15980637a376300613827ae61d1b7a0fa8b70b7718fe993970249014ba721b38",
     "0.9.0": "3462758a873215e83988a0f6d60c066067eb5dd9bb27ae0c8b3c4ec05dc6ab57",
+    "0.10.0": "77cde47566ee6e445b9f77776560d927ef3e99320d2615a442c84d86603db872",
 }
 
 
@@ -314,6 +327,7 @@ def test_w7a5_family_constructs_and_verifies():
 # 2^4, blocks), so the level-1 Gamma lies in A5^3 on 33 points.
 K2_THREE_SEED7_DIGESTS = {
     "0.9.0": "92a205bfe8bdf87b5c8a73abf71e60c27f4646a57543e0c33a5b52054225c2fd",
+    "0.10.0": "547fc5eb21bf16fee68c14168be090feed613b25e566e943d5cc56bdad9253c1",
 }
 
 
@@ -497,11 +511,16 @@ def test_steps_that_need_an_unreadable_q_name_q_decomposition(mixed_cert, mutate
                    for p in problems[step]), step
 
 
-def _double_k_res(factor):
+def _double_k_res(data):
+    # level 2's SL25, whose A is its centre
+    factor = data["levels"][0]["factors"][0]
     factor["k_res"] = factor["k_res"] * 2
 
 
-def _extra_s_res(factor):
+def _extra_s_res(data):
+    # level 1's SL25/Z = A5, whose S is the whole member; at level 2 its S
+    # is trivial and its s_res null
+    factor = data["levels"][1]["factors"][0]
     factor["s_res"].append(factor["s_res"][0])
 
 
@@ -511,7 +530,7 @@ def _extra_s_res(factor):
 def test_residue_counts_must_equal_m(mixed_cert, mutate):
     # the checks read residues 0..m-1 only, so extra entries went unread
     data = copy.deepcopy(mixed_cert)
-    mutate(data["levels"][0]["factors"][0])
+    mutate(data)
     report = verify_certificate(data)
     assert not report.valid
     assert report.failed_steps() == ["equation1"]
@@ -552,8 +571,9 @@ def test_verify_parses_each_distinct_string_once(groups, monkeypatch):
     level = data["levels"][0]
     strings = [(s, f["degree"]) for f in data["family"] for s in f["generators"]]
     for f, n in zip(level["factors"], degrees):
-        assert f["q"] is None
-        strings += [(s, n) for key in ("lifts", "k_res", "s_res") for s in f[key]]
+        # every member is simple: A is trivial, and so are its residues
+        assert f["q"] is None and f["k_res"] is None
+        strings += [(s, n) for key in ("lifts", "s_res") for s in f[key]]
     # every member is simple, so cover tuple idx belongs to member idx
     strings += [(s, n) for tup, n in zip(level["cover"]["tuples"], degrees) for s in tup]
     strings += [
@@ -758,13 +778,22 @@ def test_family_name_must_be_text(a5_cert):
 
 
 def test_levels_hold_witnesses_only(e16_cert):
-    # level 2 has a module and no cover, level 1 a cover and no module
+    # level 2 has a module and no cover, level 1 a cover and no module; a
+    # factor stores the seeds of its W at level 2 only, since level 1's W
+    # is the member itself, and a residue list only where its part is
+    # nontrivial
     covers = [lvl["cover"] for lvl in e16_cert["levels"]]
     assert covers[0] is None and covers[1] is not None
     for lvl in e16_cert["levels"]:
         assert set(lvl) == {"m", "words", "factors", "cover", "r", "marked"}
-        for factor in lvl["factors"]:
-            assert set(factor) == {"lifts", "k_res", "s_res", "q"}
+    (level2,), (level1,) = (lvl["factors"] for lvl in e16_cert["levels"])
+    assert set(level2) == {"lifts", "k_res", "s_res", "q", "W"}
+    assert set(level1) == {"lifts", "k_res", "s_res", "q"}
+    # the 2^4 of E16A5 is the normal closure of one involution
+    assert len(level2["W"]) == 1
+    assert level2["s_res"] is None and level2["k_res"] is not None
+    assert level1["k_res"] is None and level1["q"] is None
+    assert level1["s_res"] is not None
     assert set(covers[1]) == {"e", "tuples"}
     assert set(e16_cert["gamma"]) == {"generators", "order", "marked"}
 
@@ -808,6 +837,110 @@ def test_a_member_that_does_not_split_fails_structure(a5_cert, groups, tmp_path)
     path = tmp_path / "cert.json"
     path.write_text(dumps_certificate(data))
     assert main(["verify", str(path)]) == 1
+
+
+def _seed_outside_member(data):
+    # an odd permutation lies outside the perfect SL25
+    data["levels"][0]["factors"][0]["W"] = ["(1 2)"]
+
+
+def _member_as_W(data):
+    # W = SL25 itself, which is not star-trivial
+    data["levels"][0]["factors"][0]["W"] = data["family"][0]["generators"]
+
+
+def _identity_as_W(data):
+    # W = 1 splits, and level 1 then gets SL25 itself, which does not
+    data["levels"][0]["factors"][0]["W"] = ["()"]
+
+
+def _W_missing(data):
+    del data["levels"][0]["factors"][1]["W"]
+
+
+def _W_at_level_1(data):
+    data["levels"][1]["factors"][0]["W"] = ["()"]
+
+
+@pytest.mark.parametrize(
+    "mutate, level, problem",
+    [
+        (_seed_outside_member, 2, "seed is not an element of the ambient group"),
+        (_member_as_W, 2, "group is not star-trivial"),
+        (_identity_as_W, 1, "group is not star-trivial"),
+        (_W_missing, 2, "factor 1 has no list W"),
+        (_W_at_level_1, 1, "level 1 stores no W: it is each member itself"),
+    ],
+    ids=["seed-outside", "member-as-W", "identity-as-W", "W-missing", "W-at-level-1"],
+)
+def test_a_level_whose_W_does_not_split_fails_family_and_structure(
+    mixed_cert, tmp_path, capsys, mutate, level, problem
+):
+    # each member's series is read off the levels: a W that is not a
+    # normal star-trivial subgroup of its member leaves the member's level
+    # unshown, and without the split no later step runs
+    data = copy.deepcopy(mixed_cert)
+    mutate(data)
+    report = verify_certificate(data)
+    assert report.failed_steps() == ["family", "structure"]
+    assert report.message == f"level {level} does not split; later steps not run"
+    problems = {s.name: s.problems for s in report.steps}
+    assert len(problems["structure"]) == 1
+    assert problems["structure"][0].startswith(f"level {level}: ")
+    assert problems["structure"][0].endswith(problem)
+    path = tmp_path / "cert.json"
+    path.write_text(dumps_certificate(data))
+    assert main(["verify", str(path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "level, key, value, problem, failed",
+    [
+        (0, "k_res", None, "k_res is null but A is not trivial", []),
+        (1, "k_res", ["()", "()"], "k_res is stored but A is trivial", []),
+        (0, "s_res", ["()", "()"], "s_res is stored but S is trivial", []),
+        (1, "s_res", None, "s_res is null but S is not trivial", ["s-in-T", "gamma-perfect"]),
+    ],
+    ids=["k_res-null", "k_res-stored", "s_res-stored", "s_res-null"],
+)
+def test_a_residue_list_is_null_exactly_when_its_part_is_trivial(
+    mixed_cert, level, key, value, problem, failed
+):
+    # level 2's SL25 has A = Z and S = 1, and every residue is the
+    # identity; level 1's SL25/Z = A5 has A = 1 and S = A5.  The first three
+    # edits keep the residues' values, so the rule alone rejects them; a
+    # null s_res over A5, read as identities, also breaks the cover-row
+    # products and the assembled residue identity
+    data = copy.deepcopy(mixed_cert)
+    data["levels"][level]["factors"][0][key] = value
+    report = verify_certificate(data)
+    assert report.failed_steps() == ["equation1", *failed]
+    problems = {s.name: s.problems for s in report.steps}
+    assert problems["equation1"] == [f"level {2 - level}: InputError: factor 0: {problem}"]
+
+
+@pytest.mark.parametrize(
+    "path, walks",
+    [
+        (pathlib.Path(__file__).parent.parent / "bench" / "families" / "k2-mixed.txt", [60, 60]),
+        (pathlib.Path(__file__).parent / "data" / "k2-W7A5.txt", [60]),
+    ],
+    ids=["k2-mixed", "W7A5"],
+)
+def test_verify_walks_only_the_level_1_members(path, walks, monkeypatch):
+    # seed 7: verify reads each member's series off the levels, so it walks
+    # the classes of the level-1 members alone (A5 on 12 and 16 points for
+    # k2-mixed, A5 on 5 for W7A5), to prove each W = G star-trivial; it
+    # walked SL25, E16A5 and W7A5 too, for their star series
+    names, members, d, k = parse_family_file(str(path))
+    cert = construct(members, d=d, k=k, names=names, seed=7, budget=2)
+    data = json.loads(dumps_certificate(serialize_certificate(cert)))
+    enumerated = count_enumerations(monkeypatch)
+    assert verify_certificate(data).valid
+    assert [(caller, order) for caller, order, _ in enumerated] == [
+        ("conjugacy_classes", order) for order in walks
+    ]
 
 
 @pytest.mark.parametrize("change", ["extra", "missing"])
@@ -879,9 +1012,11 @@ def test_old_format_certificate_gives_a_report(capsys):
     data = json.loads(text)
     refused = verify_certificate(data)
     assert not refused.valid and "version" in refused.message
+    # forced, its level 1 stores a W, which format 0.10.0 stores only above
+    # level 1, where W is not the member itself
     forced = verify_certificate(data, force_version=True)
-    assert not forced.valid
-    assert "level data unreadable" in forced.message
+    assert forced.failed_steps() == ["family", "structure"]
+    assert forced.message == "level 1 does not split; later steps not run"
     assert main(["verify", str(FORMAT_0_2_0_CERT), "--force"]) == 1
 
 
@@ -903,10 +1038,11 @@ def test_format_0_3_0_certificate_is_refused(capsys):
     assert main(["verify", str(FORMAT_0_3_0_CERT)]) == 1
     # forced, it fails on its top block, and since format 0.8.0 on its
     # missing `q`, which Q and Gamma are built from; the steps that need q
-    # name the step that reads it
+    # name the step that reads it.  Since format 0.10.0 its k_res list
+    # fails equation1: A5's A is trivial, so its k_res is null
     forced = verify_certificate(data, force_version=True)
     assert forced.failed_steps() == [
-        "q-decomposition", "Q-module", "gamma-perfect", "projections"
+        "equation1", "q-decomposition", "Q-module", "gamma-perfect", "projections"
     ]
     problems = {s.name: s.problems for s in forced.steps}
     no_q = "level 1: VerificationError: no q (see q-decomposition)"
@@ -922,9 +1058,16 @@ def test_format_0_3_0_certificate_is_refused(capsys):
 # certificate is refused on its version alone.  Format 0.8.0 replaced each
 # factor's `module_basis` and `q_coords` with `q`.  Format 0.9.0 maps each
 # member onto G/W on small degree, so level 1's family acts on 16 points,
-# not 60: forced, the old level-1 witnesses no longer parse, and the
-# certificate is invalid with no step run.
+# not 60.  Format 0.10.0 stores the seeds of each W at level 2: forced,
+# the old level 2 has none, so it does not split, and no later step runs.
 FORMAT_0_4_0_CERT = pathlib.Path(__file__).parent / "data" / "e16a5-k2-seed7-format-0.4.0.json"
+
+
+def _assert_level_2_has_no_W(report):
+    assert report.failed_steps() == ["family", "structure"]
+    assert report.message == "level 2 does not split; later steps not run"
+    problems = {s.name: s.problems for s in report.steps}
+    assert problems["structure"] == ["level 2: InputError: factor 0 has no list W"]
 
 
 def test_format_0_4_0_certificate_is_valid_only_when_forced(e16_cert, capsys):
@@ -936,8 +1079,7 @@ def test_format_0_4_0_certificate_is_valid_only_when_forced(e16_cert, capsys):
     assert not refused.valid and "version" in refused.message
     assert main(["verify", str(FORMAT_0_4_0_CERT)]) == 1
     forced = verify_certificate(data, force_version=True)
-    assert not forced.valid and forced.failed_steps() == []
-    assert forced.message == "level data unreadable: point 36 out of range 1..16"
+    _assert_level_2_has_no_W(forced)
     assert main(["verify", str(FORMAT_0_4_0_CERT), "--force"]) == 1
     assert "Traceback" not in capsys.readouterr().err
 
@@ -946,8 +1088,9 @@ def test_format_0_4_0_certificate_is_valid_only_when_forced(e16_cert, capsys):
 # as format 0.6.0 wrote it.  Format 0.7.0 kept the layout and changed the
 # choices of conjugators, lifts and lattice order, which the verifier
 # accepts in any valid form; format 0.8.0 replaced `module_basis` and
-# `q_coords` with `q`; format 0.9.0 puts SL25's quotient on 12 points, so
-# forced, its level-1 witnesses no longer parse, as for the 0.4.0 certificate.
+# `q_coords` with `q`; format 0.9.0 puts SL25's quotient on 12 points; and
+# format 0.10.0 stores each W at level 2, so forced, as for the 0.4.0
+# certificate, its level 2 does not split.
 FORMAT_0_6_0_CERT = pathlib.Path(__file__).parent / "data" / "k2-mixed-seed7-format-0.6.0.json"
 
 
@@ -959,8 +1102,7 @@ def test_format_0_6_0_certificate_is_valid_only_when_forced(capsys):
     assert not refused.valid and "version" in refused.message
     assert main(["verify", str(FORMAT_0_6_0_CERT)]) == 1
     forced = verify_certificate(data, force_version=True)
-    assert not forced.valid and forced.failed_steps() == []
-    assert forced.message == "level data unreadable: point 13 out of range 1..12"
+    _assert_level_2_has_no_W(forced)
     assert main(["verify", str(FORMAT_0_6_0_CERT), "--force"]) == 1
     assert "Traceback" not in capsys.readouterr().err
 
@@ -1052,6 +1194,20 @@ def test_k0_certificate_is_valid():
     data = serialize_certificate(cert)
     assert data["levels"] == []
     assert verify_certificate(data).valid
+
+
+def test_k0_certificate_admits_only_the_trivial_group(groups):
+    # with no levels, no member's series is read off the certificate: only
+    # the trivial group has level 0
+    data = serialize_certificate(construct((PermGroup(2, ()),), d=2, k=0, names=("T",)))
+    A5 = groups["A5"]
+    data["family"][0] = {
+        "name": "A5", "degree": A5.degree, "generators": [format_cycles(g) for g in A5.generators]
+    }
+    report = verify_certificate(data)
+    assert report.failed_steps() == ["family"]
+    problems = {s.name: s.problems for s in report.steps}
+    assert problems["family"] == ["member A5: InputError: a nontrivial group has level above 0"]
 
 
 def test_byte_identical_rerun(groups, a5_cert):

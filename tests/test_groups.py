@@ -652,7 +652,9 @@ def test_level_generators_are_the_strong_generators_fixing_the_base(groups, name
 
 
 def _chain_state(chain):
-    """Everything a chain holds that its readers see."""
+    """Everything a chain holds that its readers see; the inverse of each
+    transversal element is read through its accessor, which builds it on
+    first use."""
     return (
         chain.picks,
         chain.order(),
@@ -662,10 +664,10 @@ def _chain_state(chain):
                 lev.point,
                 lev.orbit,
                 list(lev.transversal.items()),
-                list(lev.inverse.items()),
+                [(q, chain.transversal_inverse(i, q)) for q in lev.orbit],
                 [g for g, _ in lev.gens],
             )
-            for lev in chain.levels
+            for i, lev in enumerate(chain.levels)
         ],
     )
 

@@ -201,7 +201,7 @@ def test_gamma_check_rejects_a_non_perfect_gamma(groups):
 
 def _copy_witnesses(level, family, k):
     """A fresh Level of the same split holding level's witnesses."""
-    fresh = Level(family, k)
+    fresh = Level(family, k, level.seeds)
     for name in ("m", "words", "lifts", "k_res", "s_res", "q", "cover"):
         setattr(fresh, name, getattr(level, name))
     return fresh

@@ -4,6 +4,7 @@ complement of a regular W, or the coset action as the fallback."""
 import copy
 import json
 import pathlib
+from collections import Counter
 
 import pytest
 from conftest import count_enumerations
@@ -14,7 +15,7 @@ from perfectcover.certificates import (
     serialize_certificate,
     verify_certificate,
 )
-from perfectcover.construction import construct
+from perfectcover.construction import construct, split_levels
 from perfectcover.errors import PreconditionError
 from perfectcover.groupfile import parse_family_file, parse_group_file
 from perfectcover.groups import CosetMap, PermGroup, enumerate_elements
@@ -22,7 +23,6 @@ from perfectcover.perms import parse_cycles
 from perfectcover.products import (
     BlockQuotient,
     ComplementQuotient,
-    Level,
     quotient_map,
 )
 from perfectcover.structure import series_term
@@ -142,7 +142,7 @@ def test_level1_members_act_on_small_degree():
     # seed-7 k2-mixed: SL25/Z on the 12 pairs {v, -v}, E16A5/2^4 as the
     # stabiliser A5 of a point of the affine space
     names, members, d, k = parse_family_file(str(FAMILIES / "k2-mixed.txt"))
-    level = Level(members, 2)
+    level = split_levels(members, 2)
     assert [type(qmap) for qmap in level.qmaps] == [BlockQuotient, ComplementQuotient]
     assert [(Q.degree, Q.order) for Q in level.quotients] == [(12, 60), (16, 60)]
 
@@ -154,7 +154,9 @@ def test_level1_members_act_on_small_degree():
 def test_no_quotient_enumerates_W(path, monkeypatch):
     # construct and verify enumerate only by class walks and, in the
     # Gaschutz lift search, each member's <B, S>; no quotient map enumerates
-    # W, and an abelian W is its own centre, so its classes are not walked
+    # W, and an abelian W is its own centre, so its classes are not walked.
+    # Verify walks some of construct's groups and no member of a level
+    # >= 2: it reads each member's series off the certificate's levels
     names, members, d, k = parse_family_file(str(path))
     enumerated = count_enumerations(monkeypatch)
     cert = construct(members, d=d, k=k, names=names, seed=7, budget=2)
@@ -165,7 +167,10 @@ def test_no_quotient_enumerates_W(path, monkeypatch):
     data = json.loads(dumps_certificate(serialize_certificate(cert)))
     assert verify_certificate(data).valid
     assert {caller for caller, _, _ in enumerated} == {"conjugacy_classes"}
-    assert sorted(order for _, order, _ in enumerated) == walked
+    verified = sorted(order for _, order, _ in enumerated)
+    assert not Counter(verified) - Counter(walked)
+    upper = {G.order for level in cert.levels if level.k >= 2 for G in level.family}
+    assert upper and upper.isdisjoint(verified)
     level = cert.levels[0]
     assert all(order not in {W.order for W in level.W if W.order > 1} for order in walked)
 
